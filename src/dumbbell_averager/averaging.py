@@ -11,8 +11,9 @@ plane initial conditions:
   fundamental matrix applied to the perturbation vector field along the
   unperturbed orbit, then project onto the active plane.
 
-Both reduce periodic integrands to ``periodic_quadrature``, a node-doubling
-trapezoid rule that converges spectrally for smooth periodic functions.
+Both reduce periodic integrands to one node-doubling trapezoid rule
+(``periodic_quadrature`` is its scalar form), which converges spectrally
+for smooth periodic functions.
 """
 
 from __future__ import annotations
@@ -49,22 +50,8 @@ def periodic_quadrature(f: Callable[[np.ndarray], np.ndarray], period: float, to
         raise ValueError("period must be positive")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    n = QUAD_START_NODES
-    nodes = np.arange(n) * (period / n)
-    total = float(np.sum(np.asarray(f(nodes), dtype=float)))
-    estimate = total * (period / n)
-    while n <= QUAD_MAX_NODES // 2:
-        # midpoints of the current panels; reuse previous sample sum
-        new_nodes = (np.arange(n) + 0.5) * (period / n)
-        total += float(np.sum(np.asarray(f(new_nodes), dtype=float)))
-        n *= 2
-        refined = total * (period / n)
-        if abs(refined - estimate) < tol * max(1.0, abs(refined)):
-            return refined
-        estimate = refined
-    raise NoConvergenceError(
-        f"trapezoid rule still moving by more than {tol:g} at N={n} nodes"
-    )
+    values, _ = _quadrature_rows(f, period, tol, 1)
+    return float(values[0])
 
 
 def _quadrature_rows(
@@ -73,10 +60,9 @@ def _quadrature_rows(
     tol: float,
     rows: int,
 ) -> Tuple[np.ndarray, int]:
-    """Vector-valued variant: ``f`` maps times (n,) to values (rows, n).
-
-    Returns (integrals, nodes_used).  Same doubling/stop rule as the scalar
-    version with the tolerance applied to every row.
+    """Node doubling for ``rows`` integrals at once: ``f`` maps times (n,)
+    to values (rows, n).  Returns (integrals, nodes_used); the stop rule of
+    ``periodic_quadrature`` applies to every row.
     """
     n = QUAD_START_NODES
     nodes = np.arange(n) * (period / n)

@@ -3,15 +3,18 @@
 Torques are entered as text over the variables (t, theta, theta_dot, phi,
 phi_dot) with the constants ``pi`` and ``sqrt3``, the functions sin/cos/tan,
 and the operators ``+ - * / ^`` (integer exponents only).  Parsed trees are
-immutable, evaluate deterministically on scalars or numpy arrays, and support
-forward-mode differentiation through dual numbers, which is how the
-linearized torque coefficients f1..f4 are extracted: fi is the partial
-derivative of the corresponding torque with respect to the nutation or
+immutable.  One code generator turns a tree into a straight-line python
+function, over the math module for scalars or over numpy for arrays, that
+returns the value alone or the value and the derivative in one seeded
+variable (forward-mode differentiation by source transformation).  Every
+variant raises DomainError at a zero divisor or a tan pole.  The
+linearized torque coefficients f1..f4 are such derivatives: fi is the
+partial of the corresponding torque with respect to the nutation or
 precession angle, taken at zero angles with the angular rates kept exact.
 """
-
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
@@ -53,108 +56,6 @@ class UnknownIdentifierError(DumbbellError):
 
 class DomainError(DumbbellError):
     """Evaluation left the expression's domain (tan pole, zero divisor)."""
-
-
-# --- Dual numbers (forward-mode differentiation) ---
-
-
-class Dual:
-    """Value/derivative pair; arithmetic propagates exact first derivatives."""
-
-    __slots__ = ("value", "deriv")
-
-    # keep numpy from absorbing Duals into object arrays; binary ops with
-    # ndarrays then fall through to the reflected methods below
-    __array_ufunc__ = None
-
-    def __init__(self, value, deriv):
-        self.value = value
-        self.deriv = deriv
-
-    def __repr__(self):
-        return f"Dual({self.value!r}, {self.deriv!r})"
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.deriv + other.deriv)
-        return Dual(self.value + other, self.deriv)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value - other.value, self.deriv - other.deriv)
-        return Dual(self.value - other, self.deriv)
-
-    def __rsub__(self, other):
-        return Dual(other - self.value, -self.deriv)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.value * other.value,
-                self.deriv * other.value + self.value * other.deriv,
-            )
-        return Dual(self.value * other, self.deriv * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            _check_divisor(other.value)
-            return Dual(
-                self.value / other.value,
-                (self.deriv * other.value - self.value * other.deriv) / (other.value**2),
-            )
-        _check_divisor(other)
-        return Dual(self.value / other, self.deriv / other)
-
-    def __rtruediv__(self, other):
-        _check_divisor(self.value)
-        return Dual(other / self.value, -other * self.deriv / (self.value**2))
-
-    def __neg__(self):
-        return Dual(-self.value, -self.deriv)
-
-    def __pow__(self, n: int):
-        if n == 0:
-            return Dual(self.value**0, self.deriv * 0.0)
-        if n < 0:
-            _check_divisor(self.value)
-        return Dual(self.value**n, n * self.value ** (n - 1) * self.deriv)
-
-
-def _check_divisor(v) -> None:
-    if np.any(np.asarray(v) == 0):
-        raise DomainError("division by zero")
-
-
-def _check_tan_arg(x) -> None:
-    if np.any(np.abs(np.cos(np.asarray(x))) < TAN_POLE_FLOOR):
-        raise DomainError("tan argument within 1e-12 of an odd multiple of pi/2")
-
-
-def _sin(x):
-    if isinstance(x, Dual):
-        return Dual(np.sin(x.value), np.cos(x.value) * x.deriv)
-    return np.sin(x)
-
-
-def _cos(x):
-    if isinstance(x, Dual):
-        return Dual(np.cos(x.value), -np.sin(x.value) * x.deriv)
-    return np.cos(x)
-
-
-def _tan(x):
-    if isinstance(x, Dual):
-        _check_tan_arg(x.value)
-        return Dual(np.tan(x.value), x.deriv / np.cos(x.value) ** 2)
-    _check_tan_arg(x)
-    return np.tan(x)
-
-
-_FUNCTION_IMPL = {"sin": _sin, "cos": _cos, "tan": _tan}
 
 
 # --- Expression tree ---
@@ -243,37 +144,6 @@ def _validate(node: Node) -> None:
         raise TypeError(f"not an expression node: {node!r}")
 
 
-def _eval_node(node: Node, env: dict):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, env)
-    if isinstance(node, Call):
-        return _FUNCTION_IMPL[node.fn](_eval_node(node.arg, env))
-    if isinstance(node, BinOp):
-        left = _eval_node(node.left, env)
-        right = _eval_node(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if not isinstance(right, Dual):
-            _check_divisor(right)
-        return left / right
-    base = _eval_node(node.base, env)
-    if isinstance(base, Dual):
-        return base ** node.exponent
-    if node.exponent < 0:
-        _check_divisor(base)
-    return base ** node.exponent
-
-
 def _pretty(node: Node) -> str:
     if isinstance(node, Num):
         return repr(node.value)
@@ -305,86 +175,143 @@ def _pretty(node: Node) -> str:
     return f"{left} {node.op} {right}"
 
 
-def _codegen(node: Node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Const):
-        return "PI" if node.name == "pi" else "SQRT3"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_codegen(node.arg)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({_codegen(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({_codegen(node.left)} {node.op} {_codegen(node.right)})"
-    return f"({_codegen(node.base)})**({node.exponent})"
+# --- Code generation (forward-mode source transformation) ---
+
+def _zero_deriv(value):
+    return np.zeros_like(value) if isinstance(value, np.ndarray) else 0.0
 
 
-def _dual_codegen(root: Node, seed: str) -> Callable:
-    """Generate a scalar function returning (value, d/d_seed) for the tree.
+#: per namespace: the functions the emitted code calls, the guard tests on a
+#: divisor and on cos(tan argument), and the derivative of an expression
+#: that does not depend on the seed
+_NAMESPACES = {
+    "math": (
+        {"sin": math.sin, "cos": math.cos, "tan": math.tan},
+        "{} == 0",
+        "abs({}) < TAN_POLE_FLOOR",
+        "0.0",
+    ),
+    "numpy": (
+        {"sin": np.sin, "cos": np.cos, "tan": np.tan, "abs": np.abs, "any": np.any,
+         "zero_deriv": _zero_deriv},
+        "any({} == 0)",
+        "any(abs({}) < TAN_POLE_FLOOR)",
+        "zero_deriv({})",
+    ),
+}
 
-    Straight-line dual arithmetic in SSA form; one assignment pair per node,
-    so the source stays linear in the tree size.
+
+def _check_seed(seed: str) -> str:
+    if seed not in VARIABLES:
+        raise ValueError(f"seed must be one of {VARIABLES}, got {seed!r}")
+    return seed
+
+
+def _generate(root: Node, seed: Optional[str], namespace: str) -> Callable:
+    """Emit and compile one straight-line function of the five variables.
+
+    It returns the value for ``seed=None`` and (value, d/d_seed) otherwise.
+    A subtree free of the seed carries no derivative, so each node does the
+    arithmetic of forward-mode dual numbers with a constant operand.  A
+    value is bound to a local only when it is used twice or guarded; the
+    rest stays one nested expression.  Zero divisors, zero bases of negative
+    powers and tan poles raise DomainError.
     """
+    functions, zero_test, pole_test, no_deriv = _NAMESPACES[namespace]
     lines = []
-    counter = iter(range(10**6))
+    names = itertools.count()
 
-    def emit(node: Node) -> Tuple[str, str]:
-        i = next(counter)
-        v, d = f"v{i}", f"d{i}"
+    def temp(expr: str) -> str:
+        if expr.isidentifier() or expr[0].isdigit():
+            return expr
+        name = f"v{next(names)}"
+        lines.append(f"{name} = {expr}")
+        return name
+
+    def guard(test: str, operand: str, message: str) -> None:
+        lines.append(f"if {test.format(operand)}: raise DomainError({message!r})")
+
+    def emit(node: Node) -> Tuple[str, Optional[str]]:
+        """(value expression, derivative expression or None)"""
         if isinstance(node, Num):
-            lines.append(f"{v} = {node.value!r}; {d} = 0.0")
-        elif isinstance(node, Const):
-            cname = "PI" if node.name == "pi" else "SQRT3"
-            lines.append(f"{v} = {cname}; {d} = 0.0")
-        elif isinstance(node, Var):
-            dval = "1.0" if node.name == seed else "0.0"
-            lines.append(f"{v} = {node.name}; {d} = {dval}")
-        elif isinstance(node, Neg):
-            av, ad = emit(node.arg)
-            lines.append(f"{v} = -{av}; {d} = -{ad}")
-        elif isinstance(node, Call):
-            av, ad = emit(node.arg)
+            text = repr(node.value)
+            return (f"({text})" if text[0] == "-" else text), None
+        if isinstance(node, Const):
+            return ("PI" if node.name == "pi" else "SQRT3"), None
+        if isinstance(node, Var):
+            return node.name, ("1.0" if node.name == seed else None)
+        if isinstance(node, Neg):
+            a, da = emit(node.arg)
+            return f"(-{a})", da and f"(-{da})"
+        if isinstance(node, Call):
+            a, da = emit(node.arg)
+            if node.fn == "tan":
+                a = temp(a)
+                c = temp(f"cos({a})")
+                guard(pole_test, c, "tan argument within 1e-12 of an odd multiple of pi/2")
+                return f"tan({a})", da and f"({da} / {c}**2)"
+            if da is None:
+                return f"{node.fn}({a})", None
+            a = temp(a)
             if node.fn == "sin":
-                lines.append(f"{v} = sin({av}); {d} = cos({av})*{ad}")
-            elif node.fn == "cos":
-                lines.append(f"{v} = cos({av}); {d} = -sin({av})*{ad}")
+                return f"sin({a})", f"(cos({a}) * {da})"
+            return f"cos({a})", f"(-sin({a}) * {da})"
+        if isinstance(node, BinOp):
+            left, dl = emit(node.left)
+            right, dr = emit(node.right)
+            op = node.op
+            if op == "/":
+                right = temp(right)
+                guard(zero_test, right, "division by zero")
+            if dl is None and dr is None:
+                return f"({left} {op} {right})", None
+            if op in "+-":
+                if dr is None:
+                    d = dl
+                elif dl is None:
+                    d = dr if op == "+" else f"(-{dr})"
+                else:
+                    d = f"({dl} {op} {dr})"
+                return f"({left} {op} {right})", d
+            if dl is not None:
+                right = temp(right)
+            if dr is not None:
+                left = temp(left)
+            if op == "*":
+                terms = ([f"{dl} * {right}"] if dl else []) + ([f"{left} * {dr}"] if dr else [])
+                d = f"({' + '.join(terms)})"
+            elif dr is None:
+                d = f"({dl} / {right})"
+            elif dl is None:
+                d = f"(-{left} * {dr} / {right}**2)"
             else:
-                lines.append(f"{v} = tan({av}); {d} = {ad}/cos({av})**2")
-        elif isinstance(node, BinOp):
-            lv, ld = emit(node.left)
-            rv, rd = emit(node.right)
-            if node.op == "+":
-                lines.append(f"{v} = {lv}+{rv}; {d} = {ld}+{rd}")
-            elif node.op == "-":
-                lines.append(f"{v} = {lv}-{rv}; {d} = {ld}-{rd}")
-            elif node.op == "*":
-                lines.append(f"{v} = {lv}*{rv}; {d} = {ld}*{rv}+{lv}*{rd}")
-            else:
-                lines.append(f"{v} = {lv}/{rv}; {d} = ({ld}*{rv}-{lv}*{rd})/({rv}*{rv})")
-        else:
-            bv, bd = emit(node.base)
-            n = node.exponent
-            lines.append(f"{v} = {bv}**{n}; {d} = {n}*{bv}**{n - 1}*{bd}")
-        return v, d
+                d = f"(({dl} * {right} - {left} * {dr}) / {right}**2)"
+            return f"({left} {op} {right})", d
+        base, db = emit(node.base)
+        n = node.exponent
+        if n < 0:
+            base = temp(base)
+            guard(zero_test, base, "division by zero")
+        if db is None:
+            return f"({base})**({n})", None
+        base = temp(base)
+        d = f"({db} * 0.0)" if n == 0 else f"({n} * {base}**({n - 1}) * {db})"
+        return f"({base})**({n})", d
 
-    v, d = emit(root)
-    body = "\n    ".join(lines)
-    src = (
-        f"def _dual(t, theta, theta_dot, phi, phi_dot):\n"
-        f"    {body}\n"
-        f"    return {v}, {d}"
-    )
-    env = {
-        "sin": math.sin,
-        "cos": math.cos,
-        "tan": math.tan,
-        "PI": math.pi,
-        "SQRT3": SQRT3,
-    }
+    value, deriv = emit(root)
+    if seed is None:
+        result = value
+    elif deriv is None:
+        value = temp(value)
+        result = f"{value}, {no_deriv.format(value)}"
+    else:
+        result = f"{value}, {deriv}"
+    body = "".join(f"    {line}\n" for line in lines)
+    src = f"def torque({', '.join(VARIABLES)}):\n{body}    return {result}\n"
+    env = dict(functions, PI=math.pi, SQRT3=SQRT3, TAN_POLE_FLOOR=TAN_POLE_FLOOR,
+               DomainError=DomainError)
     exec(src, env)
-    return env["_dual"]
+    return env["torque"]
 
 
 @dataclass(frozen=True)
@@ -392,47 +319,31 @@ class TorqueExpression:
     """Immutable, validated expression tree over the five torque variables."""
 
     root: Node
-    _compiled: Optional[Callable] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _compiled_dual: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: generated functions by (seed, namespace)
+    _functions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate(self.root)
 
+    def _function(self, seed: Optional[str], namespace: str) -> Callable:
+        key = (seed, namespace)
+        fn = self._functions.get(key)
+        if fn is None:
+            fn = self._functions[key] = _generate(self.root, *key)
+        return fn
+
     def evaluate(self, t, theta, theta_dot, phi, phi_dot):
         """Evaluate on scalars or broadcastable numpy arrays."""
-        env = {
-            "t": t,
-            "theta": theta,
-            "theta_dot": theta_dot,
-            "phi": phi,
-            "phi_dot": phi_dot,
-        }
-        return _eval_node(self.root, env)
+        return self._function(None, "numpy")(t, theta, theta_dot, phi, phi_dot)
 
     def compile(self) -> Callable[[float, float, float, float, float], float]:
         """Scalar fast path: generated python function over the math module."""
-        if self._compiled is None:
-            src = f"lambda t, theta, theta_dot, phi, phi_dot: {_codegen(self.root)}"
-            env = {
-                "sin": math.sin,
-                "cos": math.cos,
-                "tan": math.tan,
-                "PI": math.pi,
-                "SQRT3": SQRT3,
-            }
-            object.__setattr__(self, "_compiled", eval(src, env))
-        return self._compiled
+        return self._function(None, "math")
 
     def compile_dual(self, seed: str) -> Callable:
-        """Scalar fast path for (value, d/d_seed); same dual arithmetic as
-        ``eval_dual`` but code-generated instead of tree-walked."""
-        fn = self._compiled_dual.get(seed)
-        if fn is None:
-            fn = _dual_codegen(self.root, seed)
-            self._compiled_dual[seed] = fn
-        return fn
+        """Scalar fast path for (value, d/d_seed); the ``eval_dual``
+        arithmetic over the math module."""
+        return self._function(_check_seed(seed), "math")
 
     def pretty(self) -> str:
         """Canonical text form; parsing it back yields an equal tree."""
@@ -440,9 +351,6 @@ class TorqueExpression:
 
     def __str__(self) -> str:
         return self.pretty()
-
-
-ZERO_TORQUE = TorqueExpression(Num(0.0))
 
 
 # --- Parser ---
@@ -597,7 +505,7 @@ def parse_torque(text: str) -> TorqueExpression:
     return TorqueExpression(_Parser(text).parse())
 
 
-# --- Dual evaluation and linearization ---
+# --- Derivatives and linearization ---
 
 
 def eval_dual(
@@ -610,15 +518,7 @@ def eval_dual(
     ``bindings`` are (t, theta, theta_dot, phi, phi_dot); ``seed`` names one
     of them.  Scalars and numpy arrays both work.
     """
-    if seed not in VARIABLES:
-        raise ValueError(f"seed must be one of {VARIABLES}, got {seed!r}")
-    env = {}
-    for name, val in zip(VARIABLES, bindings):
-        env[name] = Dual(val, 1.0) if name == seed else val
-    result = _eval_node(expr.root, env)
-    if isinstance(result, Dual):
-        return result.value, result.deriv
-    return result, np.zeros_like(result) if isinstance(result, np.ndarray) else 0.0
+    return expr._function(_check_seed(seed), "numpy")(*bindings)
 
 
 @dataclass(frozen=True)
@@ -651,7 +551,8 @@ def _angle_partial(expr: TorqueExpression, seed: str) -> Callable[[float, float,
 def extract_linearized(f1star: TorqueExpression, f2star: TorqueExpression) -> LinearizedTorque:
     """Differentiate the torques in the angles at theta = phi = 0.
 
-    Dual numbers give the exact partials; no finite-difference step enters.
+    Forward-mode differentiation gives the exact partials; no
+    finite-difference step enters.
     """
     for expr in (f1star, f2star):
         expr.evaluate(0.0, 0.0, 0.0, 0.0, 0.0)

@@ -1,4 +1,4 @@
-"""Torque DSL: parsing, dual-number evaluation, linearization, validation."""
+"""Torque DSL: parsing, evaluation and derivatives, linearization, validation."""
 
 import math
 import random
@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
-from dumbbell_averager.torques import BinOp, Call, Const, Neg, Num, Pow, Var
+from dumbbell_averager.torques import VARIABLES, BinOp, Call, Const, Neg, Num, Pow, Var
 
 SQRT3 = math.sqrt(3.0)
+
+#: the four evaluation entry points, each as run(expr, bindings, seed)
+ENTRY_POINTS = {
+    "evaluate": lambda expr, b, seed: expr.evaluate(*b),
+    "eval_dual": lambda expr, b, seed: da.eval_dual(expr, b, seed),
+    "compile": lambda expr, b, seed: expr.compile()(*b),
+    "compile_dual": lambda expr, b, seed: expr.compile_dual(seed)(*b),
+}
 
 
 def random_expression(rng: random.Random, depth: int):
@@ -150,18 +158,35 @@ class TestEvalDual:
         assert np.allclose(d, np.cos(theta) * 4)
 
     def test_tan_pole_raises(self):
-        expr = da.parse_torque("tan(theta)")
-        with pytest.raises(da.DomainError):
-            da.eval_dual(expr, (0.0, math.pi / 2, 0.0, 0.0, 0.0), "theta")
+        for text, bindings in (
+            ("tan(theta)", (0.0, math.pi / 2, 0.0, 0.0, 0.0)),
+            ("tan(phi)", (0.0, 0.0, 0.0, math.pi / 2, 0.0)),
+        ):
+            expr = da.parse_torque(text)
+            for entry, run in ENTRY_POINTS.items():
+                for seed in ("theta", "phi"):
+                    with pytest.raises(da.DomainError):
+                        run(expr, bindings, seed)
+                        pytest.fail(f"{entry} returned for {text}")
 
     def test_division_by_zero_raises(self):
-        expr = da.parse_torque("1/theta")
-        with pytest.raises(da.DomainError):
-            da.eval_dual(expr, (0.0, 0.0, 0.0, 0.0, 0.0), "theta")
-        with pytest.raises(da.DomainError):
-            da.parse_torque("theta^-1").evaluate(0.0, 0.0, 0.0, 0.0, 0.0)
+        zero = (0.0, 0.0, 0.0, 0.0, 0.0)
+        for text in ("1/theta", "theta^-1"):
+            expr = da.parse_torque(text)
+            for entry, run in ENTRY_POINTS.items():
+                for seed in ("theta", "phi"):
+                    with pytest.raises(da.DomainError):
+                        run(expr, zero, seed)
+                        pytest.fail(f"{entry} returned for {text}")
+        assert issubclass(da.DomainError, da.DumbbellError)
+        # a zero base is fine for a zero exponent
+        expr = da.parse_torque("theta^0")
+        assert expr.compile_dual("theta")(*zero) == (1, 0)
+        assert da.eval_dual(expr, zero, "theta") == (1, 0)
+        assert expr.compile()(*zero) == 1
+        assert expr.evaluate(*zero) == 1
 
-    def test_compiled_fast_path_matches_tree_walk(self):
+    def test_scalar_and_array_paths_agree(self):
         texts = [
             da.BUNDLED_CASES["corollary1"].f1star_text,
             da.BUNDLED_CASES["corollary1"].f2star_text,
@@ -179,6 +204,41 @@ class TestEvalDual:
                     v2, d2 = fast(*b)
                     assert v2 == pytest.approx(float(v1), rel=1e-14, abs=1e-14)
                     assert d2 == pytest.approx(float(d1), rel=1e-14, abs=1e-14)
+
+        # random trees: the math-module functions against the numpy ones on
+        # one-element arrays, value and every derivative, domain errors too
+        def outcome(fn, bindings):
+            try:
+                return fn(*bindings)
+            except da.DomainError:
+                return da.DomainError
+
+        def flat(result):
+            parts = result if isinstance(result, tuple) else (result,)
+            return [float(np.reshape(x, -1)[0]) for x in parts]
+
+        tree_rng = random.Random(8128)
+        for _ in range(200):
+            expr = da.TorqueExpression(random_expression(tree_rng, tree_rng.randint(1, 3)))
+            for k in range(6):
+                b = [tree_rng.uniform(-1.3, 1.3) for _ in range(5)]
+                if k % 2:
+                    b[1] = b[3] = 0.0
+                arrays = [np.array([x]) for x in b]
+                for seed in (None,) + VARIABLES:
+                    if seed is None:
+                        scalar = outcome(expr.compile(), b)
+                        array = outcome(expr.evaluate, arrays)
+                    else:
+                        scalar = outcome(expr.compile_dual(seed), b)
+                        array = outcome(lambda *a: da.eval_dual(expr, a, seed), arrays)
+                    where = f"{expr.pretty()} at {b}, seed {seed}"
+                    if scalar is da.DomainError or array is da.DomainError:
+                        assert scalar is array, where
+                    else:
+                        assert flat(scalar) == pytest.approx(
+                            flat(array), rel=1e-12, abs=1e-12
+                        ), where
 
 
 class TestExtraction:
