@@ -13,7 +13,9 @@ plane initial conditions:
 
 Both reduce periodic integrands to one node-doubling trapezoid rule
 (``periodic_quadrature`` is its scalar form), which converges spectrally
-for smooth periodic functions.
+for smooth periodic functions.  A batch of plane points is integrated
+together, but each point stops doubling at its own node count, so its value
+is the same whatever else is in the batch.
 """
 
 from __future__ import annotations
@@ -50,33 +52,58 @@ def periodic_quadrature(f: Callable[[np.ndarray], np.ndarray], period: float, to
         raise ValueError("period must be positive")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    values, _ = _quadrature_rows(f, period, tol, 1)
-    return float(values[0])
+    values, _ = _quadrature_rows(lambda t, _: np.reshape(f(t), (1, 1, -1)), period, tol, 1)
+    return float(values[0, 0])
+
+
+#: samples one integrand call may hold: one point's last doubling at QUAD_MAX_NODES
+QUAD_BLOCK_SAMPLES = QUAD_MAX_NODES // 2
 
 
 def _quadrature_rows(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     period: float,
     tol: float,
-    rows: int,
-) -> Tuple[np.ndarray, int]:
-    """Node doubling for ``rows`` integrals at once: ``f`` maps times (n,)
-    to values (rows, n).  Returns (integrals, nodes_used); the stop rule of
-    ``periodic_quadrature`` applies to every row.
+    points: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Node doubling for the integrals of ``points`` independent points.
+
+    ``f(t, idx)`` maps sample times (n,) and point indices (k,) to values
+    (k, rows, n).  Each point stops at the first doubling where all of its
+    rows meet the stop rule of ``periodic_quadrature``; only the points still
+    moving are sampled at the next level, in blocks of at most
+    QUAD_BLOCK_SAMPLES point-nodes per call.  A point's integrals therefore
+    do not depend on the other points of the call.  Returns (integrals
+    (points, rows), nodes used per point).
     """
+
+    def sums(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        block = max(1, QUAD_BLOCK_SAMPLES // t.size)
+        return np.concatenate(
+            [
+                np.sum(np.asarray(f(t, idx[i : i + block]), dtype=float), axis=-1)
+                for i in range(0, idx.size, block)
+            ]
+        )
+
     n = QUAD_START_NODES
-    nodes = np.arange(n) * (period / n)
-    total = np.sum(np.asarray(f(nodes), dtype=float).reshape(rows, -1), axis=1)
+    active = np.arange(points)
+    total = sums(np.arange(n) * (period / n), active)
     estimate = total * (period / n)
+    values = np.empty_like(total)
+    nodes = np.zeros(points, dtype=int)
     while n <= QUAD_MAX_NODES // 2:
-        new_nodes = (np.arange(n) + 0.5) * (period / n)
-        total = total + np.sum(np.asarray(f(new_nodes), dtype=float).reshape(rows, -1), axis=1)
+        total = total + sums((np.arange(n) + 0.5) * (period / n), active)
         n *= 2
         refined = total * (period / n)
         scale = np.maximum(1.0, np.abs(refined))
-        if np.all(np.abs(refined - estimate) < tol * scale):
-            return refined, n
-        estimate = refined
+        done = np.all(np.abs(refined - estimate) < tol * scale, axis=1)
+        values[active[done]] = refined[done]
+        nodes[active[done]] = n
+        moving = ~done
+        active, total, estimate = active[moving], total[moving], refined[moving]
+        if not active.size:
+            return values, nodes
     raise NoConvergenceError(
         f"trapezoid rule still moving by more than {tol:g} at N={n} nodes"
     )
@@ -87,8 +114,9 @@ class AveragedField:
     """Averaged bifurcation field over plane initial conditions.
 
     ``evaluate`` accepts a single (2,) point or a batch (m, 2) and returns
-    matching shape.  ``max_nodes_used`` records the largest quadrature node
-    count any evaluation needed (diagnostics only).
+    matching shape; row i of a batch is bit for bit ``evaluate(alpha[i])``.
+    ``max_nodes_used`` records the largest quadrature node count any point
+    needed (diagnostics only).
     """
 
     spec: ResonanceSpec
@@ -103,7 +131,6 @@ class AveragedField:
         if pts.shape[1] != 2:
             raise ValueError(f"alpha must have 2 components, got shape {a.shape}")
         T = self.spec.window
-        m = pts.shape[0]
         a1 = pts[:, 0:1]
         a2 = pts[:, 1:2]
 
@@ -111,29 +138,28 @@ class AveragedField:
             w1 = 1.0 / (2.0 * self.spec.p * math.pi)
             w2 = SQRT3 / (2.0 * self.spec.p * math.pi)
 
-            def integrand(t: np.ndarray) -> np.ndarray:
+            def integrand(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
                 c = np.cos(SQRT3 * t)
                 s = np.sin(SQRT3 * t)
-                d1 = a1 * c + (a2 / SQRT3) * s
-                d2 = a2 * c - SQRT3 * a1 * s
+                d1 = a1[idx] * c + (a2[idx] / SQRT3) * s
+                d2 = a2[idx] * c - SQRT3 * a1[idx] * s
                 core = d1 * self.lin.f1(t, d2, np.zeros_like(d2))
-                return np.concatenate([w1 * s * core, w2 * c * core], axis=0)
+                return np.stack([w1 * s * core, w2 * c * core], axis=1)
 
         else:
             w1 = 1.0 / (self.spec.p * math.pi)
             w2 = 2.0 / (self.spec.p * math.pi)
 
-            def integrand(t: np.ndarray) -> np.ndarray:
+            def integrand(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
                 c = np.cos(2.0 * t)
                 s = np.sin(2.0 * t)
-                d3 = a1 * c + (a2 / 2.0) * s
-                d4 = a2 * c - 2.0 * a1 * s
+                d3 = a1[idx] * c + (a2[idx] / 2.0) * s
+                d4 = a2[idx] * c - 2.0 * a1[idx] * s
                 core = d3 * self.lin.f4(t, np.zeros_like(d4), d4)
-                return np.concatenate([w1 * s * core, w2 * c * core], axis=0)
+                return np.stack([w1 * s * core, w2 * c * core], axis=1)
 
-        values, nodes = _quadrature_rows(integrand, T, self.quad_tolerance, 2 * m)
-        self.max_nodes_used = max(self.max_nodes_used, nodes)
-        out = np.column_stack([values[:m], values[m:]])
+        out, nodes = _quadrature_rows(integrand, T, self.quad_tolerance, len(pts))
+        self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
         return out[0] if single else out
 
     def __call__(self, alpha) -> np.ndarray:
@@ -223,5 +249,5 @@ def malkin_average(
             row2 = 2.0 * s2 * g[2] + c2 * g[3]
         return np.stack([row1, row2])
 
-    values, _ = _quadrature_rows(integrand, T, quad_tolerance, 2)
+    (values,), _ = _quadrature_rows(lambda t, _: integrand(t)[None], T, quad_tolerance, 1)
     return np.array([k1 * values[0] / T, k2 * values[1] / T])

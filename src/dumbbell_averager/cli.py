@@ -71,6 +71,11 @@ class RunConfig:
     verify_system: str = "full"
 
     def __post_init__(self) -> None:
+        for key in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if not all(math.isfinite(e) for e in self.epsilon_list):
+            raise ConfigError(f"epsilon_list entries must be finite, got {self.epsilon_list}")
         for key in ("quad_tol", "newton_tol", "shooting_tol", "integrator_tol"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(f"{key} must be positive")
@@ -221,11 +226,9 @@ def _eval_points(config: RunConfig) -> np.ndarray:
 def cmd_eval(config: RunConfig, outdir: Path, force: bool) -> Path:
     fld, meta = _build_field(config)
     points = _eval_points(config)
+    values = fld(points)
     if isinstance(fld, AveragedField):
-        values = fld.evaluate(points)
         meta["quad_nodes_max"] = fld.max_nodes_used
-    else:
-        values = np.array([np.asarray(fld(p), dtype=float) for p in points])
     path = outdir / "field.csv"
     reports.write_field_csv(path, points, values, meta, force=force)
     return path
@@ -233,11 +236,7 @@ def cmd_eval(config: RunConfig, outdir: Path, force: bool) -> Path:
 
 def _solve(config: RunConfig):
     fld, meta = _build_field(config)
-    zeros = multistart_zeros(
-        fld if not isinstance(fld, AveragedField) else fld.evaluate,
-        config.domain,
-        tol=config.newton_tol,
-    )
+    zeros = multistart_zeros(fld, config.domain, tol=config.newton_tol)
     groups = group_orbit_classes(zeros)
     meta.update(
         {

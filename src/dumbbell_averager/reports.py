@@ -158,32 +158,39 @@ def comparison_table(
 
     Each row dict carries: zero (2-tuple), det, classification, and per
     verification system a (status, final_distance) pair keyed
-    ``full``/``linearized`` (missing entries render as ``-``).
+    ``full``/``linearized`` (missing entries render as ``-``).  The zero
+    and shooting columns are as wide as their longest cell in the table.
     """
+
+    def cells(row: dict) -> List[str]:
+        z = row["zero"]
+        out = [f"({z[0]:.9g}, {z[1]:.9g})"]
+        for system in ("full", "linearized"):
+            ver = row.get(system)
+            if ver is None:
+                out.append("-")
+            else:
+                status, dist = ver
+                out.append(f"{status} d={dist:.3e}" if dist is not None else status)
+        return out
+
+    labels = ("zero", "shoot(full)", "shoot(linearized)")
+    rendered = [cells(row) for row in (*pipeline_rows, *reference_rows)]
+    width = [max(len(c) for c in column) for column in zip(labels, *rendered)]
+
+    def line(zero: str, det: str, classification: str, full: str, linearized: str) -> str:
+        return (
+            f"    {zero:<{width[0]}} {det:>14} {classification:<10} "
+            f"{full:<{width[1]}} {linearized:<{width[2]}}"
+        ).rstrip()
 
     def render(rows: Sequence[dict], source: str) -> List[str]:
         out = [f"  {source} field: {len(rows)} orbit class(es)"]
-        header = (
-            f"    {'zero':<28} {'det':>14} {'class':<10} "
-            f"{'shoot(full)':<24} {'shoot(linearized)':<24}"
-        )
-        out.append(header)
+        out.append(line("zero", "det", "class", "shoot(full)", "shoot(linearized)"))
         for row in rows:
-            z = row["zero"]
-            zstr = f"({z[0]:.9g}, {z[1]:.9g})"
-            cells = []
-            for system in ("full", "linearized"):
-                ver = row.get(system)
-                if ver is None:
-                    cells.append("-")
-                else:
-                    status, dist = ver
-                    cells.append(
-                        f"{status} d={dist:.3e}" if dist is not None else status
-                    )
+            zero, full, linearized = cells(row)
             out.append(
-                f"    {zstr:<28} {row['det']:>14.6e} {row['classification']:<10} "
-                f"{cells[0]:<24} {cells[1]:<24}"
+                line(zero, f"{row['det']:.6e}", row["classification"], full, linearized)
             )
         if not rows:
             out.append("    (no zeros in the search annulus)")

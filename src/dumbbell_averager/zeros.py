@@ -1,18 +1,26 @@
 """Simple-zero search for 2D averaged fields.
 
 Damped Newton iteration from a polar grid of seeds over an annulus that
-excludes the origin (the trivial equilibrium).  A zero is certified simple
-when the finite-difference Jacobian determinant clears a threshold relative
-to the field's typical magnitude on the annulus; each periodic orbit of the
-underlying system shows up as either one zero or a (a, b)/(a, -b) pair, which
-``group_orbit_classes`` collapses.
+excludes the origin (the trivial equilibrium).  All seeds iterate together
+in rounds: each round evaluates the four-point Jacobian stencil of every
+live seed, one batched field call per stencil point, then runs the halving
+line search with one batched call per halving for the seeds still halving.
+Every seed does the arithmetic of a solve on its own (``newton2d`` is the
+one-seed case), so the zeros found do not depend on the batching.  A field
+maps points (m, 2) to values (m, 2); a seed whose evaluation raises
+NoConvergenceError drops out and the others go on.
+
+A zero is certified simple when the finite-difference Jacobian determinant
+clears a threshold relative to the field's typical magnitude on the
+annulus; each periodic orbit of the underlying system shows up as either
+one zero or a (a, b)/(a, -b) pair, which ``group_orbit_classes`` collapses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,23 +84,185 @@ class CertifiedZero:
         return self.classification == "Simple"
 
 
-def _eval(field: Field2D, point: np.ndarray) -> np.ndarray:
-    out = np.asarray(field(np.asarray(point, dtype=float)), dtype=float).reshape(2)
-    return out
+def _rows(field: Field2D, points: np.ndarray) -> np.ndarray:
+    return np.asarray(field(points), dtype=float).reshape(len(points), 2)
+
+
+def _field_rows(
+    field: Field2D, points: np.ndarray
+) -> Tuple[np.ndarray, Dict[int, NoConvergenceError]]:
+    """``field`` at every row of ``points`` in one call.
+
+    When that call raises NoConvergenceError, its rows are evaluated again
+    one at a time; the rows that still raise come back as NaN, with their
+    exception in the returned {row: exception} map.
+    """
+    try:
+        return _rows(field, points), {}
+    except NoConvergenceError as exc:
+        if len(points) == 1:
+            return np.full((1, 2), np.nan), {0: exc}
+    values = np.full(points.shape, np.nan)
+    errors: Dict[int, NoConvergenceError] = {}
+    for i in range(len(points)):
+        try:
+            values[i] = _rows(field, points[i : i + 1])[0]
+        except NoConvergenceError as exc:
+            errors[i] = exc
+    return values, errors
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    # bit for bit what float(np.linalg.norm(row)) gives on each row
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _stencil(evaluate: Field2D, points: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians (k, 2, 2) at ``points`` (k, 2), with
+    per-coordinate relative steps; one ``evaluate`` call per stencil point."""
+    h = JAC_STEP * np.maximum(1.0, np.abs(points))
+    jac = np.empty((len(points), 2, 2))
+    for j in range(2):
+        hi = points.copy()
+        lo = points.copy()
+        hi[:, j] += h[:, j]
+        lo[:, j] -= h[:, j]
+        jac[:, :, j] = (evaluate(hi) - evaluate(lo)) / (2.0 * h[:, j, None])
+    return jac
 
 
 def jacobian2d(field: Field2D, point: Sequence[float]) -> np.ndarray:
     """Central-difference Jacobian with per-coordinate relative steps."""
-    p = np.asarray(point, dtype=float)
-    jac = np.empty((2, 2))
-    for j in range(2):
-        h = JAC_STEP * max(1.0, abs(p[j]))
-        hi = p.copy()
-        lo = p.copy()
-        hi[j] += h
-        lo[j] -= h
-        jac[:, j] = (_eval(field, hi) - _eval(field, lo)) / (2.0 * h)
-    return jac
+    p = np.asarray(point, dtype=float).reshape(1, 2)
+    return _stencil(lambda pts: _rows(field, pts), p)[0]
+
+
+def _newton_rounds(
+    field: Field2D,
+    seeds: np.ndarray,
+    tol: float,
+    max_iter: int,
+    field_scale: float,
+) -> Iterator[Union[CertifiedZero, NoConvergenceError]]:
+    """Damped Newton from every row of ``seeds`` at once.
+
+    Each round moves every live seed by one ``newton2d`` iteration: the
+    Jacobian stencil (one field call per stencil point), then the halving
+    line search (one field call per halving, for the seeds still halving).
+    The arithmetic of each seed is that of a solve on its own.  A seed ends
+    when it converges, fails, or its field evaluation raises
+    NoConvergenceError; the others go on.  Yields, in seed order, each
+    seed's CertifiedZero or the NoConvergenceError that ended it; a zero is
+    built only when it is consumed.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    m = len(seeds)
+    outcome: List[Optional[NoConvergenceError]] = [None] * m
+    ended = np.zeros(m, dtype=bool)
+    # accepted iterates: row k of a live seed is its k-th iterate
+    path = np.empty((max_iter + 1, m, 2))
+    path[0] = seeds
+    # per converged seed: the round it converged in, and x, ||f||, J, det J there
+    converged_in = np.full(m, -1)
+    zero_x = np.empty((m, 2))
+    zero_norm = np.empty(m)
+    zero_jac = np.empty((m, 2, 2))
+    zero_det = np.empty(m)
+
+    def end(seed: int, result) -> None:
+        outcome[seed] = result
+        ended[seed] = True
+
+    def evaluate(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Field at ``points``, one row per seed in ``ids``; rows of ended
+        seeds, and of seeds whose evaluation raises, come back NaN."""
+        values = np.full(points.shape, np.nan)
+        rows = np.flatnonzero(~ended[ids])
+        if rows.size:
+            values[rows], errors = _field_rows(field, points[rows])
+            for i, exc in errors.items():
+                end(ids[rows[i]], exc)
+        return values
+
+    live = np.arange(m)
+    x = path[0].copy()
+    fx = evaluate(x, live)
+    nf = _norms(fx)
+    for it in range(max_iter):
+        keep = ~ended[live]
+        live, x, fx, nf = live[keep], x[keep], fx[keep], nf[keep]
+        if not live.size:
+            break
+        jac = _stencil(lambda pts: evaluate(pts, live), x)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        for j in np.flatnonzero(~ended[live] & (np.abs(det) < ITER_DET_FLOOR)):
+            end(
+                live[j],
+                SingularJacobianError(
+                    f"|det J| = {abs(det[j]):.3e} below {ITER_DET_FLOOR:g} at {x[j].tolist()}"
+                ),
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.column_stack(
+                [
+                    (-fx[:, 0] * jac[:, 1, 1] + fx[:, 1] * jac[:, 0, 1]) / det,
+                    (-fx[:, 1] * jac[:, 0, 0] + fx[:, 0] * jac[:, 1, 0]) / det,
+                ]
+            )
+        done = np.flatnonzero(~ended[live] & (nf < tol) & (_norms(step) < STEP_TOL))
+        ids = live[done]
+        ended[ids] = True
+        converged_in[ids] = it
+        zero_x[ids] = x[done]
+        zero_norm[ids] = nf[done]
+        zero_jac[ids] = jac[done]
+        zero_det[ids] = det[done]
+
+        lam = np.ones(len(live))
+        halving = ~ended[live]
+        for _halving in range(MAX_HALVINGS):
+            rows = np.flatnonzero(halving)
+            if not rows.size:
+                break
+            trial = x[rows] + lam[rows, None] * step[rows]
+            f_trial = evaluate(trial, live[rows])
+            n_trial = _norms(f_trial)
+            better = n_trial < nf[rows]
+            moved = rows[better]
+            x[moved], fx[moved], nf[moved] = trial[better], f_trial[better], n_trial[better]
+            halving[moved] = False
+            halving &= ~ended[live]
+            lam[halving] *= 0.5
+        for j in np.flatnonzero(halving):
+            end(
+                live[j],
+                NoConvergenceError(
+                    f"line search failed to reduce ||field|| = {nf[j]:.3e} at {x[j].tolist()}"
+                ),
+            )
+        path[it + 1, live] = x
+
+    for seed in live[~ended[live]]:
+        end(
+            seed,
+            NoConvergenceError(
+                f"no zero within {max_iter} iterations from seed {seeds[seed].tolist()}"
+            ),
+        )
+    for seed, failure in enumerate(outcome):
+        if failure is not None:
+            yield failure
+            continue
+        det = float(zero_det[seed])
+        yield CertifiedZero(
+            location=zero_x[seed].copy(),
+            residual_norm=float(zero_norm[seed]),
+            jacobian=zero_jac[seed].copy(),
+            jacobian_det=det,
+            classification="Simple" if abs(det) > SIMPLE_DET_TOL * field_scale else "Degenerate",
+            iterates=tuple(path[: converged_in[seed] + 1, seed].copy()),
+        )
 
 
 def newton2d(
@@ -107,67 +277,22 @@ def newton2d(
     Full Newton steps with a halving line search on ||field||; success
     requires both ||field|| < tol and a Newton step below 1e-12.  Raises
     SingularJacobianError when |det J| < 1e-14 mid-iteration and
-    NoConvergenceError when the iteration budget runs out.
+    NoConvergenceError when the iteration budget runs out.  This is the
+    one-seed case of the batched rounds ``multistart_zeros`` runs.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    x = np.asarray(seed, dtype=float).copy()
-    iterates = [x.copy()]
-    fx = _eval(field, x)
-    norm_fx = float(np.linalg.norm(fx))
-
-    for _ in range(max_iter):
-        jac = jacobian2d(field, x)
-        det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-        if abs(det) < ITER_DET_FLOOR:
-            raise SingularJacobianError(
-                f"|det J| = {abs(det):.3e} below {ITER_DET_FLOOR:g} at {x.tolist()}"
-            )
-        step = np.array(
-            [
-                (-fx[0] * jac[1, 1] + fx[1] * jac[0, 1]) / det,
-                (-fx[1] * jac[0, 0] + fx[0] * jac[1, 0]) / det,
-            ]
-        )
-        if norm_fx < tol and float(np.linalg.norm(step)) < STEP_TOL:
-            classification = (
-                "Simple" if abs(det) > SIMPLE_DET_TOL * field_scale else "Degenerate"
-            )
-            return CertifiedZero(
-                location=x,
-                residual_norm=norm_fx,
-                jacobian=jac,
-                jacobian_det=det,
-                classification=classification,
-                iterates=tuple(iterates),
-            )
-        lam = 1.0
-        for _halving in range(MAX_HALVINGS):
-            trial = x + lam * step
-            f_trial = _eval(field, trial)
-            n_trial = float(np.linalg.norm(f_trial))
-            if n_trial < norm_fx:
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergenceError(
-                f"line search failed to reduce ||field|| = {norm_fx:.3e} at {x.tolist()}"
-            )
-        x, fx, norm_fx = trial, f_trial, n_trial
-        iterates.append(x.copy())
-
-    raise NoConvergenceError(f"no zero within {max_iter} iterations from seed {list(seed)}")
+    seeds = np.asarray(seed, dtype=float).reshape(1, 2)
+    (result,) = _newton_rounds(field, seeds, tol, max_iter, field_scale)
+    if isinstance(result, NoConvergenceError):
+        raise result
+    return result
 
 
 def field_scale_on(field: Field2D, seeds: np.ndarray) -> float:
-    """Median of ||field|| over the seed points; 1.0 for an all-zero field."""
-    try:
-        vals = np.asarray(field(seeds), dtype=float)
-        if vals.shape != seeds.shape:
-            raise ValueError
-    except Exception:
-        vals = np.array([_eval(field, s) for s in seeds])
-    med = float(np.median(np.linalg.norm(vals, axis=1)))
+    """Median of ||field|| over the seed points that evaluate; 1.0 for an
+    all-zero field."""
+    values, errors = _field_rows(field, seeds)
+    norms = np.linalg.norm(np.delete(values, list(errors), axis=0), axis=1)
+    med = float(np.median(norms)) if norms.size else 0.0
     return med if med > 0.0 else 1.0
 
 
@@ -179,17 +304,17 @@ def multistart_zeros(
 ) -> List[CertifiedZero]:
     """Newton from every polar seed; dedup, clip to the annulus, sort.
 
-    Zeros within Euclidean distance 1e-6 of an earlier one are duplicates;
-    survivors are sorted by polar angle then radius.  Seeds that fail to
-    converge are skipped, so an empty list is a legitimate outcome.
+    All seeds iterate together, one batched field call per stencil point
+    or line-search halving.  Zeros within Euclidean distance 1e-6 of an
+    earlier one (in seed order) are duplicates; survivors are sorted by
+    polar angle then radius.  Seeds that fail to converge are skipped, so
+    an empty list is a legitimate outcome.
     """
     seeds = domain.seeds()
     scale = field_scale_on(field, seeds)
     found: List[CertifiedZero] = []
-    for seed in seeds:
-        try:
-            zero = newton2d(field, seed, tol=tol, max_iter=max_iter, field_scale=scale)
-        except NoConvergenceError:
+    for zero in _newton_rounds(field, seeds, tol, max_iter, scale):
+        if isinstance(zero, NoConvergenceError):
             continue
         if not domain.contains(zero.location):
             continue

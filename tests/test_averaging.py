@@ -154,6 +154,27 @@ class TestAveragedField:
         singles = np.array([fld.evaluate(p) for p in pts])
         assert np.array_equal(batch, singles)
 
+    def test_batch_matches_single_at_mixed_node_counts(self, monkeypatch):
+        # points far apart need different node counts; each one stops at its
+        # own, so a batch (sampled in any block size) equals single calls
+        lin = da.extract_linearized(
+            da.parse_torque("sin(theta)*cos(theta_dot)"), da.parse_torque("sin(phi)")
+        )
+        angles = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
+        pts = np.array([[r * math.cos(a), r * math.sin(a)] for r in (0.05, 5, 20) for a in angles])
+        nodes = []
+        singles = []
+        for p in pts:
+            fld = da.averaged_field(T1_SPEC, lin)
+            singles.append(fld.evaluate(p))
+            nodes.append(fld.max_nodes_used)
+        assert min(nodes) == 32 and max(nodes) >= 128
+        fld = da.averaged_field(T1_SPEC, lin)
+        assert np.array_equal(fld.evaluate(pts), np.array(singles))
+        assert fld.max_nodes_used == max(nodes)
+        monkeypatch.setattr(da.averaging, "QUAD_BLOCK_SAMPLES", 64)
+        assert np.array_equal(fld.evaluate(pts), np.array(singles))
+
     def test_pipeline_fields_of_bundled_cases(self):
         # closed forms from the moment expansion of the extracted coefficients
         case1 = da.BUNDLED_CASES["corollary1"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dumbbell_averager.cli as cli
+from dumbbell_averager import reports
 from dumbbell_averager.cli import ConfigError, RunConfig, load_config
 from dumbbell_averager.dynamics import Mode
 
@@ -194,3 +195,62 @@ class TestMainEntry:
     def test_reproduce_needs_case(self, capsys):
         assert cli.main(["reproduce"]) == 1
         assert "case" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("eval", "quad_tol = nan"),
+            ("solve", "r2 = inf"),
+            ("verify", "epsilon_list = 1e-2, nan"),
+        ],
+    )
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys, command, line):
+        cfg = write(tmp_path, MINIMAL + line + "\n")
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and line.split()[0] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestComparisonTable:
+    ROWS = [
+        {
+            "zero": (-0.780776406, -4.56546936e-16),
+            "det": -0.1570934,
+            "classification": "Simple",
+            "full": ("COLLAPSED-TO-EQUILIBRIUM", 0.7808),
+            "linearized": ("PASS", 1.083e-4),
+        },
+        {
+            "zero": (1.28077641, 0.0),
+            "det": 0.4227184,
+            "classification": "Degenerate",
+            "full": ("FAILED-AT(0.01)", None),
+        },
+    ]
+
+    @staticmethod
+    def cells(row):
+        z = row["zero"]
+        out = [f"({z[0]:.9g}, {z[1]:.9g})", row["classification"]]
+        for system in ("full", "linearized"):
+            status, dist = row.get(system, ("-", None))
+            out.append(f"{status} d={dist:.3e}" if dist is not None else status)
+        return out
+
+    def test_columns_line_up_with_the_header(self):
+        # long status cells must widen their column, not shift the next one
+        lines = reports.comparison_table("case", self.ROWS, self.ROWS[1:])
+        headers = [i for i, text in enumerate(lines) if text.lstrip().startswith("zero ")]
+        assert len(headers) == 2 and lines[headers[0]] == lines[headers[1]]
+        header = lines[headers[0]]
+        labels = ("zero", "class", "shoot(full)", "shoot(linearized)")
+        starts = [header.index(label) for label in labels]
+        det_end = header.index("det") + len("det")
+        body = lines[headers[0] + 1 : headers[0] + 3] + lines[headers[1] + 1 : headers[1] + 2]
+        for text, row in zip(body, self.ROWS + self.ROWS[1:], strict=True):
+            for start, cell in zip(starts, self.cells(row)):
+                assert text[start - 1 : start + len(cell)] == " " + cell
+            det = f"{row['det']:.6e}"
+            assert text[det_end - len(det) - 1 : det_end] == " " + det

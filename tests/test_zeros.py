@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
+from dumbbell_averager.zeros import DEFAULT_NEWTON_TOL, _newton_rounds, field_scale_on
 
 SQRT3 = math.sqrt(3.0)
 S17 = math.sqrt(17.0)
@@ -160,3 +161,88 @@ class TestMultistart:
         assert len(zeros) == 1
         assert zeros[0].location[0] == pytest.approx((1 - S17) / 4, abs=1e-9)
         assert np.linalg.norm(zeros[0].location) <= 1.0
+
+
+def pipeline_field(name):
+    case = da.BUNDLED_CASES[name]
+    lin = da.extract_linearized(
+        da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
+    )
+    return da.averaged_field(case.spec, lin)
+
+
+def seed_by_seed(field, seeds, scale):
+    """One newton2d solve per seed: its zero or the exception it raised."""
+    out = []
+    for seed in seeds:
+        try:
+            out.append(da.newton2d(field, seed, field_scale=scale))
+        except da.NoConvergenceError as exc:
+            out.append(exc)
+    return out
+
+
+def seed_by_seed_zeros(field, domain):
+    """multistart_zeros spelled out with one newton2d solve per seed."""
+    seeds = domain.seeds()
+    found = []
+    for zero in seed_by_seed(field, seeds, field_scale_on(field, seeds)):
+        if isinstance(zero, da.NoConvergenceError):
+            continue
+        if domain.contains(zero.location) and all(
+            np.linalg.norm(zero.location - kept.location) >= 1e-6 for kept in found
+        ):
+            found.append(zero)
+    found.sort(
+        key=lambda z: (
+            math.atan2(z.location[1], z.location[0]) % (2 * math.pi),
+            math.hypot(*z.location),
+        )
+    )
+    return found
+
+
+def assert_same_zeros(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.location, w.location)
+        assert g.residual_norm == w.residual_norm
+        assert np.array_equal(g.jacobian, w.jacobian)
+        assert g.jacobian_det == w.jacobian_det
+        assert g.classification == w.classification
+        assert len(g.iterates) == len(w.iterates)
+        assert all(np.array_equal(a, b) for a, b in zip(g.iterates, w.iterates))
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("name", ["REF1", "REF2", "corollary1", "corollary2"])
+    def test_matches_seed_by_seed_newton(self, name):
+        field = {"REF1": REF1, "REF2": REF2}.get(name) or pipeline_field(name)
+        domain = da.ZeroSearchDomain(n_r=4, n_angle=8)
+        assert_same_zeros(da.multistart_zeros(field, domain), seed_by_seed_zeros(field, domain))
+        # every seed, kept or not, ends as its own solve does (the corollary1
+        # pipeline field has no zero in the annulus: every seed fails)
+        seeds = domain.seeds()
+        scale = field_scale_on(field, seeds)
+        batched = _newton_rounds(field, seeds, DEFAULT_NEWTON_TOL, 50, scale)
+        for got, want in zip(batched, seed_by_seed(field, seeds, scale), strict=True):
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+            else:
+                assert_same_zeros([got], [want])
+
+    def test_failing_evaluations_lose_only_their_seeds(self):
+        def field(p):
+            p = np.asarray(p, dtype=float)
+            if np.any(p[..., 0] > 2.0):
+                raise da.NoConvergenceError("no quadrature beyond x = 2")
+            return REF2(p)
+
+        domain = da.ZeroSearchDomain(n_r=8, n_angle=8)
+        seeds = domain.seeds()
+        assert any("beyond x = 2" in str(o) for o in seed_by_seed(field, seeds, 1.0))
+        got = da.multistart_zeros(field, domain)
+        assert_same_zeros(got, seed_by_seed_zeros(field, domain))
+        # every zero of REF2 lies at x < 2, and some seeds still reach each
+        assert len(got) == 4
+        assert field_scale_on(field, seeds) > 0.0
