@@ -1,15 +1,21 @@
 """Averaged bifurcation functions over the two resonant planes.
 
-Two independent computational routes produce the same 2-vector field over
-plane initial conditions:
+Two independent routes produce the same 2-vector field over plane initial
+conditions alpha, for the plane oscillator x'' = -omega^2 x of a ``Mode``
+averaged over the window p*T_mode = 2*p*pi/omega:
 
-* ``averaged_field`` evaluates the specialized closed-form integrals, which
-  for the T1 plane weight the nutation coefficient f1 along the exact
-  unperturbed orbit and for the T2 plane weight f4, with the complementary
-  rate argument held at zero;
-* ``malkin_average`` evaluates the generic functional: average the inverse
-  fundamental matrix applied to the perturbation vector field along the
-  unperturbed orbit, then project onto the active plane.
+* ``averaged_field`` evaluates the specialized closed-form integrals: with
+  (x, v) the exact unperturbed orbit through alpha, c, s = cos, sin(omega t)
+  and core = x*f1(t, v, 0) on T1 or x*f4(t, 0, v) on T2, it integrates
+  (kappa/(2p pi)*s*core, kappa*omega/(2p pi)*c*core) over the window;
+* ``malkin_average`` evaluates the generic functional: average M(-t)
+  applied to the perturbation vector field along the same orbit, keep the
+  active plane's rows, which are (-(s/omega)*core, c*core), and scale by
+  diag(-kappa, kappa).
+
+kappa (``Mode.kappa``: 1 on T1, 2 on T2) is the normalization of the closed
+forms.  The zeros do not depend on it, but printed field values scale with
+kappa and the Jacobian determinant of a zero with kappa^2.
 
 Both reduce periodic integrands to one node-doubling trapezoid rule
 (``periodic_quadrature`` is its scalar form), which converges spectrally
@@ -26,7 +32,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import SQRT3, Mode, ResonanceSpec, monodromy_gap
+from .dynamics import Mode, ResonanceSpec, closed_form_solution, monodromy_gap, plane_flow
 from .errors import NoConvergenceError
 from .torques import LinearizedTorque
 
@@ -130,35 +136,24 @@ class AveragedField:
         pts = np.atleast_2d(a)
         if pts.shape[1] != 2:
             raise ValueError(f"alpha must have 2 components, got shape {a.shape}")
-        T = self.spec.window
+        mode = self.spec.mode
+        omega = mode.omega
+        nutation = mode is Mode.NUTATION_T1
+        w1 = mode.kappa / (2.0 * self.spec.p * math.pi)
+        w2 = mode.kappa * omega / (2.0 * self.spec.p * math.pi)
         a1 = pts[:, 0:1]
         a2 = pts[:, 1:2]
 
-        if self.spec.mode is Mode.NUTATION_T1:
-            w1 = 1.0 / (2.0 * self.spec.p * math.pi)
-            w2 = SQRT3 / (2.0 * self.spec.p * math.pi)
+        def integrand(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            c = np.cos(omega * t)
+            s = np.sin(omega * t)
+            x = a1[idx] * c + (a2[idx] / omega) * s
+            v = a2[idx] * c - omega * a1[idx] * s
+            zero = np.zeros_like(v)
+            core = x * (self.lin.f1(t, v, zero) if nutation else self.lin.f4(t, zero, v))
+            return np.stack([w1 * s * core, w2 * c * core], axis=1)
 
-            def integrand(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-                c = np.cos(SQRT3 * t)
-                s = np.sin(SQRT3 * t)
-                d1 = a1[idx] * c + (a2[idx] / SQRT3) * s
-                d2 = a2[idx] * c - SQRT3 * a1[idx] * s
-                core = d1 * self.lin.f1(t, d2, np.zeros_like(d2))
-                return np.stack([w1 * s * core, w2 * c * core], axis=1)
-
-        else:
-            w1 = 1.0 / (self.spec.p * math.pi)
-            w2 = 2.0 / (self.spec.p * math.pi)
-
-            def integrand(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-                c = np.cos(2.0 * t)
-                s = np.sin(2.0 * t)
-                d3 = a1[idx] * c + (a2[idx] / 2.0) * s
-                d4 = a2[idx] * c - 2.0 * a1[idx] * s
-                core = d3 * self.lin.f4(t, np.zeros_like(d4), d4)
-                return np.stack([w1 * s * core, w2 * c * core], axis=1)
-
-        out, nodes = _quadrature_rows(integrand, T, self.quad_tolerance, len(pts))
+        out, nodes = _quadrature_rows(integrand, self.spec.window, self.quad_tolerance, len(pts))
         self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
         return out[0] if single else out
 
@@ -195,16 +190,6 @@ def linearized_perturbation(lin: LinearizedTorque) -> Callable[[float, Sequence[
     return g1
 
 
-# Constant right factor applied to the fundamental matrix in the generic
-# route so that the projected average lands in the same normalization as the
-# specialized closed forms (the hypotheses of the averaging theorem are
-# invariant under any constant block factor).
-_MALKIN_SCALE = {
-    Mode.NUTATION_T1: (-1.0, 1.0),
-    Mode.PRECESSION_T2: (-2.0, 2.0),
-}
-
-
 def malkin_average(
     g1: Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray],
     spec: ResonanceSpec,
@@ -214,40 +199,22 @@ def malkin_average(
     """Generic averaging functional at a single plane point.
 
     Averages M(t)^-1 @ g1(t, x(t)) along the exact unperturbed orbit through
-    ``alpha`` over the window p*T_mode and projects onto the active plane.
-    ``g1`` maps (times, (X, Y, Z, W) arrays) to a (4, n) array.  Raises
-    DegenerateMonodromyError when the non-averaged block of the monodromy
-    gap is singular (the theorem's hypothesis).
+    ``alpha`` over the window p*T_mode, projects onto the active plane and
+    scales by diag(-kappa, kappa).  ``g1`` maps (times, (X, Y, Z, W)
+    arrays) to a (4, n) array.  Raises DegenerateMonodromyError when the
+    non-averaged block of the monodromy gap is singular (the theorem's
+    hypothesis).
     """
     monodromy_gap(spec)  # raises if degenerate
-    a1, a2 = float(alpha[0]), float(alpha[1])
-    T = spec.window
     mode = spec.mode
-    k1, k2 = _MALKIN_SCALE[mode]
+    k = mode.slot
+    T = spec.window
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        c1 = np.cos(SQRT3 * t)
-        s1 = np.sin(SQRT3 * t)
-        c2 = np.cos(2.0 * t)
-        s2 = np.sin(2.0 * t)
-        zeros = np.zeros_like(t)
-        if mode is Mode.NUTATION_T1:
-            X = a1 * c1 + (a2 / SQRT3) * s1
-            Y = a2 * c1 - SQRT3 * a1 * s1
-            Z = W = zeros
-        else:
-            Z = a1 * c2 + (a2 / 2.0) * s2
-            W = a2 * c2 - 2.0 * a1 * s2
-            X = Y = zeros
-        g = np.asarray(g1(t, (X, Y, Z, W)), dtype=float)
-        # rows of M(-t) @ g, keeping only the active plane
-        if mode is Mode.NUTATION_T1:
-            row1 = c1 * g[0] - (s1 / SQRT3) * g[1]
-            row2 = SQRT3 * s1 * g[0] + c1 * g[1]
-        else:
-            row1 = c2 * g[2] - (s2 / 2.0) * g[3]
-            row2 = 2.0 * s2 * g[2] + c2 * g[3]
-        return np.stack([row1, row2])
+    def integrand(t: np.ndarray, _) -> np.ndarray:
+        g = np.asarray(g1(t, closed_form_solution(alpha, mode, t)), dtype=float)
+        # the active rows of M(-t) @ g
+        m00, m01, m10, m11 = plane_flow(mode.omega, -t)
+        return np.stack([m00 * g[k] + m01 * g[k + 1], m10 * g[k] + m11 * g[k + 1]])[None]
 
-    (values,), _ = _quadrature_rows(lambda t, _: integrand(t)[None], T, quad_tolerance, 1)
-    return np.array([k1 * values[0] / T, k2 * values[1] / T])
+    (values,), _ = _quadrature_rows(integrand, T, quad_tolerance, 1)
+    return np.array([-mode.kappa * values[0] / T, mode.kappa * values[1] / T])

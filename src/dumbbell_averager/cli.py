@@ -91,6 +91,8 @@ class RunConfig:
             raise ConfigError("eval_lo must be below eval_hi")
         if not self.epsilon_list or any(e < 0.0 for e in self.epsilon_list):
             raise ConfigError("epsilon_list must be nonempty and nonnegative")
+        if any(a <= b for a, b in zip(self.epsilon_list, self.epsilon_list[1:])):
+            raise ConfigError(f"epsilon_list must be strictly descending, got {self.epsilon_list}")
         if self.field_source not in _FIELD_SOURCES:
             raise ConfigError(f"field_source must be one of {_FIELD_SOURCES}")
         if self.field_source == "printed-reference" and self.case not in BUNDLED_CASES:

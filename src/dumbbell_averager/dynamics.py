@@ -38,14 +38,21 @@ Rhs = Callable[[float, StateLike], Tuple[float, float, float, float]]
 
 
 class Mode(Enum):
-    """Which invariant plane of the unperturbed system carries the orbit."""
+    """Which invariant plane, an oscillator x'' = -omega^2 x, carries the
+    orbit: value "T1" or "T2", frequency ``omega``, state slots ``slot`` and
+    ``slot + 1``, averaged-field normalization ``kappa`` (see ``averaging``)."""
 
-    NUTATION_T1 = "T1"
-    PRECESSION_T2 = "T2"
+    NUTATION_T1 = ("T1", SQRT3, 0, 1.0)
+    PRECESSION_T2 = ("T2", 2.0, 2, 2.0)
+
+    def __new__(cls, label: str, omega: float, slot: int, kappa: float) -> "Mode":
+        member = object.__new__(cls)
+        member._value_, member.omega, member.slot, member.kappa = label, omega, slot, kappa
+        return member
 
     @property
     def base_period(self) -> float:
-        return T1 if self is Mode.NUTATION_T1 else T2
+        return 2.0 * math.pi / self.omega
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,8 @@ class ResonanceSpec:
     q: int = 1
 
     def __post_init__(self) -> None:
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (self.p, self.q)):
+            raise ValueError(f"p and q must be integers, got p={self.p!r}, q={self.q!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError("p and q must be positive integers")
         if math.gcd(self.p, self.q) != 1:
@@ -216,6 +225,15 @@ def unperturbed_rhs(t: float, s: StateLike) -> Tuple[float, float, float, float]
     return (Y, -3.0 * X, W, -4.0 * Z)
 
 
+def plane_flow(omega: float, t) -> Tuple:
+    """Flow of x'' = -omega^2 x from 0 to t (scalar or array) as the rotation
+    entries (m00, m01, m10, m11) = (c, s/omega, -omega*s, c); its inverse is
+    the flow to -t."""
+    c = np.cos(omega * t)
+    s = np.sin(omega * t)
+    return c, s / omega, -omega * s, c
+
+
 def closed_form_solution(alpha: Sequence[float], mode: Mode, t) -> Tuple:
     """Exact unperturbed periodic solution through plane point ``alpha``.
 
@@ -224,50 +242,31 @@ def closed_form_solution(alpha: Sequence[float], mode: Mode, t) -> Tuple:
     Accepts scalar or array ``t``.
     """
     a1, a2 = alpha
-    if mode is Mode.NUTATION_T1:
-        c = np.cos(SQRT3 * t)
-        s = np.sin(SQRT3 * t)
-        x = a1 * c + (a2 / SQRT3) * s
-        y = a2 * c - SQRT3 * a1 * s
-        zero = np.zeros_like(x)
-        return (x, y, zero, zero)
-    c = np.cos(2.0 * t)
-    s = np.sin(2.0 * t)
-    z = a1 * c + (a2 / 2.0) * s
-    w = a2 * c - 2.0 * a1 * s
-    zero = np.zeros_like(z)
-    return (zero, zero, z, w)
+    m00, m01, m10, m11 = plane_flow(mode.omega, t)
+    x = m00 * a1 + m01 * a2
+    state = [np.zeros_like(x)] * 4
+    state[mode.slot : mode.slot + 2] = x, m10 * a1 + m11 * a2
+    return tuple(state)
 
 
 def plane_embed(alpha: Sequence[float], mode: Mode) -> Tuple[float, float, float, float]:
     """Zero-pad a plane point into the 4-dimensional state."""
-    a1, a2 = float(alpha[0]), float(alpha[1])
-    if mode is Mode.NUTATION_T1:
-        return (a1, a2, 0.0, 0.0)
-    return (0.0, 0.0, a1, a2)
+    state = [0.0] * 4
+    state[mode.slot : mode.slot + 2] = float(alpha[0]), float(alpha[1])
+    return tuple(state)
 
 
 def plane_project(s: StateLike, mode: Mode) -> Tuple[float, float]:
     """Extract the active plane coordinates from a 4-dimensional state."""
-    if mode is Mode.NUTATION_T1:
-        return (float(s[0]), float(s[1]))
-    return (float(s[2]), float(s[3]))
+    return (float(s[mode.slot]), float(s[mode.slot + 1]))
 
 
 def fundamental_matrix(t: float) -> FundamentalMatrix:
     """Fundamental matrix of the unperturbed linear system with M(0) = I."""
-    c1 = math.cos(SQRT3 * t)
-    s1 = math.sin(SQRT3 * t)
-    c2 = math.cos(2.0 * t)
-    s2 = math.sin(2.0 * t)
-    m = np.array(
-        [
-            [c1, s1 / SQRT3, 0.0, 0.0],
-            [-SQRT3 * s1, c1, 0.0, 0.0],
-            [0.0, 0.0, c2, s2 / 2.0],
-            [0.0, 0.0, -2.0 * s2, c2],
-        ]
-    )
+    m = np.zeros((4, 4))
+    for mode in Mode:
+        k = mode.slot
+        m[k : k + 2, k : k + 2] = np.reshape(plane_flow(mode.omega, t), (2, 2))
     return FundamentalMatrix(t=t, entries=m)
 
 
@@ -279,12 +278,9 @@ def monodromy_gap(spec: ResonanceSpec) -> Tuple[np.ndarray, float]:
     vanishing active determinant means the bifurcation-function machinery
     does not apply for this resonance.
     """
-    T = spec.window
-    gap = np.eye(4) - fundamental_matrix(-T).entries
-    if spec.mode is Mode.NUTATION_T1:
-        active = gap[2:, 2:]
-    else:
-        active = gap[:2, :2]
+    gap = np.eye(4) - fundamental_matrix(-spec.window).entries
+    k = 2 - spec.mode.slot  # the other plane's block
+    active = gap[k : k + 2, k : k + 2]
     det = float(active[0, 0] * active[1, 1] - active[0, 1] * active[1, 0])
     if abs(det) < GAP_DET_FLOOR:
         raise DegenerateMonodromyError(

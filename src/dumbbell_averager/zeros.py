@@ -142,7 +142,7 @@ def _newton_rounds(
     seeds: np.ndarray,
     tol: float,
     max_iter: int,
-    field_scale: float,
+    field_scale: Optional[float],
 ) -> Iterator[Union[CertifiedZero, NoConvergenceError]]:
     """Damped Newton from every row of ``seeds`` at once.
 
@@ -151,9 +151,10 @@ def _newton_rounds(
     line search (one field call per halving, for the seeds still halving).
     The arithmetic of each seed is that of a solve on its own.  A seed ends
     when it converges, fails, or its field evaluation raises
-    NoConvergenceError; the others go on.  Yields, in seed order, each
-    seed's CertifiedZero or the NoConvergenceError that ended it; a zero is
-    built only when it is consumed.
+    NoConvergenceError; the others go on.  ``field_scale`` None takes
+    ``field_scale_on`` the seeds from the first field call.  Yields, in seed
+    order, each seed's CertifiedZero or the NoConvergenceError that ended
+    it; a zero is built only when it is consumed.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -188,6 +189,8 @@ def _newton_rounds(
     live = np.arange(m)
     x = path[0].copy()
     fx = evaluate(x, live)
+    if field_scale is None:
+        field_scale = _median_norm(fx[~ended])
     nf = _norms(fx)
     for it in range(max_iter):
         keep = ~ended[live]
@@ -291,8 +294,11 @@ def field_scale_on(field: Field2D, seeds: np.ndarray) -> float:
     """Median of ||field|| over the seed points that evaluate; 1.0 for an
     all-zero field."""
     values, errors = _field_rows(field, seeds)
-    norms = np.linalg.norm(np.delete(values, list(errors), axis=0), axis=1)
-    med = float(np.median(norms)) if norms.size else 0.0
+    return _median_norm(np.delete(values, list(errors), axis=0))
+
+
+def _median_norm(values: np.ndarray) -> float:
+    med = float(np.median(np.linalg.norm(values, axis=1))) if len(values) else 0.0
     return med if med > 0.0 else 1.0
 
 
@@ -311,9 +317,8 @@ def multistart_zeros(
     an empty list is a legitimate outcome.
     """
     seeds = domain.seeds()
-    scale = field_scale_on(field, seeds)
     found: List[CertifiedZero] = []
-    for zero in _newton_rounds(field, seeds, tol, max_iter, scale):
+    for zero in _newton_rounds(field, seeds, tol, max_iter, None):
         if isinstance(zero, NoConvergenceError):
             continue
         if not domain.contains(zero.location):

@@ -202,6 +202,7 @@ class TestMainEntry:
             ("eval", "quad_tol = nan"),
             ("solve", "r2 = inf"),
             ("verify", "epsilon_list = 1e-2, nan"),
+            ("verify", "epsilon_list = 1e-3, 1e-2"),
         ],
     )
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys, command, line):

@@ -9,10 +9,14 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-# 03 is left out: it runs a full multistart zero search (about 12 s)
 @pytest.mark.parametrize(
     "script",
-    ["01_dynamics_and_monodromy.py", "02_torque_dsl.py", "04_orbit_verification.py"],
+    [
+        "01_dynamics_and_monodromy.py",
+        "02_torque_dsl.py",
+        "03_averaged_fields_and_zeros.py",
+        "04_orbit_verification.py",
+    ],
 )
 def test_demo_runs(script, capsys):
     # the demos set numpy print options; keep them from leaking into other tests

@@ -131,6 +131,15 @@ class TestClosedForm:
         c = 4 * z**2 + w**2
         assert np.abs(c - c[0]).max() < 1e-12
 
+    def test_orbit_is_fundamental_matrix_on_embedded_point(self):
+        # a swapped frequency or slot in either function breaks this
+        for mode in (da.Mode.NUTATION_T1, da.Mode.PRECESSION_T2):
+            for alpha in ((0.6, 0.2), (-1.3, 0.45), (0.0, -2.0)):
+                for t in (0.0, 0.35, 1.7, -2.9, 11.0):
+                    orbit = np.array([float(v) for v in da.closed_form_solution(alpha, mode, t)])
+                    flow = da.fundamental_matrix(t).entries @ np.array(da.plane_embed(alpha, mode))
+                    assert np.abs(orbit - flow).max() < 1e-14
+
     def test_time_derivative_matches_rhs(self):
         # finite differences with step 1e-5 against the eps=0 linear system
         lin = da.LinearizedTorque(*(lambda t, v1, v2: 0.0,) * 4)
@@ -224,6 +233,9 @@ class TestDomainTypes:
             da.ResonanceSpec(da.Mode.NUTATION_T1, p=2, q=4)
         with pytest.raises(ValueError):
             da.ResonanceSpec(da.Mode.NUTATION_T1, p=0, q=1)
+        for p, q in ((True, 1), (1, True), (1.5, 1), (1, 2.0), (2.0, 1), ("1", 1), (None, 1)):
+            with pytest.raises(ValueError):
+                da.ResonanceSpec(da.Mode.NUTATION_T1, p=p, q=q)
         spec = da.ResonanceSpec(da.Mode.PRECESSION_T2, p=3, q=2)
         assert spec.window == pytest.approx(3 * math.pi)
 

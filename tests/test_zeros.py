@@ -231,6 +231,19 @@ class TestBatchedSearch:
             else:
                 assert_same_zeros([got], [want])
 
+    def test_seeds_are_evaluated_once(self):
+        # the field scale and the first Newton round share one seed batch
+        domain = da.ZeroSearchDomain(n_r=4, n_angle=8)
+        seeds = domain.seeds()
+        calls = []
+
+        def field(p):
+            calls.append(np.array(p, dtype=float))
+            return REF2(p)
+
+        assert_same_zeros(da.multistart_zeros(field, domain), seed_by_seed_zeros(REF2, domain))
+        assert sum(c.shape == seeds.shape and np.array_equal(c, seeds) for c in calls) == 1
+
     def test_failing_evaluations_lose_only_their_seeds(self):
         def field(p):
             p = np.asarray(p, dtype=float)
