@@ -32,7 +32,7 @@ from .errors import DumbbellError
 from .reference import BUNDLED_CASES
 from .reports import ArtifactExistsError
 from .shooting import ContinuationReport, epsilon_continuation
-from .torques import extract_linearized, parse_torque, validate_equilibrium
+from .torques import TorqueExpression, extract_linearized, parse_torque, validate_equilibrium
 from .zeros import CertifiedZero, ZeroSearchDomain, group_orbit_classes, multistart_zeros
 
 
@@ -69,6 +69,8 @@ class RunConfig:
     field_source: str = "pipeline"
     case: Optional[str] = None
     verify_system: str = "full"
+    #: F1star and F2star parsed once, for every stage
+    torques: Tuple[TorqueExpression, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for key in sorted(_FLOAT_KEYS):
@@ -103,6 +105,13 @@ class RunConfig:
             raise ConfigError(f"case must be one of {sorted(BUNDLED_CASES)}")
         if self.verify_system not in _VERIFY_SYSTEMS:
             raise ConfigError(f"verify_system must be one of {_VERIFY_SYSTEMS}")
+        trees = []
+        for key, text in (("F1star", self.f1star), ("F2star", self.f2star)):
+            try:
+                trees.append(parse_torque(text))
+            except DumbbellError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        object.__setattr__(self, "torques", tuple(trees))
 
     @property
     def spec(self) -> ResonanceSpec:
@@ -209,8 +218,7 @@ def _build_field(config: RunConfig):
     if config.field_source == "printed-reference":
         meta["case"] = config.case
         return BUNDLED_CASES[config.case].reference_field, meta
-    f1 = parse_torque(config.f1star)
-    f2 = parse_torque(config.f2star)
+    f1, f2 = config.torques
     report = validate_equilibrium(f1, f2)
     lin = extract_linearized(f1, f2)
     fld = averaged_field(config.spec, lin, quad_tolerance=config.quad_tol)
@@ -262,8 +270,7 @@ def cmd_solve(config: RunConfig, outdir: Path, force: bool, filename: str = "zer
 
 
 def _rhs_factory(config: RunConfig, system: str):
-    f1 = parse_torque(config.f1star)
-    f2 = parse_torque(config.f2star)
+    f1, f2 = config.torques
     if system == "full":
         return lambda eps: make_full_rhs(PerturbSetup(f1, f2, epsilon=eps))
     lin = extract_linearized(f1, f2)

@@ -34,7 +34,7 @@ COS_PHI_FLOOR = 1e-12
 GAP_DET_FLOOR = 1e-10
 
 StateLike = Sequence[float]
-Rhs = Callable[[float, StateLike], Tuple[float, float, float, float]]
+Rhs = Callable[[float, StateLike], Tuple[float, ...]]
 
 
 class Mode(Enum):

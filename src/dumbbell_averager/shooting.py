@@ -1,8 +1,10 @@
 """Direct verification of predicted periodic orbits.
 
-``integrate`` advances a 4-state system with an adaptive Dormand-Prince 5(4)
-embedded pair.  ``shoot_periodic`` runs Newton on the period-T displacement
-map P(z) = x(T; z) - z, with the Jacobian assembled from finite-difference
+``integrate`` advances a state of any size n with the adaptive
+Dormand-Prince 5(4) pair; the tableau is kept once, as data, and the step
+loop for size n is emitted from it as straight-line code on first use.
+``shoot_periodic`` runs Newton on the period-T displacement map
+P(z) = x(T; z) - z, with the Jacobian assembled from finite-difference
 trajectory columns and the linear solves done through a truncated
 pseudo-inverse: near a resonant plane I - Phi(T) is singular at eps = 0,
 so a plain solve would blow up for small eps.  Newton stops with a
@@ -26,16 +28,16 @@ one of four outcomes:
 
 from __future__ import annotations
 
+import functools
 import math
+import string
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import ResonanceSpec, SatelliteState, plane_embed
+from .dynamics import ResonanceSpec, Rhs, SatelliteState, plane_embed
 from .errors import DumbbellError, NoConvergenceError, StepSizeUnderflowError
-
-Rhs = Callable[[float, Tuple[float, float, float, float]], Tuple[float, float, float, float]]
 
 DEFAULT_INTEGRATOR_TOL = 1e-11
 DEFAULT_SHOOTING_TOL = 1e-10
@@ -47,30 +49,19 @@ PINV_RCOND = 1e-8
 #: shots that converge on the bundled ladders grow it by at most ~2x first
 DIVERGENCE_FACTOR = 10.0
 
-# Dormand-Prince 5(4) tableau: 5th-order propagation, embedded 4th-order
-# error estimate, first-same-as-last.
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
+# Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett & Wanner I,
+# II.5): nodes C and rows A of stages 2..7, the last row being the 5th-order
+# weights (first-same-as-last), and E, the 5th- minus the 4th-order weights.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-# difference between 5th- and 4th-order weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+_E = (71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 # conservative safety keeps the realized local error a few times below the
 # requested tolerance, which the long-horizon conservation checks rely on
@@ -83,6 +74,63 @@ _MAX_GROW = 5.0
 #: tol 1e-11 over tens of time units need a few thousand
 MAX_STEPS = 100_000
 
+# the adaptive loop; _dopri_loop writes $step, one step's stages and error
+_LOOP = string.Template("""\
+def loop(rhs, t, t1, h, h_floor, tol, $y $k1):
+    attempts = 0
+    while t < t1:
+        if h < h_floor:
+            raise StepSizeUnderflowError(f"step size {h:.3e} underflowed at t = {t!r}")
+        attempts += 1
+        if attempts > MAX_STEPS:
+            raise NoConvergenceError(
+                f"integration exceeded {MAX_STEPS} step attempts at t = {t!r}"
+            )
+        if t + h > t1:
+            h = t1 - t
+$step
+        if err <= 1.0:
+            t += h
+            $y = $z
+            $k1 = $k7
+            factor = _MAX_GROW if err == 0.0 else min(_MAX_GROW, _SAFETY * err ** -0.2)
+            h *= factor
+        else:
+            h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
+    return $y
+""")
+
+
+@functools.cache
+def _dopri_loop(n: int) -> Callable:
+    """The adaptive loop for n-component states, each stage written out per
+    component (a Python loop over the tableau costs ~1.5x): ``y + h * a * k``
+    for a row with one nonzero weight, else ``y + h * (a1 * k1 + ...)``."""
+
+    def vec(name: str) -> str:
+        return " ".join(f"{name}{j}," for j in range(n))
+
+    def combination(weights: Sequence[float], j: int) -> str:
+        terms = [f"{w!r} * k{i}_{j}" for i, w in enumerate(weights, start=1) if w]
+        return terms[0] if len(terms) == 1 else f"({' + '.join(terms)})"
+
+    lines = []
+    for stage, (c, row) in enumerate(zip(_C, _A), start=2):
+        args = [f"y{j} + h * {combination(row, j)}" for j in range(n)]
+        if stage == len(_A) + 1:  # evaluated at the new solution z
+            lines += [f"z{j} = {arg}" for j, arg in enumerate(args)]
+            args = [f"z{j}" for j in range(n)]
+        at = "t + h" if c == 1 else f"t + {c!r} * h"
+        lines.append(f"{vec(f'k{stage}_')} = rhs({at}, ({' '.join(a + ',' for a in args)}))")
+    lines += [f"e{j} = h * {combination(_E, j)}" for j in range(n)]
+    norm = " + ".join(f"(e{j} / (tol + tol * max(abs(y{j}), abs(z{j})))) ** 2" for j in range(n))
+    lines.append(f"err = math.sqrt(({norm}) / {float(n)!r})")
+    step = "\n".join(" " * 8 + line for line in lines)
+    src = _LOOP.substitute(y=vec("y"), z=vec("z"), k1=vec("k1_"), k7=vec("k7_"), step=step)
+    namespace: dict = {}
+    exec(compile(src, f"<dopri5 loop, n={n}>", "exec"), globals(), namespace)
+    return namespace["loop"]
+
 
 def integrate(
     rhs: Rhs,
@@ -90,107 +138,33 @@ def integrate(
     t0: float,
     t1: float,
     tol: float = DEFAULT_INTEGRATOR_TOL,
-    max_steps: int = MAX_STEPS,
 ) -> np.ndarray:
-    """Advance the state from t0 to t1 and return the final state.
+    """Advance the state, of any size n >= 1, from t0 to t1 and return the
+    final state; the step loop for size n is generated on first use.
 
     The tolerance is applied as both absolute and relative per component;
-    step acceptance is deterministic.  Raises StepSizeUnderflowError if the
-    controller drives the step below the representable floor (which is how
-    trajectories that fall into the tan(phi) pole surface) and
-    NoConvergenceError if the step budget runs out first.
+    step acceptance is deterministic.  Raises ValueError, before any rhs
+    call, on an empty or non-finite state, non-finite t0, t1 or tol, t1 <= t0
+    or tol <= 0; StepSizeUnderflowError if the controller drives the step
+    below the representable floor (which is how trajectories that fall into
+    the tan(phi) pole surface) and NoConvergenceError if MAX_STEPS attempts
+    run out first.
     """
+    y = tuple(float(v) for v in s0)
+    if not (y and all(map(math.isfinite, (t0, t1, tol) + y))):
+        raise ValueError(f"state, t0, t1, tol must be finite, state nonempty; got {y, t0, t1, tol}")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    y0, y1, y2, y3 = (float(v) for v in s0)
-    t = t0
-    k10, k11, k12, k13 = rhs(t, (y0, y1, y2, y3))
-
+    k = rhs(t0, y)
     # first-step heuristic from the initial derivative magnitude
-    d0 = max(abs(y0), abs(y1), abs(y2), abs(y3), 1e-6)
-    d1 = max(abs(k10), abs(k11), abs(k12), abs(k13), 1e-6)
+    d0 = max(*map(abs, y), 1e-6)
+    d1 = max(*map(abs, k), 1e-6)
     h = min(0.01 * d0 / d1, (t1 - t0) * 0.1)
     h_floor = 1e-14 * max(abs(t0), abs(t1), 1.0)
-    attempts = 0
-
-    while t < t1:
-        if h < h_floor:
-            raise StepSizeUnderflowError(f"step size {h:.3e} underflowed at t = {t!r}")
-        attempts += 1
-        if attempts > max_steps:
-            raise NoConvergenceError(
-                f"integration exceeded {max_steps} step attempts at t = {t!r}"
-            )
-        if t + h > t1:
-            h = t1 - t
-
-        ya = (y0 + h * _A21 * k10, y1 + h * _A21 * k11, y2 + h * _A21 * k12, y3 + h * _A21 * k13)
-        k20, k21, k22, k23 = rhs(t + _C2 * h, ya)
-
-        ya = (
-            y0 + h * (_A31 * k10 + _A32 * k20),
-            y1 + h * (_A31 * k11 + _A32 * k21),
-            y2 + h * (_A31 * k12 + _A32 * k22),
-            y3 + h * (_A31 * k13 + _A32 * k23),
-        )
-        k30, k31, k32, k33 = rhs(t + _C3 * h, ya)
-
-        ya = (
-            y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
-            y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
-            y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
-            y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33),
-        )
-        k40, k41, k42, k43 = rhs(t + _C4 * h, ya)
-
-        ya = (
-            y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
-            y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-            y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
-            y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43),
-        )
-        k50, k51, k52, k53 = rhs(t + _C5 * h, ya)
-
-        ya = (
-            y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50),
-            y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51),
-            y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52),
-            y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43 + _A65 * k53),
-        )
-        k60, k61, k62, k63 = rhs(t + h, ya)
-
-        z0 = y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
-        z1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-        z2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
-        z3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
-        k70, k71, k72, k73 = rhs(t + h, (z0, z1, z2, z3))
-
-        e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
-        e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-        e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
-        e3 = h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63 + _E7 * k73)
-
-        s0_ = tol + tol * max(abs(y0), abs(z0))
-        s1_ = tol + tol * max(abs(y1), abs(z1))
-        s2_ = tol + tol * max(abs(y2), abs(z2))
-        s3_ = tol + tol * max(abs(y3), abs(z3))
-        err = math.sqrt(
-            ((e0 / s0_) ** 2 + (e1 / s1_) ** 2 + (e2 / s2_) ** 2 + (e3 / s3_) ** 2) / 4.0
-        )
-
-        if err <= 1.0:
-            t += h
-            y0, y1, y2, y3 = z0, z1, z2, z3
-            k10, k11, k12, k13 = k70, k71, k72, k73
-            factor = _MAX_GROW if err == 0.0 else min(_MAX_GROW, _SAFETY * err ** -0.2)
-            h *= factor
-        else:
-            h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
-
-    return np.array([y0, y1, y2, y3])
+    return np.array(_dopri_loop(len(y))(rhs, t0, t1, h, h_floor, tol, *y, *k))
 
 
 def sample_trajectory(
@@ -199,7 +173,9 @@ def sample_trajectory(
     times: Sequence[float],
     tol: float = DEFAULT_INTEGRATOR_TOL,
 ) -> np.ndarray:
-    """States at the given increasing times (t = 0 start), shape (len, 4)."""
+    """States at finite, nondecreasing times (t = 0 start), shape (len(times), n)."""
+    if not all(a <= b < math.inf for a, b in zip([0.0, *times], times)):
+        raise ValueError(f"times must be finite and nondecreasing from 0, got {list(times)}")
     out = []
     state = np.asarray(s0, dtype=float)
     t_prev = 0.0
@@ -235,17 +211,16 @@ def displacement_jacobian(
     period: float,
     tol: float,
     base: Optional[np.ndarray] = None,
-    fd_step: float = SHOOTING_FD_STEP,
 ) -> np.ndarray:
-    """Forward-difference Jacobian of P(z) = x(period; z) - z."""
+    """Forward-difference Jacobian of P(z) = x(period; z) - z, step SHOOTING_FD_STEP."""
     if base is None:
         base = integrate(rhs, z, 0.0, period, tol=tol) - z
-    jac = np.empty((4, 4))
-    for j in range(4):
+    jac = np.empty((z.size, z.size))
+    for j in range(z.size):
         pert = z.copy()
-        pert[j] += fd_step
+        pert[j] += SHOOTING_FD_STEP
         col = integrate(rhs, pert, 0.0, period, tol=tol) - pert
-        jac[:, j] = (col - base) / fd_step
+        jac[:, j] = (col - base) / SHOOTING_FD_STEP
     return jac
 
 

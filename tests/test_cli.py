@@ -213,6 +213,20 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("line", ["F1star = sin(theta", "F2star = sin(phi) + wibble"])
+    def test_malformed_torque_is_a_config_error(self, tmp_path, capsys, command, line):
+        # the printed-reference field never needs the torques, so only the
+        # up-front parse can catch the text before zeros.csv is written
+        key = line.split()[0]
+        kept = [text for text in REFERENCE1.splitlines() if not text.startswith(key)]
+        cfg = write(tmp_path, "\n".join(kept + [line]) + "\n")
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestComparisonTable:
     ROWS = [

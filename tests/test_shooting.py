@@ -73,6 +73,39 @@ class TestIntegrate:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             da.integrate(da.unperturbed_rhs, (1, 0, 0, 0), 1.0, 1.0)
+        nan, inf = math.nan, math.inf
+
+        def never_called(t, s):
+            raise AssertionError("rhs called on refused input")
+
+        for s0, t0, t1, tol in [
+            ((1, 0, 0, 0), 0.0, nan, 1e-11),
+            ((1, 0, 0, 0), nan, 1.0, 1e-11),
+            ((1, 0, 0, 0), 0.0, inf, 1e-11),
+            ((1, 0, 0, 0), 0.0, 1.0, nan),
+            ((1, 0, 0, 0), 0.0, 1.0, inf),
+            ((1, nan, 0, 0), 0.0, 1.0, 1e-11),
+            ((1, 0, -inf, 0), 0.0, 1.0, 1e-11),
+            ((), 0.0, 1.0, 1e-11),
+        ]:
+            with pytest.raises(ValueError):
+                da.integrate(never_called, s0, t0, t1, tol=tol)
+        for times in ([0.5, nan, 1.0], [0.5, inf], [1.0, 0.5], [-0.5]):
+            with pytest.raises(ValueError):
+                da.sample_trajectory(never_called, (1, 0, 0, 0), times)
+        with pytest.raises(ValueError):
+            da.shoot_periodic(never_called, (1, 0, 0, 0), nan)
+
+    def test_one_state_decay(self):
+        # the loop is generated per state size: x' = -x against e^-t
+        end = da.integrate(lambda t, s: (-s[0],), (1.0,), 0.0, 2.0)
+        assert end.shape == (1,)
+        assert abs(end[0] - math.exp(-2.0)) < 1e-9
+
+    def test_two_state_oscillator(self):
+        # x' = v, v' = -x from (1, 0): (cos t, -sin t)
+        end = da.integrate(lambda t, s: (s[1], -s[0]), (1.0, 0.0), 0.0, 2.5)
+        assert np.abs(end - [math.cos(2.5), -math.sin(2.5)]).max() < 1e-9
 
     def test_sample_trajectory_consistency(self):
         times = [0.4, 1.1, 2.0]

@@ -1,0 +1,65 @@
+"""The benchmark's tracer still installs on the package and reads a run.
+
+``perfbench/tracer.py`` wraps package functions by name, so renaming or
+deleting one of them breaks only traced benchmark runs; this test makes
+such a run in a fresh interpreter."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CONFIG = """
+F1star = sin(phi)*sin(theta)*phi_dot + sin(phi) + sin(2*t)*sin(phi)*(1 - phi_dot)*phi_dot
+F2star = sin(phi) - sin(2*t)*sin(phi)*phi_dot - sin(phi)*phi_dot^2
+mode = T2
+case = corollary2
+field_source = printed-reference
+verify_system = linearized
+epsilon_list = 1e-2
+r1 = 1.2
+r2 = 1.4
+n_r = 2
+n_angle = 8
+"""
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import dumbbell_averager
+import dumbbell_averager.cli
+import tracer
+
+t = tracer.Tracer(0)
+tracer.install(t, dumbbell_averager)
+main = t.span("cli.main", dumbbell_averager.cli.main)
+rc = main(["verify", "--config", {cfg!r}, "--out", {out!r}])
+print(json.dumps(t.layer_metrics(report_bytes=0)))
+sys.exit(rc)
+"""
+
+
+def test_traced_verify_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG, encoding="utf-8")
+    script = SCRIPT.format(
+        perfbench=str(ROOT / "perfbench"),
+        src=str(ROOT / "src"),
+        cfg=str(cfg),
+        out=str(tmp_path / "o"),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    for counter in (
+        "torques.coeff_calls_scalar",
+        "dynamics.rhs_lin_calls",
+        "shooting.integrate_calls",
+        "shooting.ladders",
+        "trace.spans",
+    ):
+        assert metrics[counter] > 0, counter
