@@ -194,7 +194,6 @@ def malkin_average(
     g1: Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray],
     spec: ResonanceSpec,
     alpha: Sequence[float],
-    quad_tolerance: float = DEFAULT_QUAD_TOL,
 ) -> np.ndarray:
     """Generic averaging functional at a single plane point.
 
@@ -216,5 +215,5 @@ def malkin_average(
         m00, m01, m10, m11 = plane_flow(mode.omega, -t)
         return np.stack([m00 * g[k] + m01 * g[k + 1], m10 * g[k] + m11 * g[k + 1]])[None]
 
-    (values,), _ = _quadrature_rows(integrand, T, quad_tolerance, 1)
+    (values,), _ = _quadrature_rows(integrand, T, DEFAULT_QUAD_TOL, 1)
     return np.array([-mode.kappa * values[0] / T, mode.kappa * values[1] / T])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -97,12 +97,8 @@ class RunConfig:
             raise ConfigError(f"epsilon_list must be strictly descending, got {self.epsilon_list}")
         if self.field_source not in _FIELD_SOURCES:
             raise ConfigError(f"field_source must be one of {_FIELD_SOURCES}")
-        if self.field_source == "printed-reference" and self.case not in BUNDLED_CASES:
-            raise ConfigError(
-                f"field_source=printed-reference requires case in {sorted(BUNDLED_CASES)}"
-            )
-        if self.case is not None and self.case not in BUNDLED_CASES:
-            raise ConfigError(f"case must be one of {sorted(BUNDLED_CASES)}")
+        if self.case is not None or self.field_source == "printed-reference":
+            _check_case(self.case, self.spec)
         if self.verify_system not in _VERIFY_SYSTEMS:
             raise ConfigError(f"verify_system must be one of {_VERIFY_SYSTEMS}")
         trees = []
@@ -120,6 +116,15 @@ class RunConfig:
     @property
     def domain(self) -> ZeroSearchDomain:
         return ZeroSearchDomain(r1=self.r1, r2=self.r2, n_r=self.n_r, n_angle=self.n_angle)
+
+
+def _check_case(case: str, spec: ResonanceSpec) -> None:
+    """Refuse an unknown case, or one whose reference field lives on another plane."""
+    if case not in BUNDLED_CASES:
+        raise ConfigError(f"case must be one of {sorted(BUNDLED_CASES)}, got {case!r}")
+    bundled = BUNDLED_CASES[case].spec
+    if bundled != spec:
+        raise ConfigError(f"case {case} needs mode={bundled.mode.value}, p={bundled.p}, q={bundled.q}")
 
 
 _INT_KEYS = {"p", "q", "n_r", "n_angle", "eval_n"}
@@ -207,17 +212,17 @@ def bundled_config_path(case: str):
 # --- pipeline stages ---
 
 
-def _build_field(config: RunConfig):
-    """Return (field callable, meta dict) for the configured field source."""
+def _build_field(config: RunConfig, source: str, case: Optional[str]):
+    """Return (field callable, meta dict) for ``source``, with ``case`` for the printed reference."""
     meta: Dict[str, object] = {
-        "field_source": config.field_source,
+        "field_source": source,
         "mode": config.mode.value,
         "p": config.p,
         "q": config.q,
     }
-    if config.field_source == "printed-reference":
-        meta["case"] = config.case
-        return BUNDLED_CASES[config.case].reference_field, meta
+    if source == "printed-reference":
+        meta["case"] = case
+        return BUNDLED_CASES[case].reference_field, meta
     f1, f2 = config.torques
     report = validate_equilibrium(f1, f2)
     lin = extract_linearized(f1, f2)
@@ -234,7 +239,7 @@ def _eval_points(config: RunConfig) -> np.ndarray:
 
 
 def cmd_eval(config: RunConfig, outdir: Path, force: bool) -> Path:
-    fld, meta = _build_field(config)
+    fld, meta = _build_field(config, config.field_source, config.case)
     points = _eval_points(config)
     values = fld(points)
     if isinstance(fld, AveragedField):
@@ -244,8 +249,10 @@ def cmd_eval(config: RunConfig, outdir: Path, force: bool) -> Path:
     return path
 
 
-def _solve(config: RunConfig):
-    fld, meta = _build_field(config)
+def cmd_solve(config: RunConfig, outdir: Path, force: bool, filename: str = "zeros.csv",
+              source: Optional[str] = None, case: Optional[str] = None):
+    """Certified zeros of the field of ``source`` and ``case``, by default the configured ones."""
+    fld, meta = _build_field(config, source or config.field_source, case or config.case)
     zeros = multistart_zeros(fld, config.domain, tol=config.newton_tol)
     groups = group_orbit_classes(zeros)
     meta.update(
@@ -259,11 +266,6 @@ def _solve(config: RunConfig):
     )
     if isinstance(fld, AveragedField):
         meta["quad_nodes_max"] = fld.max_nodes_used
-    return zeros, groups, meta
-
-
-def cmd_solve(config: RunConfig, outdir: Path, force: bool, filename: str = "zeros.csv"):
-    zeros, groups, meta = _solve(config)
     path = outdir / filename
     reports.write_zeros_csv(path, zeros, groups, meta, force=force)
     return zeros, groups, path
@@ -342,11 +344,10 @@ def _comparison_rows(
 
 
 def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> int:
-    pipeline = replace(config, field_source="pipeline")
-    reference = replace(config, field_source="printed-reference", case=case)
-
-    _, pipe_groups, _ = cmd_solve(pipeline, outdir, force, filename="zeros_pipeline.csv")
-    _, ref_groups, _ = cmd_solve(reference, outdir, force, filename="zeros_reference.csv")
+    _, pipe_groups, _ = cmd_solve(config, outdir, force, "zeros_pipeline.csv", "pipeline")
+    _, ref_groups, _ = cmd_solve(
+        config, outdir, force, "zeros_reference.csv", "printed-reference", case
+    )
 
     ladders: Dict[str, Dict[str, List[Tuple[str, ContinuationReport]]]] = {}
     for source, groups in (("pipeline", pipe_groups), ("reference", ref_groups)):
@@ -425,8 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 case = args.case
             else:
                 raise ConfigError("reproduce needs a bundled case name or --config")
-            if case not in BUNDLED_CASES:
-                raise ConfigError(f"reproduce needs a case in {sorted(BUNDLED_CASES)}")
+            _check_case(case, config.spec)
         else:
             if args.config is None:
                 raise ConfigError(f"{args.command} requires --config")

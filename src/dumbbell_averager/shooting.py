@@ -171,7 +171,6 @@ def sample_trajectory(
     rhs: Rhs,
     s0: Sequence[float],
     times: Sequence[float],
-    tol: float = DEFAULT_INTEGRATOR_TOL,
 ) -> np.ndarray:
     """States at finite, nondecreasing times (t = 0 start), shape (len(times), n)."""
     if not all(a <= b < math.inf for a, b in zip([0.0, *times], times)):
@@ -181,7 +180,7 @@ def sample_trajectory(
     t_prev = 0.0
     for t in times:
         if t > t_prev:
-            state = integrate(rhs, state, t_prev, t, tol=tol)
+            state = integrate(rhs, state, t_prev, t)
             t_prev = t
         out.append(state.copy())
     return np.array(out)

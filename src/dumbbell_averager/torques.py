@@ -3,19 +3,21 @@
 Torques are entered as text over the variables (t, theta, theta_dot, phi,
 phi_dot) with the constants ``pi`` and ``sqrt3``, the functions sin/cos/tan,
 and the operators ``+ - * / ^`` (integer exponents only).  Parsed trees are
-immutable.  One code generator turns a tree into a straight-line python
-function, over the math module for scalars or over numpy for arrays, that
-returns the value alone or the value and the derivative in one seeded
-variable (forward-mode differentiation by source transformation).  Every
-variant raises DomainError at a zero divisor or a tan pole.  The
-linearized torque coefficients f1..f4 are such derivatives: fi is the
-partial of the corresponding torque with respect to the nutation or
-precession angle, taken at zero angles with the angular rates kept exact.
+immutable.  Derivatives are trees too: ``diff`` maps a tree to its partial
+in one variable.  One value-only code generator with shared subexpressions
+turns a tuple of trees into a straight-line python function, over the math
+module for scalars or over numpy for arrays; (value, derivative) is that
+function of (tree, diff(tree, seed)).  Every variant raises DomainError at
+a zero divisor or a tan pole.  The linearized torque coefficients f1..f4
+are such derivatives: fi is the partial of the corresponding torque with
+respect to the nutation or precession angle, taken at zero angles with the
+angular rates kept exact.
 """
 from __future__ import annotations
 
-import itertools
+import collections
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
@@ -115,33 +117,41 @@ def _precedence(node: Node) -> int:
     return _PREC_ATOM
 
 
+def _children(node: Node) -> Tuple[Node, ...]:
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
+
+
 def _validate(node: Node) -> None:
     if isinstance(node, Num):
-        if not math.isfinite(node.value):
-            raise ValueError("numeric literal must be finite")
+        # the parser writes -2 as Neg(Num(2.0)); a signed literal would not
+        # survive the round trip through pretty()
+        if not math.isfinite(node.value) or math.copysign(1.0, node.value) < 0:
+            raise ValueError(f"numeric literal must be finite and unsigned, got {node.value!r}")
     elif isinstance(node, Const):
         if node.name not in CONSTANTS:
             raise ValueError(f"unknown constant {node.name!r}")
     elif isinstance(node, Var):
         if node.name not in VARIABLES:
             raise ValueError(f"unknown variable {node.name!r}")
-    elif isinstance(node, Neg):
-        _validate(node.arg)
     elif isinstance(node, Call):
         if node.fn not in FUNCTIONS:
             raise ValueError(f"unknown function {node.fn!r}")
-        _validate(node.arg)
     elif isinstance(node, BinOp):
         if node.op not in ("+", "-", "*", "/"):
             raise ValueError(f"unknown operator {node.op!r}")
-        _validate(node.left)
-        _validate(node.right)
     elif isinstance(node, Pow):
         if not isinstance(node.exponent, int):
             raise ValueError("exponent must be an integer")
-        _validate(node.base)
-    else:
+    elif not isinstance(node, Neg):
         raise TypeError(f"not an expression node: {node!r}")
+    for child in _children(node):
+        _validate(child)
 
 
 def _pretty(node: Node) -> str:
@@ -175,30 +185,7 @@ def _pretty(node: Node) -> str:
     return f"{left} {node.op} {right}"
 
 
-# --- Code generation (forward-mode source transformation) ---
-
-def _zero_deriv(value):
-    return np.zeros_like(value) if isinstance(value, np.ndarray) else 0.0
-
-
-#: per namespace: the functions the emitted code calls, the guard tests on a
-#: divisor and on cos(tan argument), and the derivative of an expression
-#: that does not depend on the seed
-_NAMESPACES = {
-    "math": (
-        {"sin": math.sin, "cos": math.cos, "tan": math.tan},
-        "{} == 0",
-        "abs({}) < TAN_POLE_FLOOR",
-        "0.0",
-    ),
-    "numpy": (
-        {"sin": np.sin, "cos": np.cos, "tan": np.tan, "abs": np.abs, "any": np.any,
-         "zero_deriv": _zero_deriv},
-        "any({} == 0)",
-        "any(abs({}) < TAN_POLE_FLOOR)",
-        "zero_deriv({})",
-    ),
-}
+# --- Derivatives as trees ---
 
 
 def _check_seed(seed: str) -> str:
@@ -207,111 +194,144 @@ def _check_seed(seed: str) -> str:
     return seed
 
 
-def _generate(root: Node, seed: Optional[str], namespace: str) -> Callable:
-    """Emit and compile one straight-line function of the five variables.
+def diff(node: Node, var: str) -> Optional[Node]:
+    """The partial derivative of ``node`` in ``var`` as a tree, or None where
+    ``node`` does not depend on ``var``.  Each rule writes the arithmetic of
+    forward-mode dual numbers; a negative coefficient is Neg(Num(k)), so the
+    result is a valid tree that survives a round trip through its text."""
+    _check_seed(var)
 
-    It returns the value for ``seed=None`` and (value, d/d_seed) otherwise.
-    A subtree free of the seed carries no derivative, so each node does the
-    arithmetic of forward-mode dual numbers with a constant operand.  A
-    value is bound to a local only when it is used twice or guarded; the
-    rest stays one nested expression.  Zero divisors, zero bases of negative
-    powers and tan poles raise DomainError.
+    def d(node: Node) -> Optional[Node]:
+        if isinstance(node, (Num, Const, Var)):
+            return Num(1.0) if node == Var(var) else None
+        if not isinstance(node, BinOp):
+            (a,) = _children(node)
+            da = d(a)
+            if da is None:
+                return None
+            if isinstance(node, Neg):
+                return Neg(da)
+            if isinstance(node, Pow):
+                n = node.exponent
+                if n == 0:
+                    return BinOp("*", da, Num(0.0))
+                k = Num(float(abs(n)))
+                return BinOp("*", BinOp("*", k if n > 0 else Neg(k), Pow(a, n - 1)), da)
+            if node.fn == "sin":
+                return BinOp("*", Call("cos", a), da)
+            if node.fn == "cos":
+                return BinOp("*", Neg(Call("sin", a)), da)
+            return BinOp("/", da, Pow(Call("cos", a), 2))
+        left, right = node.left, node.right
+        dl, dr = d(left), d(right)
+        if dl is None and dr is None:
+            return None
+        if node.op in "+-":
+            if dl is None:
+                return dr if node.op == "+" else Neg(dr)
+            return dl if dr is None else BinOp(node.op, dl, dr)
+        if node.op == "*":
+            if dr is None:
+                return BinOp("*", dl, right)
+            if dl is None:
+                return BinOp("*", left, dr)
+            return BinOp("+", BinOp("*", dl, right), BinOp("*", left, dr))
+        if dr is None:
+            return BinOp("/", dl, right)
+        if dl is None:
+            return BinOp("/", BinOp("*", Neg(left), dr), Pow(right, 2))
+        return BinOp("/", BinOp("-", BinOp("*", dl, right), BinOp("*", left, dr)), Pow(right, 2))
+
+    return d(node)
+
+
+# --- Code generation ---
+
+#: per namespace: the functions the emitted code calls and the guard tests
+#: on a divisor and on cos(tan argument)
+_NAMESPACES = {
+    "math": ({"sin": math.sin, "cos": math.cos, "tan": math.tan}, "{} == 0",
+             "abs({}) < TAN_POLE_FLOOR"),
+    "numpy": ({"sin": np.sin, "cos": np.cos, "tan": np.tan, "abs": np.abs, "any": np.any},
+              "any({} == 0)", "any(abs({}) < TAN_POLE_FLOOR)"),
+}
+
+
+def _generate(roots: Tuple[Node, ...], namespace: str) -> Callable:
+    """Emit and compile one straight-line function of the five variables
+    that returns the value of each root (the bare value for one root).
+
+    Each root is finished before the next starts, so its guards come first.
+    A non-atomic subtree that occurs more than once across the roots (found
+    by hashing the frozen trees) is computed once into a local.  Zero
+    divisors, zero bases of negative powers and tan poles raise DomainError.
     """
-    functions, zero_test, pole_test, no_deriv = _NAMESPACES[namespace]
-    lines = []
-    names = itertools.count()
-
-    def temp(expr: str) -> str:
-        if expr.isidentifier() or expr[0].isdigit():
-            return expr
-        name = f"v{next(names)}"
-        lines.append(f"{name} = {expr}")
-        return name
+    functions, zero_test, pole_test = _NAMESPACES[namespace]
+    uses, pending = collections.Counter(), list(roots)
+    while pending:  # a repeated subtree's own children are counted once
+        node = pending.pop()
+        uses[node] += 1
+        if uses[node] == 1:
+            pending += _children(node)
+    lines, names = {}, {}  # lines is an ordered set: a repeated guard is written once
 
     def guard(test: str, operand: str, message: str) -> None:
-        lines.append(f"if {test.format(operand)}: raise DomainError({message!r})")
+        lines.setdefault(f"if {test.format(operand)}: raise DomainError({message!r})")
 
-    def emit(node: Node) -> Tuple[str, Optional[str]]:
-        """(value expression, derivative expression or None)"""
+    def emit(node: Node, bind: bool = False) -> str:
+        if node in names:
+            return names[node]
         if isinstance(node, Num):
-            text = repr(node.value)
-            return (f"({text})" if text[0] == "-" else text), None
-        if isinstance(node, Const):
-            return ("PI" if node.name == "pi" else "SQRT3"), None
-        if isinstance(node, Var):
-            return node.name, ("1.0" if node.name == seed else None)
+            return repr(node.value)
+        if isinstance(node, (Const, Var)):
+            return node.name
         if isinstance(node, Neg):
-            a, da = emit(node.arg)
-            return f"(-{a})", da and f"(-{da})"
-        if isinstance(node, Call):
-            a, da = emit(node.arg)
-            if node.fn == "tan":
-                a = temp(a)
-                c = temp(f"cos({a})")
-                guard(pole_test, c, "tan argument within 1e-12 of an odd multiple of pi/2")
-                return f"tan({a})", da and f"({da} / {c}**2)"
-            if da is None:
-                return f"{node.fn}({a})", None
-            a = temp(a)
-            if node.fn == "sin":
-                return f"sin({a})", f"(cos({a}) * {da})"
-            return f"cos({a})", f"(-sin({a}) * {da})"
-        if isinstance(node, BinOp):
-            left, dl = emit(node.left)
-            right, dr = emit(node.right)
-            op = node.op
-            if op == "/":
-                right = temp(right)
+            expr = f"(-{emit(node.arg)})"
+        elif isinstance(node, Call) and node.fn == "tan":
+            a = emit(node.arg, bind=True)
+            c = emit(Call("cos", node.arg), bind=True)
+            guard(pole_test, c, "tan argument within 1e-12 of an odd multiple of pi/2")
+            expr = f"tan({a})"
+        elif isinstance(node, Call):
+            expr = f"{node.fn}({emit(node.arg)})"
+        elif isinstance(node, BinOp):
+            left = emit(node.left)
+            right = emit(node.right, bind=node.op == "/")
+            if node.op == "/":
                 guard(zero_test, right, "division by zero")
-            if dl is None and dr is None:
-                return f"({left} {op} {right})", None
-            if op in "+-":
-                if dr is None:
-                    d = dl
-                elif dl is None:
-                    d = dr if op == "+" else f"(-{dr})"
-                else:
-                    d = f"({dl} {op} {dr})"
-                return f"({left} {op} {right})", d
-            if dl is not None:
-                right = temp(right)
-            if dr is not None:
-                left = temp(left)
-            if op == "*":
-                terms = ([f"{dl} * {right}"] if dl else []) + ([f"{left} * {dr}"] if dr else [])
-                d = f"({' + '.join(terms)})"
-            elif dr is None:
-                d = f"({dl} / {right})"
-            elif dl is None:
-                d = f"(-{left} * {dr} / {right}**2)"
-            else:
-                d = f"(({dl} * {right} - {left} * {dr}) / {right}**2)"
-            return f"({left} {op} {right})", d
-        base, db = emit(node.base)
-        n = node.exponent
-        if n < 0:
-            base = temp(base)
-            guard(zero_test, base, "division by zero")
-        if db is None:
-            return f"({base})**({n})", None
-        base = temp(base)
-        d = f"({db} * 0.0)" if n == 0 else f"({n} * {base}**({n - 1}) * {db})"
-        return f"({base})**({n})", d
+            expr = f"({left} {node.op} {right})"
+        else:
+            base = emit(node.base, bind=node.exponent < 0)
+            if node.exponent < 0:
+                guard(zero_test, base, "division by zero")
+            expr = f"({base})**({node.exponent})"
+        if not bind and uses[node] < 2:
+            return expr
+        name = names[node] = f"v{len(names)}"
+        lines[f"{name} = {expr}"] = None
+        return name
 
-    value, deriv = emit(root)
-    if seed is None:
-        result = value
-    elif deriv is None:
-        value = temp(value)
-        result = f"{value}, {no_deriv.format(value)}"
-    else:
-        result = f"{value}, {deriv}"
+    results = [emit(root, bind=i < len(roots) - 1) for i, root in enumerate(roots)]
     body = "".join(f"    {line}\n" for line in lines)
-    src = f"def torque({', '.join(VARIABLES)}):\n{body}    return {result}\n"
-    env = dict(functions, PI=math.pi, SQRT3=SQRT3, TAN_POLE_FLOOR=TAN_POLE_FLOOR,
-               DomainError=DomainError)
+    src = f"def torque({', '.join(VARIABLES)}):\n{body}    return {', '.join(results)}\n"
+    env = dict(functions, **CONSTANTS, TAN_POLE_FLOOR=TAN_POLE_FLOOR, DomainError=DomainError)
     exec(src, env)
     return env["torque"]
+
+
+def _dual(root: Node, seed: str, namespace: str) -> Callable:
+    """(value, d/d_seed) from one generated function.  A seed-free
+    derivative is 0.0, or zeros shaped like the value when that is an array."""
+    deriv = diff(root, seed)
+    fn = _generate((root, Num(0.0) if deriv is None else deriv), namespace)
+    if deriv is not None or namespace == "math":
+        return fn
+
+    def seed_free(*bindings):
+        value, zero = fn(*bindings)
+        return value, (np.zeros_like(value) if isinstance(value, np.ndarray) else zero)
+
+    return seed_free
 
 
 @dataclass(frozen=True)
@@ -329,7 +349,11 @@ class TorqueExpression:
         key = (seed, namespace)
         fn = self._functions.get(key)
         if fn is None:
-            fn = self._functions[key] = _generate(self.root, *key)
+            if seed is None:
+                fn = _generate((self.root,), namespace)
+            else:
+                fn = _dual(self.root, seed, namespace)
+            self._functions[key] = fn
         return fn
 
     def evaluate(self, t, theta, theta_dot, phi, phi_dot):
@@ -356,45 +380,29 @@ class TorqueExpression:
 # --- Parser ---
 
 
+#: digits with at most one dot, then an exponent only when digits follow it
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+#: str.isspace() runs, and str.isalnum() or "_" runs
+_SPACE, _WORD = re.compile(r"\s*"), re.compile(r"\w+")
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def next(self) -> Tuple[str, str, int]:
         """Return (kind, lexeme, offset); kind EOF at end of input."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("EOF", "", self.pos)
-        start = self.pos
+        start = self.pos = _SPACE.match(self.text, self.pos).end()
+        if start == len(self.text):
+            return ("EOF", "", start)
         ch = self.text[start]
-        if ch.isdigit() or (ch == "." and start + 1 < len(self.text) and self.text[start + 1].isdigit()):
-            i = start
-            seen_dot = False
-            while i < len(self.text) and (self.text[i].isdigit() or (self.text[i] == "." and not seen_dot)):
-                if self.text[i] == ".":
-                    seen_dot = True
-                i += 1
-            if i < len(self.text) and self.text[i] in "eE":
-                j = i + 1
-                if j < len(self.text) and self.text[j] in "+-":
-                    j += 1
-                if j < len(self.text) and self.text[j].isdigit():
-                    i = j
-                    while i < len(self.text) and self.text[i].isdigit():
-                        i += 1
-            self.pos = i
-            return ("NUMBER", self.text[start:i], start)
-        if ch.isalpha() or ch == "_":
-            i = start
-            while i < len(self.text) and (self.text[i].isalnum() or self.text[i] == "_"):
-                i += 1
-            self.pos = i
-            return ("IDENT", self.text[start:i], start)
+        kind, match = "NUMBER", _NUMBER.match(self.text, start)
+        if not match and (ch.isalpha() or ch == "_"):
+            kind, match = "IDENT", _WORD.match(self.text, start)
+        if match:
+            self.pos = match.end()
+            return (kind, match.group(), start)
         if ch in "+-*/^()":
             self.pos += 1
             return (ch, ch, start)
@@ -551,8 +559,8 @@ def _angle_partial(expr: TorqueExpression, seed: str) -> Callable[[float, float,
 def extract_linearized(f1star: TorqueExpression, f2star: TorqueExpression) -> LinearizedTorque:
     """Differentiate the torques in the angles at theta = phi = 0.
 
-    Forward-mode differentiation gives the exact partials; no
-    finite-difference step enters.
+    The derivative trees give the exact partials; no finite-difference
+    step enters.
     """
     for expr in (f1star, f2star):
         expr.evaluate(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -602,18 +610,14 @@ class EquilibriumReport:
     PASS_THRESHOLD = 1e-12
 
 
-def validate_equilibrium(
-    f1star: TorqueExpression,
-    f2star: TorqueExpression,
-    samples: Optional[SamplingPlan] = None,
-) -> EquilibriumReport:
+def validate_equilibrium(f1star: TorqueExpression, f2star: TorqueExpression) -> EquilibriumReport:
     """Check that both torques vanish at zero angles for all rates.
 
     A nonzero residual yields WARN rather than an error: the averaged fields
     are integrals over one invariant plane and can remain meaningful even
     when a torque fails the vanishing condition off that plane.
     """
-    plan = samples or SamplingPlan()
+    plan = SamplingPlan()
     t = np.linspace(0.0, plan.t_max, plan.n_t)
     v1 = np.linspace(-plan.v_max, plan.v_max, plan.n_v1)
     v2 = np.linspace(-plan.v_max, plan.v_max, plan.n_v2)
@@ -625,8 +629,7 @@ def validate_equilibrium(
         vals = np.abs(np.broadcast_to(
             np.asarray(expr.evaluate(tg, zero, v1g, zero, v2g), dtype=float), tg.shape
         ))
-        flat = int(np.argmax(vals))
-        idx = np.unravel_index(flat, vals.shape)
+        idx = np.unravel_index(np.argmax(vals), vals.shape)
         residuals.append(
             TorqueResidual(
                 name=name,

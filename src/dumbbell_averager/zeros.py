@@ -38,6 +38,8 @@ SIMPLE_DET_TOL = 1e-8
 DEDUP_DISTANCE = 1e-6
 
 DEFAULT_NEWTON_TOL = 1e-12
+#: Newton iterations per seed before NoConvergenceError
+NEWTON_MAX_ITER = 50
 STEP_TOL = 1e-12
 MAX_HALVINGS = 20
 
@@ -272,7 +274,7 @@ def newton2d(
     field: Field2D,
     seed: Sequence[float],
     tol: float = DEFAULT_NEWTON_TOL,
-    max_iter: int = 50,
+    max_iter: int = NEWTON_MAX_ITER,
     field_scale: float = 1.0,
 ) -> CertifiedZero:
     """Damped Newton solve for a zero of the field starting at ``seed``.
@@ -306,7 +308,6 @@ def multistart_zeros(
     field: Field2D,
     domain: ZeroSearchDomain,
     tol: float = DEFAULT_NEWTON_TOL,
-    max_iter: int = 50,
 ) -> List[CertifiedZero]:
     """Newton from every polar seed; dedup, clip to the annulus, sort.
 
@@ -318,7 +319,7 @@ def multistart_zeros(
     """
     seeds = domain.seeds()
     found: List[CertifiedZero] = []
-    for zero in _newton_rounds(field, seeds, tol, max_iter, None):
+    for zero in _newton_rounds(field, seeds, tol, NEWTON_MAX_ITER, None):
         if isinstance(zero, NoConvergenceError):
             continue
         if not domain.contains(zero.location):
@@ -338,9 +339,7 @@ def multistart_zeros(
     return found
 
 
-def group_orbit_classes(
-    zeros: Sequence[CertifiedZero], tol: float = DEDUP_DISTANCE
-) -> List[List[CertifiedZero]]:
+def group_orbit_classes(zeros: Sequence[CertifiedZero]) -> List[List[CertifiedZero]]:
     """Group zeros that differ only by the sign of the second coordinate.
 
     Such pairs are two initial conditions on the same periodic orbit, so
@@ -354,11 +353,11 @@ def group_orbit_classes(
         group = [z]
         used[i] = True
         mirror = np.array([z.location[0], -z.location[1]])
-        if abs(z.location[1]) > tol:
+        if abs(z.location[1]) > DEDUP_DISTANCE:
             for j in range(i + 1, len(zeros)):
                 if used[j]:
                     continue
-                if float(np.linalg.norm(zeros[j].location - mirror)) < tol:
+                if float(np.linalg.norm(zeros[j].location - mirror)) < DEDUP_DISTANCE:
                     group.append(zeros[j])
                     used[j] = True
                     break

@@ -197,6 +197,46 @@ class TestMainEntry:
         assert "case" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, edit",
+        [
+            # the T2 reference zero would be shot on the T1 window
+            (
+                ["verify"],
+                lambda text: text.replace("mode = T2", "mode = T1")
+                + "field_source = printed-reference\nverify_system = linearized\n",
+            ),
+            # corollary1's T1 reference zero would be shot on the T2 plane
+            (["reproduce", "corollary1"], lambda text: text),
+        ],
+        ids=["verify-T1-config", "reproduce-corollary1-on-T2-config"],
+    )
+    def test_case_on_another_plane_is_a_config_error(self, tmp_path, capsys, argv, edit):
+        with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
+            cfg = write(tmp_path, edit(p.read_text(encoding="utf-8")))
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "case corollary" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_reproduce_parses_each_torque_once(self, tmp_path, monkeypatch, capsys):
+        parsed = []
+        parse = cli.parse_torque
+        monkeypatch.setattr(cli, "parse_torque", lambda text: parsed.append(text) or parse(text))
+        with cli.resources.as_file(cli.bundled_config_path("corollary1")) as p:
+            text = p.read_text(encoding="utf-8")
+        small = {"n_r = 16": "n_r = 2", "n_angle = 32": "n_angle = 8",
+                 "epsilon_list = 1e-2, 1e-3, 1e-4": "epsilon_list = 1e-2"}
+        for old, new in small.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write(tmp_path, text)
+        assert cli.main(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert "case corollary1" in capsys.readouterr().out
+        assert len(parsed) == 2
+
+    @pytest.mark.parametrize(
         "command, line",
         [
             ("eval", "quad_tol = nan"),
@@ -214,7 +254,9 @@ class TestMainEntry:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
-    @pytest.mark.parametrize("line", ["F1star = sin(theta", "F2star = sin(phi) + wibble"])
+    @pytest.mark.parametrize(
+        "line", ["F1star = sin(theta", "F2star = sin(phi) + wibble", "F1star = theta^\u00b2"]
+    )
     def test_malformed_torque_is_a_config_error(self, tmp_path, capsys, command, line):
         # the printed-reference field never needs the torques, so only the
         # up-front parse can catch the text before zeros.csv is written

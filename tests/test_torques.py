@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
-from dumbbell_averager.torques import VARIABLES, BinOp, Call, Const, Neg, Num, Pow, Var
+from dumbbell_averager.torques import VARIABLES, BinOp, Call, Const, Neg, Num, Pow, Var, diff
 
 SQRT3 = math.sqrt(3.0)
 
@@ -20,8 +20,9 @@ ENTRY_POINTS = {
 }
 
 
-def random_expression(rng: random.Random, depth: int):
-    """Random well-formed tree down to the given depth."""
+def random_expression(rng: random.Random, depth: int, low_exponent: int = 0):
+    """Random well-formed tree down to the given depth; powers have integer
+    exponents from ``low_exponent`` to 4."""
     if depth == 0:
         kind = rng.randrange(3)
         if kind == 0:
@@ -31,13 +32,17 @@ def random_expression(rng: random.Random, depth: int):
         return Var(rng.choice(["t", "theta", "theta_dot", "phi", "phi_dot"]))
     kind = rng.randrange(5)
     if kind == 0:
-        return Neg(random_expression(rng, depth - 1))
+        return Neg(random_expression(rng, depth - 1, low_exponent))
     if kind == 1:
-        return Call(rng.choice(["sin", "cos", "tan"]), random_expression(rng, depth - 1))
+        return Call(rng.choice(["sin", "cos", "tan"]), random_expression(rng, depth - 1, low_exponent))
     if kind == 2:
-        return Pow(random_expression(rng, depth - 1), rng.randrange(0, 5))
+        return Pow(random_expression(rng, depth - 1, low_exponent), rng.randrange(low_exponent, 5))
     op = rng.choice(["+", "-", "*", "/"])
-    return BinOp(op, random_expression(rng, depth - 1), random_expression(rng, depth - 1))
+    return BinOp(
+        op,
+        random_expression(rng, depth - 1, low_exponent),
+        random_expression(rng, depth - 1, low_exponent),
+    )
 
 
 class TestParser:
@@ -104,6 +109,13 @@ class TestParser:
             da.TorqueExpression(Var("bogus"))
         with pytest.raises(ValueError):
             da.TorqueExpression(Call("exp", Var("t")))
+
+    @pytest.mark.parametrize("value", [-2.0, -0.0])
+    def test_signed_literal_rejected(self, value):
+        # the parser writes -2 as Neg(Num(2.0)); "theta - -2.0" would not
+        # parse back to a tree holding Num(-2.0)
+        with pytest.raises(ValueError, match="unsigned"):
+            da.TorqueExpression(BinOp("-", Var("theta"), Num(value)))
 
 
 class TestEvalDual:
@@ -179,6 +191,17 @@ class TestEvalDual:
                         run(expr, zero, seed)
                         pytest.fail(f"{entry} returned for {text}")
         assert issubclass(da.DomainError, da.DumbbellError)
+        # at theta = 1e-170 the value 1e170 is finite, but the derivative's
+        # divisor theta^2 underflows to zero
+        tiny = (0, 1e-170, 0, 0, 0)
+        expr = da.parse_torque("1/theta")
+        for entry, run in ENTRY_POINTS.items():
+            if entry in ("evaluate", "compile"):
+                assert float(np.reshape(run(expr, tiny, "theta"), -1)[0]) == 1 / 1e-170
+                continue
+            with pytest.raises(da.DomainError):
+                run(expr, tiny, "theta")
+                pytest.fail(f"{entry} returned for 1/theta at theta = 1e-170")
         # a zero base is fine for a zero exponent
         expr = da.parse_torque("theta^0")
         assert expr.compile_dual("theta")(*zero) == (1, 0)
@@ -239,6 +262,94 @@ class TestEvalDual:
                         assert flat(scalar) == pytest.approx(
                             flat(array), rel=1e-12, abs=1e-12
                         ), where
+
+
+def to_sympy(node, sympy):
+    """The same expression as a sympy tree, for an independent derivative."""
+    if isinstance(node, Num):
+        return sympy.Float(node.value)
+    if isinstance(node, Const):
+        return sympy.pi if node.name == "pi" else sympy.sqrt(3)
+    if isinstance(node, Var):
+        return sympy.Symbol(node.name)
+    if isinstance(node, Neg):
+        return -to_sympy(node.arg, sympy)
+    if isinstance(node, Call):
+        return getattr(sympy, node.fn)(to_sympy(node.arg, sympy))
+    if isinstance(node, Pow):
+        return to_sympy(node.base, sympy) ** node.exponent
+    left, right = to_sympy(node.left, sympy), to_sympy(node.right, sympy)
+    return {"+": left + right, "-": left - right, "*": left * right, "/": left / right}[node.op]
+
+
+class TestDiff:
+    #: what either side may raise at a point outside the expression's domain
+    FAILURES = (da.DumbbellError, ZeroDivisionError, OverflowError, ValueError)
+
+    def test_bundled_torques_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(VARIABLES)
+        rng = random.Random(271)
+        for case in da.BUNDLED_CASES.values():
+            for text in (case.f1star_text, case.f2star_text):
+                expr = da.parse_torque(text)
+                tree = to_sympy(expr.root, sympy)
+                oracle = sympy.lambdify(symbols, [sympy.diff(tree, s) for s in symbols], "math")
+                for _ in range(10):
+                    b = [rng.uniform(-1.3, 1.3) for _ in range(5)]
+                    got = [expr.compile_dual(var)(*b)[1] for var in VARIABLES]
+                    assert got == pytest.approx(oracle(*b), rel=1e-12, abs=1e-12), text
+
+    def test_random_trees_match_sympy(self):
+        # both derivatives are evaluated at 30 digits: in double precision a
+        # one-ulp difference in, say, the argument of cos(x + 1043.1) already
+        # moves the derivative by 1e-12, which says nothing about the rules
+        sympy = pytest.importorskip("sympy")
+        mpmath = pytest.importorskip("mpmath")
+        symbols = sympy.symbols(VARIABLES)
+        rng = random.Random(314)
+        checked = 0
+        for _ in range(200):
+            tree = random_expression(rng, rng.randint(1, 4), low_exponent=-3)
+            points = [[rng.uniform(-1.3, 1.3) for _ in range(5)] for _ in range(3)]
+            # a constant zero divisor: sympy raises or folds it to zoo/nan
+            # while building the tree, and the torque raises DomainError
+            try:
+                want = [sympy.diff(to_sympy(tree, sympy), s) for s in symbols]
+                ours = [diff(tree, v) for v in VARIABLES]
+                got = [0 if d is None else to_sympy(d, sympy) for d in ours]
+            except ZeroDivisionError:
+                continue
+            if any(sympy.sympify(e).has(sympy.zoo, sympy.nan) for e in want + got):
+                continue
+            evaluate = sympy.lambdify(symbols, want + got, "mpmath")
+            for b in points:
+                with mpmath.workdps(30):
+                    try:
+                        values = [float(v) for v in evaluate(*b)]
+                    except self.FAILURES:
+                        continue
+                where = f"{da.TorqueExpression(tree).pretty()} at {b}"
+                assert values[5:] == pytest.approx(values[:5], rel=1e-12, abs=1e-12), where
+                checked += 1
+        assert checked >= 400
+
+    def test_seed_free_subtree_gives_none(self):
+        tree = da.parse_torque("sin(theta)*t").root
+        assert diff(tree, "phi") is None
+        assert diff(Num(2.0), "t") is None and diff(Const("pi"), "t") is None
+
+    def test_rules_are_the_dual_number_arithmetic(self):
+        x = Var("theta")
+        assert diff(da.parse_torque("1/theta").root, "theta") == BinOp(
+            "/", BinOp("*", Neg(Num(1.0)), Num(1.0)), Pow(x, 2)
+        )
+        assert diff(Pow(x, -2), "theta") == BinOp(
+            "*", BinOp("*", Neg(Num(2.0)), Pow(x, -3)), Num(1.0)
+        )
+        assert diff(Pow(x, 0), "theta") == BinOp("*", Num(1.0), Num(0.0))
+        with pytest.raises(ValueError):
+            diff(x, "psi")
 
 
 class TestExtraction:
