@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .dynamics import Mode, PerturbSetup, ResonanceSpec, make_first_order_rhs, m
 from .errors import DumbbellError
 from .reference import BUNDLED_CASES
 from .reports import ArtifactExistsError
-from .shooting import ContinuationReport, epsilon_continuation
+from .shooting import ContinuationReport, epsilon_continuation, epsilon_ladder
 from .torques import TorqueExpression, extract_linearized, parse_torque, validate_equilibrium
 from .zeros import CertifiedZero, ZeroSearchDomain, group_orbit_classes, multistart_zeros
 
@@ -40,17 +40,18 @@ class ConfigError(Exception):
     """Bad configuration file or command usage."""
 
 
-_MODES = {"T1": Mode.NUTATION_T1, "T2": Mode.PRECESSION_T2}
 _FIELD_SOURCES = ("pipeline", "printed-reference")
 _VERIFY_SYSTEMS = ("full", "linearized")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration (see load_config for the file grammar)."""
+    """Validated run configuration, and the schema of the config file: each
+    field is a key (F1star and F2star capitalized), read as its type hint
+    says (see load_config)."""
 
-    f1star: str
-    f2star: str
+    f1star: str = field(metadata={"key": "F1star"})
+    f2star: str = field(metadata={"key": "F2star"})
     mode: Mode
     p: int = 1
     q: int = 1
@@ -71,30 +72,30 @@ class RunConfig:
     verify_system: str = "full"
     #: F1star and F2star parsed once, for every stage
     torques: Tuple[TorqueExpression, ...] = field(init=False, repr=False, compare=False)
+    spec: ResonanceSpec = field(init=False, repr=False, compare=False)
+    domain: ZeroSearchDomain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for key in sorted(_FLOAT_KEYS):
-            if not math.isfinite(getattr(self, key)):
+        for key, hint in _HINTS.items():
+            if hint is float and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if not all(math.isfinite(e) for e in self.epsilon_list):
-            raise ConfigError(f"epsilon_list entries must be finite, got {self.epsilon_list}")
+        # each rule lives in the type that owns it; its ValueError names the keys here
+        for name, keys, build in (
+            ("spec", ("mode", "p", "q"), ResonanceSpec),
+            ("domain", ("r1", "r2", "n_r", "n_angle"), ZeroSearchDomain),
+            ("epsilon_list", ("epsilon_list",), epsilon_ladder),
+        ):
+            try:
+                object.__setattr__(self, name, build(*(getattr(self, k) for k in keys)))
+            except ValueError as exc:
+                raise ConfigError(f"{', '.join(keys)}: {exc}") from None
         for key in ("quad_tol", "newton_tol", "shooting_tol", "integrator_tol"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(f"{key} must be positive")
-        if self.p < 1 or self.q < 1 or math.gcd(self.p, self.q) != 1:
-            raise ConfigError("p and q must be positive and relatively prime")
-        if not (0.0 < self.r1 < self.r2):
-            raise ConfigError(f"r1 must satisfy 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
-        if self.n_r < 1 or self.n_angle < 1:
-            raise ConfigError("n_r and n_angle must be positive")
         if self.eval_n < 1:
             raise ConfigError("eval_n must be positive")
         if self.eval_lo >= self.eval_hi:
             raise ConfigError("eval_lo must be below eval_hi")
-        if not self.epsilon_list or any(e < 0.0 for e in self.epsilon_list):
-            raise ConfigError("epsilon_list must be nonempty and nonnegative")
-        if any(a <= b for a, b in zip(self.epsilon_list, self.epsilon_list[1:])):
-            raise ConfigError(f"epsilon_list must be strictly descending, got {self.epsilon_list}")
         if self.field_source not in _FIELD_SOURCES:
             raise ConfigError(f"field_source must be one of {_FIELD_SOURCES}")
         if self.case is not None or self.field_source == "printed-reference":
@@ -109,14 +110,6 @@ class RunConfig:
                 raise ConfigError(f"{key}: {exc}") from None
         object.__setattr__(self, "torques", tuple(trees))
 
-    @property
-    def spec(self) -> ResonanceSpec:
-        return ResonanceSpec(mode=self.mode, p=self.p, q=self.q)
-
-    @property
-    def domain(self) -> ZeroSearchDomain:
-        return ZeroSearchDomain(r1=self.r1, r2=self.r2, n_r=self.n_r, n_angle=self.n_angle)
-
 
 def _check_case(case: str, spec: ResonanceSpec) -> None:
     """Refuse an unknown case, or one whose reference field lives on another plane."""
@@ -127,29 +120,29 @@ def _check_case(case: str, spec: ResonanceSpec) -> None:
         raise ConfigError(f"case {case} needs mode={bundled.mode.value}, p={bundled.p}, q={bundled.q}")
 
 
-_INT_KEYS = {"p", "q", "n_r", "n_angle", "eval_n"}
-_FLOAT_KEYS = {
-    "r1",
-    "r2",
-    "eval_lo",
-    "eval_hi",
-    "quad_tol",
-    "newton_tol",
-    "shooting_tol",
-    "integrator_tol",
+#: the file grammar, read off RunConfig once: its type hints, and each key's field
+_HINTS = get_type_hints(RunConfig)
+_FIELDS = {f.metadata.get("key", f.name): f for f in fields(RunConfig) if f.init}
+#: how a value of each field type is read; Mode by its value, T1 or T2
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    Optional[str]: str,
+    Mode: Mode,
+    Tuple[float, ...]: lambda text: tuple(float(v) for v in text.split(",") if v.strip()),
 }
-_STR_KEYS = {"F1star", "F2star", "field_source", "case", "verify_system"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"mode", "epsilon_list"}
 
 
 def load_config(path) -> RunConfig:
     """Parse a plain-text ``key = value`` configuration file.
 
     ``#`` starts a comment, blank lines are skipped, keys may appear once.
-    Unknown keys are errors; all tolerances and grid sizes have defaults.
+    The keys, their value types and their defaults are RunConfig's fields;
+    unknown keys are errors.
     """
     text = Path(path).read_text(encoding="utf-8")
-    raw: Dict[str, str] = {}
+    kwargs: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -159,47 +152,22 @@ def load_config(path) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        name = _FIELDS[key].name
+        if name in kwargs:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        raw[key] = value
-
-    for required in ("F1star", "F2star", "mode"):
-        if required not in raw:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-
-    kwargs: Dict[str, object] = {"f1star": raw.pop("F1star"), "f2star": raw.pop("F2star")}
-    mode_text = raw.pop("mode")
-    if mode_text not in _MODES:
-        raise ConfigError(f"mode must be T1 or T2, got {mode_text!r}")
-    kwargs["mode"] = _MODES[mode_text]
-
-    if "epsilon_list" in raw:
         try:
-            kwargs["epsilon_list"] = tuple(
-                float(v) for v in raw.pop("epsilon_list").split(",") if v.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"epsilon_list: {exc}") from None
-    for key, value in raw.items():
-        dest = key.lower()
-        try:
-            if key in _INT_KEYS:
-                kwargs[dest] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[dest] = float(value)
-            else:
-                kwargs[dest] = value
+            kwargs[name] = _PARSERS[_HINTS[name]](value)
         except ValueError:
             raise ConfigError(f"key {key!r}: cannot parse {value!r}") from None
 
-    try:
-        return RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    for key, f in _FIELDS.items():
+        if f.default is MISSING and f.name not in kwargs:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    return RunConfig(**kwargs)
 
 
 def bundled_config_path(case: str):
@@ -255,15 +223,7 @@ def cmd_solve(config: RunConfig, outdir: Path, force: bool, filename: str = "zer
     fld, meta = _build_field(config, source or config.field_source, case or config.case)
     zeros = multistart_zeros(fld, config.domain, tol=config.newton_tol)
     groups = group_orbit_classes(zeros)
-    meta.update(
-        {
-            "newton_tol": config.newton_tol,
-            "r1": config.r1,
-            "r2": config.r2,
-            "n_r": config.n_r,
-            "n_angle": config.n_angle,
-        }
-    )
+    meta.update(newton_tol=config.newton_tol, **asdict(config.domain))
     if isinstance(fld, AveragedField):
         meta["quad_nodes_max"] = fld.max_nodes_used
     path = outdir / filename
@@ -281,9 +241,10 @@ def _rhs_factory(config: RunConfig, system: str):
 
 def _run_continuations(
     config: RunConfig, groups: Sequence[Sequence[CertifiedZero]], system: str
-) -> List[Tuple[str, ContinuationReport]]:
+) -> Dict[str, ContinuationReport]:
+    """Ladders of the simple orbit classes, keyed by orbit-class index."""
     factory = _rhs_factory(config, system)
-    out: List[Tuple[str, ContinuationReport]] = []
+    out: Dict[str, ContinuationReport] = {}
     for idx, group in enumerate(groups):
         representative = group[0]
         if not representative.is_simple:
@@ -296,7 +257,7 @@ def _run_continuations(
             shooting_tol=config.shooting_tol,
             integrator_tol=config.integrator_tol,
         )
-        out.append((str(idx), rep))
+        out[str(idx)] = rep
     return out
 
 
@@ -312,19 +273,19 @@ def cmd_verify(config: RunConfig, outdir: Path, force: bool) -> int:
         "integrator_tol": config.integrator_tol,
         "epsilon_list": "/".join(f"{e:g}" for e in config.epsilon_list),
     }
-    reports.write_continuation_csv(outdir / "continuation.csv", ladders, meta, force=force)
+    reports.write_continuation_csv(outdir / "continuation.csv", ladders.items(), meta, force=force)
     lines = [f"verification on the {config.verify_system} system"]
-    for label, rep in ladders:
+    for label, rep in ladders.items():
         lines += reports.continuation_text(label, rep)
     reports.write_text_report(outdir / "verify_report.txt", lines, force=force)
-    if all(not rep.certificates for _, rep in ladders):
+    if all(not rep.certificates for rep in ladders.values()):
         raise DumbbellError("verify: shooting failed on every orbit class")
     return 0
 
 
 def _comparison_rows(
     groups: Sequence[Sequence[CertifiedZero]],
-    ladders_by_system: Dict[str, List[Tuple[str, ContinuationReport]]],
+    ladders_by_system: Dict[str, Dict[str, ContinuationReport]],
 ) -> List[dict]:
     rows = []
     for idx, group in enumerate(groups):
@@ -335,10 +296,9 @@ def _comparison_rows(
             "classification": z.classification,
         }
         for system, ladders in ladders_by_system.items():
-            for label, rep in ladders:
-                if label == str(idx):
-                    dist = rep.distances[-1] if rep.distances else None
-                    row[system] = (rep.status, dist)
+            rep = ladders.get(str(idx))
+            if rep is not None:
+                row[system] = (rep.status, rep.distances[-1] if rep.distances else None)
         rows.append(row)
     return rows
 
@@ -349,7 +309,7 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> in
         config, outdir, force, "zeros_reference.csv", "printed-reference", case
     )
 
-    ladders: Dict[str, Dict[str, List[Tuple[str, ContinuationReport]]]] = {}
+    ladders: Dict[str, Dict[str, Dict[str, ContinuationReport]]] = {}
     for source, groups in (("pipeline", pipe_groups), ("reference", ref_groups)):
         ladders[source] = {}
         for system in _VERIFY_SYSTEMS:
@@ -363,19 +323,14 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> in
                 "integrator_tol": config.integrator_tol,
             }
             reports.write_continuation_csv(
-                outdir / f"continuation_{source}_{system}.csv", runs, meta, force=force
+                outdir / f"continuation_{source}_{system}.csv", runs.items(), meta, force=force
             )
 
-    lines = comparison_lines(case, pipe_groups, ref_groups, ladders)
-    reports.write_text_report(outdir / "comparison.txt", lines, force=force)
-    print("\n".join(lines))
-    return 0
-
-
-def comparison_lines(case, pipe_groups, ref_groups, ladders) -> List[str]:
-    pipe_rows = _comparison_rows(pipe_groups, ladders["pipeline"])
-    ref_rows = _comparison_rows(ref_groups, ladders["reference"])
-    lines = reports.comparison_table(case, pipe_rows, ref_rows)
+    lines = reports.comparison_table(
+        case,
+        _comparison_rows(pipe_groups, ladders["pipeline"]),
+        _comparison_rows(ref_groups, ladders["reference"]),
+    )
     lines.append(
         "  note: the two fields are evaluated from the same torque text; their"
     )
@@ -385,7 +340,9 @@ def comparison_lines(case, pipe_groups, ref_groups, ladders) -> List[str]:
     lines.append(
         "  linearized equations decides which predictions continue to orbits."
     )
-    return lines
+    reports.write_text_report(outdir / "comparison.txt", lines, force=force)
+    print("\n".join(lines))
+    return 0
 
 
 # --- entry point ---
@@ -431,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.config is None:
                 raise ConfigError(f"{args.command} requires --config")
             config = load_config(args.config)
-    except (ConfigError, FileNotFoundError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

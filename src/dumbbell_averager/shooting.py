@@ -310,6 +310,17 @@ ORDER_BAND = (0.5, 1.5)
 COLLAPSE_RADIUS = 1e-3
 
 
+def epsilon_ladder(eps_list: Sequence[float]) -> Tuple[float, ...]:
+    """``eps_list`` as a tuple of floats, refused with ValueError unless it is
+    nonempty, finite, nonnegative and strictly descending."""
+    ladder = tuple(float(e) for e in eps_list)
+    if not ladder or not all(math.isfinite(e) and e >= 0.0 for e in ladder):
+        raise ValueError(f"epsilon ladder must be nonempty, finite and nonnegative, got {ladder}")
+    if any(a <= b for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"epsilon ladder must be strictly descending, got {ladder}")
+    return ladder
+
+
 def epsilon_continuation(
     rhs_for_eps: Callable[[float], Rhs],
     averaged_zero: Sequence[float],
@@ -324,15 +335,10 @@ def epsilon_continuation(
     Each rung shoots with the previous corrected initial condition as the
     seed (the first rung starts from the zero-padded averaged zero).  The
     rung where shooting first fails is recorded as FAILED-AT(eps) and the
-    ladder stops there.
+    ladder stops there.  A ladder that ``epsilon_ladder`` refuses raises
+    ValueError before any shot.
     """
-    eps_tuple = tuple(float(e) for e in eps_list)
-    if not eps_tuple:
-        raise ValueError("eps_list must be nonempty")
-    if any(e < 0.0 for e in eps_tuple):
-        raise ValueError("eps_list entries must be nonnegative")
-    if any(a <= b for a, b in zip(eps_tuple, eps_tuple[1:])):
-        raise ValueError("eps_list must be strictly descending")
+    eps_tuple = epsilon_ladder(eps_list)
 
     predicted = np.asarray(plane_embed(averaged_zero, spec.mode), dtype=float)
     period = spec.window

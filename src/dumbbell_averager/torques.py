@@ -8,7 +8,8 @@ in one variable.  One value-only code generator with shared subexpressions
 turns a tuple of trees into a straight-line python function, over the math
 module for scalars or over numpy for arrays; (value, derivative) is that
 function of (tree, diff(tree, seed)).  Every variant raises DomainError at
-a zero divisor or a tan pole.  The linearized torque coefficients f1..f4
+a zero divisor or a tan pole, and the scalar one also where the math module
+overflows or leaves its domain.  The linearized torque coefficients f1..f4
 are such derivatives: fi is the partial of the corresponding torque with
 respect to the nutation or precession angle, taken at zero angles with the
 angular rates kept exact.
@@ -57,7 +58,8 @@ class UnknownIdentifierError(DumbbellError):
 
 
 class DomainError(DumbbellError):
-    """Evaluation left the expression's domain (tan pole, zero divisor)."""
+    """Evaluation left the expression's domain (tan pole, zero divisor, or a
+    scalar result outside the floats)."""
 
 
 # --- Expression tree ---
@@ -247,13 +249,14 @@ def diff(node: Node, var: str) -> Optional[Node]:
 
 # --- Code generation ---
 
-#: per namespace: the functions the emitted code calls and the guard tests
-#: on a divisor and on cos(tan argument)
+#: per namespace: the functions the emitted code calls, the guard tests on a
+#: divisor and on cos(tan argument), and the exceptions by which a scalar
+#: result leaves the floats (none on numpy, which returns inf or nan)
 _NAMESPACES = {
     "math": ({"sin": math.sin, "cos": math.cos, "tan": math.tan}, "{} == 0",
-             "abs({}) < TAN_POLE_FLOOR"),
+             "abs({}) < TAN_POLE_FLOOR", "OverflowError, ValueError"),
     "numpy": ({"sin": np.sin, "cos": np.cos, "tan": np.tan, "abs": np.abs, "any": np.any},
-              "any({} == 0)", "any(abs({}) < TAN_POLE_FLOOR)"),
+              "any({} == 0)", "any(abs({}) < TAN_POLE_FLOOR)", ""),
 }
 
 
@@ -264,9 +267,10 @@ def _generate(roots: Tuple[Node, ...], namespace: str) -> Callable:
     Each root is finished before the next starts, so its guards come first.
     A non-atomic subtree that occurs more than once across the roots (found
     by hashing the frozen trees) is computed once into a local.  Zero
-    divisors, zero bases of negative powers and tan poles raise DomainError.
+    divisors, zero bases of negative powers, tan poles and, on the math
+    path, overflow and math domain errors raise DomainError.
     """
-    functions, zero_test, pole_test = _NAMESPACES[namespace]
+    functions, zero_test, pole_test, float_errors = _NAMESPACES[namespace]
     uses, pending = collections.Counter(), list(roots)
     while pending:  # a repeated subtree's own children are counted once
         node = pending.pop()
@@ -312,8 +316,13 @@ def _generate(roots: Tuple[Node, ...], namespace: str) -> Callable:
         return name
 
     results = [emit(root, bind=i < len(roots) - 1) for i, root in enumerate(roots)]
-    body = "".join(f"    {line}\n" for line in lines)
-    src = f"def torque({', '.join(VARIABLES)}):\n{body}    return {', '.join(results)}\n"
+    body = "".join(f"        {line}\n" for line in lines)
+    src = (
+        f"def torque({', '.join(VARIABLES)}):\n"
+        f"    try:\n{body}        return {', '.join(results)}\n"
+        f"    except ({float_errors}) as exc:\n"
+        "        raise DomainError(f'{type(exc).__name__}: {exc}') from None\n"
+    )
     env = dict(functions, **CONSTANTS, TAN_POLE_FLOOR=TAN_POLE_FLOOR, DomainError=DomainError)
     exec(src, env)
     return env["torque"]

@@ -9,6 +9,7 @@ import dumbbell_averager.cli as cli
 from dumbbell_averager import reports
 from dumbbell_averager.cli import ConfigError, RunConfig, load_config
 from dumbbell_averager.dynamics import Mode
+from dumbbell_averager.reference import BUNDLED_CASES
 
 SQRT3 = math.sqrt(3.0)
 
@@ -93,6 +94,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("name", sorted(BUNDLED_CASES))
+    def test_bundled_config_matches_bundled_case(self, name):
+        case = BUNDLED_CASES[name]
+        with cli.resources.as_file(cli.bundled_config_path(name)) as p:
+            config = load_config(p)
+        assert config.f1star == case.f1star_text
+        assert config.f2star == case.f2star_text
+        assert config.spec == case.spec
+        assert config.case == name
+
 
 class TestEvalCommand:
     def test_affine_field_grid(self, tmp_path):
@@ -147,6 +158,13 @@ class TestMainEntry:
         assert "config error" in capsys.readouterr().err
         assert cli.main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert cli.main(["eval"]) == 1  # --config required
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         cfg = write(tmp_path, REFERENCE1)
@@ -252,6 +270,28 @@ class TestMainEntry:
         assert "config error" in err and line.split()[0] in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_torque_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # (1e10*theta_dot)^40 leaves the floats once |theta_dot| passes 5e-3
+        # on the full-system shot from corollary1's reference zero
+        text = (
+            REFERENCE1.replace(
+                "F1star = sin(theta)*theta_dot^4 + sin(phi)*sin(theta)*(1 - phi_dot^2)",
+                "F1star = sin(theta)*(10000000000*theta_dot)^40",
+            )
+            .replace(
+                "F2star = cos(theta) - sin(sqrt3*t)*sin(theta)*theta_dot - sin(theta)*theta_dot^2 - cos(phi)*(1 - phi_dot^2)",
+                "F2star = sin(phi)",
+            )
+            + "epsilon_list = 1e-2\n"
+        )
+        cfg = write(tmp_path, text)
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure in stage 'verify'" in err
+        assert "Traceback" not in err
+        assert "OverflowError" in (out / "verify_report.txt").read_text()
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize(

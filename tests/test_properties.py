@@ -1,9 +1,16 @@
-"""Property tests of the torque DSL: text round trips and path agreement."""
+"""Property tests: torque DSL text round trips and path agreement, and the
+CLI exit-code contract on random configs."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dumbbell_averager as da
+import dumbbell_averager.cli as cli
 from dumbbell_averager.torques import VARIABLES, BinOp, Call, Const, Neg, Num, Pow, Var, diff
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -73,3 +80,77 @@ def test_scalar_and_array_paths_agree(tree, b, seed):
         assert scalar == array
     else:
         assert scalar == pytest.approx(array, rel=1e-12, abs=1e-12)
+
+
+#: a valid config with tiny grids; every drawn key replaces its line here
+BASE_CONFIG = {
+    "F1star": "sin(theta)",
+    "F2star": "sin(phi)",
+    "mode": "T1",
+    "n_r": "2",
+    "n_angle": "2",
+    "eval_n": "3",
+    "epsilon_list": "1e-2",
+}
+#: per key, values the config accepts and values it refuses; None drops the
+#: key, a key drawn twice is a duplicate, and "2\nq = 4" sets p and q to a
+#: pair that is not coprime
+CONFIG_VALUES = {
+    "F1star": ["sin(theta)", "sin(theta)/theta_dot", "sin(theta", None],
+    "F2star": ["sin(phi)", "sin(phi)*phi_dot", "sin(phi) + wibble", None],
+    "mode": ["T1", "T2", "T3", None],
+    "p": ["1", "3", "0", "-1", "1.5", "2\nq = 4"],
+    "q": ["1", "2", "0"],
+    "r1": ["0.05", "0.5", "0", "-1", "nan", "6"],
+    "r2": ["5", "2", "inf", "0.01"],
+    "n_r": ["1", "2", "0", "-1"],
+    "n_angle": ["1", "2", "0"],
+    "eval_n": ["1", "3", "0"],
+    "eval_lo": ["-1", "0.5", "nan", "2"],
+    "eval_hi": ["1", "2", "-inf", "-2"],
+    "quad_tol": ["1e-10", "0", "nan"],
+    "newton_tol": ["1e-12", "-1e-12", "inf"],
+    "shooting_tol": ["1e-8", "0"],
+    "integrator_tol": ["1e-9", "nan"],
+    "epsilon_list": ["1e-2", "1e-2, 1e-3", "0", "1e-3, 1e-2", "1e-2, 1e-2", ",", "1e-2, nan",
+                     "inf", "-1e-2"],
+    "field_source": ["pipeline", "printed-reference", "nope"],
+    "case": ["corollary1", "corollary2", "nope"],
+    "verify_system": ["full", "linearized", "half"],
+    "wibble": ["3"],
+}
+overrides = st.lists(
+    st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(CONFIG_VALUES[key]))
+    ),
+    max_size=4,
+)
+
+
+def config_text(drawn) -> str:
+    keys = {key for key, _ in drawn}
+    lines = [f"{key} = {value}" for key, value in BASE_CONFIG.items() if key not in keys]
+    lines += [f"{key} = {value}" for key, value in drawn if value is not None]
+    return "\n".join(lines) + "\n"
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(overrides, st.sampled_from(["eval", "solve"]))
+@hypothesis.example([("F1star", "sin(theta)/theta_dot")], "solve")  # exit 2: zero divisor
+def test_any_config_exits_by_the_contract(drawn, command):
+    """Exit 0 writes the artifact, 1 writes nothing, 2 names the stage;
+    never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        cfg.write_text(config_text(drawn), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert (out / ("field.csv" if command == "eval" else "zeros.csv")).exists()
+        elif code == 1:
+            assert "config error" in err.getvalue() and not out.exists()
+        else:
+            assert f"numerical failure in stage {command!r}" in err.getvalue()

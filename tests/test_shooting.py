@@ -241,3 +241,12 @@ class TestEpsilonContinuation:
             )
         with pytest.raises(ValueError):
             da.epsilon_continuation(self.lin_factory(ZERO_LIN), (1.0, 0.0), spec, [])
+
+    @pytest.mark.parametrize("ladder", [[1e-2, math.nan], [math.inf, 1e-2]])
+    def test_non_finite_rung_is_refused_before_any_shot(self, ladder):
+        def never_called(eps):
+            pytest.fail(f"rhs requested for eps = {eps}")
+
+        spec = da.ResonanceSpec(da.Mode.NUTATION_T1, 1, 1)
+        with pytest.raises(ValueError, match="finite"):
+            da.epsilon_continuation(never_called, (1.0, 0.0), spec, ladder)

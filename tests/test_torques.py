@@ -209,6 +209,23 @@ class TestEvalDual:
         assert expr.compile()(*zero) == 1
         assert expr.evaluate(*zero) == 1
 
+    @pytest.mark.parametrize(
+        "text, seed, bindings",
+        [
+            # the derivative's theta^-2 overflows
+            ("theta^-1", "theta", (0, 1e-170, 0, 0, 0)),
+            # phi/theta = 1e170 is finite, its cube overflows
+            ("(phi/theta)^3", None, (0, 1e-170, 0, 1, 0)),
+            # the product overflows to inf, and math.sin(inf) is a domain error
+            ("sin(theta^-1*theta^-1)", None, (0, 1e-170, 0, 0, 0)),
+        ],
+    )
+    def test_scalar_path_leaving_the_floats_raises_domain_error(self, text, seed, bindings):
+        expr = da.parse_torque(text)
+        fn = expr.compile() if seed is None else expr.compile_dual(seed)
+        with pytest.raises(da.DomainError, match="OverflowError|ValueError"):
+            fn(*bindings)
+
     def test_scalar_and_array_paths_agree(self):
         texts = [
             da.BUNDLED_CASES["corollary1"].f1star_text,
