@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from . import reports
+from . import averaging, reports, shooting
 from .averaging import AveragedField, averaged_field
 from .dynamics import Mode, PerturbSetup, ResonanceSpec, make_first_order_rhs, make_full_rhs
 from .errors import DumbbellError
@@ -33,7 +33,13 @@ from .reference import BUNDLED_CASES
 from .reports import ArtifactExistsError
 from .shooting import ContinuationReport, epsilon_continuation, epsilon_ladder
 from .torques import TorqueExpression, extract_linearized, parse_torque, validate_equilibrium
-from .zeros import CertifiedZero, ZeroSearchDomain, group_orbit_classes, multistart_zeros
+from .zeros import (
+    DEFAULT_NEWTON_TOL,
+    CertifiedZero,
+    ZeroSearchDomain,
+    group_orbit_classes,
+    multistart_zeros,
+)
 
 
 class ConfigError(Exception):
@@ -42,6 +48,8 @@ class ConfigError(Exception):
 
 _FIELD_SOURCES = ("pipeline", "printed-reference")
 _VERIFY_SYSTEMS = ("full", "linearized")
+#: the largest eval grid side; cmd_eval sends all eval_n**2 points to the field at once
+MAX_EVAL_N = 1024
 
 
 @dataclass(frozen=True)
@@ -56,17 +64,17 @@ class RunConfig:
     p: int = 1
     q: int = 1
     epsilon_list: Tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    r1: float = 0.05
-    r2: float = 5.0
-    n_r: int = 16
-    n_angle: int = 32
+    r1: float = ZeroSearchDomain.r1
+    r2: float = ZeroSearchDomain.r2
+    n_r: int = ZeroSearchDomain.n_r
+    n_angle: int = ZeroSearchDomain.n_angle
     eval_n: int = 11
     eval_lo: float = -1.0
     eval_hi: float = 1.0
-    quad_tol: float = 1e-12
-    newton_tol: float = 1e-12
-    shooting_tol: float = 1e-10
-    integrator_tol: float = 1e-11
+    quad_tol: float = averaging.DEFAULT_QUAD_TOL
+    newton_tol: float = DEFAULT_NEWTON_TOL
+    shooting_tol: float = shooting.DEFAULT_SHOOTING_TOL
+    integrator_tol: float = shooting.DEFAULT_INTEGRATOR_TOL
     field_source: str = "pipeline"
     case: Optional[str] = None
     verify_system: str = "full"
@@ -92,8 +100,8 @@ class RunConfig:
         for key in ("quad_tol", "newton_tol", "shooting_tol", "integrator_tol"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(f"{key} must be positive")
-        if self.eval_n < 1:
-            raise ConfigError("eval_n must be positive")
+        if not 1 <= self.eval_n <= MAX_EVAL_N:
+            raise ConfigError(f"eval_n must be between 1 and {MAX_EVAL_N}")
         if self.eval_lo >= self.eval_hi:
             raise ConfigError("eval_lo must be below eval_hi")
         if self.field_source not in _FIELD_SOURCES:

@@ -102,13 +102,9 @@ class ResonanceSpec:
             raise ValueError(f"p={self.p} and q={self.q} must be relatively prime")
 
     @property
-    def base_period(self) -> float:
-        return self.mode.base_period
-
-    @property
     def window(self) -> float:
         """Integration window p*T_mode."""
-        return self.p * self.base_period
+        return self.p * self.mode.base_period
 
 
 @dataclass(frozen=True)
@@ -161,10 +157,6 @@ class PerturbSetup:
             (_as_torque_callable(self.f1star), _as_torque_callable(self.f2star)),
         )
 
-    def torque_values(self, t: float, th: float, thd: float, ph: float, phd: float):
-        c1, c2 = self._compiled
-        return c1(t, th, thd, ph, phd), c2(t, th, thd, ph, phd)
-
 
 def full_rhs(s: StateLike, t: float, setup: PerturbSetup) -> Tuple[float, float, float, float]:
     """Time derivative of the full nonlinear attitude equations.
@@ -177,7 +169,8 @@ def full_rhs(s: StateLike, t: float, setup: PerturbSetup) -> Tuple[float, float,
     if abs(cph) < COS_PHI_FLOOR:
         raise SingularityError(f"cos(phi) = {cph:.3e} at phi = {ph!r}")
     eps = setup.epsilon
-    tf1, tf2 = setup.torque_values(t, th, thd, ph, phd)
+    c1, c2 = setup._compiled
+    tf1, tf2 = c1(t, th, thd, ph, phd), c2(t, th, thd, ph, phd)
     d_thd = 2.0 * phd * (1.0 + thd) * math.tan(ph) - 3.0 * math.sin(th) * math.cos(th) + eps * tf1
     d_phd = -((1.0 + thd) ** 2 + 3.0 * math.cos(th) ** 2) * math.sin(ph) * cph + eps * tf2
     if setup.remainders is not None:

@@ -3,16 +3,15 @@
 Torques are entered as text over the variables (t, theta, theta_dot, phi,
 phi_dot) with the constants ``pi`` and ``sqrt3``, the functions sin/cos/tan,
 and the operators ``+ - * / ^`` (integer exponents only).  Parsed trees are
-immutable.  Derivatives are trees too: ``diff`` maps a tree to its partial
-in one variable.  One value-only code generator with shared subexpressions
-turns a tuple of trees into a straight-line python function, over the math
-module for scalars or over numpy for arrays; (value, derivative) is that
-function of (tree, diff(tree, seed)).  Every variant raises DomainError at
-a zero divisor or a tan pole, and the scalar one also where the math module
-overflows or leaves its domain.  The linearized torque coefficients f1..f4
-are such derivatives: fi is the partial of the corresponding torque with
-respect to the nutation or precession angle, taken at zero angles with the
-angular rates kept exact.
+immutable.  A derivative is an expression too: ``partial`` wraps the tree
+``diff`` writes for one variable.  One code generator with shared
+subexpressions turns each tree into a straight-line python function, over
+the math module for scalars or over numpy for arrays, which raises
+DomainError at a zero divisor or a tan pole, and on scalars also where the
+math module overflows or leaves its domain.  (value, derivative) is the
+value's function and then the partial's.  The linearized torque
+coefficients f1..f4 are the partials of the torques in the nutation or
+precession angle at zero angles, with the angular rates kept exact.
 """
 from __future__ import annotations
 
@@ -190,18 +189,13 @@ def _pretty(node: Node) -> str:
 # --- Derivatives as trees ---
 
 
-def _check_seed(seed: str) -> str:
-    if seed not in VARIABLES:
-        raise ValueError(f"seed must be one of {VARIABLES}, got {seed!r}")
-    return seed
-
-
 def diff(node: Node, var: str) -> Optional[Node]:
     """The partial derivative of ``node`` in ``var`` as a tree, or None where
     ``node`` does not depend on ``var``.  Each rule writes the arithmetic of
     forward-mode dual numbers; a negative coefficient is Neg(Num(k)), so the
     result is a valid tree that survives a round trip through its text."""
-    _check_seed(var)
+    if var not in VARIABLES:
+        raise ValueError(f"seed must be one of {VARIABLES}, got {var!r}")
 
     def d(node: Node) -> Optional[Node]:
         if isinstance(node, (Num, Const, Var)):
@@ -260,18 +254,17 @@ _NAMESPACES = {
 }
 
 
-def _generate(roots: Tuple[Node, ...], namespace: str) -> Callable:
+def _generate(root: Node, namespace: str) -> Callable:
     """Emit and compile one straight-line function of the five variables
-    that returns the value of each root (the bare value for one root).
+    that returns the value of ``root``.
 
-    Each root is finished before the next starts, so its guards come first.
-    A non-atomic subtree that occurs more than once across the roots (found
-    by hashing the frozen trees) is computed once into a local.  Zero
-    divisors, zero bases of negative powers, tan poles and, on the math
-    path, overflow and math domain errors raise DomainError.
+    A non-atomic subtree that occurs more than once (found by hashing the
+    frozen tree) is computed once into a local.  Zero divisors, zero bases
+    of negative powers, tan poles and, on the math path, overflow and math
+    domain errors raise DomainError.
     """
     functions, zero_test, pole_test, float_errors = _NAMESPACES[namespace]
-    uses, pending = collections.Counter(), list(roots)
+    uses, pending = collections.Counter(), [root]
     while pending:  # a repeated subtree's own children are counted once
         node = pending.pop()
         uses[node] += 1
@@ -315,11 +308,11 @@ def _generate(roots: Tuple[Node, ...], namespace: str) -> Callable:
         lines[f"{name} = {expr}"] = None
         return name
 
-    results = [emit(root, bind=i < len(roots) - 1) for i, root in enumerate(roots)]
+    result = emit(root)
     body = "".join(f"        {line}\n" for line in lines)
     src = (
         f"def torque({', '.join(VARIABLES)}):\n"
-        f"    try:\n{body}        return {', '.join(results)}\n"
+        f"    try:\n{body}        return {result}\n"
         f"    except ({float_errors}) as exc:\n"
         "        raise DomainError(f'{type(exc).__name__}: {exc}') from None\n"
     )
@@ -328,19 +321,18 @@ def _generate(roots: Tuple[Node, ...], namespace: str) -> Callable:
     return env["torque"]
 
 
-def _dual(root: Node, seed: str, namespace: str) -> Callable:
-    """(value, d/d_seed) from one generated function.  A seed-free
-    derivative is 0.0, or zeros shaped like the value when that is an array."""
-    deriv = diff(root, seed)
-    fn = _generate((root, Num(0.0) if deriv is None else deriv), namespace)
-    if deriv is not None or namespace == "math":
-        return fn
+def _value_and_partial(expr: TorqueExpression, seed: str, namespace: str) -> Callable:
+    """(value, d/d_seed): the value's generated function, then the partial's."""
+    value, deriv = expr._function(namespace), expr.partial(seed)
+    if deriv is not None:
+        deriv = deriv._function(namespace)
+        return lambda *bindings: (value(*bindings), deriv(*bindings))
 
-    def seed_free(*bindings):
-        value, zero = fn(*bindings)
-        return value, (np.zeros_like(value) if isinstance(value, np.ndarray) else zero)
+    def with_zero(*bindings):
+        v = value(*bindings)
+        return v, (np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0)
 
-    return seed_free
+    return with_zero
 
 
 @dataclass(frozen=True)
@@ -348,35 +340,37 @@ class TorqueExpression:
     """Immutable, validated expression tree over the five torque variables."""
 
     root: Node
-    #: generated functions by (seed, namespace)
-    _functions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: generated functions by namespace ("math", "numpy"), partials by variable
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate(self.root)
 
-    def _function(self, seed: Optional[str], namespace: str) -> Callable:
-        key = (seed, namespace)
-        fn = self._functions.get(key)
-        if fn is None:
-            if seed is None:
-                fn = _generate((self.root,), namespace)
-            else:
-                fn = _dual(self.root, seed, namespace)
-            self._functions[key] = fn
-        return fn
+    def _function(self, namespace: str) -> Callable:
+        if namespace not in self._cache:
+            self._cache[namespace] = _generate(self.root, namespace)
+        return self._cache[namespace]
+
+    def partial(self, var: str) -> Optional[TorqueExpression]:
+        """The partial derivative in ``var`` as an expression, ``diff(root,
+        var)``, built once; None where the tree does not depend on ``var``."""
+        if var not in self._cache:
+            deriv = diff(self.root, var)
+            self._cache[var] = None if deriv is None else TorqueExpression(deriv)
+        return self._cache[var]
 
     def evaluate(self, t, theta, theta_dot, phi, phi_dot):
         """Evaluate on scalars or broadcastable numpy arrays."""
-        return self._function(None, "numpy")(t, theta, theta_dot, phi, phi_dot)
+        return self._function("numpy")(t, theta, theta_dot, phi, phi_dot)
 
     def compile(self) -> Callable[[float, float, float, float, float], float]:
         """Scalar fast path: generated python function over the math module."""
-        return self._function(None, "math")
+        return self._function("math")
 
     def compile_dual(self, seed: str) -> Callable:
-        """Scalar fast path for (value, d/d_seed); the ``eval_dual``
-        arithmetic over the math module."""
-        return self._function(_check_seed(seed), "math")
+        """Scalar fast path for (value, d/d_seed): ``compile()`` and then the
+        partial's; the ``eval_dual`` contract over the math module."""
+        return _value_and_partial(self, seed, "math")
 
     def pretty(self) -> str:
         """Canonical text form; parsing it back yields an equal tree."""
@@ -530,12 +524,13 @@ def eval_dual(
     bindings: Tuple[float, float, float, float, float],
     seed: str,
 ) -> Tuple[float, float]:
-    """Value and exact first derivative with respect to the seeded variable.
-
-    ``bindings`` are (t, theta, theta_dot, phi, phi_dot); ``seed`` names one
-    of them.  Scalars and numpy arrays both work.
+    """Value and exact first derivative with respect to the seeded variable:
+    ``evaluate``, so the value raises exactly what it raises, then the
+    partial's.  ``bindings`` are (t, theta, theta_dot, phi, phi_dot); ``seed``
+    names one of them.  Scalars and numpy arrays both work; a seed-free
+    derivative is 0.0, or zeros shaped like an array value.
     """
-    return expr._function(_check_seed(seed), "numpy")(*bindings)
+    return _value_and_partial(expr, seed, "numpy")(*bindings)
 
 
 @dataclass(frozen=True)
@@ -544,8 +539,9 @@ class LinearizedTorque:
 
     Each is a callable of (t, x_velocity, y_velocity): f1/f3 are the theta
     partials and f2/f4 the phi partials of the two torques at zero angles.
-    Only terms linear in the angles survive this extraction; products of two
-    or more angle factors are dropped by construction.
+    A coefficient evaluates the partial alone (a seed-free one is 0.0).
+    Only terms linear in the angles survive this extraction; products of
+    two or more angle factors are dropped by construction.
     """
 
     f1: Callable[[float, float, float], float]
@@ -555,12 +551,15 @@ class LinearizedTorque:
 
 
 def _angle_partial(expr: TorqueExpression, seed: str) -> Callable[[float, float, float], float]:
-    fast = expr.compile_dual(seed)
+    deriv = expr.partial(seed)
+    if deriv is None:
+        return lambda t, v1, v2: 0.0
+    fast = deriv.compile()
 
     def coefficient(t, v1, v2):
         if isinstance(t, np.ndarray) or isinstance(v1, np.ndarray) or isinstance(v2, np.ndarray):
-            return eval_dual(expr, (t, 0.0, v1, 0.0, v2), seed)[1]
-        return fast(t, 0.0, v1, 0.0, v2)[1]
+            return deriv.evaluate(t, 0.0, v1, 0.0, v2)
+        return fast(t, 0.0, v1, 0.0, v2)
 
     return coefficient
 
@@ -569,7 +568,8 @@ def extract_linearized(f1star: TorqueExpression, f2star: TorqueExpression) -> Li
     """Differentiate the torques in the angles at theta = phi = 0.
 
     The derivative trees give the exact partials; no finite-difference
-    step enters.
+    step enters.  The coefficients never evaluate the torques' values; those
+    are checked here at the origin, and over a grid by validate_equilibrium.
     """
     for expr in (f1star, f2star):
         expr.evaluate(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -611,10 +611,6 @@ class EquilibriumReport:
     status: str  # "PASS" or "WARN"
     max_residual: float
     residuals: Tuple[TorqueResidual, TorqueResidual]
-    note: str = (
-        "linearization keeps only terms linear in the angles; products of "
-        "two or more angle factors are discarded by the extraction"
-    )
 
     PASS_THRESHOLD = 1e-12
 

@@ -42,6 +42,8 @@ DEFAULT_NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 STEP_TOL = 1e-12
 MAX_HALVINGS = 20
+#: most seeds one search takes; each holds (NEWTON_MAX_ITER + 1) * 2 iterate floats
+MAX_SEEDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ class ZeroSearchDomain:
     def __post_init__(self) -> None:
         if not (0.0 < self.r1 < self.r2):
             raise ValueError(f"need 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
-        if self.n_r < 1 or self.n_angle < 1:
-            raise ValueError("seed counts must be positive")
+        if self.n_r < 1 or self.n_angle < 1 or self.n_r * self.n_angle > MAX_SEEDS:
+            raise ValueError(f"seed counts must be positive, with n_r * n_angle <= {MAX_SEEDS}")
 
     def seeds(self) -> np.ndarray:
         radii = np.linspace(self.r1, self.r2, self.n_r)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import dumbbell_averager.cli as cli
-from dumbbell_averager import reports
+from dumbbell_averager import averaging, reports, shooting
 from dumbbell_averager.cli import ConfigError, RunConfig, load_config
 from dumbbell_averager.dynamics import Mode
 from dumbbell_averager.reference import BUNDLED_CASES
+from dumbbell_averager.zeros import DEFAULT_NEWTON_TOL, MAX_SEEDS, ZeroSearchDomain
 
 SQRT3 = math.sqrt(3.0)
 
@@ -44,6 +45,12 @@ class TestLoadConfig:
         assert config.shooting_tol == 1e-10
         assert config.field_source == "pipeline"
         assert config.epsilon_list == (1e-2, 1e-3, 1e-4)
+        # each default is the owning module's
+        assert config.domain == ZeroSearchDomain()
+        assert config.quad_tol == averaging.DEFAULT_QUAD_TOL
+        assert config.newton_tol == DEFAULT_NEWTON_TOL
+        assert config.shooting_tol == shooting.DEFAULT_SHOOTING_TOL
+        assert config.integrator_tol == shooting.DEFAULT_INTEGRATOR_TOL
 
     def test_comments_and_blank_lines(self, tmp_path):
         text = "# leading comment\n\nF1star = sin(theta) # trailing\nF2star = sin(phi)\nmode = T2\n"
@@ -261,6 +268,12 @@ class TestMainEntry:
             ("solve", "r2 = inf"),
             ("verify", "epsilon_list = 1e-2, nan"),
             ("verify", "epsilon_list = 1e-3, 1e-2"),
+            # one seed or grid side over its cap; a value just below it would
+            # allocate the arrays, so none is run here
+            ("solve", "n_r = 99999999999999999999"),
+            ("solve", f"n_r = {MAX_SEEDS + 1}\nn_angle = 1"),
+            ("eval", f"n_angle = {MAX_SEEDS + 1}\nn_r = 1"),
+            ("eval", f"eval_n = {cli.MAX_EVAL_N + 1}"),
         ],
     )
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys, command, line):

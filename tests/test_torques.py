@@ -209,6 +209,23 @@ class TestEvalDual:
         assert expr.compile()(*zero) == 1
         assert expr.evaluate(*zero) == 1
 
+    def test_dual_raises_what_the_value_raises(self):
+        # (sqrt3/theta)^2 overflows at theta = 1e-170, but the value function
+        # meets the zero divisor phi^-2 first; a derivative that shares the
+        # square must not compute it ahead of that guard
+        expr = da.parse_torque("(sqrt3/theta)^2 / (t + phi^-2)^3")
+        bindings = (0.5, 1e-170, 0.3, 0.0, 0.2)
+        arrays = tuple(np.array([x]) for x in bindings)
+        for value, dual, args in (
+            (expr.compile(), expr.compile_dual, bindings),
+            (expr.evaluate, lambda seed: lambda *a: da.eval_dual(expr, a, seed), arrays),
+        ):
+            with pytest.raises(da.DomainError, match="^division by zero$"):
+                value(*args)
+            for seed in VARIABLES:
+                with pytest.raises(da.DomainError, match="^division by zero$"):
+                    dual(seed)(*args)
+
     @pytest.mark.parametrize(
         "text, seed, bindings",
         [
@@ -351,6 +368,30 @@ class TestDiff:
                 checked += 1
         assert checked >= 400
 
+    def test_partial_is_a_cached_expression(self):
+        expr = da.parse_torque("sin(theta)*t")
+        first = expr.partial("theta")
+        assert isinstance(first, da.TorqueExpression)
+        assert first.root == diff(expr.root, "theta")
+        assert expr.partial("theta") is first
+        assert expr.partial("phi") is None and expr.partial("phi") is None
+        with pytest.raises(ValueError):
+            expr.partial("psi")
+
+    def test_mixed_partials_of_bundled_torques(self):
+        for case in da.BUNDLED_CASES.values():
+            for text in (case.f1star_text, case.f2star_text):
+                expr = da.parse_torque(text)
+                for angle in ("theta", "phi"):
+                    first = expr.partial(angle)
+                    if first is None:
+                        assert diff(expr.root, angle) is None
+                        continue
+                    for rate in ("theta_dot", "phi_dot"):
+                        want = diff(diff(expr.root, angle), rate)
+                        got = first.partial(rate)
+                        assert (got is None and want is None) or got.root == want, text
+
     def test_seed_free_subtree_gives_none(self):
         tree = da.parse_torque("sin(theta)*t").root
         assert diff(tree, "phi") is None
@@ -392,6 +433,11 @@ class TestExtraction:
             assert abs(lin.f3(t, v1, v2)) < 1e-14
             expected = 1 - math.sin(2 * t) * v2 - v2**2
             assert abs(lin.f4(t, v1, v2) - expected) < 1e-14
+        # F2* has no theta, so f3 is the constant 0.0 on scalars and arrays
+        v = np.linspace(-1.0, 1.0, 4)
+        for args in ((0.3, 0.2, -0.1), (np.linspace(0.0, 3.0, 4), v, v), (0.3, np.zeros(4), v)):
+            f3 = lin.f3(*args)
+            assert type(f3) is float and f3 == 0.0
 
     def test_plain_sine_gives_unit_coefficient(self):
         lin = da.extract_linearized(da.parse_torque("sin(theta)"), da.parse_torque("0"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
-from dumbbell_averager.zeros import DEFAULT_NEWTON_TOL, _newton_rounds, field_scale_on
+from dumbbell_averager.zeros import DEFAULT_NEWTON_TOL, MAX_SEEDS, _newton_rounds, field_scale_on
 
 SQRT3 = math.sqrt(3.0)
 S17 = math.sqrt(17.0)
@@ -154,6 +154,11 @@ class TestMultistart:
             da.ZeroSearchDomain(r1=2.0, r2=1.0)
         with pytest.raises(ValueError):
             da.ZeroSearchDomain(r1=0.0, r2=1.0)
+        for n_r, n_angle in ((MAX_SEEDS + 1, 1), (1, MAX_SEEDS + 1), (10**20, 32)):
+            with pytest.raises(ValueError, match="n_r \\* n_angle"):
+                da.ZeroSearchDomain(n_r=n_r, n_angle=n_angle)
+        # constructing a domain draws no seeds, so the cap itself is safe here
+        assert da.ZeroSearchDomain(n_r=MAX_SEEDS, n_angle=1).n_r == MAX_SEEDS
 
     def test_zeros_outside_annulus_discarded(self):
         zeros = da.multistart_zeros(REF2, da.ZeroSearchDomain(r1=0.05, r2=1.0))
