@@ -186,7 +186,9 @@ def first_order_rhs(s: StateLike, t: float, eps: float, lin) -> Tuple[float, flo
 
     ``lin`` supplies the four coefficient callables f1..f4 of
     (t, x_velocity, y_velocity); the perturbations enter as
-    F1 = f1*X + f2*Z and F2 = f3*X + f4*Z.
+    F1 = f1*X + f2*Z and F2 = f3*X + f4*Z.  This is the reference the
+    generated ``LinearizedTorque.rhs`` reproduces bit for bit, and the path
+    ``make_first_order_rhs`` takes for coefficients without partial trees.
     """
     X, Y, Z, W = s
     F1 = lin.f1(t, Y, W) * X + lin.f2(t, Y, W) * Z
@@ -204,7 +206,14 @@ def make_full_rhs(setup: PerturbSetup) -> Rhs:
 
 
 def make_first_order_rhs(eps: float, lin) -> Rhs:
-    """Bind eps and linearized coefficients into an rhs(t, state) callable."""
+    """Bind eps and linearized coefficients into an rhs(t, state) callable.
+
+    A ``LinearizedTorque`` that carries its partial trees gives its
+    generated straight-line rhs, equal bit for bit to ``first_order_rhs``;
+    any other ``lin`` gives a closure over ``first_order_rhs``.
+    """
+    if getattr(lin, "partials", None) is not None:
+        return lin.rhs(eps)
 
     def rhs(t: float, s: StateLike) -> Tuple[float, float, float, float]:
         return first_order_rhs(s, t, eps, lin)

@@ -5,21 +5,25 @@ phi_dot) with the constants ``pi`` and ``sqrt3``, the functions sin/cos/tan,
 and the operators ``+ - * / ^`` (integer exponents only).  Parsed trees are
 immutable.  A derivative is an expression too: ``partial`` wraps the tree
 ``diff`` writes for one variable.  One code generator with shared
-subexpressions turns each tree into a straight-line python function, over
-the math module for scalars or over numpy for arrays, which raises
-DomainError at a zero divisor or a tan pole, and on scalars also where the
-math module overflows or leaves its domain.  (value, derivative) is the
-value's function and then the partial's.  The linearized torque
-coefficients f1..f4 are the partials of the torques in the nutation or
-precession angle at zero angles, with the angular rates kept exact.
+subexpressions turns each tree into straight-line python statements and
+wraps them in a function, over the math module for scalars or over numpy
+for arrays, which raises DomainError at a zero divisor or a tan pole, and
+also where a scalar result overflows (on the math path, also where it
+leaves the math module's domain).  (value, derivative) is the value's
+function and then the partial's.  The linearized torque coefficients
+f1..f4 are the partials of the torques in the nutation or precession angle
+at zero angles, with the angular rates kept exact; the same generator
+writes the four partials, one section each, into one straight-line
+right-hand side of the linearized system.
 """
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -245,25 +249,25 @@ def diff(node: Node, var: str) -> Optional[Node]:
 
 #: per namespace: the functions the emitted code calls, the guard tests on a
 #: divisor and on cos(tan argument), and the exceptions by which a scalar
-#: result leaves the floats (none on numpy, which returns inf or nan)
+#: result leaves the floats (on numpy only Python's float ``**`` raises, on
+#: plain float inputs; arrays return inf or nan)
 _NAMESPACES = {
     "math": ({"sin": math.sin, "cos": math.cos, "tan": math.tan}, "{} == 0",
              "abs({}) < TAN_POLE_FLOOR", "OverflowError, ValueError"),
     "numpy": ({"sin": np.sin, "cos": np.cos, "tan": np.tan, "abs": np.abs, "any": np.any},
-              "any({} == 0)", "any(abs({}) < TAN_POLE_FLOOR)", ""),
+              "any({} == 0)", "any(abs({}) < TAN_POLE_FLOOR)", "OverflowError"),
 }
 
 
-def _generate(root: Node, namespace: str) -> Callable:
-    """Emit and compile one straight-line function of the five variables
-    that returns the value of ``root``.
+def _emit(root: Node, namespace: str, prefix: str) -> Tuple[Tuple[str, ...], str]:
+    """Straight-line statements and a result expression for the value of
+    ``root`` over the five variables, its locals named ``prefix`` + n.
 
     A non-atomic subtree that occurs more than once (found by hashing the
     frozen tree) is computed once into a local.  Zero divisors, zero bases
-    of negative powers, tan poles and, on the math path, overflow and math
-    domain errors raise DomainError.
+    of negative powers and tan poles raise DomainError.
     """
-    functions, zero_test, pole_test, float_errors = _NAMESPACES[namespace]
+    _, zero_test, pole_test, _ = _NAMESPACES[namespace]
     uses, pending = collections.Counter(), [root]
     while pending:  # a repeated subtree's own children are counted once
         node = pending.pop()
@@ -304,21 +308,40 @@ def _generate(root: Node, namespace: str) -> Callable:
             expr = f"({base})**({node.exponent})"
         if not bind and uses[node] < 2:
             return expr
-        name = names[node] = f"v{len(names)}"
+        name = names[node] = f"{prefix}{len(names)}"
         lines[f"{name} = {expr}"] = None
         return name
 
     result = emit(root)
-    body = "".join(f"        {line}\n" for line in lines)
-    src = (
-        f"def torque({', '.join(VARIABLES)}):\n"
-        f"    try:\n{body}        return {result}\n"
-        f"    except ({float_errors}) as exc:\n"
-        "        raise DomainError(f'{type(exc).__name__}: {exc}') from None\n"
+    return tuple(lines), result
+
+
+def _guarded(body: Sequence[str], namespace: str, indent: int) -> str:
+    """``body`` in a try that turns the namespace's float errors into
+    DomainError, as source lines at ``indent`` spaces."""
+    pad = " " * indent
+    return (
+        f"{pad}try:\n" + "".join(f"{pad}    {line}\n" for line in body)
+        + f"{pad}except ({_NAMESPACES[namespace][3]}) as exc:\n"
+        + f"{pad}    raise DomainError(f'{{type(exc).__name__}}: {{exc}}') from None\n"
     )
-    env = dict(functions, **CONSTANTS, TAN_POLE_FLOOR=TAN_POLE_FLOOR, DomainError=DomainError)
+
+
+def _exec(src: str, namespace: str, name: str) -> Callable:
+    """Run generated source over the namespace's functions; return ``name``."""
+    env = dict(_NAMESPACES[namespace][0], **CONSTANTS, TAN_POLE_FLOOR=TAN_POLE_FLOOR,
+               DomainError=DomainError)
     exec(src, env)
-    return env["torque"]
+    return env[name]
+
+
+def _generate(root: Node, namespace: str) -> Callable:
+    """Emit and compile one straight-line function of the five variables
+    that returns the value of ``root``; on the math path overflow and math
+    domain errors raise DomainError too."""
+    lines, result = _emit(root, namespace, "v")
+    head = f"def torque({', '.join(VARIABLES)}):\n"
+    return _exec(head + _guarded(lines + (f"return {result}",), namespace, 4), namespace, "torque")
 
 
 def _value_and_partial(expr: TorqueExpression, seed: str, namespace: str) -> Callable:
@@ -533,6 +556,37 @@ def eval_dual(
     return _value_and_partial(expr, seed, "numpy")(*bindings)
 
 
+def _generate_linearized(partials: Tuple[Optional[TorqueExpression], ...]) -> Callable:
+    """Emit and compile ``make(eps)``, which returns one straight-line
+    ``rhs(t, s)`` of the linearized system for the coefficient trees f1..f4.
+
+    Each coefficient is its own section, emitted as ``compile()`` emits the
+    partial (a seed-free one is the literal 0.0), in the order
+    ``first_order_rhs`` calls them, so the same guard fires first; then F1,
+    F2 and the derivative in ``first_order_rhs``'s operations and order.
+    """
+    body = []
+    for k, partial in enumerate(partials, 1):
+        lines, result = ((), "0.0") if partial is None else _emit(partial.root, "math", f"f{k}_")
+        body += [*lines, f"c{k} = {result}"]
+    body += [
+        "F1 = c1 * X + c2 * Z",
+        "F2 = c3 * X + c4 * Z",
+        "return (Y, -3.0 * X + eps * F1, W, -4.0 * Z + eps * F2)",
+    ]
+    src = (
+        "def make(eps):\n"
+        "    def rhs(t, s):\n"
+        "        X, Y, Z, W = s\n"
+        "        theta = phi = 0.0\n"
+        "        theta_dot = Y\n"
+        "        phi_dot = W\n"
+        f"{_guarded(body, 'math', 8)}"
+        "    return rhs\n"
+    )
+    return _exec(src, "math", "make")
+
+
 @dataclass(frozen=True)
 class LinearizedTorque:
     """Coefficients f1..f4 of the angle-linearized torques.
@@ -542,12 +596,32 @@ class LinearizedTorque:
     A coefficient evaluates the partial alone (a seed-free one is 0.0).
     Only terms linear in the angles survive this extraction; products of
     two or more angle factors are dropped by construction.
+
+    ``partials`` holds the four partial expressions (None where seed-free)
+    when ``extract_linearized`` built the coefficients; then ``rhs(eps)``
+    is one generated straight-line function of the linearized system,
+    equal bit for bit to ``dynamics.first_order_rhs`` over f1..f4.  Built
+    from plain callables, ``partials`` is None and ``first_order_rhs`` is
+    the only route.
     """
 
     f1: Callable[[float, float, float], float]
     f2: Callable[[float, float, float], float]
     f3: Callable[[float, float, float], float]
     f4: Callable[[float, float, float], float]
+    partials: Optional[Tuple[Optional[TorqueExpression], ...]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    @functools.cached_property
+    def _make_rhs(self) -> Callable:
+        return _generate_linearized(self.partials)
+
+    def rhs(self, eps: float) -> Callable:
+        """The generated rhs(t, s) at ``eps``; needs ``partials``.  The
+        source is compiled once, on first use, and ``eps`` is bound by a
+        closure."""
+        return self._make_rhs(eps)
 
 
 def _angle_partial(expr: TorqueExpression, seed: str) -> Callable[[float, float, float], float]:
@@ -573,11 +647,10 @@ def extract_linearized(f1star: TorqueExpression, f2star: TorqueExpression) -> Li
     """
     for expr in (f1star, f2star):
         expr.evaluate(0.0, 0.0, 0.0, 0.0, 0.0)
+    pairs = ((f1star, "theta"), (f1star, "phi"), (f2star, "theta"), (f2star, "phi"))
     return LinearizedTorque(
-        f1=_angle_partial(f1star, "theta"),
-        f2=_angle_partial(f1star, "phi"),
-        f3=_angle_partial(f2star, "theta"),
-        f4=_angle_partial(f2star, "phi"),
+        *(_angle_partial(expr, seed) for expr, seed in pairs),
+        partials=tuple(expr.partial(seed) for expr, seed in pairs),
     )
 
 

@@ -1,15 +1,21 @@
 """Config parsing, command orchestration, artifact determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_tracer import CONFIG as TINY_LINEARIZED_VERIFY
 
 import dumbbell_averager.cli as cli
-from dumbbell_averager import averaging, reports, shooting
+from dumbbell_averager import averaging, dynamics, reports, shooting
 from dumbbell_averager.cli import ConfigError, RunConfig, load_config
 from dumbbell_averager.dynamics import Mode
 from dumbbell_averager.reference import BUNDLED_CASES
+from dumbbell_averager.torques import LinearizedTorque
 from dumbbell_averager.zeros import DEFAULT_NEWTON_TOL, MAX_SEEDS, ZeroSearchDomain
 
 SQRT3 = math.sqrt(3.0)
@@ -305,6 +311,42 @@ class TestMainEntry:
         assert "numerical failure in stage 'verify'" in err
         assert "Traceback" not in err
         assert "OverflowError" in (out / "verify_report.txt").read_text()
+
+    def test_torque_overflow_at_the_origin_is_a_numerical_failure(self, tmp_path, capsys):
+        # the origin check of the linearization overflows in Python's **
+        cfg = write(tmp_path, "F1star = sin(theta) + (t + 1e200)^2\nF2star = sin(phi)\nmode = T1\n")
+        out = tmp_path / "o"
+        with np.errstate(over="ignore"):
+            assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure in stage 'solve': OverflowError" in err
+        assert "Traceback" not in err
+
+    def test_linearized_verify_takes_the_generated_rhs(self, tmp_path, monkeypatch):
+        def refused(*args):
+            raise AssertionError("first_order_rhs called")
+
+        monkeypatch.setattr(dynamics, "first_order_rhs", refused)
+        cfg = write(tmp_path, TINY_LINEARIZED_VERIFY)
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        # coefficients without partial trees still go through first_order_rhs
+        hand_built = LinearizedTorque(*(lambda t, v1, v2: 0.0,) * 4)
+        with pytest.raises(AssertionError, match="first_order_rhs called"):
+            dynamics.make_first_order_rhs(1e-2, hand_built)(0.0, (1.0, 0.0, 0.0, 0.0))
+
+    def test_python_m_runs_the_command_line(self, tmp_path):
+        cfg = write(tmp_path, REFERENCE1)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dumbbell_averager", "solve", "--config", str(cfg),
+             "--out", str(tmp_path / "m")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "c")])
+        assert (proc.returncode, code) == (0, 0), proc.stderr
+        assert (tmp_path / "m" / "zeros.csv").read_bytes() == (tmp_path / "c" / "zeros.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ CLI exit-code contract on random configs."""
 
 import contextlib
 import io
+import struct
 import tempfile
 from pathlib import Path
 
@@ -82,6 +83,35 @@ def test_scalar_and_array_paths_agree(tree, b, seed):
         assert scalar == pytest.approx(array, rel=1e-12, abs=1e-12)
 
 
+def float_bits(result):
+    return result if isinstance(result, str) else [struct.pack("d", x) for x in result]
+
+
+@SETTINGS
+@hypothesis.given(trees, trees, bindings, st.floats(-1.0, 1.0))
+# a signed zero: d(theta^2)/d theta at theta = 0 times X = 0, plus 0.0 * (Z = -1)
+@hypothesis.example(Pow(Var("theta"), 2), Num(0.0), (0.0, 0.0, 0.0, -1.0, 0.0), 1.0)
+# f1 divides by zero and f4 meets a tan pole: the f1 error comes first
+@hypothesis.example(
+    BinOp("*", Var("theta"), BinOp("/", Num(1.0), BinOp("-", Var("phi_dot"), Num(1.0)))),
+    BinOp("*", Var("phi"), Call("tan", BinOp("*", Var("theta_dot"), Const("pi")))),
+    (0.0, 1.0, 0.5, 1.0, 1.0),
+    1e-2,
+)
+def test_generated_linearized_rhs_is_first_order_rhs(tree1, tree2, b, eps):
+    """The generated rhs returns the floats of ``first_order_rhs`` over the
+    coefficient closures bit for bit, signed zeros included, or raises the
+    same DomainError."""
+    with np.errstate(all="ignore"):
+        try:
+            lin = da.extract_linearized(da.TorqueExpression(tree1), da.TorqueExpression(tree2))
+        except da.DomainError:  # the torque's value at the origin
+            hypothesis.reject()
+    t, s = b[0], b[1:]
+    generated = outcome(da.make_first_order_rhs(eps, lin), (t, s))
+    assert float_bits(generated) == float_bits(outcome(da.first_order_rhs, (s, t, eps, lin)))
+
+
 #: a valid config with tiny grids; every drawn key replaces its line here
 BASE_CONFIG = {
     "F1star": "sin(theta)",
@@ -137,6 +167,7 @@ def config_text(drawn) -> str:
 @hypothesis.settings(SETTINGS, max_examples=100)
 @hypothesis.given(overrides, st.sampled_from(["eval", "solve"]))
 @hypothesis.example([("F1star", "sin(theta)/theta_dot")], "solve")  # exit 2: zero divisor
+@hypothesis.example([("F1star", "sin(theta) + (t + 1e200)^2")], "solve")  # exit 2: overflow
 def test_any_config_exits_by_the_contract(drawn, command):
     """Exit 0 writes the artifact, 1 writes nothing, 2 names the stage;
     never a traceback."""

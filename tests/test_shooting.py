@@ -57,6 +57,19 @@ class TestIntegrate:
             drift = abs((3 * end[0] ** 2 + end[1] ** 2) - (3 * a[0] ** 2 + a[1] ** 2))
             assert drift < 1e-9
 
+    @pytest.mark.parametrize("name", sorted(da.BUNDLED_CASES))
+    def test_generated_linearized_rhs_integrates_as_first_order_rhs(self, name):
+        # the plain copy carries no partial trees, so it takes first_order_rhs
+        lin = da.extract_linearized(*case_torques(name))
+        plain = da.LinearizedTorque(lin.f1, lin.f2, lin.f3, lin.f4)
+        spec = da.BUNDLED_CASES[name].spec
+        s0 = da.plane_embed((1.2808, 0.3), spec.mode)
+        ends = [
+            da.integrate(da.make_first_order_rhs(1e-2, x), s0, 0.0, spec.window, tol=1e-11)
+            for x in (lin, plain)
+        ]
+        assert ends[0].tobytes() == ends[1].tobytes()
+
     def test_step_underflow_on_finite_time_blowup(self):
         # y' = y^2 from y = 1 leaves every tolerance behind at t -> 1
         blowup = lambda t, s: (s[0] ** 2, 0.0, 0.0, 0.0)

@@ -243,6 +243,17 @@ class TestEvalDual:
         with pytest.raises(da.DomainError, match="OverflowError|ValueError"):
             fn(*bindings)
 
+    def test_numpy_path_on_plain_floats_raises_domain_error_on_overflow(self):
+        # numpy leaves plain Python floats to Python's **, which raises
+        expr = da.parse_torque("sin(theta) + (t + 1e200)^2")
+        zero = (0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(da.DomainError, match="^OverflowError"):
+            expr.evaluate(*zero)
+        with pytest.raises(da.DomainError, match="^OverflowError"):
+            da.eval_dual(expr, zero, "theta")
+        with pytest.raises(da.DomainError, match="^OverflowError"):
+            da.extract_linearized(expr, da.parse_torque("sin(phi)"))
+
     def test_scalar_and_array_paths_agree(self):
         texts = [
             da.BUNDLED_CASES["corollary1"].f1star_text,
