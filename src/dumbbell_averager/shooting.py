@@ -1,8 +1,9 @@
 """Direct verification of predicted periodic orbits.
 
 ``integrate`` advances a state of any size n with the adaptive
-Dormand-Prince 5(4) pair; the tableau is kept once, as data, and the step
-loop for size n is emitted from it as straight-line code on first use.
+Dormand-Prince 8(5,3) pair (DOP853); the tableau is kept once, as data, and
+the step loop for size n is emitted from it as straight-line code on first
+use.
 ``shoot_periodic`` runs Newton on the period-T displacement map
 P(z) = x(T; z) - z, with the Jacobian assembled from finite-difference
 trajectory columns and the linear solves done through a truncated
@@ -49,29 +50,105 @@ PINV_RCOND = 1e-8
 #: shots that converge on the bundled ladders grow it by at most ~2x first
 DIVERGENCE_FACTOR = 10.0
 
-# Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett & Wanner I,
-# II.5): nodes C and rows A of stages 2..7, the last row being the 5th-order
-# weights (first-same-as-last), and E, the 5th- minus the 4th-order weights.
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1)
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 8(5,3) (Prince & Dormand 1981; Hairer, Norsett & Wanner I,
+# II.10), the decimal constants of Hairer's dop853.f: nodes C and rows A of
+# stages 2..13, the last row being the 8th-order weights (first-same-as-last),
+# and E5 and E3, the weights of the 5th- and 3rd-order error estimates.
+_C = (
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+    1.0,
 )
-_E = (71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_A = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2),
+    (
+        2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ),
+    (
+        3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ),
+    (
+        3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2,
+    ),
+    (
+        3.70920001185047927108779319836e-2, 0, 0, 1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ),
+    (
+        6.24110958716075717114429577812e-1, 0, 0, -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+    ),
+    (
+        4.77662536438264365890433908527e-1, 0, 0, -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ),
+    (
+        -9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+        1.09143734899672957818500254654, -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762, -3.0467644718982195003823669022,
+    ),
+    (
+        2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
+    (
+        5.42937341165687622380535766363e-2, 0, 0, 0, 0, 4.45031289275240888144113950566,
+        1.89151789931450038304281599044, -5.8012039600105847814672114227,
+        3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+        2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+    ),
+)
+_E5 = (
+    0.1312004499419488073250102996e-1, 0, 0, 0, 0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0,
+)
+# the 8th-order weights minus the 3rd-order ones (dop853.f's BHH1..BHH3)
+_E3 = tuple(
+    b - bhh
+    for b, bhh in zip(
+        _A[-1] + (0,),
+        (
+            0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
+            0.733846688281611857341361741547, 0, 0, 0.220588235294117647058823529412e-1, 0,
+        ),
+    )
+)
 
 # conservative safety keeps the realized local error a few times below the
 # requested tolerance, which the long-horizon conservation checks rely on
+# (ten T1 periods of the unperturbed system at tol 1e-11: 291 steps)
 _SAFETY = 0.7
 _MIN_SHRINK = 0.2
 _MAX_GROW = 5.0
 
 
 #: attempted steps per integrate() call before giving up; legitimate runs at
-#: tol 1e-11 over tens of time units need a few thousand
+#: tol 1e-11 over tens of time units need a few hundred (one pi window of the
+#: bundled systems about 40)
 MAX_STEPS = 100_000
 
 # the adaptive loop; _dopri_loop writes $step, one step's stages and error
@@ -92,11 +169,11 @@ $step
         if err <= 1.0:
             t += h
             $y = $z
-            $k1 = $k7
-            factor = _MAX_GROW if err == 0.0 else min(_MAX_GROW, _SAFETY * err ** -0.2)
+            $k1 = $k_last
+            factor = _MAX_GROW if err == 0.0 else min(_MAX_GROW, _SAFETY * err ** -0.125)
             h *= factor
         else:
-            h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
+            h *= max(_MIN_SHRINK, _SAFETY * err ** -0.125)
     return $y
 """)
 
@@ -122,13 +199,22 @@ def _dopri_loop(n: int) -> Callable:
             args = [f"z{j}" for j in range(n)]
         at = "t + h" if c == 1 else f"t + {c!r} * h"
         lines.append(f"{vec(f'k{stage}_')} = rhs({at}, ({' '.join(a + ',' for a in args)}))")
-    lines += [f"e{j} = h * {combination(_E, j)}" for j in range(n)]
-    norm = " + ".join(f"(e{j} / (tol + tol * max(abs(y{j}), abs(z{j})))) ** 2" for j in range(n))
-    lines.append(f"err = math.sqrt(({norm}) / {float(n)!r})")
+    for j in range(n):
+        lines += [
+            f"sk = tol + tol * max(abs(y{j}), abs(z{j}))",
+            f"e{j} = {combination(_E5, j)} / sk",
+            f"g{j} = {combination(_E3, j)} / sk",
+        ]
+    lines += [
+        f"n5 = {' + '.join(f'e{j} * e{j}' for j in range(n))}",
+        f"den = n5 + 0.01 * ({' + '.join(f'g{j} * g{j}' for j in range(n))})",
+        f"err = h * n5 / math.sqrt(den * {float(n)!r}) if den else 0.0",
+    ]
     step = "\n".join(" " * 8 + line for line in lines)
-    src = _LOOP.substitute(y=vec("y"), z=vec("z"), k1=vec("k1_"), k7=vec("k7_"), step=step)
+    last = vec(f"k{len(_A) + 1}_")
+    src = _LOOP.substitute(y=vec("y"), z=vec("z"), k1=vec("k1_"), k_last=last, step=step)
     namespace: dict = {}
-    exec(compile(src, f"<dopri5 loop, n={n}>", "exec"), globals(), namespace)
+    exec(compile(src, f"<dop853 loop, n={n}>", "exec"), globals(), namespace)
     return namespace["loop"]
 
 
@@ -139,11 +225,15 @@ def integrate(
     t1: float,
     tol: float = DEFAULT_INTEGRATOR_TOL,
 ) -> np.ndarray:
-    """Advance the state, of any size n >= 1, from t0 to t1 and return the
-    final state; the step loop for size n is generated on first use.
+    """Advance the state, of any size n >= 1, from t0 to t1 with DOP853 and
+    return the final state; the step loop for size n is generated on first
+    use.  Each step makes 12 rhs calls, the 13th stage being the next step's
+    first.
 
-    The tolerance is applied as both absolute and relative per component;
-    step acceptance is deterministic.  Raises ValueError, before any rhs
+    The tolerance is applied as both absolute and relative per component,
+    and the error is Hairer's blend of the 5th- and 3rd-order estimates,
+    h * |e5|^2 / sqrt(n * (|e5|^2 + 0.01 * |e3|^2)) with each component
+    scaled by tol * (1 + max(|y|, |z|)); step acceptance is deterministic.  Raises ValueError, before any rhs
     call, on an empty or non-finite state, non-finite t0, t1 or tol, t1 <= t0
     or tol <= 0; StepSizeUnderflowError if the controller drives the step
     below the representable floor (which is how trajectories that fall into

@@ -8,8 +8,9 @@ immutable.  A derivative is an expression too: ``partial`` wraps the tree
 subexpressions turns each tree into straight-line python statements and
 wraps them in a function, over the math module for scalars or over numpy
 for arrays, which raises DomainError at a zero divisor or a tan pole, and
-also where a scalar result overflows (on the math path, also where it
-leaves the math module's domain).  (value, derivative) is the value's
+also where the result leaves the finite floats (on the numpy path, at the
+operation that overflows or makes an invalid value; on the math path, also
+where it leaves the math module's domain).  (value, derivative) is the value's
 function and then the partial's.  The linearized torque coefficients
 f1..f4 are the partials of the torques in the nutation or precession angle
 at zero angles, with the angular rates kept exact; the same generator
@@ -62,7 +63,7 @@ class UnknownIdentifierError(DumbbellError):
 
 class DomainError(DumbbellError):
     """Evaluation left the expression's domain (tan pole, zero divisor, or a
-    scalar result outside the floats)."""
+    result outside the finite floats)."""
 
 
 # --- Expression tree ---
@@ -248,14 +249,19 @@ def diff(node: Node, var: str) -> Optional[Node]:
 # --- Code generation ---
 
 #: per namespace: the functions the emitted code calls, the guard tests on a
-#: divisor and on cos(tan argument), and the exceptions by which a scalar
-#: result leaves the floats (on numpy only Python's float ``**`` raises, on
-#: plain float inputs; arrays return inf or nan)
+#: divisor, on cos(tan argument) and on the result, and the exceptions by
+#: which an operation leaves the floats (Python's float ``**``, the math
+#: functions, and numpy's under ``errstate(over="raise", invalid="raise")``;
+#: Python's other float operations overflow to inf, which the result test
+#: catches)
 _NAMESPACES = {
-    "math": ({"sin": math.sin, "cos": math.cos, "tan": math.tan}, "{} == 0",
-             "abs({}) < TAN_POLE_FLOOR", "OverflowError, ValueError"),
-    "numpy": ({"sin": np.sin, "cos": np.cos, "tan": np.tan, "abs": np.abs, "any": np.any},
-              "any({} == 0)", "any(abs({}) < TAN_POLE_FLOOR)", "OverflowError"),
+    "math": ({"sin": math.sin, "cos": math.cos, "tan": math.tan, "isfinite": math.isfinite},
+             "{} == 0", "abs({}) < TAN_POLE_FLOOR", "not isfinite({})",
+             "OverflowError, ValueError"),
+    "numpy": ({"sin": np.sin, "cos": np.cos, "tan": np.tan, "abs": np.abs, "any": np.any,
+               "all": np.all, "isfinite": np.isfinite, "errstate": np.errstate},
+              "any({} == 0)", "any(abs({}) < TAN_POLE_FLOOR)", "not all(isfinite({}))",
+              "OverflowError, FloatingPointError"),
 }
 
 
@@ -265,9 +271,10 @@ def _emit(root: Node, namespace: str, prefix: str) -> Tuple[Tuple[str, ...], str
 
     A non-atomic subtree that occurs more than once (found by hashing the
     frozen tree) is computed once into a local.  Zero divisors, zero bases
-    of negative powers and tan poles raise DomainError.
+    of negative powers, tan poles and a result outside the finite floats
+    raise DomainError.
     """
-    _, zero_test, pole_test, _ = _NAMESPACES[namespace]
+    _, zero_test, pole_test, finite_test, _ = _NAMESPACES[namespace]
     uses, pending = collections.Counter(), [root]
     while pending:  # a repeated subtree's own children are counted once
         node = pending.pop()
@@ -312,25 +319,39 @@ def _emit(root: Node, namespace: str, prefix: str) -> Tuple[Tuple[str, ...], str
         lines[f"{name} = {expr}"] = None
         return name
 
-    result = emit(root)
+    result = emit(root, bind=True)
+    guard(finite_test, result, "OverflowError: result outside the floats")
     return tuple(lines), result
 
 
 def _guarded(body: Sequence[str], namespace: str, indent: int) -> str:
     """``body`` in a try that turns the namespace's float errors into
-    DomainError, as source lines at ``indent`` spaces."""
+    DomainError, as source lines at ``indent`` spaces; numpy's overflow is
+    worded as the math module's ``OverflowError``."""
     pad = " " * indent
+    if namespace == "numpy":
+        body = ['with errstate(over="raise", invalid="raise"):', *(f"    {line}" for line in body)]
     return (
         f"{pad}try:\n" + "".join(f"{pad}    {line}\n" for line in body)
-        + f"{pad}except ({_NAMESPACES[namespace][3]}) as exc:\n"
-        + f"{pad}    raise DomainError(f'{{type(exc).__name__}}: {{exc}}') from None\n"
+        + f"{pad}except ({_NAMESPACES[namespace][4]}) as exc:\n"
+        + f"{pad}    raise DomainError(_worded(exc)) from None\n"
     )
+
+
+def _worded(exc: Exception) -> str:
+    """The DomainError text of a float error: its type and message, with
+    numpy's named as the math module's (an overflow ``OverflowError``, an
+    invalid value ``ValueError``)."""
+    name = type(exc).__name__
+    if isinstance(exc, FloatingPointError):
+        name = "OverflowError" if str(exc).startswith("overflow") else "ValueError"
+    return f"{name}: {exc}"
 
 
 def _exec(src: str, namespace: str, name: str) -> Callable:
     """Run generated source over the namespace's functions; return ``name``."""
     env = dict(_NAMESPACES[namespace][0], **CONSTANTS, TAN_POLE_FLOOR=TAN_POLE_FLOOR,
-               DomainError=DomainError)
+               DomainError=DomainError, _worded=_worded)
     exec(src, env)
     return env[name]
 

@@ -83,6 +83,30 @@ def test_scalar_and_array_paths_agree(tree, b, seed):
         assert scalar == pytest.approx(array, rel=1e-12, abs=1e-12)
 
 
+#: as ``bindings``, with coordinates in the overflow range of both paths
+wide_bindings = st.tuples(
+    *[st.one_of(coordinates, st.sampled_from([1e-170, -1e-170, 1e200, -1e200]))] * 5
+)
+
+
+@SETTINGS
+@hypothesis.given(trees, wide_bindings, st.sampled_from((None,) + VARIABLES))
+def test_scalar_and_array_paths_agree_past_the_floats(tree, b, seed):
+    # both raise DomainError or both give a value; the message may differ,
+    # since the math path raises at the result where numpy raises at the
+    # operation that overflowed
+    expr = da.TorqueExpression(tree)
+    arrays = [np.array([x]) for x in b]
+    if seed is None:
+        scalar, array = outcome(expr.compile(), b), outcome(expr.evaluate, arrays)
+    else:
+        scalar = outcome(expr.compile_dual(seed), b)
+        array = outcome(lambda *a: da.eval_dual(expr, a, seed), arrays)
+    assert isinstance(scalar, str) == isinstance(array, str), (scalar, array)
+    if not isinstance(scalar, str):
+        assert scalar == pytest.approx(array, rel=1e-12, abs=1e-12)
+
+
 def float_bits(result):
     return result if isinstance(result, str) else [struct.pack("d", x) for x in result]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
+from dumbbell_averager import shooting
 
 SQRT3 = math.sqrt(3.0)
 S17 = math.sqrt(17.0)
@@ -126,6 +127,51 @@ class TestIntegrate:
         for t, s in zip(times, samples):
             exact = closed_form_state((0.5, -0.2), da.Mode.NUTATION_T1, t)
             assert np.abs(s - exact).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "system, s0",
+        [("linearized", (0.0, 0.0, 1.2808, 0.0)), ("full", (0.0, 0.0, 0.3, 0.0))],
+    )
+    def test_rhs_calls_per_window(self, system, s0):
+        # one pi window of corollary2 at eps = 1e-2 and tol 1e-11 takes about
+        # 450 calls; a fifth-order pair needs 1,825 and 1,495
+        f1, f2 = case_torques("corollary2")
+        if system == "linearized":
+            rhs = da.make_first_order_rhs(1e-2, da.extract_linearized(f1, f2))
+        else:
+            rhs = da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=1e-2))
+        calls = []
+
+        def counted(t, s):
+            calls.append(t)
+            return rhs(t, s)
+
+        da.integrate(counted, s0, 0.0, da.BUNDLED_CASES["corollary2"].spec.window, tol=1e-11)
+        assert len(calls) <= 600
+
+
+class TestTableau:
+    # the DOP853 coefficients as typed into shooting.py
+    B = np.array(shooting._A[-1])
+    NODES = np.array((0.0,) + shooting._C[:-1])
+
+    def test_order_conditions(self):
+        for c, row in zip(shooting._C, shooting._A[:-1]):
+            assert abs(math.fsum(row) - c) < 1e-13
+        for k in range(8):
+            assert abs(math.fsum(self.B * self.NODES**k) - 1 / (k + 1)) < 1e-13
+        for weights in (shooting._E5, shooting._E3):
+            assert len(weights) == 13
+            assert abs(math.fsum(weights)) < 1e-13
+
+    def test_equals_scipy_coefficients(self):
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert shooting._C == tuple(coefficients.C[1:12]) + (1.0,)
+        for i, row in enumerate(shooting._A[:-1], start=1):
+            assert row == tuple(coefficients.A[i, :i])
+        assert shooting._A[-1] == tuple(coefficients.B)
+        assert shooting._E5 == tuple(coefficients.E5)
+        assert shooting._E3 == tuple(coefficients.E3)
 
 
 class TestShootPeriodic:

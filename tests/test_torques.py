@@ -226,22 +226,34 @@ class TestEvalDual:
                 with pytest.raises(da.DomainError, match="^division by zero$"):
                     dual(seed)(*args)
 
-    @pytest.mark.parametrize(
-        "text, seed, bindings",
-        [
-            # the derivative's theta^-2 overflows
-            ("theta^-1", "theta", (0, 1e-170, 0, 0, 0)),
-            # phi/theta = 1e170 is finite, its cube overflows
-            ("(phi/theta)^3", None, (0, 1e-170, 0, 1, 0)),
-            # the product overflows to inf, and math.sin(inf) is a domain error
-            ("sin(theta^-1*theta^-1)", None, (0, 1e-170, 0, 0, 0)),
-        ],
-    )
+    LEAVING_THE_FLOATS = [
+        # the derivative's theta^-2 overflows
+        ("theta^-1", "theta", (0, 1e-170, 0, 0, 0)),
+        # phi/theta = 1e170 is finite, its cube overflows
+        ("(phi/theta)^3", None, (0, 1e-170, 0, 1, 0)),
+        # the product overflows to inf, and math.sin(inf) is a domain error
+        ("sin(theta^-1*theta^-1)", None, (0, 1e-170, 0, 0, 0)),
+        # the product overflows to inf, which Python's float * returns
+        ("phi*phi", None, (0, 0, 0, 1e200, 0)),
+    ]
+
+    @pytest.mark.parametrize("text, seed, bindings", LEAVING_THE_FLOATS)
     def test_scalar_path_leaving_the_floats_raises_domain_error(self, text, seed, bindings):
         expr = da.parse_torque(text)
         fn = expr.compile() if seed is None else expr.compile_dual(seed)
         with pytest.raises(da.DomainError, match="OverflowError|ValueError"):
             fn(*bindings)
+
+    @pytest.mark.parametrize("text, seed, bindings", LEAVING_THE_FLOATS)
+    def test_array_path_leaving_the_floats_raises_domain_error(self, text, seed, bindings):
+        # numpy's overflow and invalid value are worded as the math module's
+        expr = da.parse_torque(text)
+        arrays = [np.array([x, 0.5]) for x in bindings]
+        with pytest.raises(da.DomainError, match="^(OverflowError|ValueError): "):
+            if seed is None:
+                expr.evaluate(*arrays)
+            else:
+                da.eval_dual(expr, arrays, seed)
 
     def test_numpy_path_on_plain_floats_raises_domain_error_on_overflow(self):
         # numpy leaves plain Python floats to Python's **, which raises
@@ -285,28 +297,34 @@ class TestEvalDual:
             parts = result if isinstance(result, tuple) else (result,)
             return [float(np.reshape(x, -1)[0]) for x in parts]
 
+        def agree(expr, b):
+            arrays = [np.array([x]) for x in b]
+            for seed in (None,) + VARIABLES:
+                if seed is None:
+                    scalar = outcome(expr.compile(), b)
+                    array = outcome(expr.evaluate, arrays)
+                else:
+                    scalar = outcome(expr.compile_dual(seed), b)
+                    array = outcome(lambda *a: da.eval_dual(expr, a, seed), arrays)
+                where = f"{expr.pretty()} at {b}, seed {seed}"
+                if scalar is da.DomainError or array is da.DomainError:
+                    assert scalar is array, where
+                else:
+                    assert flat(scalar) == pytest.approx(flat(array), rel=1e-12, abs=1e-12), where
+
         tree_rng = random.Random(8128)
+        # one more point per tree with a coordinate in the overflow range
+        wide_rng = random.Random(8129)
         for _ in range(200):
             expr = da.TorqueExpression(random_expression(tree_rng, tree_rng.randint(1, 3)))
             for k in range(6):
                 b = [tree_rng.uniform(-1.3, 1.3) for _ in range(5)]
                 if k % 2:
                     b[1] = b[3] = 0.0
-                arrays = [np.array([x]) for x in b]
-                for seed in (None,) + VARIABLES:
-                    if seed is None:
-                        scalar = outcome(expr.compile(), b)
-                        array = outcome(expr.evaluate, arrays)
-                    else:
-                        scalar = outcome(expr.compile_dual(seed), b)
-                        array = outcome(lambda *a: da.eval_dual(expr, a, seed), arrays)
-                    where = f"{expr.pretty()} at {b}, seed {seed}"
-                    if scalar is da.DomainError or array is da.DomainError:
-                        assert scalar is array, where
-                    else:
-                        assert flat(scalar) == pytest.approx(
-                            flat(array), rel=1e-12, abs=1e-12
-                        ), where
+                agree(expr, b)
+            b = [wide_rng.uniform(-1.3, 1.3) for _ in range(5)]
+            b[wide_rng.randrange(5)] = wide_rng.choice([1e-170, -1e-170, 1e200, -1e200])
+            agree(expr, b)
 
 
 def to_sympy(node, sympy):
