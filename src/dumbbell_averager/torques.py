@@ -10,7 +10,12 @@ wraps them in a function, over the math module for scalars or over numpy
 for arrays, which raises DomainError at a zero divisor or a tan pole, and
 also where the result leaves the finite floats (on the numpy path, at the
 operation that overflows or makes an invalid value; on the math path, also
-where it leaves the math module's domain).  (value, derivative) is the value's
+where it leaves the math module's domain).  On the numpy path x^n for n
+other than 0 and 1 is numpy's square for n = 2, and otherwise the power of
+|x|, with the sign of x for odd n, as Python's float ** computes it: numpy's
+pow is slow on a negative base.  Both are ufuncs over floats, so a scalar
+(or int) base gets the bits of a float array lane, and a scalar 0.0 for a
+variable gives the value of a zeros array.  (value, derivative) is the value's
 function and then the partial's.  The linearized torque coefficients
 f1..f4 are the partials of the torques in the nutation or precession angle
 at zero angles, with the angular rates kept exact; the same generator
@@ -259,7 +264,8 @@ _NAMESPACES = {
              "{} == 0", "abs({}) < TAN_POLE_FLOOR", "not isfinite({})",
              "OverflowError, ValueError"),
     "numpy": ({"sin": np.sin, "cos": np.cos, "tan": np.tan, "abs": np.abs, "any": np.any,
-               "all": np.all, "isfinite": np.isfinite, "errstate": np.errstate},
+               "all": np.all, "isfinite": np.isfinite, "errstate": np.errstate,
+               "square": np.square, "power": np.power, "copysign": np.copysign},
               "any({} == 0)", "any(abs({}) < TAN_POLE_FLOOR)", "not all(isfinite({}))",
               "OverflowError, FloatingPointError"),
 }
@@ -309,10 +315,23 @@ def _emit(root: Node, namespace: str, prefix: str) -> Tuple[Tuple[str, ...], str
                 guard(zero_test, right, "division by zero")
             expr = f"({left} {node.op} {right})"
         else:
-            base = emit(node.base, bind=node.exponent < 0)
-            if node.exponent < 0:
+            n = node.exponent
+            # numpy's pow is slow on a negative base: its square, or the power
+            # of |base| with base's sign for odd n.  As ufuncs over floats,
+            # they give a scalar or int base the bits of a float array lane.
+            ufunc = namespace == "numpy" and n not in (0, 1)
+            signed = ufunc and n % 2
+            base = emit(node.base, bind=n < 0 or signed)
+            if n < 0:
                 guard(zero_test, base, "division by zero")
-            expr = f"({base})**({node.exponent})"
+            if not ufunc:
+                expr = f"({base})**({n})"
+            elif n == 2:
+                expr = f"square({base}, dtype=float)"
+            else:
+                expr = f"power(abs({base}), {n}, dtype=float)"
+                if signed:
+                    expr = f"copysign({expr}, {base})"
         if not bind and uses[node] < 2:
             return expr
         name = names[node] = f"{prefix}{len(names)}"
@@ -721,12 +740,11 @@ def validate_equilibrium(f1star: TorqueExpression, f2star: TorqueExpression) -> 
     v1 = np.linspace(-plan.v_max, plan.v_max, plan.n_v1)
     v2 = np.linspace(-plan.v_max, plan.v_max, plan.n_v2)
     tg, v1g, v2g = np.meshgrid(t, v1, v2, indexing="ij")
-    zero = np.zeros_like(tg)
 
     residuals = []
     for name, expr in (("F1star", f1star), ("F2star", f2star)):
         vals = np.abs(np.broadcast_to(
-            np.asarray(expr.evaluate(tg, zero, v1g, zero, v2g), dtype=float), tg.shape
+            np.asarray(expr.evaluate(tg, 0.0, v1g, 0.0, v2g), dtype=float), tg.shape
         ))
         idx = np.unravel_index(np.argmax(vals), vals.shape)
         residuals.append(

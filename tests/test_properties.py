@@ -136,6 +136,44 @@ def test_generated_linearized_rhs_is_first_order_rhs(tree1, tree2, b, eps):
     assert float_bits(generated) == float_bits(outcome(da.first_order_rhs, (s, t, eps, lin)))
 
 
+#: (t, active rate) sample pairs for the linearized coefficients
+rate_samples = st.lists(st.tuples(st.floats(-7.0, 7.0), coordinates), min_size=1, max_size=8)
+
+
+def broadcast_outcome(fn, args, shape):
+    try:
+        result = fn(*args)
+    except da.DomainError as exc:
+        return str(exc)
+    return np.broadcast_to(np.asarray(result, dtype=float), shape).tobytes()
+
+
+@SETTINGS
+@hypothesis.given(trees, trees, rate_samples)
+# Python's ** on 2.759 and on 0.051 differs from numpy's on an array
+@hypothesis.example(
+    BinOp("*", Var("theta"), Pow(BinOp("+", Var("phi_dot"), Num(2.759)), 2)),
+    BinOp("*", Var("phi"), Pow(BinOp("+", Var("theta_dot"), Num(0.051)), 3)),
+    [(0.5, -0.0), (1.0, 0.7)],
+)
+def test_coefficients_take_a_scalar_zero_rate(tree1, tree2, samples):
+    """A coefficient called with the scalar 0.0 for one rate returns the
+    floats, signed zeros included, of the call with a zeros array, or raises
+    the same DomainError."""
+    with np.errstate(all="ignore"):
+        try:
+            lin = da.extract_linearized(da.TorqueExpression(tree1), da.TorqueExpression(tree2))
+        except da.DomainError:  # the torque's value at the origin
+            hypothesis.reject()
+    t, v = (np.array(column) for column in zip(*samples))
+    zeros = np.zeros_like(v)
+    for coefficient in (lin.f1, lin.f2, lin.f3, lin.f4):
+        for scalar, array in (((t, v, 0.0), (t, v, zeros)), ((t, 0.0, v), (t, zeros, v))):
+            assert broadcast_outcome(coefficient, scalar, v.shape) == broadcast_outcome(
+                coefficient, array, v.shape
+            )
+
+
 #: a valid config with tiny grids; every drawn key replaces its line here
 BASE_CONFIG = {
     "F1star": "sin(theta)",

@@ -256,7 +256,7 @@ class TestEvalDual:
                 da.eval_dual(expr, arrays, seed)
 
     def test_numpy_path_on_plain_floats_raises_domain_error_on_overflow(self):
-        # numpy leaves plain Python floats to Python's **, which raises
+        # numpy's square of a plain Python float raises under errstate
         expr = da.parse_torque("sin(theta) + (t + 1e200)^2")
         zero = (0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(da.DomainError, match="^OverflowError"):
@@ -325,6 +325,54 @@ class TestEvalDual:
             b = [wide_rng.uniform(-1.3, 1.3) for _ in range(5)]
             b[wide_rng.randrange(5)] = wide_rng.choice([1e-170, -1e-170, 1e200, -1e200])
             agree(expr, b)
+
+
+def bits(value, shape) -> np.ndarray:
+    """The float64 bit patterns of ``value`` broadcast to ``shape``."""
+    value = np.broadcast_to(np.asarray(value, dtype=float), shape)
+    return np.ascontiguousarray(value).view(np.uint64)
+
+
+class TestNumpyPowers:
+    """The numpy path raises to an integer power as Python's float ** does:
+    the power of |x|, with the sign of x for an odd exponent."""
+
+    RATES = np.concatenate([[-0.0, 0.0], np.random.default_rng(12).uniform(-1.5, 1.5, 8190)])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, -3, -4])
+    def test_power_of_minus_x_is_plus_or_minus_power_of_x(self, n):
+        x = self.RATES if n > 0 else self.RATES[2:]
+        expr = da.parse_torque(f"theta_dot^{n}")
+        at_x, at_minus_x = (expr.evaluate(0.0, 0.0, v, 0.0, 0.0) for v in (x, -x))
+        expected = at_x if n % 2 == 0 else -at_x
+        assert np.array_equal(bits(at_minus_x, x.shape), bits(expected, x.shape))
+
+    def test_square_is_the_product(self):
+        x = self.RATES
+        value = da.parse_torque("theta_dot^2").evaluate(0.0, 0.0, x, 0.0, 0.0)
+        assert np.array_equal(bits(value, x.shape), bits(x * x, x.shape))
+
+    def test_int_base_is_raised_as_a_float(self):
+        # numpy refuses an int to a negative power, and wraps an int64 power
+        ints = np.array([3, -2, 2**40])
+        for n in (2, 3, -2, -3):
+            value = da.parse_torque(f"theta_dot^{n}").evaluate(0.0, 0.0, ints, 0.0, 0.0)
+            expected = [float(x) ** n for x in ints.tolist()]
+            assert value.tolist() == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("text, rate, message", [
+        ("theta_dot^2", 1e200, "OverflowError: overflow encountered in square"),
+        ("theta_dot^4", 1e100, "OverflowError: overflow encountered in power"),
+        ("theta_dot^5", -1e100, "OverflowError: overflow encountered in power"),
+        ("theta_dot^-3", -1e-170, "OverflowError: overflow encountered in power"),
+        ("theta_dot^-4", 1e-170, "OverflowError: overflow encountered in power"),
+        ("theta_dot^-3", -0.0, "division by zero"),
+        ("theta_dot^-4", 0.0, "division by zero"),
+    ])
+    def test_domain_error_texts(self, text, rate, message):
+        x = np.array([0.5, rate, -0.25])
+        with pytest.raises(da.DomainError, match=f"^{message}$"):
+            da.parse_torque(text).evaluate(0.0, 0.0, x, 0.0, 0.0)
 
 
 def to_sympy(node, sympy):
@@ -483,6 +531,26 @@ class TestExtraction:
             g = math.cos(t) + v1 * v2**2
             assert abs(lin.f1(t, v1, v2) - g) < 1e-14
 
+    #: torques whose partials raise a sum of a constant and a rate to a
+    #: power; Python's ** on 2.759 or 0.051 differs from numpy's on an array
+    SCALAR_ZERO_PAIRS = [
+        (da.BUNDLED_CASES["corollary1"].f1star_text, da.BUNDLED_CASES["corollary1"].f2star_text),
+        (da.BUNDLED_CASES["corollary2"].f1star_text, da.BUNDLED_CASES["corollary2"].f2star_text),
+        ("theta*(phi_dot + 2.759)^2 + phi*(theta_dot + 0.051)^3",
+         "theta*(phi_dot - 0.05)^-3 + phi*cos(t)*sin(theta_dot + 0.051)^4"),
+    ]
+
+    @pytest.mark.parametrize("f1star, f2star", SCALAR_ZERO_PAIRS)
+    def test_a_scalar_zero_rate_is_a_zeros_array(self, f1star, f2star):
+        lin = da.extract_linearized(da.parse_torque(f1star), da.parse_torque(f2star))
+        t = np.linspace(0.0, 2.0 * math.pi, 9)
+        v = np.array([-1.3, -0.8, -0.0, 0.0, 0.2, 0.7, 1.1, 1.4, 2.0])
+        zeros = np.zeros_like(v)
+        for coefficient in (lin.f1, lin.f2, lin.f3, lin.f4):
+            for scalar, array in (((t, v, 0.0), (t, v, zeros)), ((t, 0.0, v), (t, zeros, v))):
+                assert np.array_equal(bits(coefficient(*scalar), v.shape),
+                                      bits(coefficient(*array), v.shape))
+
 
 class TestEquilibriumValidation:
     def test_zero_torques_pass(self):
@@ -509,6 +577,27 @@ class TestEquilibriumValidation:
         worst = max(report.residuals, key=lambda r: r.max_residual)
         assert worst.name == "F2star"
         assert abs(worst.at_v2) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("f1star, f2star", TestExtraction.SCALAR_ZERO_PAIRS + [
+        # a scalar result: no term depends on t or a rate
+        ("(theta + 2.759)^2*cos(phi)", "sin(phi + 0.051)^3 + 1"),
+    ])
+    def test_report_is_that_of_zero_angle_arrays(self, f1star, f2star):
+        plan = da.SamplingPlan()
+        tg, v1g, v2g = np.meshgrid(
+            np.linspace(0.0, plan.t_max, plan.n_t),
+            np.linspace(-plan.v_max, plan.v_max, plan.n_v1),
+            np.linspace(-plan.v_max, plan.v_max, plan.n_v2),
+            indexing="ij",
+        )
+        zeros = np.zeros_like(tg)
+        exprs = (da.parse_torque(f1star), da.parse_torque(f2star))
+        report = da.validate_equilibrium(*exprs)
+        for residual, expr in zip(report.residuals, exprs):
+            vals = np.abs(np.broadcast_to(expr.evaluate(tg, zeros, v1g, zeros, v2g), tg.shape))
+            idx = np.unravel_index(np.argmax(vals), vals.shape)
+            assert (residual.max_residual, residual.at_t, residual.at_v1, residual.at_v2) == (
+                vals[idx], tg[idx], v1g[idx], v2g[idx])
 
     def test_evaluation_total_on_default_grid(self):
         for case in da.BUNDLED_CASES.values():
