@@ -34,9 +34,9 @@ print(f"  |numerical - exact| = {np.abs(end - exact).max():.2e}")
 
 print("\n-- fundamental matrix --")
 m = da.fundamental_matrix(0.7)
-print(m.entries)
-print(f"  det = {np.linalg.det(m.entries):.12f}")
-print(f"  M(t)^-1 = M(-t) check: {np.abs(m.inverse() @ m.entries - np.eye(4)).max():.2e}")
+print(m)
+print(f"  det = {np.linalg.det(m):.12f}")
+print(f"  M(t)^-1 = M(-t) check: {np.abs(da.fundamental_matrix(-0.7) @ m - np.eye(4)).max():.2e}")
 
 print("\n-- monodromy gap per resonance --")
 for mode in (da.Mode.NUTATION_T1, da.Mode.PRECESSION_T2):

@@ -19,7 +19,7 @@ for name in ("corollary1", "corollary2"):
     lin = da.extract_linearized(
         da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
     )
-    field = da.averaged_field(case.spec, lin)
+    field = da.AveragedField(case.spec, lin)
 
     print("  field values along a ray:")
     for r in (0.5, 1.0, 1.5):

@@ -7,17 +7,10 @@ predicted orbit by direct shooting on the full nonlinear attitude equations
 along a descending epsilon ladder.
 """
 
-from .averaging import (
-    AveragedField,
-    averaged_field,
-    linearized_perturbation,
-    malkin_average,
-    periodic_quadrature,
-)
+from .averaging import AveragedField, linearized_perturbation, malkin_average
 from .dynamics import (
     T1,
     T2,
-    FundamentalMatrix,
     Mode,
     PerturbSetup,
     ResonanceSpec,
@@ -30,7 +23,6 @@ from .dynamics import (
     make_full_rhs,
     monodromy_gap,
     plane_embed,
-    plane_project,
     unperturbed_rhs,
 )
 from .errors import (
@@ -41,20 +33,11 @@ from .errors import (
     SingularityError,
     StepSizeUnderflowError,
 )
-from .reference import BUNDLED_CASES, BundledCase
-from .shooting import (
-    ContinuationReport,
-    OrbitCertificate,
-    epsilon_continuation,
-    integrate,
-    sample_trajectory,
-    shoot_periodic,
-)
+from .reference import BUNDLED_CASES
+from .shooting import epsilon_continuation, integrate, shoot_periodic
 from .torques import (
     DomainError,
-    EquilibriumReport,
     LinearizedTorque,
-    SamplingPlan,
     TorqueExpression,
     TorqueSyntaxError,
     UnknownIdentifierError,
@@ -64,7 +47,6 @@ from .torques import (
     validate_equilibrium,
 )
 from .zeros import (
-    CertifiedZero,
     ZeroSearchDomain,
     group_orbit_classes,
     jacobian2d,
@@ -77,21 +59,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragedField",
     "BUNDLED_CASES",
-    "BundledCase",
-    "CertifiedZero",
-    "ContinuationReport",
     "DegenerateMonodromyError",
     "DomainError",
     "DumbbellError",
-    "EquilibriumReport",
-    "FundamentalMatrix",
     "LinearizedTorque",
     "Mode",
     "NoConvergenceError",
-    "OrbitCertificate",
     "PerturbSetup",
     "ResonanceSpec",
-    "SamplingPlan",
     "SatelliteState",
     "SingularJacobianError",
     "SingularityError",
@@ -102,7 +77,6 @@ __all__ = [
     "TorqueSyntaxError",
     "UnknownIdentifierError",
     "ZeroSearchDomain",
-    "averaged_field",
     "closed_form_solution",
     "epsilon_continuation",
     "eval_dual",
@@ -121,10 +95,7 @@ __all__ = [
     "multistart_zeros",
     "newton2d",
     "parse_torque",
-    "periodic_quadrature",
     "plane_embed",
-    "plane_project",
-    "sample_trajectory",
     "shoot_periodic",
     "unperturbed_rhs",
     "validate_equilibrium",

@@ -4,7 +4,7 @@ Two independent routes produce the same 2-vector field over plane initial
 conditions alpha, for the plane oscillator x'' = -omega^2 x of a ``Mode``
 averaged over the window p*T_mode = 2*p*pi/omega:
 
-* ``averaged_field`` evaluates the specialized closed-form integrals: with
+* ``AveragedField`` evaluates the specialized closed-form integrals: with
   (x, v) the exact unperturbed orbit through alpha, c, s = cos, sin(omega t)
   and core = x*f1(t, v, 0) on T1 or x*f4(t, 0, v) on T2, it integrates
   (kappa/(2p pi)*s*core, kappa*omega/(2p pi)*c*core) over the window;
@@ -18,10 +18,10 @@ forms.  The zeros do not depend on it, but printed field values scale with
 kappa and the Jacobian determinant of a zero with kappa^2.
 
 Both reduce periodic integrands to one node-doubling trapezoid rule
-(``periodic_quadrature`` is its scalar form), which converges spectrally
-for smooth periodic functions.  A batch of plane points is integrated
-together, but each point stops doubling at its own node count, so its value
-is the same whatever else is in the batch.
+(``_quadrature_rows``), which converges spectrally for smooth periodic
+functions.  A batch of plane points is integrated together, but each point
+stops doubling at its own node count, so its value is the same whatever
+else is in the batch.
 """
 
 from __future__ import annotations
@@ -43,25 +43,6 @@ QUAD_MAX_NODES = 2**20
 
 DEFAULT_QUAD_TOL = 1e-12
 
-
-def periodic_quadrature(f: Callable[[np.ndarray], np.ndarray], period: float, tol: float) -> float:
-    """Integrate a smooth period-periodic callable over one period.
-
-    Composite trapezoid with node doubling from N=16; for a periodic
-    integrand the endpoint weights merge, so the rule is a plain mean of
-    uniformly spaced samples times the period.  Stops once successive
-    estimates differ by less than tol*max(1, |estimate|), raises
-    NoConvergenceError past N=2**20.  ``f`` must accept a numpy array of
-    sample times and return the sampled values.
-    """
-    if period <= 0.0:
-        raise ValueError("period must be positive")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    values, _ = _quadrature_rows(lambda t, _: np.reshape(f(t), (1, 1, -1)), period, tol, 1)
-    return float(values[0, 0])
-
-
 #: samples one integrand call may hold: one point's last doubling at QUAD_MAX_NODES
 QUAD_BLOCK_SAMPLES = QUAD_MAX_NODES // 2
 
@@ -74,13 +55,16 @@ def _quadrature_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Node doubling for the integrals of ``points`` independent points.
 
-    ``f(t, idx)`` maps sample times (n,) and point indices (k,) to values
-    (k, rows, n).  Each point stops at the first doubling where all of its
-    rows meet the stop rule of ``periodic_quadrature``; only the points still
-    moving are sampled at the next level, in blocks of at most
-    QUAD_BLOCK_SAMPLES point-nodes per call.  A point's integrals therefore
-    do not depend on the other points of the call.  Returns (integrals
-    (points, rows), nodes used per point).
+    Composite trapezoid from N=16 nodes; for a periodic integrand the
+    endpoint weights merge, so each estimate is a plain mean of uniformly
+    spaced samples times the period.  ``f(t, idx)`` maps sample times (n,)
+    and point indices (k,) to values (k, rows, n).  Each point stops at the
+    first doubling where every row's estimate moved by less than
+    tol*max(1, |estimate|), and NoConvergenceError is raised past N=2**20.
+    Only the points still moving are sampled at the next level, in blocks of
+    at most QUAD_BLOCK_SAMPLES point-nodes per call.  A point's integrals
+    therefore do not depend on the other points of the call.  Returns
+    (integrals (points, rows), nodes used per point).
     """
 
     def sums(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -161,15 +145,6 @@ class AveragedField:
 
     def __call__(self, alpha) -> np.ndarray:
         return self.evaluate(alpha)
-
-
-def averaged_field(
-    spec: ResonanceSpec,
-    lin: LinearizedTorque,
-    quad_tolerance: float = DEFAULT_QUAD_TOL,
-) -> AveragedField:
-    """Build the specialized averaged field for the given resonance plane."""
-    return AveragedField(spec=spec, lin=lin, quad_tolerance=quad_tolerance)
 
 
 def linearized_perturbation(lin: LinearizedTorque) -> Callable[[float, Sequence[float]], np.ndarray]:

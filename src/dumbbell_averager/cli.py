@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 import numpy as np
 
 from . import averaging, reports, shooting
-from .averaging import AveragedField, averaged_field
+from .averaging import AveragedField
 from .dynamics import Mode, PerturbSetup, ResonanceSpec, make_first_order_rhs, make_full_rhs
 from .errors import DumbbellError
 from .reference import BUNDLED_CASES
@@ -62,6 +62,8 @@ class RunConfig:
     f2star: str = field(metadata={"key": "F2star"})
     mode: Mode
     p: int = 1
+    #: checked coprime with p and written to CSV metadata; it enters no
+    #: computation, since every window is p*T_mode
     q: int = 1
     epsilon_list: Tuple[float, ...] = (1e-2, 1e-3, 1e-4)
     r1: float = ZeroSearchDomain.r1
@@ -202,7 +204,7 @@ def _build_field(config: RunConfig, source: str, case: Optional[str]):
     f1, f2 = config.torques
     report = validate_equilibrium(f1, f2)
     lin = extract_linearized(f1, f2)
-    fld = averaged_field(config.spec, lin, quad_tolerance=config.quad_tol)
+    fld = AveragedField(config.spec, lin, config.quad_tol)
     meta["quad_tol"] = config.quad_tol
     meta["equilibrium_check"] = report.status
     return fld, meta
@@ -413,7 +415,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             cmd_reproduce(config, case, args.out, args.force)
             print(f"wrote comparison table under {args.out}")
-    except ArtifactExistsError as exc:
+    except (ArtifactExistsError, OSError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return 1
     except DumbbellError as exc:

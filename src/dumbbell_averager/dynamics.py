@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateMonodromyError, SingularityError
+from .torques import TorqueExpression
 
 SQRT3 = math.sqrt(3.0)
 T1 = 2.0 * math.pi / SQRT3
@@ -108,54 +109,18 @@ class ResonanceSpec:
 
 
 @dataclass(frozen=True)
-class FundamentalMatrix:
-    """Fundamental solution of the unperturbed linear system at time t.
-
-    Block diagonal with two unimodular 2x2 rotation-like blocks; entries(0)
-    is the identity and the inverse satisfies M(t)^-1 = M(-t).
-    """
-
-    t: float
-    entries: np.ndarray
-
-    def inverse(self) -> np.ndarray:
-        return fundamental_matrix(-self.t).entries
-
-
-def _as_torque_callable(torque) -> Callable[..., float]:
-    """Accept either a compiled torque expression or a plain callable."""
-    compile_ = getattr(torque, "compile", None)
-    if compile_ is not None:
-        return compile_()
-    if callable(torque):
-        return torque
-    raise TypeError(f"torque must be an expression or callable, got {type(torque)!r}")
-
-
-@dataclass(frozen=True)
 class PerturbSetup:
-    """Perturbation data: the two torques, eps, and optional eps^2 remainders.
+    """Perturbation data: the two torque expressions and eps."""
 
-    ``f1star``/``f2star`` may be torque expressions (anything exposing
-    ``compile() -> callable``) or plain functions of
-    (t, theta, theta_dot, phi, phi_dot).  The remainder hooks default to
-    identically zero and receive (t, theta, theta_dot, phi, phi_dot, eps).
-    """
-
-    f1star: object
-    f2star: object
+    f1star: TorqueExpression
+    f2star: TorqueExpression
     epsilon: float
-    remainders: Optional[Tuple[Callable[..., float], Callable[..., float]]] = None
     _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
-        object.__setattr__(
-            self,
-            "_compiled",
-            (_as_torque_callable(self.f1star), _as_torque_callable(self.f2star)),
-        )
+        object.__setattr__(self, "_compiled", (self.f1star.compile(), self.f2star.compile()))
 
 
 def full_rhs(s: StateLike, t: float, setup: PerturbSetup) -> Tuple[float, float, float, float]:
@@ -173,11 +138,6 @@ def full_rhs(s: StateLike, t: float, setup: PerturbSetup) -> Tuple[float, float,
     tf1, tf2 = c1(t, th, thd, ph, phd), c2(t, th, thd, ph, phd)
     d_thd = 2.0 * phd * (1.0 + thd) * math.tan(ph) - 3.0 * math.sin(th) * math.cos(th) + eps * tf1
     d_phd = -((1.0 + thd) ** 2 + 3.0 * math.cos(th) ** 2) * math.sin(ph) * cph + eps * tf2
-    if setup.remainders is not None:
-        r1, r2 = setup.remainders
-        e2 = eps * eps
-        d_thd += e2 * r1(t, th, thd, ph, phd, eps)
-        d_phd += e2 * r2(t, th, thd, ph, phd, eps)
     return (thd, d_thd, phd, d_phd)
 
 
@@ -258,18 +218,14 @@ def plane_embed(alpha: Sequence[float], mode: Mode) -> Tuple[float, float, float
     return tuple(state)
 
 
-def plane_project(s: StateLike, mode: Mode) -> Tuple[float, float]:
-    """Extract the active plane coordinates from a 4-dimensional state."""
-    return (float(s[mode.slot]), float(s[mode.slot + 1]))
-
-
-def fundamental_matrix(t: float) -> FundamentalMatrix:
-    """Fundamental matrix of the unperturbed linear system with M(0) = I."""
+def fundamental_matrix(t: float) -> np.ndarray:
+    """Fundamental matrix of the unperturbed linear system, the 4x4 array
+    M(t) with M(0) = I; block diagonal and unimodular, with M(t)^-1 = M(-t)."""
     m = np.zeros((4, 4))
     for mode in Mode:
         k = mode.slot
         m[k : k + 2, k : k + 2] = np.reshape(plane_flow(mode.omega, t), (2, 2))
-    return FundamentalMatrix(t=t, entries=m)
+    return m
 
 
 def monodromy_gap(spec: ResonanceSpec) -> Tuple[np.ndarray, float]:
@@ -280,7 +236,7 @@ def monodromy_gap(spec: ResonanceSpec) -> Tuple[np.ndarray, float]:
     vanishing active determinant means the bifurcation-function machinery
     does not apply for this resonance.
     """
-    gap = np.eye(4) - fundamental_matrix(-spec.window).entries
+    gap = np.eye(4) - fundamental_matrix(-spec.window)
     k = 2 - spec.mode.slot  # the other plane's block
     active = gap[k : k + 2, k : k + 2]
     det = float(active[0, 0] * active[1, 1] - active[0, 1] * active[1, 0])

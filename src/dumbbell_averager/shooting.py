@@ -257,25 +257,6 @@ def integrate(
     return np.array(_dopri_loop(len(y))(rhs, t0, t1, h, h_floor, tol, *y, *k))
 
 
-def sample_trajectory(
-    rhs: Rhs,
-    s0: Sequence[float],
-    times: Sequence[float],
-) -> np.ndarray:
-    """States at finite, nondecreasing times (t = 0 start), shape (len(times), n)."""
-    if not all(a <= b < math.inf for a, b in zip([0.0, *times], times)):
-        raise ValueError(f"times must be finite and nondecreasing from 0, got {list(times)}")
-    out = []
-    state = np.asarray(s0, dtype=float)
-    t_prev = 0.0
-    for t in times:
-        if t > t_prev:
-            state = integrate(rhs, state, t_prev, t)
-            t_prev = t
-        out.append(state.copy())
-    return np.array(out)
-
-
 @dataclass(frozen=True)
 class OrbitCertificate:
     """A shooting-verified periodic initial condition."""

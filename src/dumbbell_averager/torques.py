@@ -697,15 +697,10 @@ def extract_linearized(f1star: TorqueExpression, f2star: TorqueExpression) -> Li
 # --- Equilibrium validation ---
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Grid over (t, v1, v2) used to probe the zero-angle torque residuals."""
-
-    n_t: int = 16
-    n_v1: int = 9
-    n_v2: int = 9
-    t_max: float = 2.0 * math.pi
-    v_max: float = 2.0
+#: points per axis of the grid [0, 2 pi] x [-2, 2]^2 over (t, v1, v2) that
+#: probes the zero-angle torque residuals
+EQUILIBRIUM_N_T = 16
+EQUILIBRIUM_N_V = 9
 
 
 @dataclass(frozen=True)
@@ -719,7 +714,7 @@ class TorqueResidual:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Result of sampling |F*(t, 0, v1, 0, v2)| over the plan grid."""
+    """Result of sampling |F*(t, 0, v1, 0, v2)| over the equilibrium grid."""
 
     status: str  # "PASS" or "WARN"
     max_residual: float
@@ -735,11 +730,9 @@ def validate_equilibrium(f1star: TorqueExpression, f2star: TorqueExpression) -> 
     are integrals over one invariant plane and can remain meaningful even
     when a torque fails the vanishing condition off that plane.
     """
-    plan = SamplingPlan()
-    t = np.linspace(0.0, plan.t_max, plan.n_t)
-    v1 = np.linspace(-plan.v_max, plan.v_max, plan.n_v1)
-    v2 = np.linspace(-plan.v_max, plan.v_max, plan.n_v2)
-    tg, v1g, v2g = np.meshgrid(t, v1, v2, indexing="ij")
+    t = np.linspace(0.0, 2.0 * math.pi, EQUILIBRIUM_N_T)
+    v = np.linspace(-2.0, 2.0, EQUILIBRIUM_N_V)
+    tg, v1g, v2g = np.meshgrid(t, v, v, indexing="ij")
 
     residuals = []
     for name, expr in (("F1star", f1star), ("F2star", f2star)):

@@ -48,7 +48,7 @@ MAX_SEEDS = 2**16
 
 @dataclass(frozen=True)
 class ZeroSearchDomain:
-    """Annulus r1 < ||alpha|| < r2 with a polar grid of Newton seeds."""
+    """Closed annulus r1 <= ||alpha|| <= r2 with a polar grid of Newton seeds."""
 
     r1: float = 0.05
     r2: float = 5.0

@@ -133,7 +133,7 @@ def test_criterion_4_averaging_oracle_suite():
         lin = da.LinearizedTorque(
             f1=coeffs.get("f1", zero), f2=zero, f3=zero, f4=coeffs.get("f4", zero)
         )
-        fld = da.averaged_field(spec, lin)
+        fld = da.AveragedField(spec, lin)
         g1 = da.linearized_perturbation(lin)
         for _ in range(25):
             a = rng.uniform(-2.0, 2.0, 2)
@@ -162,7 +162,7 @@ def test_criterion_5_full_system_verification():
     t0 = time.perf_counter()
     case, f1, f2 = bundled("corollary2")
     lin = da.extract_linearized(f1, f2)
-    fld = da.averaged_field(case.spec, lin)
+    fld = da.AveragedField(case.spec, lin)
     zeros = da.multistart_zeros(fld.evaluate, da.ZeroSearchDomain())
     groups = [g for g in da.group_orbit_classes(zeros) if g[0].is_simple]
     assert groups, "pipeline found no simple orbit classes to verify"

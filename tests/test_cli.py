@@ -187,6 +187,15 @@ class TestMainEntry:
         assert "--force" in capsys.readouterr().err
         assert cli.main(["solve", "--config", str(cfg), "--out", out, "--force"]) == 0
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_unwritable_out_is_an_artifact_error(self, tmp_path, capsys, out):
+        # a regular file where the output directory, or its parent, should be
+        cfg = write(tmp_path, REFERENCE1)
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert "artifact error" in err and "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # unreachable quadrature tolerance forces NoConvergence in eval;
         # the rational time dependence keeps the trapezoid rule from ever

@@ -8,6 +8,7 @@ import pytest
 import dumbbell_averager as da
 
 SQRT3 = math.sqrt(3.0)
+ZERO = da.parse_torque("0")
 
 
 def corollary1_setup(eps):
@@ -29,13 +30,13 @@ class TestFullRhs:
             assert da.full_rhs((0.0, 0.0, 0.0, 0.0), t, setup) == (0.0, 0.0, 0.0, 0.0)
 
     def test_pure_nutation_restoring_torque(self):
-        setup = da.PerturbSetup(lambda *a: 0.0, lambda *a: 0.0, epsilon=0.0)
+        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.0)
         d = da.full_rhs((math.pi / 4, 0.0, 0.0, 0.0), 0.0, setup)
         assert d == pytest.approx((0.0, -1.5, 0.0, 0.0), abs=1e-15)
 
     def test_mixed_state_value(self):
         # frozen from independent symbolic evaluation of the two accelerations
-        setup = da.PerturbSetup(lambda *a: 0.0, lambda *a: 0.0, epsilon=0.0)
+        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.0)
         d = da.full_rhs((0.0, 0.1, math.pi / 6, 0.2), 0.0, setup)
         assert d[0] == 0.1
         assert d[1] == pytest.approx(0.25403411844343534, abs=1e-14)
@@ -48,7 +49,7 @@ class TestFullRhs:
         acc_th = 2 * phd * (1 + thd) * sympy.tan(ph) - 3 * sympy.sin(th) * sympy.cos(th)
         acc_ph = -((1 + thd) ** 2 + 3 * sympy.cos(th) ** 2) * sympy.sin(ph) * sympy.cos(ph)
         oracle = sympy.lambdify((th, thd, ph, phd), (acc_th, acc_ph), "math")
-        setup = da.PerturbSetup(lambda *a: 0.0, lambda *a: 0.0, epsilon=0.0)
+        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.0)
         rng = np.random.default_rng(3)
         for _ in range(25):
             s = rng.uniform(-1.2, 1.2, 4)
@@ -58,19 +59,9 @@ class TestFullRhs:
             assert got[3] == pytest.approx(want[1], rel=1e-12, abs=1e-12)
 
     def test_torques_enter_scaled_by_epsilon(self):
-        setup = da.PerturbSetup(lambda *a: 2.0, lambda *a: -3.0, epsilon=0.5)
+        setup = da.PerturbSetup(da.parse_torque("2"), da.parse_torque("-3"), epsilon=0.5)
         d = da.full_rhs((0.0, 0.0, 0.0, 0.0), 0.0, setup)
         assert d == pytest.approx((0.0, 1.0, 0.0, -1.5))
-
-    def test_remainder_hooks_enter_at_epsilon_squared(self):
-        setup = da.PerturbSetup(
-            lambda *a: 0.0,
-            lambda *a: 0.0,
-            epsilon=0.1,
-            remainders=(lambda *a: 1.0, lambda *a: 2.0),
-        )
-        d = da.full_rhs((0.0, 0.0, 0.0, 0.0), 0.0, setup)
-        assert d == pytest.approx((0.0, 0.01, 0.0, 0.02))
 
     def test_phi_singularity_guard(self):
         setup = corollary1_setup(0.0)
@@ -137,7 +128,7 @@ class TestClosedForm:
             for alpha in ((0.6, 0.2), (-1.3, 0.45), (0.0, -2.0)):
                 for t in (0.0, 0.35, 1.7, -2.9, 11.0):
                     orbit = np.array([float(v) for v in da.closed_form_solution(alpha, mode, t)])
-                    flow = da.fundamental_matrix(t).entries @ np.array(da.plane_embed(alpha, mode))
+                    flow = da.fundamental_matrix(t) @ np.array(da.plane_embed(alpha, mode))
                     assert np.abs(orbit - flow).max() < 1e-14
 
     def test_time_derivative_matches_rhs(self):
@@ -159,10 +150,10 @@ class TestClosedForm:
 
 class TestFundamentalMatrix:
     def test_identity_at_zero(self):
-        assert np.array_equal(da.fundamental_matrix(0.0).entries, np.eye(4))
+        assert np.array_equal(da.fundamental_matrix(0.0), np.eye(4))
 
     def test_value_at_pi(self):
-        m = da.fundamental_matrix(math.pi).entries
+        m = da.fundamental_matrix(math.pi)
         assert np.allclose(m[2:, 2:], np.eye(2), atol=1e-15)
         c, s = math.cos(SQRT3 * math.pi), math.sin(SQRT3 * math.pi)
         expected = np.array([[c, s / SQRT3], [-SQRT3 * s, c]])
@@ -171,12 +162,12 @@ class TestFundamentalMatrix:
 
     def test_unimodular(self):
         for t in (0.3, 1.7, 5.0):
-            assert np.linalg.det(da.fundamental_matrix(t).entries) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.det(da.fundamental_matrix(t)) == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_is_matrix_at_negated_time(self):
         for t in (0.0, 0.4, 2.2, 9.1):
-            m = da.fundamental_matrix(t)
-            assert np.abs(m.inverse() @ m.entries - np.eye(4)).max() < 1e-12
+            m = da.fundamental_matrix(-t) @ da.fundamental_matrix(t)
+            assert np.abs(m - np.eye(4)).max() < 1e-12
 
     def test_variational_integration_reproduces_matrix(self):
         # columns of M(t) solve the eps=0 linear system from unit vectors
@@ -189,7 +180,7 @@ class TestFundamentalMatrix:
                     for col in np.eye(4)
                 ]
             )
-            assert np.abs(m_num - da.fundamental_matrix(t).entries).max() < 1e-9
+            assert np.abs(m_num - da.fundamental_matrix(t)).max() < 1e-9
 
 
 class TestMonodromyGap:
@@ -210,7 +201,7 @@ class TestMonodromyGap:
         gap, det = da.monodromy_gap(da.ResonanceSpec(da.Mode.PRECESSION_T2, p=1))
         assert np.abs(gap[2:, 2:]).max() < 1e-12
         # oracle: determinant of the active block by direct subtraction
-        direct = np.eye(4) - da.fundamental_matrix(-math.pi).entries
+        direct = np.eye(4) - da.fundamental_matrix(-math.pi)
         assert det == pytest.approx(np.linalg.det(direct[:2, :2]), abs=1e-14)
         assert det == pytest.approx(2 - 2 * math.cos(SQRT3 * math.pi), abs=1e-10)
         assert det == pytest.approx(0.6677381527949442, abs=1e-12)
@@ -239,11 +230,10 @@ class TestDomainTypes:
         spec = da.ResonanceSpec(da.Mode.PRECESSION_T2, p=3, q=2)
         assert spec.window == pytest.approx(3 * math.pi)
 
-    def test_plane_embedding_and_projection(self):
+    def test_plane_embedding(self):
         assert da.plane_embed((1.0, 2.0), da.Mode.NUTATION_T1) == (1.0, 2.0, 0.0, 0.0)
         assert da.plane_embed((1.0, 2.0), da.Mode.PRECESSION_T2) == (0.0, 0.0, 1.0, 2.0)
-        assert da.plane_project((9.0, 8.0, 7.0, 6.0), da.Mode.PRECESSION_T2) == (7.0, 6.0)
 
     def test_perturb_setup_requires_finite_epsilon(self):
         with pytest.raises(ValueError):
-            da.PerturbSetup(lambda *a: 0.0, lambda *a: 0.0, epsilon=float("nan"))
+            da.PerturbSetup(ZERO, ZERO, epsilon=float("nan"))

@@ -7,7 +7,19 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
-from dumbbell_averager.torques import VARIABLES, BinOp, Call, Const, Neg, Num, Pow, Var, diff
+from dumbbell_averager.torques import (
+    EQUILIBRIUM_N_T,
+    EQUILIBRIUM_N_V,
+    VARIABLES,
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    Num,
+    Pow,
+    Var,
+    diff,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -583,11 +595,10 @@ class TestEquilibriumValidation:
         ("(theta + 2.759)^2*cos(phi)", "sin(phi + 0.051)^3 + 1"),
     ])
     def test_report_is_that_of_zero_angle_arrays(self, f1star, f2star):
-        plan = da.SamplingPlan()
         tg, v1g, v2g = np.meshgrid(
-            np.linspace(0.0, plan.t_max, plan.n_t),
-            np.linspace(-plan.v_max, plan.v_max, plan.n_v1),
-            np.linspace(-plan.v_max, plan.v_max, plan.n_v2),
+            np.linspace(0.0, 2 * math.pi, EQUILIBRIUM_N_T),
+            np.linspace(-2.0, 2.0, EQUILIBRIUM_N_V),
+            np.linspace(-2.0, 2.0, EQUILIBRIUM_N_V),
             indexing="ij",
         )
         zeros = np.zeros_like(tg)
@@ -603,9 +614,8 @@ class TestEquilibriumValidation:
         for case in da.BUNDLED_CASES.values():
             for text in (case.f1star_text, case.f2star_text):
                 expr = da.parse_torque(text)
-                plan = da.SamplingPlan()
-                t = np.linspace(0, plan.t_max, plan.n_t)
-                v = np.linspace(-plan.v_max, plan.v_max, plan.n_v1)
+                t = np.linspace(0, 2 * math.pi, EQUILIBRIUM_N_T)
+                v = np.linspace(-2.0, 2.0, EQUILIBRIUM_N_V)
                 tg, v1g, v2g = np.meshgrid(t, v, v, indexing="ij")
                 vals = expr.evaluate(tg, np.zeros_like(tg), v1g, np.zeros_like(tg), v2g)
                 assert np.all(np.isfinite(vals))

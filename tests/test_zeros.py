@@ -173,7 +173,7 @@ def pipeline_field(name):
     lin = da.extract_linearized(
         da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
     )
-    return da.averaged_field(case.spec, lin)
+    return da.AveragedField(case.spec, lin)
 
 
 def seed_by_seed(field, seeds, scale):
