@@ -48,6 +48,19 @@ class ConfigError(Exception):
 
 _FIELD_SOURCES = ("pipeline", "printed-reference")
 _VERIFY_SYSTEMS = ("full", "linearized")
+#: the artifacts each command writes under --out, all refused up front without --force
+_ARTIFACTS = {
+    "eval": ("field.csv",),
+    "solve": ("zeros.csv",),
+    "verify": ("zeros.csv", "continuation.csv", "verify_report.txt"),
+    "reproduce": (
+        "zeros_pipeline.csv",
+        "zeros_reference.csv",
+        *(f"continuation_{source}_{system}.csv"
+          for source in ("pipeline", "reference") for system in _VERIFY_SYSTEMS),
+        "comparison.txt",
+    ),
+}
 #: the largest eval grid side; cmd_eval sends all eval_n**2 points to the field at once
 MAX_EVAL_N = 1024
 
@@ -403,6 +416,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     try:
+        reports.refuse_existing([args.out / name for name in _ARTIFACTS[args.command]], args.force)
         if args.command == "eval":
             path = cmd_eval(config, args.out, args.force)
             print(f"wrote {path}")

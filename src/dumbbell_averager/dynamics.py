@@ -10,26 +10,47 @@ first-order variables (X, Y, Z, W) of the linearized system
 The unperturbed linear system has two invariant planes filled with periodic
 orbits: the (X, Y) plane with angular frequency sqrt(3) (period T1) and the
 (Z, W) plane with frequency 2 (period T2).
+
+Both systems are trees here: the full one holds the attitude terms and the
+two torque trees, the linearized one the four partial trees at zero angles.
+``torques.generate_rhs`` emits each as one straight-line rhs(t, s) with a
+shared subexpression table; ``full_rhs`` and ``first_order_rhs``, written
+by hand, are the oracles they match bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateMonodromyError, SingularityError
-from .torques import TorqueExpression
+from .torques import (
+    TAN_POLE_FLOOR,
+    BinOp,
+    Call,
+    DomainError,
+    Neg,
+    Node,
+    Num,
+    Pow,
+    TorqueExpression,
+    Var,
+    generate_rhs,
+    parse_torque,
+)
 
 SQRT3 = math.sqrt(3.0)
 T1 = 2.0 * math.pi / SQRT3
 T2 = math.pi
 
-#: |cos phi| below this is treated as the tan(phi) pole.
-COS_PHI_FLOOR = 1e-12
+#: |cos phi| below this is treated as the tan(phi) pole: the torques' tan
+#: pole floor, so that the generated full rhs tests it once for both.
+COS_PHI_FLOOR = TAN_POLE_FLOOR
 
 #: active monodromy-gap determinants below this are degenerate.
 GAP_DET_FLOOR = 1e-10
@@ -115,29 +136,33 @@ class PerturbSetup:
     f1star: TorqueExpression
     f2star: TorqueExpression
     epsilon: float
-    _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
-        object.__setattr__(self, "_compiled", (self.f1star.compile(), self.f2star.compile()))
 
 
 def full_rhs(s: StateLike, t: float, setup: PerturbSetup) -> Tuple[float, float, float, float]:
-    """Time derivative of the full nonlinear attitude equations.
+    """Time derivative of the full nonlinear attitude equations, written by
+    hand: the oracle that the generated ``make_full_rhs`` reproduces bit for
+    bit.
 
     Raises SingularityError when |cos phi| < 1e-12 (tan pole); verification
-    orbits stay near phi = 0 so the guard rejects rather than saturates.
+    orbits stay near phi = 0 so the guard rejects rather than saturates.  An
+    overflow or a math domain error raises DomainError.
     """
     th, thd, ph, phd = s
-    cph = math.cos(ph)
-    if abs(cph) < COS_PHI_FLOOR:
-        raise SingularityError(f"cos(phi) = {cph:.3e} at phi = {ph!r}")
     eps = setup.epsilon
-    c1, c2 = setup._compiled
-    tf1, tf2 = c1(t, th, thd, ph, phd), c2(t, th, thd, ph, phd)
-    d_thd = 2.0 * phd * (1.0 + thd) * math.tan(ph) - 3.0 * math.sin(th) * math.cos(th) + eps * tf1
-    d_phd = -((1.0 + thd) ** 2 + 3.0 * math.cos(th) ** 2) * math.sin(ph) * cph + eps * tf2
+    try:
+        cph = math.cos(ph)
+        if abs(cph) < COS_PHI_FLOOR:
+            raise SingularityError(f"cos(phi) = {cph:.3e} at phi = {ph!r}")
+        tf1 = setup.f1star.compile()(t, th, thd, ph, phd)
+        tf2 = setup.f2star.compile()(t, th, thd, ph, phd)
+        d_thd = 2.0 * phd * (1.0 + thd) * math.tan(ph) - 3.0 * math.sin(th) * math.cos(th) + eps * tf1
+        d_phd = -((1.0 + thd) ** 2 + 3.0 * math.cos(th) ** 2) * math.sin(ph) * cph + eps * tf2
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"{type(exc).__name__}: {exc}") from None
     return (thd, d_thd, phd, d_phd)
 
 
@@ -146,8 +171,8 @@ def first_order_rhs(s: StateLike, t: float, eps: float, lin) -> Tuple[float, flo
 
     ``lin`` supplies the four coefficient callables f1..f4 of
     (t, x_velocity, y_velocity); the perturbations enter as
-    F1 = f1*X + f2*Z and F2 = f3*X + f4*Z.  This is the reference the
-    generated ``LinearizedTorque.rhs`` reproduces bit for bit, and the path
+    F1 = f1*X + f2*Z and F2 = f3*X + f4*Z.  This is the oracle the
+    generated linearized rhs reproduces bit for bit, and the path
     ``make_first_order_rhs`` takes for coefficients without partial trees.
     """
     X, Y, Z, W = s
@@ -156,24 +181,87 @@ def first_order_rhs(s: StateLike, t: float, eps: float, lin) -> Tuple[float, flo
     return (Y, -3.0 * X + eps * F1, W, -4.0 * Z + eps * F2)
 
 
+#: the attitude terms of the two accelerations, in full_rhs's operations and order
+_ATTITUDE_TERMS = (
+    "2.0 * phi_dot * (1.0 + theta_dot) * tan(phi) - 3.0 * sin(theta) * cos(theta)",
+    "-((1.0 + theta_dot)^2 + 3.0 * cos(theta)^2) * sin(phi) * cos(phi)",
+)
+
+
+@functools.lru_cache(maxsize=8)
+def _full_system(f1star: TorqueExpression, f2star: TorqueExpression) -> Callable:
+    """``make(eps)`` of the full system: the |cos phi| test, the F1* and
+    F2* sections, then each attitude term plus eps times its torque."""
+    theta_acc, phi_acc = (
+        BinOp("+", parse_torque(text).root, BinOp("*", Var("eps"), torque.root))
+        for text, torque in zip(_ATTITUDE_TERMS, (f1star, f2star))
+    )
+    return generate_rhs(
+        ("theta", "theta_dot", "phi", "phi_dot"), (f1star.root, f2star.root),
+        (Var("theta_dot"), theta_acc, Var("phi_dot"), phi_acc),
+        phi_pole='SingularityError(f"cos(phi) = {cph:.3e} at phi = {phi!r}")',
+    )
+
+
+def _at_zero_angles(node: Node) -> Node:
+    """``node`` with theta = phi = 0: each angle is the literal 0.0, and sin
+    and tan of 0.0 are 0.0, cos of 0.0 is 1.0.  These are exact, so every
+    other operation stays, ``0.0 * x`` included."""
+    if isinstance(node, Var) and node.name in ("theta", "phi"):
+        return Num(0.0)
+    if isinstance(node, Call):
+        arg = _at_zero_angles(node.arg)
+        if arg == Num(0.0):
+            return Num(1.0 if node.fn == "cos" else 0.0)
+        return Call(node.fn, arg)
+    if isinstance(node, Neg):
+        return Neg(_at_zero_angles(node.arg))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _at_zero_angles(node.left), _at_zero_angles(node.right))
+    if isinstance(node, Pow):
+        return Pow(_at_zero_angles(node.base), node.exponent)
+    return node
+
+
+@functools.lru_cache(maxsize=8)
+def _linearized_system(partials: Tuple[Optional[TorqueExpression], ...]) -> Callable:
+    """``make(eps)`` of the linearized system for the partial trees f1..f4:
+    each coefficient is its partial at zero angles (a seed-free one is the
+    literal 0.0), checked in the order ``first_order_rhs`` calls them, so
+    the same guard fires first; then the derivative in its operations and
+    order."""
+    c1, c2, c3, c4 = coefficients = [
+        Num(0.0) if partial is None else _at_zero_angles(partial.root) for partial in partials
+    ]
+    X, Y, Z, W = Var("X"), Var("theta_dot"), Var("Z"), Var("phi_dot")
+
+    def acceleration(k: float, x: Node, ca: Node, cb: Node) -> Node:  # -k*x + eps*(ca*X + cb*Z)
+        force = BinOp("+", BinOp("*", ca, X), BinOp("*", cb, Z))
+        return BinOp("+", BinOp("*", Neg(Num(k)), x), BinOp("*", Var("eps"), force))
+
+    return generate_rhs(
+        ("X", "theta_dot", "Z", "phi_dot"), coefficients,
+        (Y, acceleration(3.0, X, c1, c2), W, acceleration(4.0, Z, c3, c4)),
+    )
+
+
 def make_full_rhs(setup: PerturbSetup) -> Rhs:
-    """Bind a PerturbSetup into an rhs(t, state) callable for integrators."""
-
-    def rhs(t: float, s: StateLike) -> Tuple[float, float, float, float]:
-        return full_rhs(s, t, setup)
-
-    return rhs
+    """The full system's rhs(t, state) for ``setup``: the torque pair's one
+    generated straight-line function, compiled once, with eps bound by a
+    closure; equal bit for bit to ``full_rhs``."""
+    return _full_system(setup.f1star, setup.f2star)(setup.epsilon)
 
 
 def make_first_order_rhs(eps: float, lin) -> Rhs:
     """Bind eps and linearized coefficients into an rhs(t, state) callable.
 
-    A ``LinearizedTorque`` that carries its partial trees gives its
-    generated straight-line rhs, equal bit for bit to ``first_order_rhs``;
-    any other ``lin`` gives a closure over ``first_order_rhs``.
+    A ``LinearizedTorque`` that carries its partial trees gives one
+    generated straight-line rhs, compiled once per set of partials and
+    equal bit for bit to ``first_order_rhs``; any other ``lin`` gives a
+    closure over ``first_order_rhs``.
     """
     if getattr(lin, "partials", None) is not None:
-        return lin.rhs(eps)
+        return _linearized_system(lin.partials)(eps)
 
     def rhs(t: float, s: StateLike) -> Tuple[float, float, float, float]:
         return first_order_rhs(s, t, eps, lin)

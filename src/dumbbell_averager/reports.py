@@ -26,9 +26,16 @@ def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def refuse_existing(paths: Sequence[Path], force: bool) -> None:
+    """Raise ArtifactExistsError at the first of ``paths`` that exists,
+    unless ``force``."""
+    for path in paths:
+        if path.exists() and not force:
+            raise ArtifactExistsError(f"{path} exists; pass --force to overwrite")
+
+
 def _open_new(path: Path, force: bool):
-    if path.exists() and not force:
-        raise ArtifactExistsError(f"{path} exists; pass --force to overwrite")
+    refuse_existing((path,), force)
     path.parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
 

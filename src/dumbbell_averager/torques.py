@@ -18,14 +18,15 @@ pow is slow on a negative base.  Both are ufuncs over floats, so a scalar
 variable gives the value of a zeros array.  (value, derivative) is the value's
 function and then the partial's.  The linearized torque coefficients
 f1..f4 are the partials of the torques in the nutation or precession angle
-at zero angles, with the angular rates kept exact; the same generator
-writes the four partials, one section each, into one straight-line
-right-hand side of the linearized system.
+at zero angles, with the angular rates kept exact.  The same generator
+emits a sequence of trees through one shared subexpression table into one
+straight-line right-hand side (``generate_rhs``): ``dynamics`` builds both
+the full and the linearized system with it.
 """
 from __future__ import annotations
 
 import collections
-import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DumbbellError
+from .errors import DumbbellError, SingularityError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -271,26 +272,56 @@ _NAMESPACES = {
 }
 
 
-def _emit(root: Node, namespace: str, prefix: str) -> Tuple[Tuple[str, ...], str]:
-    """Straight-line statements and a result expression for the value of
-    ``root`` over the five variables, its locals named ``prefix`` + n.
-
-    A non-atomic subtree that occurs more than once (found by hashing the
-    frozen tree) is computed once into a local.  Zero divisors, zero bases
-    of negative powers, tan poles and a result outside the finite floats
-    raise DomainError.
-    """
-    _, zero_test, pole_test, finite_test, _ = _NAMESPACES[namespace]
+def _uses(root: Node) -> collections.Counter:
+    """Occurrences of each subtree of ``root``; a repeated subtree's own
+    children are counted once."""
     uses, pending = collections.Counter(), [root]
-    while pending:  # a repeated subtree's own children are counted once
+    while pending:
         node = pending.pop()
         uses[node] += 1
         if uses[node] == 1:
             pending += _children(node)
-    lines, names = {}, {}  # lines is an ordered set: a repeated guard is written once
+    return uses
+
+
+def _emit(
+    roots: Sequence[Tuple[Node, bool]], namespace: str, names: Optional[dict] = None,
+    lines: Optional[dict] = None,
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """Straight-line statements, and an expression per root, for the values
+    of ``roots``: (tree, finite) pairs, emitted in order through one table of
+    shared subexpressions, with locals v0, v1, ...
+
+    Each root's section evaluates in the order of that root's own function,
+    so the same error comes first.  A non-atomic subtree that occurs more
+    than once in the root (found by hashing the frozen tree) is computed
+    once into a local; one that a later root uses too is named inside the
+    expression that first computes it, ``(vn := ...)``; a later root reads
+    either by its name.  Zero divisors, zero bases of negative powers and
+    tan poles raise DomainError, and so does a result outside the finite
+    floats where ``finite`` is set and the root is not a literal.  A guard
+    is written once per condition, where it is first needed.  ``names`` and
+    ``lines`` seed the table and the statements: the values a prologue
+    computed, and its lines, a guard keyed by its condition.
+    """
+    _, zero_test, pole_test, finite_test, _ = _NAMESPACES[namespace]
+    names, lines = dict(names or {}), dict(lines or {})
+    counts = [_uses(root) for root, _ in roots]
+    needed, seen = set(), set()  # the subtrees a root reads from an earlier one
+    for (root, _), root_uses in zip(roots, counts):
+        pending = [root]
+        while pending:
+            node = pending.pop()
+            if node in seen:
+                needed.add(node)
+            else:
+                pending += _children(node)
+        seen.update(root_uses)
+    local = (f"v{n}" for n in itertools.count())
 
     def guard(test: str, operand: str, message: str) -> None:
-        lines.setdefault(f"if {test.format(operand)}: raise DomainError({message!r})")
+        condition = test.format(operand)
+        lines.setdefault(condition, f"if {condition}: raise DomainError({message!r})")
 
     def emit(node: Node, bind: bool = False) -> str:
         if node in names:
@@ -332,15 +363,21 @@ def _emit(root: Node, namespace: str, prefix: str) -> Tuple[Tuple[str, ...], str
                 expr = f"power(abs({base}), {n}, dtype=float)"
                 if signed:
                     expr = f"copysign({expr}, {base})"
-        if not bind and uses[node] < 2:
-            return expr
-        name = names[node] = f"{prefix}{len(names)}"
-        lines[f"{name} = {expr}"] = None
-        return name
+        if bind or uses[node] > 1:
+            name = names[node] = next(local)
+            lines[f"{name} = {expr}"] = f"{name} = {expr}"
+            return name
+        if node in needed:
+            name = names[node] = next(local)
+            return f"({name} := {expr})"
+        return expr
 
-    result = emit(root, bind=True)
-    guard(finite_test, result, "OverflowError: result outside the floats")
-    return tuple(lines), result
+    results = []
+    for (root, finite), uses in zip(roots, counts):  # emit reads this root's uses
+        results.append(emit(root, bind=True))
+        if finite and not isinstance(root, (Num, Const)):
+            guard(finite_test, results[-1], "OverflowError: result outside the floats")
+    return tuple(lines.values()), tuple(results)
 
 
 def _guarded(body: Sequence[str], namespace: str, indent: int) -> str:
@@ -370,7 +407,7 @@ def _worded(exc: Exception) -> str:
 def _exec(src: str, namespace: str, name: str) -> Callable:
     """Run generated source over the namespace's functions; return ``name``."""
     env = dict(_NAMESPACES[namespace][0], **CONSTANTS, TAN_POLE_FLOOR=TAN_POLE_FLOOR,
-               DomainError=DomainError, _worded=_worded)
+               DomainError=DomainError, SingularityError=SingularityError, _worded=_worded)
     exec(src, env)
     return env[name]
 
@@ -379,7 +416,7 @@ def _generate(root: Node, namespace: str) -> Callable:
     """Emit and compile one straight-line function of the five variables
     that returns the value of ``root``; on the math path overflow and math
     domain errors raise DomainError too."""
-    lines, result = _emit(root, namespace, "v")
+    lines, (result,) = _emit(((root, True),), namespace)
     head = f"def torque({', '.join(VARIABLES)}):\n"
     return _exec(head + _guarded(lines + (f"return {result}",), namespace, 4), namespace, "torque")
 
@@ -596,31 +633,34 @@ def eval_dual(
     return _value_and_partial(expr, seed, "numpy")(*bindings)
 
 
-def _generate_linearized(partials: Tuple[Optional[TorqueExpression], ...]) -> Callable:
+def generate_rhs(
+    state: Sequence[str], checked: Sequence[Node], returned: Sequence[Node],
+    phi_pole: Optional[str] = None,
+) -> Callable:
     """Emit and compile ``make(eps)``, which returns one straight-line
-    ``rhs(t, s)`` of the linearized system for the coefficient trees f1..f4.
+    ``rhs(t, s)`` over the math module: ``s`` unpacked into the names
+    ``state``, then the sections of the trees ``checked``, each raising
+    DomainError where its value leaves the finite floats, and of
+    ``returned``, whose values it returns; one ``_emit`` in the try that
+    turns float errors into DomainError.  Trees may read ``eps``, bound by
+    a closure, and the names in ``state``.
 
-    Each coefficient is its own section, emitted as ``compile()`` emits the
-    partial (a seed-free one is the literal 0.0), in the order
-    ``first_order_rhs`` calls them, so the same guard fires first; then F1,
-    F2 and the derivative in ``first_order_rhs``'s operations and order.
+    With ``phi_pole``, an exception in source, the body starts with
+    ``cph = cos(phi)`` and raises it where cph fails the tan pole guard;
+    that test is then the pole guard of every tan(phi).
     """
-    body = []
-    for k, partial in enumerate(partials, 1):
-        lines, result = ((), "0.0") if partial is None else _emit(partial.root, "math", f"f{k}_")
-        body += [*lines, f"c{k} = {result}"]
-    body += [
-        "F1 = c1 * X + c2 * Z",
-        "F2 = c3 * X + c4 * Z",
-        "return (Y, -3.0 * X + eps * F1, W, -4.0 * Z + eps * F2)",
-    ]
+    names, lines = {}, {}
+    if phi_pole is not None:
+        pole = _NAMESPACES["math"][2].format("cph")
+        names[Call("cos", Var("phi"))] = "cph"
+        lines = {"cph": "cph = cos(phi)", pole: f"if {pole}: raise {phi_pole}"}
+    roots = [(node, True) for node in checked] + [(node, False) for node in returned]
+    body, results = _emit(roots, "math", names, lines)
+    body += (f"return ({', '.join(results[len(checked):])})",)
     src = (
         "def make(eps):\n"
         "    def rhs(t, s):\n"
-        "        X, Y, Z, W = s\n"
-        "        theta = phi = 0.0\n"
-        "        theta_dot = Y\n"
-        "        phi_dot = W\n"
+        f"        {', '.join(state)} = s\n"
         f"{_guarded(body, 'math', 8)}"
         "    return rhs\n"
     )
@@ -638,11 +678,11 @@ class LinearizedTorque:
     two or more angle factors are dropped by construction.
 
     ``partials`` holds the four partial expressions (None where seed-free)
-    when ``extract_linearized`` built the coefficients; then ``rhs(eps)``
-    is one generated straight-line function of the linearized system,
-    equal bit for bit to ``dynamics.first_order_rhs`` over f1..f4.  Built
-    from plain callables, ``partials`` is None and ``first_order_rhs`` is
-    the only route.
+    when ``extract_linearized`` built the coefficients; from them
+    ``dynamics.make_first_order_rhs`` generates one straight-line function
+    of the linearized system, equal bit for bit to
+    ``dynamics.first_order_rhs`` over f1..f4.  Built from plain callables,
+    ``partials`` is None and ``first_order_rhs`` is the only route.
     """
 
     f1: Callable[[float, float, float], float]
@@ -652,16 +692,6 @@ class LinearizedTorque:
     partials: Optional[Tuple[Optional[TorqueExpression], ...]] = field(
         default=None, compare=False, repr=False
     )
-
-    @functools.cached_property
-    def _make_rhs(self) -> Callable:
-        return _generate_linearized(self.partials)
-
-    def rhs(self, eps: float) -> Callable:
-        """The generated rhs(t, s) at ``eps``; needs ``partials``.  The
-        source is compiled once, on first use, and ``eps`` is bound by a
-        closure."""
-        return self._make_rhs(eps)
 
 
 def _angle_partial(expr: TorqueExpression, seed: str) -> Callable[[float, float, float], float]:

@@ -187,6 +187,31 @@ class TestMainEntry:
         assert "--force" in capsys.readouterr().err
         assert cli.main(["solve", "--config", str(cfg), "--out", out, "--force"]) == 0
 
+    @pytest.mark.parametrize("command", ["verify", "reproduce"])
+    def test_refused_rerun_changes_nothing(self, tmp_path, monkeypatch, capsys, command):
+        # every artifact path is checked before the first stage: a run whose
+        # first artifact was deleted is refused, does no work and writes nothing
+        text = TINY_LINEARIZED_VERIFY
+        if command == "reproduce":
+            text = text.replace("verify_system = linearized\n", "")
+        cfg = write(tmp_path, text)
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli._ARTIFACTS[command])
+        (out / cli._ARTIFACTS[command][0]).unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(cli, "multistart_zeros", refused)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "artifact error" in err and "--force" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_unwritable_out_is_an_artifact_error(self, tmp_path, capsys, out):
         # a regular file where the output directory, or its parent, should be

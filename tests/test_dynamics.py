@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
+from dumbbell_averager import dynamics, torques
 
 SQRT3 = math.sqrt(3.0)
 ZERO = da.parse_torque("0")
@@ -67,6 +68,78 @@ class TestFullRhs:
         setup = corollary1_setup(0.0)
         with pytest.raises(da.SingularityError):
             da.full_rhs((0.0, 0.0, math.pi / 2, 0.0), 0.0, setup)
+
+    #: the oracle and the generated rhs, as rhs(state, setup)
+    BOTH = {
+        "full_rhs": lambda s, setup: da.full_rhs(s, 0.0, setup),
+        "generated": lambda s, setup: da.make_full_rhs(setup)(0.0, s),
+    }
+
+    @pytest.mark.parametrize("rhs", BOTH.values(), ids=BOTH.keys())
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ((0.0, 1e200, 0.0, 0.0), "OverflowError: (34, 'Numerical result out of range')"),
+            ((math.inf, 0.0, 0.0, 0.0), "ValueError: math domain error"),
+            ((0.0, 0.0, math.inf, 0.0), "ValueError: math domain error"),
+        ],
+    )
+    def test_float_errors_are_domain_errors(self, rhs, state, message):
+        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.0)
+        with pytest.raises(da.DomainError) as info:
+            rhs(state, setup)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rhs", BOTH.values(), ids=BOTH.keys())
+    def test_nan_attitude_terms_are_returned(self, rhs):
+        # no finite test on the accelerations: the integrator rejects the step
+        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.1)
+        d = rhs((math.nan, 0.0, 0.0, 0.0), setup)
+        assert math.isnan(d[1]) and math.isnan(d[3])
+
+    @pytest.mark.parametrize("rhs", BOTH.values(), ids=BOTH.keys())
+    def test_singularity_text(self, rhs):
+        setup = corollary1_setup(0.0)
+        with pytest.raises(da.SingularityError, match=r"cos\(phi\) = 6\.123e-17 at phi = 1\.57"):
+            rhs((0.0, 0.0, math.pi / 2, 0.0), setup)
+
+
+class TestGeneratedRhs:
+    """Both systems' right-hand sides share their subexpressions."""
+
+    @pytest.mark.parametrize("name", ["corollary1", "corollary2"])
+    def test_each_trig_function_is_called_once_per_argument(self, monkeypatch, name):
+        # the full system: sin and cos of theta and of phi, tan(phi) and the
+        # forcing's sin of t, once each; at zero angles only the forcing's sin
+        # is left
+        calls = []
+        functions = torques._NAMESPACES["math"][0]
+        for fn in ("sin", "cos", "tan"):
+            monkeypatch.setitem(functions, fn, lambda x, f=functions[fn]: calls.append(x) or f(x))
+        case = da.BUNDLED_CASES[name]
+        f1, f2 = da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
+        state = (0.1, 0.2, 0.3, 0.4)
+        dynamics._full_system.__wrapped__(f1, f2)(1e-2)(0.7, state)
+        assert len(calls) == 6
+        calls.clear()
+        partials = da.extract_linearized(f1, f2).partials
+        dynamics._linearized_system.__wrapped__(partials)(1e-2)(0.7, state)
+        assert len(calls) == 1
+
+    def test_full_rhs_is_compiled_once_per_torque_pair(self):
+        case = da.BUNDLED_CASES["corollary2"]
+        f1, f2 = da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
+        rhs = [da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=eps)) for eps in (1e-2, 1e-3)]
+        assert rhs[0].__code__ is rhs[1].__code__
+        assert rhs[0](0.7, (0.1, 0.2, 0.3, 0.4)) != rhs[1](0.7, (0.1, 0.2, 0.3, 0.4))
+
+    def test_zero_angles_fold_trig_and_keep_arithmetic(self):
+        text = "sin(theta) * t + cos(phi) - tan(theta) + sin(-phi) + theta * phi_dot"
+        folded = dynamics._at_zero_angles(da.parse_torque(text).root)
+        # sin(-0.0) is -0.0, so a negated angle is not folded
+        assert da.TorqueExpression(folded).pretty() == (
+            "0.0 * t + 1.0 - 0.0 + sin(-0.0) + 0.0 * phi_dot"
+        )
 
 
 class TestFirstOrderRhs:

@@ -3,6 +3,7 @@ CLI exit-code contract on random configs."""
 
 import contextlib
 import io
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import dumbbell_averager as da
 import dumbbell_averager.cli as cli
+from dumbbell_averager import torques
 from dumbbell_averager.torques import VARIABLES, BinOp, Call, Const, Neg, Num, Pow, Var, diff
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -111,6 +113,64 @@ def float_bits(result):
     return result if isinstance(result, str) else [struct.pack("d", x) for x in result]
 
 
+def full_outcome(fn, args):
+    try:
+        return fn(*args)
+    except (da.DomainError, da.SingularityError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+THETA, THETA_DOT, PHI, PHI_DOT = (Var(v) for v in ("theta", "theta_dot", "phi", "phi_dot"))
+
+
+@SETTINGS
+@hypothesis.given(trees, trees, bindings, st.floats(-1.0, 1.0))
+@hypothesis.example(Call("tan", THETA), THETA, (0.0, 1.5707963267948966, 0.2, 0.1, 0.3), 1e-2)
+@hypothesis.example(Num(1.0), BinOp("/", Num(1.0), THETA), (0.3, 0.0, 0.2, 0.1, 0.3), 1e-2)
+@hypothesis.example(Pow(PHI_DOT, -1), Num(0.0), (0.3, 0.1, 0.2, 0.1, 0.0), 1e-2)
+# |cos phi| below the floor comes before the torques' own errors
+@hypothesis.example(
+    Call("tan", PHI), BinOp("/", Num(1.0), THETA), (0.0, 0.0, 0.0, 1.5707963267948966, 0.0), 1.0
+)
+@hypothesis.example(Num(0.0), THETA_DOT, (0.0, 0.1, 1e200, 0.2, 0.3), 1e-2)
+@hypothesis.example(Num(0.0), Call("sin", THETA), (0.0, 0.1, 1e200, 0.2, 0.3), 1e-2)
+# sin(phi_dot * phi_dot), shared with F2*, is computed where F1* computes
+# it: after the overflow of theta_dot^4, so that overflow is the error
+@hypothesis.example(
+    BinOp("+", Pow(THETA_DOT, 4), Call("sin", BinOp("*", PHI_DOT, PHI_DOT))),
+    Call("sin", BinOp("*", PHI_DOT, PHI_DOT)),
+    (0.0, 0.1, 1e100, 0.2, 1e200),
+    1e-2,
+)
+# F2* reads F1*'s product by name, then divides by it
+@hypothesis.example(
+    BinOp("*", Call("sin", THETA), PHI_DOT),
+    Pow(BinOp("*", Call("sin", THETA), PHI_DOT), -1),
+    (0.0, 0.1, 0.2, 0.3, 0.0),
+    1e-2,
+)
+def test_generated_full_rhs_is_full_rhs(tree1, tree2, b, eps):
+    """The generated full rhs returns the floats of ``full_rhs`` bit for bit,
+    signed zeros included, or raises the same DomainError or
+    SingularityError with the same text."""
+    f1, f2 = da.TorqueExpression(tree1), da.TorqueExpression(tree2)
+    setup = da.PerturbSetup(f1, f2, epsilon=eps)
+    t, s = b[0], b[1:]
+    generated = full_outcome(da.make_full_rhs(setup), (t, s))
+    assert float_bits(generated) == float_bits(full_outcome(da.full_rhs, (s, t, setup)))
+
+
+def linearized(tree1, tree2):
+    """``extract_linearized`` without its check of the torques' values at the
+    origin, so that a torque such as 1/theta gives coefficients."""
+    exprs = da.TorqueExpression(tree1), da.TorqueExpression(tree2)
+    pairs = [(exprs[0], "theta"), (exprs[0], "phi"), (exprs[1], "theta"), (exprs[1], "phi")]
+    return da.LinearizedTorque(
+        *(torques._angle_partial(expr, seed) for expr, seed in pairs),
+        partials=tuple(expr.partial(seed) for expr, seed in pairs),
+    )
+
+
 @SETTINGS
 @hypothesis.given(trees, trees, bindings, st.floats(-1.0, 1.0))
 # a signed zero: d(theta^2)/d theta at theta = 0 times X = 0, plus 0.0 * (Z = -1)
@@ -122,15 +182,19 @@ def float_bits(result):
     (0.0, 1.0, 0.5, 1.0, 1.0),
     1e-2,
 )
+# zero angles are folded exactly: a zero divisor stays one, and 0.0 * x
+# keeps the sign of zero and a NaN
+@hypothesis.example(BinOp("/", Num(1.0), THETA), Num(0.0), (0.0, 1.0, 0.5, 1.0, 1.0), 1e-2)
+@hypothesis.example(Pow(Call("cos", THETA), -2), Num(0.0), (0.0, 1.0, 0.5, 1.0, 1.0), 1e-2)
+@hypothesis.example(BinOp("*", THETA, PHI_DOT), Num(0.0), (0.0, 0.0, 0.5, -1.0, -1.0), 1.0)
+@hypothesis.example(BinOp("*", THETA, PHI_DOT), Num(0.0), (0.0, 1.0, 0.5, -1.0, math.inf), 1.0)
+@hypothesis.example(BinOp("*", THETA, PHI_DOT), Num(0.0), (0.0, 1.0, 0.5, -1.0, -math.inf), 1.0)
+@hypothesis.example(BinOp("*", THETA, PHI_DOT), Num(0.0), (0.0, 1.0, 0.5, math.inf, -1.0), 1.0)
 def test_generated_linearized_rhs_is_first_order_rhs(tree1, tree2, b, eps):
     """The generated rhs returns the floats of ``first_order_rhs`` over the
-    coefficient closures bit for bit, signed zeros included, or raises the
-    same DomainError."""
-    with np.errstate(all="ignore"):
-        try:
-            lin = da.extract_linearized(da.TorqueExpression(tree1), da.TorqueExpression(tree2))
-        except da.DomainError:  # the torque's value at the origin
-            hypothesis.reject()
+    coefficient closures bit for bit, signed zeros and NaNs included, or
+    raises the same DomainError."""
+    lin = linearized(tree1, tree2)
     t, s = b[0], b[1:]
     generated = outcome(da.make_first_order_rhs(eps, lin), (t, s))
     assert float_bits(generated) == float_bits(outcome(da.first_order_rhs, (s, t, eps, lin)))
