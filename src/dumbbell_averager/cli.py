@@ -48,18 +48,21 @@ class ConfigError(Exception):
 
 _FIELD_SOURCES = ("pipeline", "printed-reference")
 _VERIFY_SYSTEMS = ("full", "linearized")
-#: the artifacts each command writes under --out, all refused up front without --force
+#: per command, the file of each artifact it writes under --out, by role:
+#: the commands take their file names from here, and main refuses them all
+#: up front without --force
 _ARTIFACTS = {
-    "eval": ("field.csv",),
-    "solve": ("zeros.csv",),
-    "verify": ("zeros.csv", "continuation.csv", "verify_report.txt"),
-    "reproduce": (
-        "zeros_pipeline.csv",
-        "zeros_reference.csv",
-        *(f"continuation_{source}_{system}.csv"
-          for source in ("pipeline", "reference") for system in _VERIFY_SYSTEMS),
-        "comparison.txt",
-    ),
+    "eval": {"field": "field.csv"},
+    "solve": {"zeros": "zeros.csv"},
+    "verify": {"zeros": "zeros.csv", "continuation": "continuation.csv",
+               "report": "verify_report.txt"},
+    "reproduce": {
+        "pipeline": "zeros_pipeline.csv",
+        "reference": "zeros_reference.csv",
+        **{(source, system): f"continuation_{source}_{system}.csv"
+           for source in ("pipeline", "reference") for system in _VERIFY_SYSTEMS},
+        "comparison": "comparison.txt",
+    },
 }
 #: the largest eval grid side; cmd_eval sends all eval_n**2 points to the field at once
 MAX_EVAL_N = 1024
@@ -235,21 +238,22 @@ def cmd_eval(config: RunConfig, outdir: Path, force: bool) -> Path:
     values = fld(points)
     if isinstance(fld, AveragedField):
         meta["quad_nodes_max"] = fld.max_nodes_used
-    path = outdir / "field.csv"
+    path = outdir / _ARTIFACTS["eval"]["field"]
     reports.write_field_csv(path, points, values, meta, force=force)
     return path
 
 
-def cmd_solve(config: RunConfig, outdir: Path, force: bool, filename: str = "zeros.csv",
+def cmd_solve(config: RunConfig, outdir: Path, force: bool, filename: Optional[str] = None,
               source: Optional[str] = None, case: Optional[str] = None):
-    """Certified zeros of the field of ``source`` and ``case``, by default the configured ones."""
+    """Certified zeros of the field of ``source`` and ``case``, by default the
+    configured ones, written to ``filename``, by default solve's."""
     fld, meta = _build_field(config, source or config.field_source, case or config.case)
     zeros = multistart_zeros(fld, config.domain, tol=config.newton_tol)
     groups = group_orbit_classes(zeros)
     meta.update(newton_tol=config.newton_tol, **asdict(config.domain))
     if isinstance(fld, AveragedField):
         meta["quad_nodes_max"] = fld.max_nodes_used
-    path = outdir / filename
+    path = outdir / (filename or _ARTIFACTS["solve"]["zeros"])
     reports.write_zeros_csv(path, zeros, groups, meta, force=force)
     return zeros, groups, path
 
@@ -285,7 +289,8 @@ def _run_continuations(
 
 
 def cmd_verify(config: RunConfig, outdir: Path, force: bool) -> int:
-    zeros, groups, _ = cmd_solve(config, outdir, force)
+    names = _ARTIFACTS["verify"]
+    zeros, groups, _ = cmd_solve(config, outdir, force, names["zeros"])
     simple_groups = [g for g in groups if g[0].is_simple]
     if not simple_groups:
         raise DumbbellError("verify: no simple zeros found in the search annulus")
@@ -296,11 +301,13 @@ def cmd_verify(config: RunConfig, outdir: Path, force: bool) -> int:
         "integrator_tol": config.integrator_tol,
         "epsilon_list": "/".join(f"{e:g}" for e in config.epsilon_list),
     }
-    reports.write_continuation_csv(outdir / "continuation.csv", ladders.items(), meta, force=force)
+    reports.write_continuation_csv(
+        outdir / names["continuation"], ladders.items(), meta, force=force
+    )
     lines = [f"verification on the {config.verify_system} system"]
     for label, rep in ladders.items():
         lines += reports.continuation_text(label, rep)
-    reports.write_text_report(outdir / "verify_report.txt", lines, force=force)
+    reports.write_text_report(outdir / names["report"], lines, force=force)
     if all(not rep.certificates for rep in ladders.values()):
         raise DumbbellError("verify: shooting failed on every orbit class")
     return 0
@@ -327,9 +334,10 @@ def _comparison_rows(
 
 
 def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> int:
-    _, pipe_groups, _ = cmd_solve(config, outdir, force, "zeros_pipeline.csv", "pipeline")
+    names = _ARTIFACTS["reproduce"]
+    _, pipe_groups, _ = cmd_solve(config, outdir, force, names["pipeline"], "pipeline")
     _, ref_groups, _ = cmd_solve(
-        config, outdir, force, "zeros_reference.csv", "printed-reference", case
+        config, outdir, force, names["reference"], "printed-reference", case
     )
 
     ladders: Dict[str, Dict[str, Dict[str, ContinuationReport]]] = {}
@@ -346,7 +354,7 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> in
                 "integrator_tol": config.integrator_tol,
             }
             reports.write_continuation_csv(
-                outdir / f"continuation_{source}_{system}.csv", runs.items(), meta, force=force
+                outdir / names[source, system], runs.items(), meta, force=force
             )
 
     lines = reports.comparison_table(
@@ -363,7 +371,7 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> in
     lines.append(
         "  linearized equations decides which predictions continue to orbits."
     )
-    reports.write_text_report(outdir / "comparison.txt", lines, force=force)
+    reports.write_text_report(outdir / names["comparison"], lines, force=force)
     print("\n".join(lines))
     return 0
 
@@ -416,7 +424,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     try:
-        reports.refuse_existing([args.out / name for name in _ARTIFACTS[args.command]], args.force)
+        artifacts = _ARTIFACTS[args.command].values()
+        reports.refuse_existing([args.out / name for name in artifacts], args.force)
         if args.command == "eval":
             path = cmd_eval(config, args.out, args.force)
             print(f"wrote {path}")
@@ -425,7 +434,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"wrote {path} ({len(zeros)} zero(s), {len(groups)} orbit class(es))")
         elif args.command == "verify":
             cmd_verify(config, args.out, args.force)
-            print(f"wrote {args.out / 'continuation.csv'} and verify_report.txt")
+            names = _ARTIFACTS["verify"]
+            print(f"wrote {args.out / names['continuation']} and {names['report']}")
         else:
             cmd_reproduce(config, case, args.out, args.force)
             print(f"wrote comparison table under {args.out}")

@@ -13,9 +13,10 @@ orbits: the (X, Y) plane with angular frequency sqrt(3) (period T1) and the
 
 Both systems are trees here: the full one holds the attitude terms and the
 two torque trees, the linearized one the four partial trees at zero angles.
-``torques.generate_rhs`` emits each as one straight-line rhs(t, s) with a
-shared subexpression table; ``full_rhs`` and ``first_order_rhs``, written
-by hand, are the oracles they match bit for bit.
+``_generate_rhs`` emits each through the torques' code generator as one
+straight-line rhs(t, s) with a shared subexpression table; ``full_rhs`` and
+``first_order_rhs``, written by hand, are the oracles they match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ from .torques import (
     Pow,
     TorqueExpression,
     Var,
-    generate_rhs,
+    _NAMESPACES,
+    _emit,
+    _exec,
+    _guarded,
     parse_torque,
 )
 
@@ -181,6 +185,40 @@ def first_order_rhs(s: StateLike, t: float, eps: float, lin) -> Tuple[float, flo
     return (Y, -3.0 * X + eps * F1, W, -4.0 * Z + eps * F2)
 
 
+def _generate_rhs(
+    state: Sequence[str], checked: Sequence[Node], returned: Sequence[Node],
+    phi_pole: Optional[str] = None,
+) -> Callable:
+    """Emit and compile ``make(eps)``, which returns one straight-line
+    ``rhs(t, s)`` over the math module: ``s`` unpacked into the names
+    ``state``, then the sections of the trees ``checked``, each raising
+    DomainError where its value leaves the finite floats, and of
+    ``returned``, whose values it returns; one ``_emit`` in the try that
+    turns float errors into DomainError.  Trees may read ``eps``, bound by
+    a closure, and the names in ``state``.
+
+    With ``phi_pole``, an exception in source, the body starts with
+    ``cph = cos(phi)`` and raises it where cph fails the tan pole guard;
+    that test is then the pole guard of every tan(phi).
+    """
+    names, lines = {}, {}
+    if phi_pole is not None:
+        pole = _NAMESPACES["math"][2].format("cph")
+        names[Call("cos", Var("phi"))] = "cph"
+        lines = {"cph": "cph = cos(phi)", pole: f"if {pole}: raise {phi_pole}"}
+    roots = [(node, True) for node in checked] + [(node, False) for node in returned]
+    body, results = _emit(roots, "math", names, lines)
+    body += (f"return ({', '.join(results[len(checked):])})",)
+    src = (
+        "def make(eps):\n"
+        "    def rhs(t, s):\n"
+        f"        {', '.join(state)} = s\n"
+        f"{_guarded(body, 'math', 8)}"
+        "    return rhs\n"
+    )
+    return _exec(src, "math", "make")
+
+
 #: the attitude terms of the two accelerations, in full_rhs's operations and order
 _ATTITUDE_TERMS = (
     "2.0 * phi_dot * (1.0 + theta_dot) * tan(phi) - 3.0 * sin(theta) * cos(theta)",
@@ -196,7 +234,7 @@ def _full_system(f1star: TorqueExpression, f2star: TorqueExpression) -> Callable
         BinOp("+", parse_torque(text).root, BinOp("*", Var("eps"), torque.root))
         for text, torque in zip(_ATTITUDE_TERMS, (f1star, f2star))
     )
-    return generate_rhs(
+    return _generate_rhs(
         ("theta", "theta_dot", "phi", "phi_dot"), (f1star.root, f2star.root),
         (Var("theta_dot"), theta_acc, Var("phi_dot"), phi_acc),
         phi_pole='SingularityError(f"cos(phi) = {cph:.3e} at phi = {phi!r}")',
@@ -239,7 +277,7 @@ def _linearized_system(partials: Tuple[Optional[TorqueExpression], ...]) -> Call
         force = BinOp("+", BinOp("*", ca, X), BinOp("*", cb, Z))
         return BinOp("+", BinOp("*", Neg(Num(k)), x), BinOp("*", Var("eps"), force))
 
-    return generate_rhs(
+    return _generate_rhs(
         ("X", "theta_dot", "Z", "phi_dot"), coefficients,
         (Y, acceleration(3.0, X, c1, c2), W, acceleration(4.0, Z, c3, c4)),
     )

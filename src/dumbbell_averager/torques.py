@@ -19,9 +19,9 @@ variable gives the value of a zeros array.  (value, derivative) is the value's
 function and then the partial's.  The linearized torque coefficients
 f1..f4 are the partials of the torques in the nutation or precession angle
 at zero angles, with the angular rates kept exact.  The same generator
-emits a sequence of trees through one shared subexpression table into one
-straight-line right-hand side (``generate_rhs``): ``dynamics`` builds both
-the full and the linearized system with it.
+emits a sequence of trees through one shared subexpression table:
+``dynamics`` builds the straight-line right-hand sides of both the full
+and the linearized system with it.
 """
 from __future__ import annotations
 
@@ -272,15 +272,23 @@ _NAMESPACES = {
 }
 
 
+def _operands(node: Node) -> Tuple[Node, ...]:
+    """The subtrees the emitted code computes for ``node``: its children,
+    and for tan(a) also the cos(a) of its pole guard."""
+    if isinstance(node, Call) and node.fn == "tan":
+        return (node.arg, Call("cos", node.arg))
+    return _children(node)
+
+
 def _uses(root: Node) -> collections.Counter:
-    """Occurrences of each subtree of ``root``; a repeated subtree's own
-    children are counted once."""
+    """Occurrences of each subtree that the code for ``root`` computes; a
+    repeated subtree's own operands are counted once."""
     uses, pending = collections.Counter(), [root]
     while pending:
         node = pending.pop()
         uses[node] += 1
         if uses[node] == 1:
-            pending += _children(node)
+            pending += _operands(node)
     return uses
 
 
@@ -294,12 +302,13 @@ def _emit(
 
     Each root's section evaluates in the order of that root's own function,
     so the same error comes first.  A non-atomic subtree that occurs more
-    than once in the root (found by hashing the frozen tree) is computed
-    once into a local; one that a later root uses too is named inside the
-    expression that first computes it, ``(vn := ...)``; a later root reads
-    either by its name.  Zero divisors, zero bases of negative powers and
-    tan poles raise DomainError, and so does a result outside the finite
-    floats where ``finite`` is set and the root is not a literal.  A guard
+    than once in the root (found by hashing the frozen tree; tan(a) holds
+    the cos(a) of its pole guard) is computed once into a local; one that a
+    later root uses too is named inside the expression that first computes
+    it, ``(vn := ...)``; a later root reads either by its name.  Zero
+    divisors, zero bases of negative powers and tan poles raise DomainError,
+    and so does a result outside the finite floats where ``finite`` is set
+    and the root is not a literal.  A guard
     is written once per condition, where it is first needed.  ``names`` and
     ``lines`` seed the table and the statements: the values a prologue
     computed, and its lines, a guard keyed by its condition.
@@ -315,7 +324,7 @@ def _emit(
             if node in seen:
                 needed.add(node)
             else:
-                pending += _children(node)
+                pending += _operands(node)
         seen.update(root_uses)
     local = (f"v{n}" for n in itertools.count())
 
@@ -633,40 +642,6 @@ def eval_dual(
     return _value_and_partial(expr, seed, "numpy")(*bindings)
 
 
-def generate_rhs(
-    state: Sequence[str], checked: Sequence[Node], returned: Sequence[Node],
-    phi_pole: Optional[str] = None,
-) -> Callable:
-    """Emit and compile ``make(eps)``, which returns one straight-line
-    ``rhs(t, s)`` over the math module: ``s`` unpacked into the names
-    ``state``, then the sections of the trees ``checked``, each raising
-    DomainError where its value leaves the finite floats, and of
-    ``returned``, whose values it returns; one ``_emit`` in the try that
-    turns float errors into DomainError.  Trees may read ``eps``, bound by
-    a closure, and the names in ``state``.
-
-    With ``phi_pole``, an exception in source, the body starts with
-    ``cph = cos(phi)`` and raises it where cph fails the tan pole guard;
-    that test is then the pole guard of every tan(phi).
-    """
-    names, lines = {}, {}
-    if phi_pole is not None:
-        pole = _NAMESPACES["math"][2].format("cph")
-        names[Call("cos", Var("phi"))] = "cph"
-        lines = {"cph": "cph = cos(phi)", pole: f"if {pole}: raise {phi_pole}"}
-    roots = [(node, True) for node in checked] + [(node, False) for node in returned]
-    body, results = _emit(roots, "math", names, lines)
-    body += (f"return ({', '.join(results[len(checked):])})",)
-    src = (
-        "def make(eps):\n"
-        "    def rhs(t, s):\n"
-        f"        {', '.join(state)} = s\n"
-        f"{_guarded(body, 'math', 8)}"
-        "    return rhs\n"
-    )
-    return _exec(src, "math", "make")
-
-
 @dataclass(frozen=True)
 class LinearizedTorque:
     """Coefficients f1..f4 of the angle-linearized torques.
@@ -708,6 +683,16 @@ def _angle_partial(expr: TorqueExpression, seed: str) -> Callable[[float, float,
     return coefficient
 
 
+def _linearize(f1star: TorqueExpression, f2star: TorqueExpression) -> LinearizedTorque:
+    """The coefficients f1..f4 and their partial trees, without evaluating
+    the torques."""
+    pairs = ((f1star, "theta"), (f1star, "phi"), (f2star, "theta"), (f2star, "phi"))
+    return LinearizedTorque(
+        *(_angle_partial(expr, seed) for expr, seed in pairs),
+        partials=tuple(expr.partial(seed) for expr, seed in pairs),
+    )
+
+
 def extract_linearized(f1star: TorqueExpression, f2star: TorqueExpression) -> LinearizedTorque:
     """Differentiate the torques in the angles at theta = phi = 0.
 
@@ -717,11 +702,7 @@ def extract_linearized(f1star: TorqueExpression, f2star: TorqueExpression) -> Li
     """
     for expr in (f1star, f2star):
         expr.evaluate(0.0, 0.0, 0.0, 0.0, 0.0)
-    pairs = ((f1star, "theta"), (f1star, "phi"), (f2star, "theta"), (f2star, "phi"))
-    return LinearizedTorque(
-        *(_angle_partial(expr, seed) for expr, seed in pairs),
-        partials=tuple(expr.partial(seed) for expr, seed in pairs),
-    )
+    return _linearize(f1star, f2star)
 
 
 # --- Equilibrium validation ---

@@ -198,8 +198,9 @@ class TestMainEntry:
         out = tmp_path / "o"
         argv = [command, "--config", str(cfg), "--out", str(out)]
         assert cli.main(argv) == 0
-        assert sorted(p.name for p in out.iterdir()) == sorted(cli._ARTIFACTS[command])
-        (out / cli._ARTIFACTS[command][0]).unlink()
+        names = list(cli._ARTIFACTS[command].values())
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        (out / names[0]).unlink()
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
 
