@@ -31,7 +31,7 @@ from .dynamics import Mode, PerturbSetup, ResonanceSpec, make_first_order_rhs, m
 from .errors import DumbbellError
 from .reference import BUNDLED_CASES
 from .reports import ArtifactExistsError
-from .shooting import ContinuationReport, epsilon_continuation, epsilon_ladder
+from .shooting import ContinuationReport, epsilon_continuations, epsilon_ladder
 from .torques import TorqueExpression, extract_linearized, parse_torque, validate_equilibrium
 from .zeros import (
     DEFAULT_NEWTON_TOL,
@@ -266,26 +266,31 @@ def _rhs_factory(config: RunConfig, system: str):
     return lambda eps: make_first_order_rhs(eps, lin)
 
 
-def _run_continuations(
+def _ladder_jobs(
     config: RunConfig, groups: Sequence[Sequence[CertifiedZero]], system: str
-) -> Dict[str, ContinuationReport]:
-    """Ladders of the simple orbit classes, keyed by orbit-class index."""
+) -> Dict[str, dict]:
+    """``epsilon_continuation`` arguments of the simple orbit classes'
+    ladders, keyed by orbit-class index."""
     factory = _rhs_factory(config, system)
-    out: Dict[str, ContinuationReport] = {}
-    for idx, group in enumerate(groups):
-        representative = group[0]
-        if not representative.is_simple:
-            continue
-        rep = epsilon_continuation(
-            factory,
-            representative.location,
-            config.spec,
-            config.epsilon_list,
+    return {
+        str(idx): dict(
+            rhs_for_eps=factory,
+            averaged_zero=group[0].location,
+            spec=config.spec,
+            eps_list=config.epsilon_list,
             shooting_tol=config.shooting_tol,
             integrator_tol=config.integrator_tol,
         )
-        out[str(idx)] = rep
-    return out
+        for idx, group in enumerate(groups)
+        if group[0].is_simple
+    }
+
+
+def _run_ladders(job_sets: Sequence[Dict[str, dict]]) -> List[Dict[str, ContinuationReport]]:
+    """The reports of every set's ladders, keyed as their jobs; all ladders
+    go to one ``epsilon_continuations`` call, which spreads them over the CPUs."""
+    done = iter(epsilon_continuations([job for jobs in job_sets for job in jobs.values()]))
+    return [{label: next(done) for label in jobs} for jobs in job_sets]
 
 
 def cmd_verify(config: RunConfig, outdir: Path, force: bool) -> int:
@@ -294,7 +299,7 @@ def cmd_verify(config: RunConfig, outdir: Path, force: bool) -> int:
     simple_groups = [g for g in groups if g[0].is_simple]
     if not simple_groups:
         raise DumbbellError("verify: no simple zeros found in the search annulus")
-    ladders = _run_continuations(config, groups, config.verify_system)
+    (ladders,) = _run_ladders([_ladder_jobs(config, groups, config.verify_system)])
     meta = {
         "system": config.verify_system,
         "shooting_tol": config.shooting_tol,
@@ -340,22 +345,27 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> in
         config, outdir, force, names["reference"], "printed-reference", case
     )
 
-    ladders: Dict[str, Dict[str, Dict[str, ContinuationReport]]] = {}
-    for source, groups in (("pipeline", pipe_groups), ("reference", ref_groups)):
-        ladders[source] = {}
-        for system in _VERIFY_SYSTEMS:
-            runs = _run_continuations(config, groups, system)
-            ladders[source][system] = runs
-            meta = {
-                "case": case,
-                "source": source,
-                "system": system,
-                "shooting_tol": config.shooting_tol,
-                "integrator_tol": config.integrator_tol,
-            }
-            reports.write_continuation_csv(
-                outdir / names[source, system], runs.items(), meta, force=force
-            )
+    sets = [
+        (source, system, groups)
+        for source, groups in (("pipeline", pipe_groups), ("reference", ref_groups))
+        for system in _VERIFY_SYSTEMS
+    ]
+    runs = _run_ladders([_ladder_jobs(config, groups, system) for _, system, groups in sets])
+    ladders: Dict[str, Dict[str, Dict[str, ContinuationReport]]] = {
+        "pipeline": {}, "reference": {}
+    }
+    for (source, system, _), ladders_of_set in zip(sets, runs):
+        ladders[source][system] = ladders_of_set
+        meta = {
+            "case": case,
+            "source": source,
+            "system": system,
+            "shooting_tol": config.shooting_tol,
+            "integrator_tol": config.integrator_tol,
+        }
+        reports.write_continuation_csv(
+            outdir / names[source, system], ladders_of_set.items(), meta, force=force
+        )
 
     lines = reports.comparison_table(
         case,

@@ -186,11 +186,11 @@ def first_order_rhs(s: StateLike, t: float, eps: float, lin) -> Tuple[float, flo
 
 
 def _generate_rhs(
-    state: Sequence[str], checked: Sequence[Node], returned: Sequence[Node],
+    filename: str, state: Sequence[str], checked: Sequence[Node], returned: Sequence[Node],
     phi_pole: Optional[str] = None,
 ) -> Callable:
-    """Emit and compile ``make(eps)``, which returns one straight-line
-    ``rhs(t, s)`` over the math module: ``s`` unpacked into the names
+    """Emit and compile ``make(eps)`` under ``filename``; it returns one
+    straight-line ``rhs(t, s)`` over the math module: ``s`` unpacked into the names
     ``state``, then the sections of the trees ``checked``, each raising
     DomainError where its value leaves the finite floats, and of
     ``returned``, whose values it returns; one ``_emit`` in the try that
@@ -216,7 +216,7 @@ def _generate_rhs(
         f"{_guarded(body, 'math', 8)}"
         "    return rhs\n"
     )
-    return _exec(src, "math", "make")
+    return _exec(src, "math", "make", filename)
 
 
 #: the attitude terms of the two accelerations, in full_rhs's operations and order
@@ -235,7 +235,7 @@ def _full_system(f1star: TorqueExpression, f2star: TorqueExpression) -> Callable
         for text, torque in zip(_ATTITUDE_TERMS, (f1star, f2star))
     )
     return _generate_rhs(
-        ("theta", "theta_dot", "phi", "phi_dot"), (f1star.root, f2star.root),
+        "<full rhs>", ("theta", "theta_dot", "phi", "phi_dot"), (f1star.root, f2star.root),
         (Var("theta_dot"), theta_acc, Var("phi_dot"), phi_acc),
         phi_pole='SingularityError(f"cos(phi) = {cph:.3e} at phi = {phi!r}")',
     )
@@ -278,7 +278,7 @@ def _linearized_system(partials: Tuple[Optional[TorqueExpression], ...]) -> Call
         return BinOp("+", BinOp("*", Neg(Num(k)), x), BinOp("*", Var("eps"), force))
 
     return _generate_rhs(
-        ("X", "theta_dot", "Z", "phi_dot"), coefficients,
+        "<linearized rhs>", ("X", "theta_dot", "Z", "phi_dot"), coefficients,
         (Y, acceleration(3.0, X, c1, c2), W, acceleration(4.0, Z, c3, c4)),
     )
 

@@ -413,11 +413,13 @@ def _worded(exc: Exception) -> str:
     return f"{name}: {exc}"
 
 
-def _exec(src: str, namespace: str, name: str) -> Callable:
-    """Run generated source over the namespace's functions; return ``name``."""
+def _exec(src: str, namespace: str, name: str, filename: str) -> Callable:
+    """Run generated source over the namespace's functions; return ``name``.
+    The code is compiled under ``filename``, so that profiles and tracebacks
+    tell each kind of generated function apart."""
     env = dict(_NAMESPACES[namespace][0], **CONSTANTS, TAN_POLE_FLOOR=TAN_POLE_FLOOR,
                DomainError=DomainError, SingularityError=SingularityError, _worded=_worded)
-    exec(src, env)
+    exec(compile(src, filename, "exec"), env)
     return env[name]
 
 
@@ -427,7 +429,8 @@ def _generate(root: Node, namespace: str) -> Callable:
     domain errors raise DomainError too."""
     lines, (result,) = _emit(((root, True),), namespace)
     head = f"def torque({', '.join(VARIABLES)}):\n"
-    return _exec(head + _guarded(lines + (f"return {result}",), namespace, 4), namespace, "torque")
+    body = head + _guarded(lines + (f"return {result}",), namespace, 4)
+    return _exec(body, namespace, "torque", "<torque>")
 
 
 def _value_and_partial(expr: TorqueExpression, seed: str, namespace: str) -> Callable:

@@ -400,6 +400,31 @@ class TestMainEntry:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the ladders run forked")
+@pytest.mark.parametrize("command", ["reproduce", "verify"])
+def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys, command):
+    # reproduce corollary2 runs 10 ladders, the linearized verify of its
+    # reference field 3; with two usable CPUs one child runs every other one
+    with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
+        text = p.read_text(encoding="utf-8")
+    if command == "verify":
+        text += "field_source = printed-reference\nverify_system = linearized\n"
+    cfg = write(tmp_path, text)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs.append((files, capsys.readouterr().out.replace(str(out), "<out>")))
+    assert len(forks) == 1
+    assert sorted(runs[0][0]) == sorted(cli._ARTIFACTS[command].values())
+    assert runs[0] == runs[1]
+
+
 class TestComparisonTable:
     ROWS = [
         {

@@ -133,6 +133,16 @@ class TestGeneratedRhs:
         assert rhs[0].__code__ is rhs[1].__code__
         assert rhs[0](0.7, (0.1, 0.2, 0.3, 0.4)) != rhs[1](0.7, (0.1, 0.2, 0.3, 0.4))
 
+    def test_each_kind_of_generated_function_has_its_own_file_name(self):
+        # profilers key functions by (file, line, name): under one shared name
+        # the full and the linearized rhs would merge into one row
+        case = da.BUNDLED_CASES["corollary2"]
+        f1, f2 = da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
+        full = da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=1e-2))
+        linearized = da.make_first_order_rhs(1e-2, da.extract_linearized(f1, f2))
+        names = [fn.__code__.co_filename for fn in (f1.compile(), full, linearized)]
+        assert names == ["<torque>", "<full rhs>", "<linearized rhs>"]
+
     def test_zero_angles_fold_trig_and_keep_arithmetic(self):
         text = "sin(theta) * t + cos(phi) - tan(theta) + sin(-phi) + theta * phi_dot"
         folded = dynamics._at_zero_angles(da.parse_torque(text).root)

@@ -1,4 +1,8 @@
-"""The package's public surface."""
+"""The package's public surface, and what importing it costs."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import dumbbell_averager as da
 
@@ -53,3 +57,19 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(da.__all__) == PUBLIC_NAMES
     for name in da.__all__:
         getattr(da, name)
+
+
+def test_import_brings_in_no_process_pool():
+    # the ladders fork by hand; a pool module would add tens of milliseconds
+    # to every command's start-up
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(da.__file__).resolve().parents[1])!r})\n"
+        "import dumbbell_averager, dumbbell_averager.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
