@@ -30,7 +30,6 @@ from .averaging import AveragedField
 from .dynamics import Mode, PerturbSetup, ResonanceSpec, make_first_order_rhs, make_full_rhs
 from .errors import DumbbellError
 from .reference import BUNDLED_CASES
-from .reports import ArtifactExistsError
 from .shooting import ContinuationReport, epsilon_continuations, epsilon_ladder
 from .torques import TorqueExpression, extract_linearized, parse_torque, validate_equilibrium
 from .zeros import (
@@ -44,6 +43,10 @@ from .zeros import (
 
 class ConfigError(Exception):
     """Bad configuration file or command usage."""
+
+
+class ArtifactExistsError(Exception):
+    """Refusing to overwrite an existing artifact without --force."""
 
 
 _FIELD_SOURCES = ("pipeline", "printed-reference")
@@ -232,18 +235,18 @@ def _eval_points(config: RunConfig) -> np.ndarray:
     return np.column_stack([a1.ravel(), a2.ravel()])
 
 
-def cmd_eval(config: RunConfig, outdir: Path, force: bool) -> Path:
+def cmd_eval(config: RunConfig, outdir: Path) -> Path:
     fld, meta = _build_field(config, config.field_source, config.case)
     points = _eval_points(config)
     values = fld(points)
     if isinstance(fld, AveragedField):
         meta["quad_nodes_max"] = fld.max_nodes_used
     path = outdir / _ARTIFACTS["eval"]["field"]
-    reports.write_field_csv(path, points, values, meta, force=force)
+    reports.write_field_csv(path, points, values, meta)
     return path
 
 
-def cmd_solve(config: RunConfig, outdir: Path, force: bool, filename: Optional[str] = None,
+def cmd_solve(config: RunConfig, outdir: Path, filename: Optional[str] = None,
               source: Optional[str] = None, case: Optional[str] = None):
     """Certified zeros of the field of ``source`` and ``case``, by default the
     configured ones, written to ``filename``, by default solve's."""
@@ -254,7 +257,7 @@ def cmd_solve(config: RunConfig, outdir: Path, force: bool, filename: Optional[s
     if isinstance(fld, AveragedField):
         meta["quad_nodes_max"] = fld.max_nodes_used
     path = outdir / (filename or _ARTIFACTS["solve"]["zeros"])
-    reports.write_zeros_csv(path, zeros, groups, meta, force=force)
+    reports.write_zeros_csv(path, zeros, groups, meta)
     return zeros, groups, path
 
 
@@ -293,9 +296,9 @@ def _run_ladders(job_sets: Sequence[Dict[str, dict]]) -> List[Dict[str, Continua
     return [{label: next(done) for label in jobs} for jobs in job_sets]
 
 
-def cmd_verify(config: RunConfig, outdir: Path, force: bool) -> int:
+def cmd_verify(config: RunConfig, outdir: Path) -> int:
     names = _ARTIFACTS["verify"]
-    zeros, groups, _ = cmd_solve(config, outdir, force, names["zeros"])
+    zeros, groups, _ = cmd_solve(config, outdir, names["zeros"])
     simple_groups = [g for g in groups if g[0].is_simple]
     if not simple_groups:
         raise DumbbellError("verify: no simple zeros found in the search annulus")
@@ -306,13 +309,11 @@ def cmd_verify(config: RunConfig, outdir: Path, force: bool) -> int:
         "integrator_tol": config.integrator_tol,
         "epsilon_list": "/".join(f"{e:g}" for e in config.epsilon_list),
     }
-    reports.write_continuation_csv(
-        outdir / names["continuation"], ladders.items(), meta, force=force
-    )
+    reports.write_continuation_csv(outdir / names["continuation"], ladders.items(), meta)
     lines = [f"verification on the {config.verify_system} system"]
     for label, rep in ladders.items():
         lines += reports.continuation_text(label, rep)
-    reports.write_text_report(outdir / names["report"], lines, force=force)
+    reports.write_text_report(outdir / names["report"], lines)
     if all(not rep.certificates for rep in ladders.values()):
         raise DumbbellError("verify: shooting failed on every orbit class")
     return 0
@@ -338,12 +339,10 @@ def _comparison_rows(
     return rows
 
 
-def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> int:
+def cmd_reproduce(config: RunConfig, case: str, outdir: Path) -> int:
     names = _ARTIFACTS["reproduce"]
-    _, pipe_groups, _ = cmd_solve(config, outdir, force, names["pipeline"], "pipeline")
-    _, ref_groups, _ = cmd_solve(
-        config, outdir, force, names["reference"], "printed-reference", case
-    )
+    _, pipe_groups, _ = cmd_solve(config, outdir, names["pipeline"], "pipeline")
+    _, ref_groups, _ = cmd_solve(config, outdir, names["reference"], "printed-reference", case)
 
     sets = [
         (source, system, groups)
@@ -363,9 +362,7 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> in
             "shooting_tol": config.shooting_tol,
             "integrator_tol": config.integrator_tol,
         }
-        reports.write_continuation_csv(
-            outdir / names[source, system], ladders_of_set.items(), meta, force=force
-        )
+        reports.write_continuation_csv(outdir / names[source, system], ladders_of_set.items(), meta)
 
     lines = reports.comparison_table(
         case,
@@ -381,7 +378,7 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path, force: bool) -> in
     lines.append(
         "  linearized equations decides which predictions continue to orbits."
     )
-    reports.write_text_report(outdir / names["comparison"], lines, force=force)
+    reports.write_text_report(outdir / names["comparison"], lines)
     print("\n".join(lines))
     return 0
 
@@ -434,20 +431,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     try:
-        artifacts = _ARTIFACTS[args.command].values()
-        reports.refuse_existing([args.out / name for name in artifacts], args.force)
+        for path in (args.out / name for name in _ARTIFACTS[args.command].values()):
+            if path.exists() and not args.force:
+                raise ArtifactExistsError(f"{path} exists; pass --force to overwrite")
         if args.command == "eval":
-            path = cmd_eval(config, args.out, args.force)
+            path = cmd_eval(config, args.out)
             print(f"wrote {path}")
         elif args.command == "solve":
-            zeros, groups, path = cmd_solve(config, args.out, args.force)
+            zeros, groups, path = cmd_solve(config, args.out)
             print(f"wrote {path} ({len(zeros)} zero(s), {len(groups)} orbit class(es))")
         elif args.command == "verify":
-            cmd_verify(config, args.out, args.force)
+            cmd_verify(config, args.out)
             names = _ARTIFACTS["verify"]
             print(f"wrote {args.out / names['continuation']} and {names['report']}")
         else:
-            cmd_reproduce(config, case, args.out, args.force)
+            cmd_reproduce(config, case, args.out)
             print(f"wrote comparison table under {args.out}")
     except (ArtifactExistsError, OSError) as exc:
         print(f"artifact error: {exc}", file=sys.stderr)

@@ -3,14 +3,15 @@
 Every CSV starts with one ``#`` comment line recording the tolerances and
 node counts behind the numbers, then a header row.  Floats are serialized
 with 17 significant digits so artifacts round-trip exactly and identical
-configurations produce byte-identical files.
+configurations produce byte-identical files.  The writers overwrite what
+is there; the command line refuses existing artifacts before any stage.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -18,45 +19,33 @@ from .shooting import ContinuationReport
 from .zeros import CertifiedZero
 
 
-class ArtifactExistsError(Exception):
-    """Refusing to overwrite an existing artifact without --force."""
-
-
 def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def refuse_existing(paths: Sequence[Path], force: bool) -> None:
-    """Raise ArtifactExistsError at the first of ``paths`` that exists,
-    unless ``force``."""
-    for path in paths:
-        if path.exists() and not force:
-            raise ArtifactExistsError(f"{path} exists; pass --force to overwrite")
-
-
-def _open_new(path: Path, force: bool):
-    refuse_existing((path,), force)
+def _write_lines(path: Path, lines: Sequence[str]) -> None:
+    """Write ``lines``, each ending in a newline, creating the directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def _meta_line(meta: Dict[str, object]) -> str:
-    return "# " + "; ".join(f"{k}={v}" for k, v in meta.items())
+def _write_csv(
+    path: Path, meta: Dict[str, object], header: str, rows: Iterable[Sequence[object]]
+) -> None:
+    """The ``#`` metadata line, the header, then one line per row: strings
+    as they are, numbers through fmt17."""
+    lines = ["# " + "; ".join(f"{k}={v}" for k, v in meta.items()), header]
+    lines += (",".join(v if isinstance(v, str) else fmt17(v) for v in row) for row in rows)
+    _write_lines(path, lines)
 
 
 def write_field_csv(
-    path: Path,
-    points: np.ndarray,
-    values: np.ndarray,
-    meta: Dict[str, object],
-    force: bool = False,
+    path: Path, points: np.ndarray, values: np.ndarray, meta: Dict[str, object]
 ) -> None:
     """Grid evaluation of a 2D field: rows (alpha1, alpha2, value1, value2)."""
-    with _open_new(path, force) as fh:
-        fh.write(_meta_line(meta) + "\n")
-        fh.write("alpha1,alpha2,value1,value2\n")
-        for (a1, a2), (v1, v2) in zip(points, values):
-            fh.write(f"{fmt17(a1)},{fmt17(a2)},{fmt17(v1)},{fmt17(v2)}\n")
+    rows = ((*point, *value) for point, value in zip(points, values))
+    _write_csv(path, meta, "alpha1,alpha2,value1,value2", rows)
 
 
 def write_zeros_csv(
@@ -64,65 +53,43 @@ def write_zeros_csv(
     zeros: Sequence[CertifiedZero],
     groups: Sequence[Sequence[CertifiedZero]],
     meta: Dict[str, object],
-    force: bool = False,
 ) -> None:
     """Certified zeros with their orbit-class grouping."""
-    class_of = {}
-    for idx, group in enumerate(groups):
-        for z in group:
-            class_of[id(z)] = idx
-    with _open_new(path, force) as fh:
-        fh.write(_meta_line(meta) + "\n")
-        fh.write("alpha1,alpha2,residual,det,classification,orbit_class\n")
-        for z in zeros:
-            fh.write(
-                f"{fmt17(z.location[0])},{fmt17(z.location[1])},"
-                f"{fmt17(z.residual_norm)},{fmt17(z.jacobian_det)},"
-                f"{z.classification},{class_of[id(z)]}\n"
-            )
+    class_of = {id(z): str(idx) for idx, group in enumerate(groups) for z in group}
+    rows = (
+        (*z.location, z.residual_norm, z.jacobian_det, z.classification, class_of[id(z)])
+        for z in zeros
+    )
+    _write_csv(path, meta, "alpha1,alpha2,residual,det,classification,orbit_class", rows)
 
 
 def write_continuation_csv(
-    path: Path,
-    reports: Sequence[tuple],
-    meta: Dict[str, object],
-    force: bool = False,
+    path: Path, reports: Sequence[tuple], meta: Dict[str, object]
 ) -> None:
     """Continuation ladders: one row per epsilon rung per orbit class.
 
     ``reports`` holds (label, ContinuationReport) pairs; failed rungs get a
     row with nan corrected entries and the failure status.
     """
-    cols = (
+    header = (
         "orbit_class,epsilon,"
         "predicted_theta,predicted_theta_dot,predicted_phi,predicted_phi_dot,"
         "corrected_theta,corrected_theta_dot,corrected_phi,corrected_phi_dot,"
         "displacement,distance,empirical_order,status"
     )
-    with _open_new(path, force) as fh:
-        fh.write(_meta_line(meta) + "\n")
-        fh.write(cols + "\n")
-        for label, rep in reports:
-            pred = rep.prediction.as_array()
-            for i, eps in enumerate(rep.eps_list):
-                if i < len(rep.certificates):
-                    cert = rep.certificates[i]
-                    corr = cert.corrected_ic.as_array()
-                    disp = fmt17(cert.displacement_norm)
-                    dist = fmt17(rep.distances[i])
-                    order = fmt17(rep.pair_orders[i - 1]) if i >= 1 else "nan"
-                    status = "converged"
-                else:
-                    corr = [math.nan] * 4
-                    disp = dist = order = "nan"
-                    status = rep.status
-                fh.write(
-                    f"{label},{fmt17(eps)},"
-                    + ",".join(fmt17(v) for v in pred)
-                    + ","
-                    + ",".join(fmt17(v) for v in corr)
-                    + f",{disp},{dist},{order},{status}\n"
-                )
+    rows = []
+    for label, rep in reports:
+        pred = rep.prediction.as_array()
+        for i, eps in enumerate(rep.eps_list):
+            if i < len(rep.certificates):
+                cert = rep.certificates[i]
+                order = rep.pair_orders[i - 1] if i >= 1 else math.nan
+                rest = (*cert.corrected_ic.as_array(), cert.displacement_norm,
+                        rep.distances[i], order, "converged")
+            else:
+                rest = (*[math.nan] * 7, rep.status)
+            rows.append((label, eps, *pred, *rest))
+    _write_csv(path, meta, header, rows)
 
 
 def continuation_text(label: str, rep: ContinuationReport) -> List[str]:
@@ -151,9 +118,8 @@ def continuation_text(label: str, rep: ContinuationReport) -> List[str]:
     return lines
 
 
-def write_text_report(path: Path, lines: Sequence[str], force: bool = False) -> None:
-    with _open_new(path, force) as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_text_report(path: Path, lines: Sequence[str]) -> None:
+    _write_lines(path, lines)
 
 
 def comparison_table(

@@ -29,6 +29,7 @@ import collections
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -44,6 +45,13 @@ FUNCTIONS = ("sin", "cos", "tan")
 
 #: tan arguments closer than this to an odd multiple of pi/2 are rejected.
 TAN_POLE_FLOOR = 1e-12
+
+#: the parser refuses a torque whose tree is deeper than this many levels,
+#: or whose text has more parentheses, calls and signs open at one point.
+#: A partial nests at most about three parentheses per level of its torque,
+#: so the generated code of the deepest torque accepted, of its partials
+#: and of both right-hand sides stays within Python's limit of 200
+MAX_NESTING = 40
 
 
 class TorqueSyntaxError(DumbbellError):
@@ -318,12 +326,13 @@ def _emit(
     counts = [_uses(root) for root, _ in roots]
     needed, seen = set(), set()  # the subtrees a root reads from an earlier one
     for (root, _), root_uses in zip(roots, counts):
-        pending = [root]
+        pending, walked = [root], set()  # tan(a) reaches a twice: walk each subtree once
         while pending:
             node = pending.pop()
             if node in seen:
                 needed.add(node)
-            else:
+            elif node not in walked:
+                walked.add(node)
                 pending += _operands(node)
         seen.update(root_uses)
     local = (f"v{n}" for n in itertools.count())
@@ -433,20 +442,6 @@ def _generate(root: Node, namespace: str) -> Callable:
     return _exec(body, namespace, "torque", "<torque>")
 
 
-def _value_and_partial(expr: TorqueExpression, seed: str, namespace: str) -> Callable:
-    """(value, d/d_seed): the value's generated function, then the partial's."""
-    value, deriv = expr._function(namespace), expr.partial(seed)
-    if deriv is not None:
-        deriv = deriv._function(namespace)
-        return lambda *bindings: (value(*bindings), deriv(*bindings))
-
-    def with_zero(*bindings):
-        v = value(*bindings)
-        return v, (np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0)
-
-    return with_zero
-
-
 @dataclass(frozen=True)
 class TorqueExpression:
     """Immutable, validated expression tree over the five torque variables."""
@@ -478,11 +473,6 @@ class TorqueExpression:
     def compile(self) -> Callable[[float, float, float, float, float], float]:
         """Scalar fast path: generated python function over the math module."""
         return self._function("math")
-
-    def compile_dual(self, seed: str) -> Callable:
-        """Scalar fast path for (value, d/d_seed): ``compile()`` and then the
-        partial's; the ``eval_dual`` contract over the math module."""
-        return _value_and_partial(self, seed, "math")
 
     def pretty(self) -> str:
         """Canonical text form; parsing it back yields an equal tree."""
@@ -528,6 +518,16 @@ class _Parser:
     def __init__(self, text: str):
         self._tok = _Tokenizer(text)
         self.kind, self.lexeme, self.offset = self._tok.next()
+        self.depth = 0  # the parentheses, calls and signs open here
+
+    def _nested(self, parse: Callable[[], Node]) -> Node:
+        """``parse()`` inside one more parenthesis, call or sign."""
+        if self.depth == MAX_NESTING:
+            self._fail(f"at most {MAX_NESTING} nested levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def _advance(self) -> None:
         self.kind, self.lexeme, self.offset = self._tok.next()
@@ -542,10 +542,19 @@ class _Parser:
         self._advance()
 
     def parse(self) -> Node:
-        node = self._expr()
+        root = self._expr()
         if self.kind != "EOF":
             self._fail("operator", "end of input")
-        return node
+        # a chain of binary operators nests without parentheses; walk the tree
+        # without recursion, which a tree past the bound could exhaust
+        depth, pending = 0, [(root, 1)]
+        while pending:
+            node, level = pending.pop()
+            depth = max(depth, level)
+            pending += ((child, level + 1) for child in _children(node))
+        if depth > MAX_NESTING:
+            raise TorqueSyntaxError(0, (f"at most {MAX_NESTING} nested levels",), f"{depth} levels")
+        return root
 
     def _expr(self) -> Node:
         node = self._term()
@@ -566,10 +575,10 @@ class _Parser:
     def _factor(self) -> Node:
         if self.kind == "-":
             self._advance()
-            return Neg(self._factor())
+            return Neg(self._nested(self._factor))
         if self.kind == "+":
             self._advance()
-            return self._factor()
+            return self._nested(self._factor)
         return self._power()
 
     def _power(self) -> Node:
@@ -586,18 +595,23 @@ class _Parser:
             self._advance()
         if self.kind != "NUMBER" or any(c in self.lexeme for c in ".eE"):
             self._fail("integer exponent")
-        value = int(self.lexeme)
+        try:
+            value = int(self.lexeme)
+        except ValueError:  # more digits than int() converts
+            self._fail(f"integer exponent of at most {sys.get_int_max_str_digits()} digits")
         self._advance()
         return sign * value
 
     def _atom(self) -> Node:
         if self.kind == "NUMBER":
             value = float(self.lexeme)
+            if not math.isfinite(value):
+                self._fail("finite number")
             self._advance()
             return Num(value)
         if self.kind == "(":
             self._advance()
-            node = self._expr()
+            node = self._nested(self._expr)
             self._expect(")")
             return node
         if self.kind == "IDENT":
@@ -606,7 +620,7 @@ class _Parser:
             self._advance()
             if name in FUNCTIONS:
                 self._expect("(")
-                node = self._expr()
+                node = self._nested(self._expr)
                 self._expect(")")
                 return Call(name, node)
             if name in CONSTANTS:
@@ -621,7 +635,9 @@ def parse_torque(text: str) -> TorqueExpression:
     """Parse torque text into an immutable expression tree.
 
     Raises TorqueSyntaxError (with byte offset and expected-token set) on
-    malformed input and UnknownIdentifierError for stray names.
+    malformed input, on a literal that is no finite float or an exponent
+    too long for int(), and on nesting past MAX_NESTING;
+    UnknownIdentifierError for stray names.
     """
     if not text or not text.strip():
         raise TorqueSyntaxError(0, ("expression",), "empty input")
@@ -642,7 +658,11 @@ def eval_dual(
     names one of them.  Scalars and numpy arrays both work; a seed-free
     derivative is 0.0, or zeros shaped like an array value.
     """
-    return _value_and_partial(expr, seed, "numpy")(*bindings)
+    deriv = expr.partial(seed)
+    value = expr.evaluate(*bindings)
+    if deriv is not None:
+        return value, deriv.evaluate(*bindings)
+    return value, (np.zeros_like(value) if isinstance(value, np.ndarray) else 0.0)
 
 
 @dataclass(frozen=True)

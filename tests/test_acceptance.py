@@ -337,7 +337,7 @@ def test_criterion_8_reproduce_comparison(tmp_path):
         with cli.resources.as_file(cli.bundled_config_path(name)) as p:
             config = load_config(p)
         out = tmp_path / name
-        assert cli.cmd_reproduce(config, name, out, force=False) == 0
+        assert cli.cmd_reproduce(config, name, out) == 0
         assert (out / "comparison.txt").exists()
         assert (out / "zeros_pipeline.csv").exists()
 

@@ -15,7 +15,7 @@ from dumbbell_averager import averaging, dynamics, reports, shooting
 from dumbbell_averager.cli import ConfigError, RunConfig, load_config
 from dumbbell_averager.dynamics import Mode
 from dumbbell_averager.reference import BUNDLED_CASES
-from dumbbell_averager.torques import LinearizedTorque
+from dumbbell_averager.torques import MAX_NESTING, LinearizedTorque
 from dumbbell_averager.zeros import DEFAULT_NEWTON_TOL, MAX_SEEDS, ZeroSearchDomain
 
 SQRT3 = math.sqrt(3.0)
@@ -125,7 +125,7 @@ class TestEvalCommand:
         text = MINIMAL + "eval_n = 3\neval_lo = -1\neval_hi = 1\n"
         config = load_config(write(tmp_path, text))
         out = tmp_path / "out"
-        path = cli.cmd_eval(config, out, force=False)
+        path = cli.cmd_eval(config, out)
         rows = [
             line.split(",")
             for line in path.read_text().splitlines()
@@ -138,7 +138,7 @@ class TestEvalCommand:
 
     def test_csv_has_comment_and_header(self, tmp_path):
         config = load_config(write(tmp_path, MINIMAL + "eval_n = 2\n"))
-        path = cli.cmd_eval(config, tmp_path / "out", force=False)
+        path = cli.cmd_eval(config, tmp_path / "out")
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# ")
         assert "quad_tol" in lines[0]
@@ -148,7 +148,7 @@ class TestEvalCommand:
 class TestSolveCommand:
     def test_reference_case1(self, tmp_path):
         config = load_config(write(tmp_path, REFERENCE1))
-        zeros, groups, path = cli.cmd_solve(config, tmp_path / "out", force=False)
+        zeros, groups, path = cli.cmd_solve(config, tmp_path / "out")
         assert len(zeros) == 1 and len(groups) == 1
         assert zeros[0].location[0] == pytest.approx(SQRT3 / 3, abs=1e-9)
         assert zeros[0].location[1] == pytest.approx(0.0, abs=1e-9)
@@ -159,8 +159,8 @@ class TestSolveCommand:
 
     def test_determinism_byte_identical(self, tmp_path):
         config = load_config(write(tmp_path, REFERENCE1))
-        p1 = cli.cmd_solve(config, tmp_path / "a", force=False)[2]
-        p2 = cli.cmd_solve(config, tmp_path / "b", force=False)[2]
+        p1 = cli.cmd_solve(config, tmp_path / "a")[2]
+        p2 = cli.cmd_solve(config, tmp_path / "b")[2]
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -383,9 +383,25 @@ class TestMainEntry:
         assert (proc.returncode, code) == (0, 0), proc.stderr
         assert (tmp_path / "m" / "zeros.csv").read_bytes() == (tmp_path / "c" / "zeros.csv").read_bytes()
 
+    def test_torque_nested_past_the_bound_is_a_config_error(self, tmp_path, capsys):
+        # each parenthesis of sin(theta)*(1+phi_dot*(...)) nests two levels
+        def solve(n):
+            text = "sin(theta)*" + "(1+phi_dot*" * n + "1" + ")" * n
+            cfg = write(tmp_path, f"F1star = {text}\nF2star = sin(phi)\nmode = T2\n")
+            return cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / str(n))])
+
+        deepest = (MAX_NESTING - 2) // 2
+        assert solve(deepest) == 0
+        capsys.readouterr()
+        assert solve(deepest + 1) == 1
+        err = capsys.readouterr().err
+        assert f"config error: F1star: syntax error at offset 0: expected at most {MAX_NESTING}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize(
-        "line", ["F1star = sin(theta", "F2star = sin(phi) + wibble", "F1star = theta^\u00b2"]
+        "line", ["F1star = sin(theta", "F2star = sin(phi) + wibble", "F1star = theta^\u00b2",
+                 "F1star = 1e999*theta"]
     )
     def test_malformed_torque_is_a_config_error(self, tmp_path, capsys, command, line):
         # the printed-reference field never needs the torques, so only the

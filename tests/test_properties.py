@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_torques import scalar_dual
 
 import dumbbell_averager as da
 import dumbbell_averager.cli as cli
@@ -77,7 +78,7 @@ def test_scalar_and_array_paths_agree(tree, b, seed):
         if seed is None:
             scalar, array = outcome(expr.compile(), b), outcome(expr.evaluate, arrays)
         else:
-            scalar = outcome(expr.compile_dual(seed), b)
+            scalar = outcome(scalar_dual(expr, seed), b)
             array = outcome(lambda *a: da.eval_dual(expr, a, seed), arrays)
     if isinstance(scalar, str) or isinstance(array, str):
         assert scalar == array
@@ -102,7 +103,7 @@ def test_scalar_and_array_paths_agree_past_the_floats(tree, b, seed):
     if seed is None:
         scalar, array = outcome(expr.compile(), b), outcome(expr.evaluate, arrays)
     else:
-        scalar = outcome(expr.compile_dual(seed), b)
+        scalar = outcome(scalar_dual(expr, seed), b)
         array = outcome(lambda *a: da.eval_dual(expr, a, seed), arrays)
     assert isinstance(scalar, str) == isinstance(array, str), (scalar, array)
     if not isinstance(scalar, str):
@@ -298,6 +299,7 @@ def config_text(drawn) -> str:
 @hypothesis.given(overrides, st.sampled_from(["eval", "solve"]))
 @hypothesis.example([("F1star", "sin(theta)/theta_dot")], "solve")  # exit 2: zero divisor
 @hypothesis.example([("F1star", "sin(theta) + (t + 1e200)^2")], "solve")  # exit 2: overflow
+@hypothesis.example([("F1star", "1e999*theta")], "solve")  # exit 1: the literal overflows
 def test_any_config_exits_by_the_contract(drawn, command):
     """Exit 0 writes the artifact, 1 writes nothing, 2 names the stage;
     never a traceback."""

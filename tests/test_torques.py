@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
+from dumbbell_averager import dynamics, torques
 from dumbbell_averager.torques import (
     EQUILIBRIUM_N_T,
     EQUILIBRIUM_N_V,
+    MAX_NESTING,
     VARIABLES,
     BinOp,
     Call,
@@ -23,12 +25,20 @@ from dumbbell_averager.torques import (
 
 SQRT3 = math.sqrt(3.0)
 
+
+def scalar_dual(expr, seed):
+    """(value, d/d_seed) over the math module: ``compile()``, then the
+    partial's ``compile()``, 0.0 where the tree does not depend on ``seed``."""
+    value, deriv = expr.compile(), expr.partial(seed)
+    return lambda *b: (value(*b), 0.0 if deriv is None else deriv.compile()(*b))
+
+
 #: the four evaluation entry points, each as run(expr, bindings, seed)
 ENTRY_POINTS = {
     "evaluate": lambda expr, b, seed: expr.evaluate(*b),
     "eval_dual": lambda expr, b, seed: da.eval_dual(expr, b, seed),
     "compile": lambda expr, b, seed: expr.compile()(*b),
-    "compile_dual": lambda expr, b, seed: expr.compile_dual(seed)(*b),
+    "partial.compile": lambda expr, b, seed: scalar_dual(expr, seed)(*b),
 }
 
 
@@ -115,6 +125,70 @@ class TestParser:
     def test_non_integer_exponent_rejected(self):
         with pytest.raises(da.TorqueSyntaxError):
             da.parse_torque("theta^2.5")
+
+    @pytest.mark.parametrize("text, offset, expected", [
+        ("1e999*theta", 0, "finite number"),
+        ("sin(theta) + 2e308", 13, "finite number"),
+        ("theta*" + "9" * 400, 6, "finite number"),
+        # int() converts at most 4300 digits
+        ("theta^" + "1" * 4400, 6, "integer exponent of at most 4300 digits"),
+    ], ids=["1e999", "2e308", "400-digit-literal", "4400-digit-exponent"])
+    def test_unrepresentable_literal_refused_at_its_offset(self, text, offset, expected):
+        with pytest.raises(da.TorqueSyntaxError) as err:
+            da.parse_torque(text)
+        assert (err.value.offset, err.value.expected) == (offset, (expected,))
+
+    #: torque texts k levels deep, and the offset at which k = MAX_NESTING + 1 is refused
+    NESTED = [
+        # the tree is k levels deep: refused as a whole
+        (lambda k: "theta" + "*phi" * (k - 1), 0),
+        (lambda k: "-" * (k - 1) + "theta", 0),
+        (lambda k: "sin(" * (k - 1) + "theta" + ")" * (k - 1), 0),
+        # k parentheses or signs open around one level: refused at the first
+        # token inside the one past the bound
+        (lambda k: "(" * k + "theta" + ")" * k, MAX_NESTING + 1),
+        (lambda k: "+" * k + "theta", MAX_NESTING + 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "nested, offset", NESTED, ids=["products", "minus-signs", "calls", "parentheses", "plus-signs"]
+    )
+    def test_nesting_past_the_bound_refused(self, nested, offset):
+        da.parse_torque(nested(MAX_NESTING))
+        with pytest.raises(da.TorqueSyntaxError) as err:
+            da.parse_torque(nested(MAX_NESTING + 1))
+        assert err.value.offset == offset
+        assert err.value.expected == (f"at most {MAX_NESTING} nested levels",)
+        # far past the bound: no RecursionError on the way to the refusal
+        with pytest.raises(da.TorqueSyntaxError):
+            da.parse_torque(nested(5000))
+
+    def test_deepest_torque_and_its_partials_compile(self):
+        # a quotient rule nests the partial of its left operand three levels
+        # deeper: the phi partial of this chain has about 3 * MAX_NESTING
+        # nested parentheses, the most per level of the torque.  The leaves
+        # of the first divisor are the deepest, at MAX_NESTING levels.
+        expr = da.parse_torque("phi" + "/(phi + 2)" * (MAX_NESTING - 2))
+        with pytest.raises(da.TorqueSyntaxError):
+            da.parse_torque("phi" + "/(phi + 2)" * (MAX_NESTING - 1))
+        b = (0.5, 0.25, 1.5, 0.75, 1.25)
+        assert scalar_dual(expr, "phi")(*b) == pytest.approx(da.eval_dual(expr, b, "phi"))
+        # both generated right-hand sides, bit for bit against their oracles
+        state, setup = (0.25, 1.5, 0.75, 1.25), dynamics.PerturbSetup(expr, expr, epsilon=0.01)
+        assert dynamics.make_full_rhs(setup)(0.5, state) == dynamics.full_rhs(state, 0.5, setup)
+        lin = da.extract_linearized(expr, expr)
+        assert dynamics.make_first_order_rhs(0.01, lin)(0.5, state) == dynamics.first_order_rhs(
+            state, 0.5, 0.01, lin
+        )
+
+    def test_nested_tans_are_walked_once_each(self, monkeypatch):
+        # tan(a) computes a, and the cos(a) of its pole guard computes a
+        # again: walked as a tree, each nested tan would double the walk
+        walked = []
+        operands = torques._operands
+        monkeypatch.setattr(torques, "_operands", lambda node: walked.append(node) or operands(node))
+        da.parse_torque("tan(" * 16 + "theta" + ")" * 16).compile()
+        assert len(walked) == 66  # 33 subtrees: counted once, and walked once
 
     def test_tree_validation(self):
         with pytest.raises(ValueError):
@@ -216,7 +290,7 @@ class TestEvalDual:
                 pytest.fail(f"{entry} returned for 1/theta at theta = 1e-170")
         # a zero base is fine for a zero exponent
         expr = da.parse_torque("theta^0")
-        assert expr.compile_dual("theta")(*zero) == (1, 0)
+        assert scalar_dual(expr, "theta")(*zero) == (1, 0)
         assert da.eval_dual(expr, zero, "theta") == (1, 0)
         assert expr.compile()(*zero) == 1
         assert expr.evaluate(*zero) == 1
@@ -229,7 +303,7 @@ class TestEvalDual:
         bindings = (0.5, 1e-170, 0.3, 0.0, 0.2)
         arrays = tuple(np.array([x]) for x in bindings)
         for value, dual, args in (
-            (expr.compile(), expr.compile_dual, bindings),
+            (expr.compile(), lambda seed: scalar_dual(expr, seed), bindings),
             (expr.evaluate, lambda seed: lambda *a: da.eval_dual(expr, a, seed), arrays),
         ):
             with pytest.raises(da.DomainError, match="^division by zero$"):
@@ -252,7 +326,7 @@ class TestEvalDual:
     @pytest.mark.parametrize("text, seed, bindings", LEAVING_THE_FLOATS)
     def test_scalar_path_leaving_the_floats_raises_domain_error(self, text, seed, bindings):
         expr = da.parse_torque(text)
-        fn = expr.compile() if seed is None else expr.compile_dual(seed)
+        fn = expr.compile() if seed is None else scalar_dual(expr, seed)
         with pytest.raises(da.DomainError, match="OverflowError|ValueError"):
             fn(*bindings)
 
@@ -289,7 +363,7 @@ class TestEvalDual:
         for text in texts:
             expr = da.parse_torque(text)
             for seed in ("theta", "phi"):
-                fast = expr.compile_dual(seed)
+                fast = scalar_dual(expr, seed)
                 for _ in range(10):
                     b = tuple(rng.uniform(-1.3, 1.3, 5))
                     v1, d1 = da.eval_dual(expr, b, seed)
@@ -316,7 +390,7 @@ class TestEvalDual:
                     scalar = outcome(expr.compile(), b)
                     array = outcome(expr.evaluate, arrays)
                 else:
-                    scalar = outcome(expr.compile_dual(seed), b)
+                    scalar = outcome(scalar_dual(expr, seed), b)
                     array = outcome(lambda *a: da.eval_dual(expr, a, seed), arrays)
                 where = f"{expr.pretty()} at {b}, seed {seed}"
                 if scalar is da.DomainError or array is da.DomainError:
@@ -420,7 +494,7 @@ class TestDiff:
                 oracle = sympy.lambdify(symbols, [sympy.diff(tree, s) for s in symbols], "math")
                 for _ in range(10):
                     b = [rng.uniform(-1.3, 1.3) for _ in range(5)]
-                    got = [expr.compile_dual(var)(*b)[1] for var in VARIABLES]
+                    got = [scalar_dual(expr, var)(*b)[1] for var in VARIABLES]
                     assert got == pytest.approx(oracle(*b), rel=1e-12, abs=1e-12), text
 
     def test_random_trees_match_sympy(self):
