@@ -52,10 +52,6 @@ SQRT3 = math.sqrt(3.0)
 T1 = 2.0 * math.pi / SQRT3
 T2 = math.pi
 
-#: |cos phi| below this is treated as the tan(phi) pole: the torques' tan
-#: pole floor, so that the generated full rhs tests it once for both.
-COS_PHI_FLOOR = TAN_POLE_FLOOR
-
 #: active monodromy-gap determinants below this are degenerate.
 GAP_DET_FLOOR = 1e-10
 
@@ -159,7 +155,7 @@ def full_rhs(s: StateLike, t: float, setup: PerturbSetup) -> Tuple[float, float,
     eps = setup.epsilon
     try:
         cph = math.cos(ph)
-        if abs(cph) < COS_PHI_FLOOR:
+        if abs(cph) < TAN_POLE_FLOOR:
             raise SingularityError(f"cos(phi) = {cph:.3e} at phi = {ph!r}")
         tf1 = setup.f1star.compile()(t, th, thd, ph, phd)
         tf2 = setup.f2star.compile()(t, th, thd, ph, phd)
@@ -229,7 +225,11 @@ _ATTITUDE_TERMS = (
 @functools.lru_cache(maxsize=8)
 def _full_system(f1star: TorqueExpression, f2star: TorqueExpression) -> Callable:
     """``make(eps)`` of the full system: the |cos phi| test, the F1* and
-    F2* sections, then each attitude term plus eps times its torque."""
+    F2* sections, then each attitude term plus eps times its torque.
+
+    One floor, ``TAN_POLE_FLOOR``, serves the |cos phi| test and the
+    torques' tan pole guard, so that the test is also every tan(phi)'s guard.
+    """
     theta_acc, phi_acc = (
         BinOp("+", parse_torque(text).root, BinOp("*", Var("eps"), torque.root))
         for text, torque in zip(_ATTITUDE_TERMS, (f1star, f2star))

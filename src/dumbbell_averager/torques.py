@@ -597,8 +597,11 @@ class _Parser:
             self._fail("integer exponent")
         try:
             value = int(self.lexeme)
+            float(value)  # diff writes the exponent as a float
         except ValueError:  # more digits than int() converts
             self._fail(f"integer exponent of at most {sys.get_int_max_str_digits()} digits")
+        except OverflowError:
+            self._fail("integer exponent within the finite floats")
         self._advance()
         return sign * value
 
@@ -636,7 +639,8 @@ def parse_torque(text: str) -> TorqueExpression:
 
     Raises TorqueSyntaxError (with byte offset and expected-token set) on
     malformed input, on a literal that is no finite float or an exponent
-    too long for int(), and on nesting past MAX_NESTING;
+    too long for int() or too large for a float, and on nesting past
+    MAX_NESTING;
     UnknownIdentifierError for stray names.
     """
     if not text or not text.strip():
@@ -696,12 +700,11 @@ def _angle_partial(expr: TorqueExpression, seed: str) -> Callable[[float, float,
     deriv = expr.partial(seed)
     if deriv is None:
         return lambda t, v1, v2: 0.0
-    fast = deriv.compile()
 
     def coefficient(t, v1, v2):
         if isinstance(t, np.ndarray) or isinstance(v1, np.ndarray) or isinstance(v2, np.ndarray):
             return deriv.evaluate(t, 0.0, v1, 0.0, v2)
-        return fast(t, 0.0, v1, 0.0, v2)
+        return deriv.compile()(t, 0.0, v1, 0.0, v2)
 
     return coefficient
 

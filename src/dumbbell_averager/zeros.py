@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def _newton_rounds(
     tol: float,
     max_iter: int,
     field_scale: Optional[float],
-) -> Iterator[Union[CertifiedZero, NoConvergenceError]]:
+) -> List[Union[CertifiedZero, NoConvergenceError]]:
     """Damped Newton from every row of ``seeds`` at once.
 
     Each round moves every live seed by one ``newton2d`` iteration: the
@@ -156,26 +156,20 @@ def _newton_rounds(
     The arithmetic of each seed is that of a solve on its own.  A seed ends
     when it converges, fails, or its field evaluation raises
     NoConvergenceError; the others go on.  ``field_scale`` None takes
-    ``field_scale_on`` the seeds from the first field call.  Yields, in seed
-    order, each seed's CertifiedZero or the NoConvergenceError that ended
-    it; a zero is built only when it is consumed.
+    ``field_scale_on`` the seeds from the first field call.  Returns, in
+    seed order, each seed's CertifiedZero or the NoConvergenceError that
+    ended it, recorded in the round where the seed ends.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     m = len(seeds)
-    outcome: List[Optional[NoConvergenceError]] = [None] * m
+    outcome: List[Union[CertifiedZero, NoConvergenceError, None]] = [None] * m
     ended = np.zeros(m, dtype=bool)
     # accepted iterates: row k of a live seed is its k-th iterate
     path = np.empty((max_iter + 1, m, 2))
     path[0] = seeds
-    # per converged seed: the round it converged in, and x, ||f||, J, det J there
-    converged_in = np.full(m, -1)
-    zero_x = np.empty((m, 2))
-    zero_norm = np.empty(m)
-    zero_jac = np.empty((m, 2, 2))
-    zero_det = np.empty(m)
 
-    def end(seed: int, result) -> None:
+    def end(seed: int, result: Union[CertifiedZero, NoConvergenceError]) -> None:
         outcome[seed] = result
         ended[seed] = True
 
@@ -217,14 +211,17 @@ def _newton_rounds(
                     (-fx[:, 1] * jac[:, 0, 0] + fx[:, 0] * jac[:, 1, 0]) / det,
                 ]
             )
-        done = np.flatnonzero(~ended[live] & (nf < tol) & (_norms(step) < STEP_TOL))
-        ids = live[done]
-        ended[ids] = True
-        converged_in[ids] = it
-        zero_x[ids] = x[done]
-        zero_norm[ids] = nf[done]
-        zero_jac[ids] = jac[done]
-        zero_det[ids] = det[done]
+        for j in np.flatnonzero(~ended[live] & (nf < tol) & (_norms(step) < STEP_TOL)):
+            simple = abs(det[j]) > SIMPLE_DET_TOL * field_scale
+            end(
+                live[j],
+                CertifiedZero(
+                    location=x[j].copy(), residual_norm=float(nf[j]),
+                    jacobian=jac[j].copy(), jacobian_det=float(det[j]),
+                    classification="Simple" if simple else "Degenerate",
+                    iterates=tuple(path[: it + 1, live[j]].copy()),
+                ),
+            )
 
         lam = np.ones(len(live))
         halving = ~ended[live]
@@ -257,19 +254,7 @@ def _newton_rounds(
                 f"no zero within {max_iter} iterations from seed {seeds[seed].tolist()}"
             ),
         )
-    for seed, failure in enumerate(outcome):
-        if failure is not None:
-            yield failure
-            continue
-        det = float(zero_det[seed])
-        yield CertifiedZero(
-            location=zero_x[seed].copy(),
-            residual_norm=float(zero_norm[seed]),
-            jacobian=zero_jac[seed].copy(),
-            jacobian_det=det,
-            classification="Simple" if abs(det) > SIMPLE_DET_TOL * field_scale else "Degenerate",
-            iterates=tuple(path[: converged_in[seed] + 1, seed].copy()),
-        )
+    return outcome
 
 
 def newton2d(
@@ -322,9 +307,7 @@ def multistart_zeros(
     seeds = domain.seeds()
     found: List[CertifiedZero] = []
     for zero in _newton_rounds(field, seeds, tol, NEWTON_MAX_ITER, None):
-        if isinstance(zero, NoConvergenceError):
-            continue
-        if not domain.contains(zero.location):
+        if isinstance(zero, NoConvergenceError) or not domain.contains(zero.location):
             continue
         if any(
             float(np.linalg.norm(zero.location - kept.location)) < DEDUP_DISTANCE

@@ -401,7 +401,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize(
         "line", ["F1star = sin(theta", "F2star = sin(phi) + wibble", "F1star = theta^\u00b2",
-                 "F1star = 1e999*theta"]
+                 "F1star = 1e999*theta",
+                 pytest.param("F1star = theta^" + "1" * 400, id="F1star = theta^1...1 (400 ones)")]
     )
     def test_malformed_torque_is_a_config_error(self, tmp_path, capsys, command, line):
         # the printed-reference field never needs the torques, so only the

@@ -132,7 +132,9 @@ class TestParser:
         ("theta*" + "9" * 400, 6, "finite number"),
         # int() converts at most 4300 digits
         ("theta^" + "1" * 4400, 6, "integer exponent of at most 4300 digits"),
-    ], ids=["1e999", "2e308", "400-digit-literal", "4400-digit-exponent"])
+        # diff writes the exponent as a float
+        ("theta^" + "1" * 400, 6, "integer exponent within the finite floats"),
+    ], ids=["1e999", "2e308", "400-digit-literal", "4400-digit-exponent", "400-digit-exponent"])
     def test_unrepresentable_literal_refused_at_its_offset(self, text, offset, expected):
         with pytest.raises(da.TorqueSyntaxError) as err:
             da.parse_torque(text)
@@ -601,6 +603,24 @@ class TestExtraction:
         for args in ((0.3, 0.2, -0.1), (np.linspace(0.0, 3.0, 4), v, v), (0.3, np.zeros(4), v)):
             f3 = lin.f3(*args)
             assert type(f3) is float and f3 == 0.0
+
+    def test_scalar_functions_are_generated_on_first_scalar_call(self, monkeypatch):
+        generated = []
+        generate = torques._generate
+        monkeypatch.setattr(
+            torques, "_generate", lambda root, ns: generated.append(ns) or generate(root, ns)
+        )
+        case = da.BUNDLED_CASES["corollary2"]
+        lin = da.extract_linearized(
+            da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
+        )
+        v = np.linspace(-1.0, 1.0, 4)
+        for coefficient in (lin.f1, lin.f2, lin.f3, lin.f4):
+            coefficient(v, v, v)
+        assert "math" not in generated
+        lin.f4(0.3, 0.2, -0.1)
+        lin.f4(0.4, 0.1, 0.2)
+        assert generated.count("math") == 1
 
     def test_plain_sine_gives_unit_coefficient(self):
         lin = da.extract_linearized(da.parse_torque("sin(theta)"), da.parse_torque("0"))
