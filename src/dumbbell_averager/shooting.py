@@ -568,8 +568,6 @@ def epsilon_continuations(jobs: Sequence[Mapping]) -> List[ContinuationReport]:
     procs = min(len(jobs), len(cpus))
     if procs <= 1:
         return [epsilon_continuation(**job) for job in jobs]
-    import signal  # here, so that importing the package stays as cheap as before
-
     _dopri_loop(4)
     for job in jobs:
         try:
@@ -600,6 +598,8 @@ def epsilon_continuations(jobs: Sequence[Mapping]) -> List[ContinuationReport]:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 outcomes[first] = DumbbellError(f"ladder process {pid} {how} without a result")
     except BaseException:
+        import signal  # only here: a run that does not fail pays no import
+
         for pid, (pipe, _) in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)

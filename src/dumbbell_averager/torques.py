@@ -83,40 +83,64 @@ class DomainError(DumbbellError):
 # --- Expression tree ---
 
 
-@dataclass(frozen=True)
+def _node(cls: type) -> type:
+    """``cls`` as a frozen dataclass that hashes its subtree once.
+
+    The dataclass hash walks the whole subtree, and the code generator
+    looks nodes up in dicts and sets many times, so each node keeps its
+    first hash; the kept hash stays out of the pickled state, since string
+    hashes differ between interpreters."""
+    cls = dataclass(frozen=True)(cls)
+    subtree_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = subtree_hash(self)
+            return value
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_node
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Const:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Call:
     fn: str
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp:
     op: str
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Pow:
     base: "Node"
     exponent: int

@@ -287,8 +287,29 @@ def field_scale_on(field: Field2D, seeds: np.ndarray) -> float:
 
 
 def _median_norm(values: np.ndarray) -> float:
-    med = float(np.median(np.linalg.norm(values, axis=1))) if len(values) else 0.0
+    """Median of the row norms, with np.median's arithmetic: the middle norm,
+    or the mean (a + b) / 2 of the middle pair.  1.0 when there are no rows,
+    when a norm is NaN, or when the median is 0."""
+    norms = np.sort(np.linalg.norm(values, axis=1))  # NaNs sort last
+    n = len(norms)
+    if not n or math.isnan(norms[-1]):
+        return 1.0
+    mid = n // 2
+    med = float(norms[mid]) if n % 2 else (float(norms[mid - 1]) + float(norms[mid])) / 2
     return med if med > 0.0 else 1.0
+
+
+def _first_apart(points: np.ndarray) -> List[int]:
+    """Indices of the rows of ``points`` (k, 2), in order, that lie at least
+    DEDUP_DISTANCE from every earlier row kept: keep the first row left,
+    drop every later row within the distance of it, and repeat."""
+    kept: List[int] = []
+    left = np.arange(len(points))
+    while left.size:
+        first, rest = left[0], left[1:]
+        kept.append(int(first))
+        left = rest[~(_norms(points[rest] - points[first]) < DEDUP_DISTANCE)]
+    return kept
 
 
 def multistart_zeros(
@@ -300,21 +321,18 @@ def multistart_zeros(
 
     All seeds iterate together, one batched field call per stencil point
     or line-search halving.  Zeros within Euclidean distance 1e-6 of an
-    earlier one (in seed order) are duplicates; survivors are sorted by
-    polar angle then radius.  Seeds that fail to converge are skipped, so
-    an empty list is a legitimate outcome.
+    earlier kept one (in seed order) are duplicates, dropped in one pass
+    per kept zero; survivors are sorted by polar angle then radius.  Seeds
+    that fail to converge are skipped, so an empty list is a legitimate
+    outcome.
     """
-    seeds = domain.seeds()
-    found: List[CertifiedZero] = []
-    for zero in _newton_rounds(field, seeds, tol, NEWTON_MAX_ITER, None):
-        if isinstance(zero, NoConvergenceError) or not domain.contains(zero.location):
-            continue
-        if any(
-            float(np.linalg.norm(zero.location - kept.location)) < DEDUP_DISTANCE
-            for kept in found
-        ):
-            continue
-        found.append(zero)
+    candidates = [
+        zero
+        for zero in _newton_rounds(field, domain.seeds(), tol, NEWTON_MAX_ITER, None)
+        if isinstance(zero, CertifiedZero) and domain.contains(zero.location)
+    ]
+    locations = np.array([zero.location for zero in candidates]).reshape(-1, 2)
+    found = [candidates[i] for i in _first_apart(locations)]
 
     def sort_key(z: CertifiedZero) -> Tuple[float, float]:
         x, y = z.location

@@ -383,6 +383,26 @@ class TestMainEntry:
         assert (proc.returncode, code) == (0, 0), proc.stderr
         assert (tmp_path / "m" / "zeros.csv").read_bytes() == (tmp_path / "c" / "zeros.csv").read_bytes()
 
+    def test_solve_and_verify_import_nothing_lazily(self, tmp_path):
+        # a module first imported inside a command is paid by every run of
+        # it: np.median's numpy.ma, or the signal module of the ladder fork
+        with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
+            text = p.read_text(encoding="utf-8")
+        text += "field_source = printed-reference\nverify_system = linearized\n"
+        cfg = write(tmp_path, text)
+        src, out = str(Path(cli.__file__).resolve().parents[1]), str(tmp_path / "o")
+        script = (
+            f"import sys; sys.path.insert(0, {src!r}); import dumbbell_averager.cli as cli\n"
+            f"codes = [cli.main([c, '--config', {str(cfg)!r}, '--out', {out!r} + c])\n"
+            "         for c in ('solve', 'verify')]\n"
+            "print(codes, [m for m in ('numpy.ma', 'signal') if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
     def test_torque_nested_past_the_bound_is_a_config_error(self, tmp_path, capsys):
         # each parenthesis of sin(theta)*(1+phi_dot*(...)) nests two levels
         def solve(n):

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_torques import scalar_dual
+from test_zeros import pairwise_dedup
 
 import dumbbell_averager as da
 import dumbbell_averager.cli as cli
 from dumbbell_averager import torques
 from dumbbell_averager.torques import VARIABLES, BinOp, Call, Const, Neg, Num, Pow, Var, diff
+from dumbbell_averager.zeros import DEDUP_DISTANCE, _first_apart, _median_norm
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -317,3 +319,47 @@ def test_any_config_exits_by_the_contract(drawn, command):
             assert "config error" in err.getvalue() and not out.exists()
         else:
             assert f"numerical failure in stage {command!r}" in err.getvalue()
+
+
+def numpy_median_norm(values) -> float:
+    """The field scale with np.median, as ``_median_norm`` was written."""
+    med = float(np.median(np.linalg.norm(values, axis=1))) if len(values) else 0.0
+    return med if med > 0.0 else 1.0
+
+
+#: field rows of any length, odd and even, with zeros, ties, infs and NaNs;
+#: the finite entries stay small enough that no norm overflows
+entries = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]),
+)
+field_rows = st.lists(st.tuples(entries, entries), max_size=12).map(
+    lambda rows: np.array(rows, dtype=float).reshape(-1, 2)
+)
+
+
+@SETTINGS
+@hypothesis.given(field_rows)
+@hypothesis.example(np.zeros((0, 2)))
+@hypothesis.example(np.zeros((5, 2)))
+@hypothesis.example(np.zeros((4, 2)))
+@hypothesis.example(np.array([[3.0, 4.0], [math.inf, 0.0], [1.0, 0.0]]))
+@hypothesis.example(np.array([[3.0, 4.0], [math.inf, 0.0], [math.inf, 1.0], [1.0, 0.0]]))
+@hypothesis.example(np.array([[3.0, 4.0], [math.nan, 0.0], [1.0, 0.0]]))
+@hypothesis.example(np.array([[0.1, 0.2], [0.3, 0.4]]))  # a mean that rounds
+def test_median_norm_is_numpys_median(values):
+    got, want = _median_norm(values), numpy_median_norm(values)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+#: points on a grid a fraction of DEDUP_DISTANCE apart, so that chains and
+#: near-ties are common
+dedup_points = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=24
+).map(lambda cells: 1.0 + np.array(cells, dtype=float).reshape(-1, 2) * (DEDUP_DISTANCE / 3))
+
+
+@SETTINGS
+@hypothesis.given(dedup_points)
+def test_dedup_keeps_what_the_pairwise_loop_keeps(points):
+    assert _first_apart(points) == pairwise_dedup(points)

@@ -1,6 +1,7 @@
 """Torque DSL: parsing, evaluation and derivatives, linearization, validation."""
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -182,6 +183,13 @@ class TestParser:
         assert dynamics.make_first_order_rhs(0.01, lin)(0.5, state) == dynamics.first_order_rhs(
             state, 0.5, 0.01, lin
         )
+
+    def test_a_kept_hash_stays_out_of_the_pickle(self):
+        root = da.parse_torque("sin(phi)*theta/(phi_dot + 2)^2 - tan(t)").root
+        before = pickle.dumps(root)
+        assert hash(root) == hash(pickle.loads(before))
+        assert pickle.dumps(root) == before
+        assert pickle.loads(before) == root
 
     def test_nested_tans_are_walked_once_each(self, monkeypatch):
         # tan(a) computes a, and the cos(a) of its pole guard computes a

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
-from dumbbell_averager.zeros import DEFAULT_NEWTON_TOL, MAX_SEEDS, _newton_rounds, field_scale_on
+from dumbbell_averager import zeros
+from dumbbell_averager.zeros import (
+    DEDUP_DISTANCE,
+    DEFAULT_NEWTON_TOL,
+    MAX_SEEDS,
+    _first_apart,
+    _newton_rounds,
+    field_scale_on,
+)
 
 SQRT3 = math.sqrt(3.0)
 S17 = math.sqrt(17.0)
@@ -187,6 +195,11 @@ def seed_by_seed(field, seeds, scale):
     return out
 
 
+def polar(z):
+    """The order multistart_zeros sorts its zeros in."""
+    return (math.atan2(z.location[1], z.location[0]) % (2 * math.pi), math.hypot(*z.location))
+
+
 def seed_by_seed_zeros(field, domain):
     """multistart_zeros spelled out with one newton2d solve per seed."""
     seeds = domain.seeds()
@@ -198,12 +211,7 @@ def seed_by_seed_zeros(field, domain):
             np.linalg.norm(zero.location - kept.location) >= 1e-6 for kept in found
         ):
             found.append(zero)
-    found.sort(
-        key=lambda z: (
-            math.atan2(z.location[1], z.location[0]) % (2 * math.pi),
-            math.hypot(*z.location),
-        )
-    )
+    found.sort(key=polar)
     return found
 
 
@@ -264,3 +272,69 @@ class TestBatchedSearch:
         # every zero of REF2 lies at x < 2, and some seeds still reach each
         assert len(got) == 4
         assert field_scale_on(field, seeds) > 0.0
+
+
+def pairwise_dedup(points):
+    """The dedup loop ``_first_apart`` replaced: a row is kept when no
+    earlier kept row lies within DEDUP_DISTANCE, one norm per pair."""
+    kept = []
+    for i, point in enumerate(points):
+        if any(float(np.linalg.norm(point - points[k])) < DEDUP_DISTANCE for k in kept):
+            continue
+        kept.append(i)
+    return kept
+
+
+class TestDedup:
+    @pytest.mark.parametrize(
+        "points, kept",
+        [
+            # A~B and B~C lie within the distance, A and C do not: B goes
+            # with A, and C stays, since no kept zero lies near it
+            ([(1.0, 0.0), (1.0 + 6e-7, 0.0), (1.0 + 1.2e-6, 0.0)], [0, 2]),
+            ([(1.0, 2.0), (1.0, 2.0), (3.0, 4.0), (1.0, 2.0), (3.0, 4.0)], [0, 2]),
+            # exactly DEDUP_DISTANCE apart is apart: the difference is
+            # (0, -1e-6) exactly, and its norm is 1e-6
+            ([(0.5, 0.0), (0.5, 1e-6)], [0, 1]),
+            ([(0.5, 0.0), (0.5, 9.999e-7), (0.5, 1e-6)], [0, 2]),
+            ([], []),
+        ],
+    )
+    def test_matches_the_pairwise_loop(self, points, kept):
+        points = np.array(points, dtype=float).reshape(-1, 2)
+        assert _first_apart(points) == pairwise_dedup(points) == kept
+
+    def test_zeros_outside_the_annulus_drop_out_before_dedup(self, monkeypatch):
+        domain = da.ZeroSearchDomain(r1=0.5, r2=2.0)
+
+        def zero(x, y):
+            return zeros.CertifiedZero(np.array([x, y]), 0.0, np.eye(2), 1.0, "Simple")
+
+        outcomes = [
+            zero(2.0 + 4e-7, 0.0),  # outside, and within the distance of the next
+            zero(2.0 - 4e-7, 0.0),
+            da.NoConvergenceError("seed failed"),
+            zero(0.0, 1.0),
+            zero(0.0, 1.0 + 6e-7),  # a chain: this one goes, the next one stays
+            zero(0.0, 1.0 + 1.2e-6),
+            zero(0.5 - 1e-7, 0.0),  # inside r1, and within the distance of the next
+            zero(0.5 + 1e-7, 0.0),
+            zero(-1.5, 0.0),
+            zero(-1.5, 0.0),  # an exact repeat
+            zero(-1.5, -1e-6),  # exactly the distance away
+            da.SingularJacobianError("singular"),
+            zero(3.0, 3.0),  # outside r2
+        ]
+        monkeypatch.setattr(zeros, "_newton_rounds", lambda *args: outcomes)
+        candidates = [
+            z for z in outcomes
+            if isinstance(z, zeros.CertifiedZero) and domain.contains(z.location)
+        ]
+        locations = np.array([z.location for z in candidates])
+        want = sorted((candidates[i] for i in pairwise_dedup(locations)), key=polar)
+        got = da.multistart_zeros(None, domain)
+        assert [id(z) for z in got] == [id(z) for z in want]
+        assert [tuple(z.location) for z in got] == [
+            (0.5 + 1e-7, 0.0), (2.0 - 4e-7, 0.0), (0.0, 1.0), (0.0, 1.0 + 1.2e-6),
+            (-1.5, 0.0), (-1.5, -1e-6),
+        ]
