@@ -120,6 +120,8 @@ class AveragedField:
         pts = np.atleast_2d(a)
         if pts.shape[1] != 2:
             raise ValueError(f"alpha must have 2 components, got shape {a.shape}")
+        if not len(pts):
+            return np.empty((0, 2))
         mode = self.spec.mode
         omega = mode.omega
         nutation = mode is Mode.NUTATION_T1

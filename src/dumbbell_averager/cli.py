@@ -271,12 +271,12 @@ def _rhs_factory(config: RunConfig, system: str):
 
 def _ladder_jobs(
     config: RunConfig, groups: Sequence[Sequence[CertifiedZero]], system: str
-) -> Dict[str, dict]:
+) -> Dict[int, dict]:
     """``epsilon_continuation`` arguments of the simple orbit classes'
     ladders, keyed by orbit-class index."""
     factory = _rhs_factory(config, system)
     return {
-        str(idx): dict(
+        idx: dict(
             rhs_for_eps=factory,
             averaged_zero=group[0].location,
             spec=config.spec,
@@ -289,54 +289,33 @@ def _ladder_jobs(
     }
 
 
-def _run_ladders(job_sets: Sequence[Dict[str, dict]]) -> List[Dict[str, ContinuationReport]]:
+def _run_ladders(job_sets: Sequence[Dict[int, dict]]) -> List[Dict[int, ContinuationReport]]:
     """The reports of every set's ladders, keyed as their jobs; all ladders
     go to one ``epsilon_continuations`` call, which spreads them over the CPUs."""
     done = iter(epsilon_continuations([job for jobs in job_sets for job in jobs.values()]))
-    return [{label: next(done) for label in jobs} for jobs in job_sets]
+    return [{idx: next(done) for idx in jobs} for jobs in job_sets]
 
 
 def cmd_verify(config: RunConfig, outdir: Path) -> int:
     names = _ARTIFACTS["verify"]
-    zeros, groups, _ = cmd_solve(config, outdir, names["zeros"])
-    simple_groups = [g for g in groups if g[0].is_simple]
-    if not simple_groups:
+    _, groups, _ = cmd_solve(config, outdir, names["zeros"])
+    jobs = _ladder_jobs(config, groups, config.verify_system)
+    if not jobs:
         raise DumbbellError("verify: no simple zeros found in the search annulus")
-    (ladders,) = _run_ladders([_ladder_jobs(config, groups, config.verify_system)])
+    (ladders,) = _run_ladders([jobs])
     meta = {
         "system": config.verify_system,
         "shooting_tol": config.shooting_tol,
         "integrator_tol": config.integrator_tol,
         "epsilon_list": "/".join(f"{e:g}" for e in config.epsilon_list),
     }
-    reports.write_continuation_csv(outdir / names["continuation"], ladders.items(), meta)
-    lines = [f"verification on the {config.verify_system} system"]
-    for label, rep in ladders.items():
-        lines += reports.continuation_text(label, rep)
-    reports.write_text_report(outdir / names["report"], lines)
+    reports.write_continuation_csv(outdir / names["continuation"], ladders, meta)
+    reports.write_text_report(
+        outdir / names["report"], reports.verify_report(config.verify_system, ladders)
+    )
     if all(not rep.certificates for rep in ladders.values()):
         raise DumbbellError("verify: shooting failed on every orbit class")
     return 0
-
-
-def _comparison_rows(
-    groups: Sequence[Sequence[CertifiedZero]],
-    ladders_by_system: Dict[str, Dict[str, ContinuationReport]],
-) -> List[dict]:
-    rows = []
-    for idx, group in enumerate(groups):
-        z = group[0]
-        row = {
-            "zero": (float(z.location[0]), float(z.location[1])),
-            "det": z.jacobian_det,
-            "classification": z.classification,
-        }
-        for system, ladders in ladders_by_system.items():
-            rep = ladders.get(str(idx))
-            if rep is not None:
-                row[system] = (rep.status, rep.distances[-1] if rep.distances else None)
-        rows.append(row)
-    return rows
 
 
 def cmd_reproduce(config: RunConfig, case: str, outdir: Path) -> int:
@@ -344,17 +323,11 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path) -> int:
     _, pipe_groups, _ = cmd_solve(config, outdir, names["pipeline"], "pipeline")
     _, ref_groups, _ = cmd_solve(config, outdir, names["reference"], "printed-reference", case)
 
-    sets = [
-        (source, system, groups)
-        for source, groups in (("pipeline", pipe_groups), ("reference", ref_groups))
-        for system in _VERIFY_SYSTEMS
-    ]
-    runs = _run_ladders([_ladder_jobs(config, groups, system) for _, system, groups in sets])
-    ladders: Dict[str, Dict[str, Dict[str, ContinuationReport]]] = {
-        "pipeline": {}, "reference": {}
-    }
-    for (source, system, _), ladders_of_set in zip(sets, runs):
-        ladders[source][system] = ladders_of_set
+    groups = {"pipeline": pipe_groups, "reference": ref_groups}
+    sets = [(source, system) for source in groups for system in _VERIFY_SYSTEMS]
+    runs = _run_ladders([_ladder_jobs(config, groups[source], system) for source, system in sets])
+    ladders = dict(zip(sets, runs))
+    for (source, system), ladders_of_set in ladders.items():
         meta = {
             "case": case,
             "source": source,
@@ -362,21 +335,12 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path) -> int:
             "shooting_tol": config.shooting_tol,
             "integrator_tol": config.integrator_tol,
         }
-        reports.write_continuation_csv(outdir / names[source, system], ladders_of_set.items(), meta)
+        reports.write_continuation_csv(outdir / names[source, system], ladders_of_set, meta)
 
     lines = reports.comparison_table(
         case,
-        _comparison_rows(pipe_groups, ladders["pipeline"]),
-        _comparison_rows(ref_groups, ladders["reference"]),
-    )
-    lines.append(
-        "  note: the two fields are evaluated from the same torque text; their"
-    )
-    lines.append(
-        "  zero sets are compared side by side and shooting on the full and"
-    )
-    lines.append(
-        "  linearized equations decides which predictions continue to orbits."
+        *((groups[source], {system: ladders[source, system] for system in _VERIFY_SYSTEMS})
+          for source in groups),
     )
     reports.write_text_report(outdir / names["comparison"], lines)
     print("\n".join(lines))

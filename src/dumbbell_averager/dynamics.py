@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DegenerateMonodromyError, SingularityError
 from .torques import (
+    SQRT3,
     TAN_POLE_FLOOR,
     BinOp,
     Call,
@@ -48,7 +49,6 @@ from .torques import (
     parse_torque,
 )
 
-SQRT3 = math.sqrt(3.0)
 T1 = 2.0 * math.pi / SQRT3
 T2 = math.pi
 

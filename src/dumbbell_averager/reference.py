@@ -11,15 +11,13 @@ and leaves the verdict to direct shooting on the full equations of motion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
 
 from .dynamics import Mode, ResonanceSpec
-
-SQRT3 = math.sqrt(3.0)
+from .torques import SQRT3
 
 
 def _case1_reference(alpha: np.ndarray) -> np.ndarray:

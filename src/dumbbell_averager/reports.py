@@ -1,4 +1,4 @@
-"""CSV and plain-text artifact emitters.
+"""The layout of every CSV and plain-text artifact, and the one function that writes them.
 
 Every CSV starts with one ``#`` comment line recording the tolerances and
 node counts behind the numbers, then a header row.  Floats are serialized
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,12 +64,11 @@ def write_zeros_csv(
 
 
 def write_continuation_csv(
-    path: Path, reports: Sequence[tuple], meta: Dict[str, object]
+    path: Path, ladders: Dict[int, ContinuationReport], meta: Dict[str, object]
 ) -> None:
-    """Continuation ladders: one row per epsilon rung per orbit class.
-
-    ``reports`` holds (label, ContinuationReport) pairs; failed rungs get a
-    row with nan corrected entries and the failure status.
+    """Continuation ladders, keyed by orbit-class index: one row per epsilon
+    rung per ladder.  Failed rungs get a row with nan corrected entries and
+    the failure status.
     """
     header = (
         "orbit_class,epsilon,"
@@ -78,7 +77,7 @@ def write_continuation_csv(
         "displacement,distance,empirical_order,status"
     )
     rows = []
-    for label, rep in reports:
+    for idx, rep in ladders.items():
         pred = rep.prediction.as_array()
         for i, eps in enumerate(rep.eps_list):
             if i < len(rep.certificates):
@@ -88,15 +87,15 @@ def write_continuation_csv(
                         rep.distances[i], order, "converged")
             else:
                 rest = (*[math.nan] * 7, rep.status)
-            rows.append((label, eps, *pred, *rest))
+            rows.append((str(idx), eps, *pred, *rest))
     _write_csv(path, meta, header, rows)
 
 
-def continuation_text(label: str, rep: ContinuationReport) -> List[str]:
-    """Human-readable block for one continuation ladder."""
+def continuation_text(idx: int, rep: ContinuationReport) -> List[str]:
+    """Human-readable block for the ladder of orbit class ``idx``."""
     pred = rep.prediction.as_array()
     lines = [
-        f"orbit class {label}: prediction ({', '.join(f'{v:.9g}' for v in pred)}), "
+        f"orbit class {idx}: prediction ({', '.join(f'{v:.9g}' for v in pred)}), "
         f"period {rep.spec.window:.9g}",
         f"  status {rep.status}"
         + (f"  [{rep.failure}]" if rep.failure else "")
@@ -118,58 +117,65 @@ def continuation_text(label: str, rep: ContinuationReport) -> List[str]:
     return lines
 
 
+def verify_report(system: str, ladders: Dict[int, ContinuationReport]) -> List[str]:
+    """``verify``'s report: a header line, then one continuation_text block
+    per ladder, keyed by orbit-class index."""
+    blocks = (line for idx, rep in ladders.items() for line in continuation_text(idx, rep))
+    return [f"verification on the {system} system", *blocks]
+
+
 def write_text_report(path: Path, lines: Sequence[str]) -> None:
     _write_lines(path, lines)
 
 
-def comparison_table(
-    case_name: str,
-    pipeline_rows: Sequence[dict],
-    reference_rows: Sequence[dict],
-) -> List[str]:
-    """Fixed-width comparison of pipeline vs reference zero sets.
+#: one field's orbit classes and its ladder reports, by system (``full``,
+#: ``linearized``) and then by orbit-class index
+FieldResults = Tuple[Sequence[Sequence[CertifiedZero]], Dict[str, Dict[int, ContinuationReport]]]
 
-    Each row dict carries: zero (2-tuple), det, classification, and per
-    verification system a (status, final_distance) pair keyed
-    ``full``/``linearized`` (missing entries render as ``-``).  The zero
-    and shooting columns are as wide as their longest cell in the table.
+
+def comparison_table(case_name: str, pipeline: FieldResults, reference: FieldResults) -> List[str]:
+    """Fixed-width comparison of the pipeline's and the reference's zero
+    sets, one row per orbit class, closed by a note.
+
+    A class without a ladder on a system shows ``-``, a ladder without
+    distances its status alone, any other ladder its status and final
+    distance.  The zero and shooting columns are as wide as their longest
+    cell in the table.
     """
 
-    def cells(row: dict) -> List[str]:
-        z = row["zero"]
-        out = [f"({z[0]:.9g}, {z[1]:.9g})"]
-        for system in ("full", "linearized"):
-            ver = row.get(system)
-            if ver is None:
-                out.append("-")
-            else:
-                status, dist = ver
-                out.append(f"{status} d={dist:.3e}" if dist is not None else status)
-        return out
+    def cell(rep: Optional[ContinuationReport]) -> str:
+        if rep is None:
+            return "-"
+        return f"{rep.status} d={rep.distances[-1]:.3e}" if rep.distances else rep.status
 
-    labels = ("zero", "shoot(full)", "shoot(linearized)")
-    rendered = [cells(row) for row in (*pipeline_rows, *reference_rows)]
-    width = [max(len(c) for c in column) for column in zip(labels, *rendered)]
+    def rows(field: FieldResults) -> List[Tuple[str, ...]]:
+        groups, ladders = field
+        return [
+            (f"({z.location[0]:.9g}, {z.location[1]:.9g})", f"{z.jacobian_det:.6e}",
+             z.classification, cell(ladders["full"].get(idx)),
+             cell(ladders["linearized"].get(idx)))
+            for idx, z in enumerate(group[0] for group in groups)
+        ]
+
+    header = ("zero", "det", "class", "shoot(full)", "shoot(linearized)")
+    tables = {"pipeline": rows(pipeline), "reference": rows(reference)}
+    every = [header, *tables["pipeline"], *tables["reference"]]
+    zero_w, full_w, linearized_w = (max(len(row[i]) for row in every) for i in (0, 3, 4))
 
     def line(zero: str, det: str, classification: str, full: str, linearized: str) -> str:
         return (
-            f"    {zero:<{width[0]}} {det:>14} {classification:<10} "
-            f"{full:<{width[1]}} {linearized:<{width[2]}}"
+            f"    {zero:<{zero_w}} {det:>14} {classification:<10} "
+            f"{full:<{full_w}} {linearized:<{linearized_w}}"
         ).rstrip()
 
-    def render(rows: Sequence[dict], source: str) -> List[str]:
-        out = [f"  {source} field: {len(rows)} orbit class(es)"]
-        out.append(line("zero", "det", "class", "shoot(full)", "shoot(linearized)"))
-        for row in rows:
-            zero, full, linearized = cells(row)
-            out.append(
-                line(zero, f"{row['det']:.6e}", row["classification"], full, linearized)
-            )
-        if not rows:
-            out.append("    (no zeros in the search annulus)")
-        return out
-
     lines = [f"case {case_name}: pipeline-derived vs bundled reference field"]
-    lines += render(pipeline_rows, "pipeline")
-    lines += render(reference_rows, "reference")
-    return lines
+    for source, body in tables.items():
+        lines.append(f"  {source} field: {len(body)} orbit class(es)")
+        lines += (line(*row) for row in (header, *body))
+        if not body:
+            lines.append("    (no zeros in the search annulus)")
+    return lines + [
+        "  note: the two fields are evaluated from the same torque text; their",
+        "  zero sets are compared side by side and shooting on the full and",
+        "  linearized equations decides which predictions continue to orbits.",
+    ]

@@ -225,6 +225,15 @@ class TestAveragedField:
         with pytest.raises(ValueError):
             fld.evaluate([1.0, 2.0, 3.0])
 
+    def test_empty_batch_like_the_reference_fields(self):
+        fld = da.AveragedField(T1_SPEC, const_lin(f1=ones))
+        fld.evaluate([0.5, 0.0])
+        nodes = fld.max_nodes_used
+        empty = np.empty((0, 2))
+        for field in (fld, *(case.reference_field for case in da.BUNDLED_CASES.values())):
+            assert field(empty).shape == (0, 2)
+        assert fld.max_nodes_used == nodes
+
 
 class TestMalkinRoute:
     def test_zero_perturbation(self):

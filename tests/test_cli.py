@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -462,44 +463,113 @@ def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys
     assert runs[0] == runs[1]
 
 
-class TestComparisonTable:
-    ROWS = [
-        {
-            "zero": (-0.780776406, -4.56546936e-16),
-            "det": -0.1570934,
-            "classification": "Simple",
-            "full": ("COLLAPSED-TO-EQUILIBRIUM", 0.7808),
-            "linearized": ("PASS", 1.083e-4),
-        },
-        {
-            "zero": (1.28077641, 0.0),
-            "det": 0.4227184,
-            "classification": "Degenerate",
-            "full": ("FAILED-AT(0.01)", None),
-        },
-    ]
+def zero_group(location, det, classification):
+    """One orbit class, with the fields of its first CertifiedZero that the table reads."""
+    return [SimpleNamespace(location=location, jacobian_det=det, classification=classification)]
 
-    @staticmethod
-    def cells(row):
-        z = row["zero"]
-        out = [f"({z[0]:.9g}, {z[1]:.9g})", row["classification"]]
-        for system in ("full", "linearized"):
-            status, dist = row.get(system, ("-", None))
-            out.append(f"{status} d={dist:.3e}" if dist is not None else status)
-        return out
+
+def ladder(status, *distances):
+    """A ContinuationReport stand-in with the fields that the table reads."""
+    return SimpleNamespace(status=status, distances=distances)
+
+
+NO_LADDERS = {"full": {}, "linearized": {}}
+
+
+class TestComparisonTable:
+    # one field's orbit classes and ladder reports, as cmd_reproduce passes them
+    FIELD = (
+        [
+            zero_group((-0.780776406, -4.56546936e-16), -0.1570934, "Simple"),
+            zero_group((1.28077641, 0.0), 0.4227184, "Degenerate"),
+        ],
+        {
+            "full": {0: ladder("COLLAPSED-TO-EQUILIBRIUM", 0.7808), 1: ladder("FAILED-AT(0.01)")},
+            "linearized": {0: ladder("PASS", 1.083e-4)},
+        },
+    )
+    # FIELD's second orbit class alone
+    TAIL = ([FIELD[0][1]], {"full": {0: FIELD[1]["full"][1]}, "linearized": {}})
+    # the zero, class, full and linearized cells, and the det, of FIELD's rows
+    ROWS = [
+        (
+            ["(-0.780776406, -4.56546936e-16)", "Simple",
+             "COLLAPSED-TO-EQUILIBRIUM d=7.808e-01", "PASS d=1.083e-04"],
+            "-1.570934e-01",
+        ),
+        (["(1.28077641, 0)", "Degenerate", "FAILED-AT(0.01)", "-"], "4.227184e-01"),
+    ]
 
     def test_columns_line_up_with_the_header(self):
         # long status cells must widen their column, not shift the next one
-        lines = reports.comparison_table("case", self.ROWS, self.ROWS[1:])
-        headers = [i for i, text in enumerate(lines) if text.lstrip().startswith("zero ")]
+        lines = reports.comparison_table("case", self.FIELD, self.TAIL)
+        headers = [i for i, text in enumerate(lines) if text.startswith("    zero ")]
         assert len(headers) == 2 and lines[headers[0]] == lines[headers[1]]
         header = lines[headers[0]]
         labels = ("zero", "class", "shoot(full)", "shoot(linearized)")
         starts = [header.index(label) for label in labels]
         det_end = header.index("det") + len("det")
         body = lines[headers[0] + 1 : headers[0] + 3] + lines[headers[1] + 1 : headers[1] + 2]
-        for text, row in zip(body, self.ROWS + self.ROWS[1:], strict=True):
-            for start, cell in zip(starts, self.cells(row)):
+        for text, (cells, det) in zip(body, self.ROWS + self.ROWS[1:], strict=True):
+            for start, cell in zip(starts, cells):
                 assert text[start - 1 : start + len(cell)] == " " + cell
-            det = f"{row['det']:.6e}"
             assert text[det_end - len(det) - 1 : det_end] == " " + det
+
+    def test_closes_with_the_note(self):
+        lines = reports.comparison_table("case", self.FIELD, self.TAIL)
+        assert lines[0] == "case case: pipeline-derived vs bundled reference field"
+        assert lines[-3:] == [
+            "  note: the two fields are evaluated from the same torque text; their",
+            "  zero sets are compared side by side and shooting on the full and",
+            "  linearized equations decides which predictions continue to orbits.",
+        ]
+
+    def test_field_without_zeros(self):
+        lines = reports.comparison_table("case", ([], NO_LADDERS), self.TAIL)
+        assert lines[1:4] == [
+            "  pipeline field: 0 orbit class(es)",
+            lines[5],
+            "    (no zeros in the search annulus)",
+        ]
+        assert lines[4] == "  reference field: 1 orbit class(es)"
+        assert lines[5].split() == ["zero", "det", "class", "shoot(full)", "shoot(linearized)"]
+
+    def test_class_without_a_ladder_shows_a_dash(self):
+        field = ([zero_group((1.0, 2.0), 0.5, "Simple")], NO_LADDERS)
+        lines = reports.comparison_table("case", field, ([], NO_LADDERS))
+        assert lines[3] == "    (1, 2)   5.000000e-01 Simple     -           -"
+
+
+def test_verify_report_is_the_header_then_each_ladders_block():
+    spec = dynamics.ResonanceSpec(Mode.PRECESSION_T2)
+    ladders = {
+        idx: shooting.ContinuationReport(
+            prediction=dynamics.SatelliteState(0.0, 0.0, location, 0.0),
+            spec=spec,
+            eps_list=(1e-2, 1e-3),
+            certificates=(),
+            distances=(),
+            pair_orders=(),
+            empirical_order=math.nan,
+            status="FAILED-AT(0.01)",
+            failure="NoConvergenceError: stand-in",
+        )
+        for idx, location in ((0, 1.28), (2, -0.78))
+    }
+    lines = reports.verify_report("linearized", ladders)
+    assert lines == [
+        "verification on the linearized system",
+        *reports.continuation_text(0, ladders[0]),
+        *reports.continuation_text(2, ladders[2]),
+    ]
+    assert [text for text in lines if text.startswith("orbit class")] == [
+        "orbit class 0: prediction (0, 0, 1.28, 0), period 3.14159265",
+        "orbit class 2: prediction (0, 0, -0.78, 0), period 3.14159265",
+    ]
+
+
+def test_reproduce_prints_the_comparison_table_it_writes(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["reproduce", "corollary1", "--out", str(out)]) == 0
+    table = (out / "comparison.txt").read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == table + f"wrote comparison table under {out}\n"
