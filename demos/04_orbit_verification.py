@@ -29,11 +29,12 @@ print(f"prediction: plane point ({zero[0]:+.6f}, {zero[1]:+.6f}) on the "
 
 print("\n-- single shot on the linearized system at eps = 1e-3 --")
 rhs = da.make_first_order_rhs(1e-3, lin)
-cert = da.shoot_periodic(rhs, da.plane_embed(zero, case.spec.mode), case.spec.window,
-                         epsilon=1e-3)
+guess = da.plane_embed(zero, case.spec.mode)
+cert = da.shoot_periodic(rhs, guess, case.spec.window)
+moved = np.linalg.norm(cert.corrected_ic.as_array() - np.array(guess))
 print(f"  corrected IC : {np.round(cert.corrected_ic.as_array(), 8)}")
 print(f"  displacement : {cert.displacement_norm:.2e} after {cert.newton_iters} Newton steps")
-print(f"  moved by     : {cert.correction_norm:.3e} (order eps, as averaging predicts)")
+print(f"  moved by     : {moved:.3e} (order eps, as averaging predicts)")
 
 print("\n-- epsilon ladder on the linearized system --")
 factory = lambda eps: da.make_first_order_rhs(eps, lin)

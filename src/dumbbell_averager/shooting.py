@@ -264,20 +264,12 @@ def integrate(
 
 @dataclass(frozen=True)
 class OrbitCertificate:
-    """A shooting-verified periodic initial condition."""
+    """A shooting-verified periodic initial condition: the corrected state,
+    ||P|| there and the number of Newton iterations that reached it."""
 
-    epsilon: float
-    predicted_ic: SatelliteState
     corrected_ic: SatelliteState
     displacement_norm: float
-    period: float
     newton_iters: int
-
-    @property
-    def correction_norm(self) -> float:
-        """Distance between the corrected and predicted initial conditions."""
-        d = self.corrected_ic.as_array() - self.predicted_ic.as_array()
-        return float(np.linalg.norm(d))
 
 
 def displacement_jacobian(
@@ -285,11 +277,9 @@ def displacement_jacobian(
     z: np.ndarray,
     period: float,
     tol: float,
-    base: Optional[np.ndarray] = None,
+    base: np.ndarray,
 ) -> np.ndarray:
-    """Forward-difference Jacobian of P(z) = x(period; z) - z, step SHOOTING_FD_STEP."""
-    if base is None:
-        base = integrate(rhs, z, 0.0, period, tol=tol) - z
+    """Forward-difference Jacobian of P(z) = x(period; z) - z, given base = P(z)."""
     jac = np.empty((z.size, z.size))
     for j in range(z.size):
         pert = z.copy()
@@ -306,32 +296,22 @@ def shoot_periodic(
     tol: float = DEFAULT_SHOOTING_TOL,
     max_iter: int = 25,
     integrator_tol: float = DEFAULT_INTEGRATOR_TOL,
-    epsilon: float = float("nan"),
 ) -> OrbitCertificate:
     """Newton-correct ``guess`` until the period map returns to it.
 
-    ``epsilon`` is recorded in the certificate for bookkeeping only; the
-    dynamics are whatever ``rhs`` encodes.  Raises NoConvergenceError when
-    the displacement norm fails to reach ``tol`` within ``max_iter`` Newton
-    iterations, or as soon as it exceeds DIVERGENCE_FACTOR times its value
-    at the guess (Newton diverged).
+    Raises ValueError, before any integration, unless ``guess`` is 4 finite
+    numbers; NoConvergenceError when the displacement norm fails to reach
+    ``tol`` within ``max_iter`` Newton iterations, or as soon as it exceeds
+    DIVERGENCE_FACTOR times its value at the guess (Newton diverged).
     """
-    z = np.asarray(guess, dtype=float).copy()
-    predicted = SatelliteState.from_sequence(guess)
+    z = SatelliteState.from_sequence(guess).as_array()
     for iters in range(max_iter + 1):
         displacement = integrate(rhs, z, 0.0, period, tol=integrator_tol) - z
         norm = float(np.linalg.norm(displacement))
         if iters == 0:
             initial_norm = norm
         if norm < tol:
-            return OrbitCertificate(
-                epsilon=epsilon,
-                predicted_ic=predicted,
-                corrected_ic=SatelliteState.from_sequence(z),
-                displacement_norm=norm,
-                period=period,
-                newton_iters=iters,
-            )
+            return OrbitCertificate(SatelliteState.from_sequence(z), norm, iters)
         if norm > DIVERGENCE_FACTOR * initial_norm:
             raise NoConvergenceError(
                 f"Newton diverged: displacement {norm:.3e} after {iters} iterations "
@@ -339,7 +319,7 @@ def shoot_periodic(
             )
         if iters == max_iter:
             break
-        jac = displacement_jacobian(rhs, z, period, integrator_tol, base=displacement)
+        jac = displacement_jacobian(rhs, z, period, integrator_tol, displacement)
         z = z + np.linalg.pinv(jac, rcond=PINV_RCOND) @ (-displacement)
     raise NoConvergenceError(
         f"shooting stalled at displacement {norm:.3e} after {max_iter} iterations"
@@ -350,7 +330,7 @@ def shoot_periodic(
 class ContinuationReport:
     """Outcome of shooting along a descending epsilon ladder.
 
-    ``distances`` holds ||corrected_ic - predicted_ic|| per converged rung,
+    ``distances`` holds ||corrected_ic - prediction|| per converged rung,
     ``pair_orders`` the rung-to-rung slopes log(d_i/d_{i+1})/log(e_i/e_{i+1}),
     and ``empirical_order`` the least-squares slope of log d against log eps.
     ``status`` is one of:
@@ -433,7 +413,6 @@ def epsilon_continuation(
                 tol=shooting_tol,
                 max_iter=max_iter,
                 integrator_tol=integrator_tol,
-                epsilon=eps,
             )
         except DumbbellError as exc:
             status = f"FAILED-AT({eps:g})"

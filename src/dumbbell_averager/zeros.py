@@ -42,7 +42,7 @@ DEFAULT_NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 STEP_TOL = 1e-12
 MAX_HALVINGS = 20
-#: most seeds one search takes; each holds (NEWTON_MAX_ITER + 1) * 2 iterate floats
+#: most seeds one search takes
 MAX_SEEDS = 2**16
 
 
@@ -74,14 +74,14 @@ class ZeroSearchDomain:
 
 @dataclass(frozen=True)
 class CertifiedZero:
-    """A Newton-converged zero with its Jacobian-based simplicity verdict."""
+    """A Newton-converged zero: its location, ||field||, finite-difference
+    Jacobian and determinant there, and the determinant's simplicity verdict."""
 
     location: np.ndarray
     residual_norm: float
     jacobian: np.ndarray
     jacobian_det: float
     classification: str  # "Simple" or "Degenerate"
-    iterates: Tuple[np.ndarray, ...] = ()
 
     @property
     def is_simple(self) -> bool:
@@ -165,9 +165,6 @@ def _newton_rounds(
     m = len(seeds)
     outcome: List[Union[CertifiedZero, NoConvergenceError, None]] = [None] * m
     ended = np.zeros(m, dtype=bool)
-    # accepted iterates: row k of a live seed is its k-th iterate
-    path = np.empty((max_iter + 1, m, 2))
-    path[0] = seeds
 
     def end(seed: int, result: Union[CertifiedZero, NoConvergenceError]) -> None:
         outcome[seed] = result
@@ -185,12 +182,12 @@ def _newton_rounds(
         return values
 
     live = np.arange(m)
-    x = path[0].copy()
+    x = np.array(seeds, dtype=float)
     fx = evaluate(x, live)
     if field_scale is None:
         field_scale = _median_norm(fx[~ended])
     nf = _norms(fx)
-    for it in range(max_iter):
+    for _round in range(max_iter):
         keep = ~ended[live]
         live, x, fx, nf = live[keep], x[keep], fx[keep], nf[keep]
         if not live.size:
@@ -219,7 +216,6 @@ def _newton_rounds(
                     location=x[j].copy(), residual_norm=float(nf[j]),
                     jacobian=jac[j].copy(), jacobian_det=float(det[j]),
                     classification="Simple" if simple else "Degenerate",
-                    iterates=tuple(path[: it + 1, live[j]].copy()),
                 ),
             )
 
@@ -245,7 +241,6 @@ def _newton_rounds(
                     f"line search failed to reduce ||field|| = {nf[j]:.3e} at {x[j].tolist()}"
                 ),
             )
-        path[it + 1, live] = x
 
     for seed in live[~ended[live]]:
         end(

@@ -109,6 +109,9 @@ class TestIntegrate:
                 da.integrate(never_called, s0, t0, t1, tol=tol)
         with pytest.raises(ValueError):
             da.shoot_periodic(never_called, (1, 0, 0, 0), nan)
+        for guess in [(1, nan, 0, 0), (1, 0, 0, inf), (1, 0, 0), (1, 0, 0, 0, 0)]:
+            with pytest.raises(ValueError):
+                da.shoot_periodic(never_called, guess, 1.0)
 
     def test_one_state_decay(self):
         # the loop is generated per state size: x' = -x against e^-t
@@ -170,7 +173,7 @@ class TestTableau:
 class TestShootPeriodic:
     def test_manifold_point_is_already_periodic(self):
         rhs = da.make_first_order_rhs(0.0, ZERO_LIN)
-        cert = da.shoot_periodic(rhs, (0.4, 0.2, 0.0, 0.0), da.T1, epsilon=0.0)
+        cert = da.shoot_periodic(rhs, (0.4, 0.2, 0.0, 0.0), da.T1)
         assert cert.displacement_norm < 1e-10
         assert np.abs(cert.corrected_ic.as_array() - [0.4, 0.2, 0.0, 0.0]).max() < 1e-9
         assert cert.newton_iters == 0
@@ -180,10 +183,11 @@ class TestShootPeriodic:
         lin = da.extract_linearized(f1, f2)
         rhs = da.make_first_order_rhs(1e-3, lin)
         guess = (0.0, 0.0, (1 - S17) / 4, 0.0)
-        cert = da.shoot_periodic(rhs, guess, math.pi, epsilon=1e-3)
+        cert = da.shoot_periodic(rhs, guess, math.pi)
         assert cert.displacement_norm < 1e-10
         # correction is order eps
-        assert 1e-5 < cert.correction_norm < 1e-2
+        correction = np.linalg.norm(cert.corrected_ic.as_array() - np.array(guess))
+        assert 1e-5 < correction < 1e-2
 
     def test_far_guess_fails(self):
         f1, f2 = case_torques("corollary2")
@@ -204,8 +208,8 @@ class TestShootPeriodic:
         f1, f2 = case_torques("corollary2")
         lin = da.extract_linearized(f1, f2)
         rhs = da.make_first_order_rhs(1e-3, lin)
-        cert = da.shoot_periodic(rhs, (0.0, 0.0, (1 - S17) / 4, 0.0), math.pi)
-        T = cert.period
+        T = math.pi
+        cert = da.shoot_periodic(rhs, (0.0, 0.0, (1 - S17) / 4, 0.0), T)
         interior = [(k + 1) * T / 9 for k in range(8)]
         times = interior + [t + T for t in interior]
         state, t_prev, samples = cert.corrected_ic.as_array(), 0.0, []
@@ -229,14 +233,13 @@ class TestShootPeriodic:
             return rhs(t, s)
 
         with pytest.raises(da.NoConvergenceError, match="Newton diverged"):
-            da.shoot_periodic(counted, (0.0, 0.0, (1 + S17) / 4, 0.0), math.pi, epsilon=1e-2)
+            da.shoot_periodic(counted, (0.0, 0.0, (1 + S17) / 4, 0.0), math.pi)
         assert calls < 100_000
 
     def test_displacement_jacobian_matches_monodromy_at_eps_zero(self):
         z = np.array([0.4, 0.2, 0.0, 0.0])
-        jac = da.shooting.displacement_jacobian(
-            da.unperturbed_rhs, z, da.T1, tol=1e-11
-        )
+        base = da.integrate(da.unperturbed_rhs, z, 0.0, da.T1, tol=1e-11) - z
+        jac = da.shooting.displacement_jacobian(da.unperturbed_rhs, z, da.T1, 1e-11, base)
         expected = da.fundamental_matrix(da.T1) - np.eye(4)
         assert np.abs(jac - expected).max() < 1e-6
 

@@ -1,8 +1,9 @@
-"""The benchmark's tracer still installs on the package and reads a run.
+"""The benchmark's tracer still installs on the package and reads a run,
+and the benchmark's self-test passes.
 
 ``perfbench/tracer.py`` wraps package functions by name, so renaming or
-deleting one of them breaks only traced benchmark runs; this test makes
-such a run in a fresh interpreter."""
+deleting one of them breaks only traced benchmark runs; these tests make
+such runs in a fresh interpreter."""
 
 import json
 import subprocess
@@ -63,3 +64,14 @@ def test_traced_verify_run(tmp_path):
         "trace.spans",
     ):
         assert metrics[counter] > 0, counter
+
+
+def test_perfbench_selftest():
+    # checks the benchmark's output checker and that traced counters repeat;
+    # it writes only under the checkout's .perfbench_out/
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest passed"
