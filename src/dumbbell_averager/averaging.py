@@ -135,9 +135,9 @@ class AveragedField:
             s = np.sin(omega * t)
             x = a1[idx] * c + (a2[idx] / omega) * s
             v = a2[idx] * c - omega * a1[idx] * s
-            # the inactive rate is the scalar 0.0, as the coefficients pass
-            # theta = phi = 0.0: the generated numpy code gives a scalar the
-            # bits of an array lane, so the field is that of a zeros array
+            # the inactive rate is the scalar 0.0: the generated numpy code
+            # gives a scalar the bits of an array lane, so the field is that
+            # of a zeros array
             core = x * (self.lin.f1(t, v, 0.0) if nutation else self.lin.f4(t, 0.0, v))
             return np.stack([w1 * s * core, w2 * c * core], axis=1)
 

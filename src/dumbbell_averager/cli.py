@@ -9,8 +9,8 @@ orbit class, and ``reproduce <case>`` runs a bundled configuration
 end-to-end, comparing the pipeline-derived field against the bundled
 closed-form reference field and letting direct shooting arbitrate.
 
-Exit codes: 0 success, 1 configuration/artifact error, 2 numerical failure
-(the failing stage is named on stderr).
+Exit codes: 0 success, 1 configuration, usage or artifact error, 2 numerical
+failure (the failing stage is named on stderr).
 """
 
 from __future__ import annotations
@@ -350,8 +350,15 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path) -> int:
 # --- entry point ---
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError (exit 1); argparse's own exits 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dumbbell-averager",
         description="averaged bifurcation fields, certified zeros, and "
         "shooting-verified periodic orbits for the dumbbell satellite",
@@ -373,8 +380,8 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
     try:
+        args = _parse_args(argv)
         if args.command == "reproduce":
             if args.config is not None:
                 config = load_config(args.config)

@@ -11,12 +11,12 @@ The unperturbed linear system has two invariant planes filled with periodic
 orbits: the (X, Y) plane with angular frequency sqrt(3) (period T1) and the
 (Z, W) plane with frequency 2 (period T2).
 
-Both systems are trees here: the full one holds the attitude terms and the
-two torque trees, the linearized one the four partial trees at zero angles.
-``_generate_rhs`` emits each through the torques' code generator as one
-straight-line rhs(t, s) with a shared subexpression table; ``full_rhs`` and
-``first_order_rhs``, written by hand, are the oracles they match bit for
-bit.
+Both systems are stated here as trees: the full one from the attitude
+terms and the two torque trees, the linearized one from the four
+coefficient trees of a ``LinearizedTorque``, which hold no angle.
+``torques.generate_rhs`` writes the code of each, one straight-line
+rhs(t, s); ``full_rhs`` and ``first_order_rhs``, written by hand, are the
+oracles they match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -34,18 +34,13 @@ from .torques import (
     SQRT3,
     TAN_POLE_FLOOR,
     BinOp,
-    Call,
     DomainError,
     Neg,
     Node,
     Num,
-    Pow,
     TorqueExpression,
     Var,
-    _NAMESPACES,
-    _emit,
-    _exec,
-    _guarded,
+    generate_rhs,
     parse_torque,
 )
 
@@ -173,46 +168,12 @@ def first_order_rhs(s: StateLike, t: float, eps: float, lin) -> Tuple[float, flo
     (t, x_velocity, y_velocity); the perturbations enter as
     F1 = f1*X + f2*Z and F2 = f3*X + f4*Z.  This is the oracle the
     generated linearized rhs reproduces bit for bit, and the path
-    ``make_first_order_rhs`` takes for coefficients without partial trees.
+    ``make_first_order_rhs`` takes for coefficients without trees.
     """
     X, Y, Z, W = s
     F1 = lin.f1(t, Y, W) * X + lin.f2(t, Y, W) * Z
     F2 = lin.f3(t, Y, W) * X + lin.f4(t, Y, W) * Z
     return (Y, -3.0 * X + eps * F1, W, -4.0 * Z + eps * F2)
-
-
-def _generate_rhs(
-    filename: str, state: Sequence[str], checked: Sequence[Node], returned: Sequence[Node],
-    phi_pole: Optional[str] = None,
-) -> Callable:
-    """Emit and compile ``make(eps)`` under ``filename``; it returns one
-    straight-line ``rhs(t, s)`` over the math module: ``s`` unpacked into the names
-    ``state``, then the sections of the trees ``checked``, each raising
-    DomainError where its value leaves the finite floats, and of
-    ``returned``, whose values it returns; one ``_emit`` in the try that
-    turns float errors into DomainError.  Trees may read ``eps``, bound by
-    a closure, and the names in ``state``.
-
-    With ``phi_pole``, an exception in source, the body starts with
-    ``cph = cos(phi)`` and raises it where cph fails the tan pole guard;
-    that test is then the pole guard of every tan(phi).
-    """
-    names, lines = {}, {}
-    if phi_pole is not None:
-        pole = _NAMESPACES["math"][2].format("cph")
-        names[Call("cos", Var("phi"))] = "cph"
-        lines = {"cph": "cph = cos(phi)", pole: f"if {pole}: raise {phi_pole}"}
-    roots = [(node, True) for node in checked] + [(node, False) for node in returned]
-    body, results = _emit(roots, "math", names, lines)
-    body += (f"return ({', '.join(results[len(checked):])})",)
-    src = (
-        "def make(eps):\n"
-        "    def rhs(t, s):\n"
-        f"        {', '.join(state)} = s\n"
-        f"{_guarded(body, 'math', 8)}"
-        "    return rhs\n"
-    )
-    return _exec(src, "math", "make", filename)
 
 
 #: the attitude terms of the two accelerations, in full_rhs's operations and order
@@ -234,50 +195,26 @@ def _full_system(f1star: TorqueExpression, f2star: TorqueExpression) -> Callable
         BinOp("+", parse_torque(text).root, BinOp("*", Var("eps"), torque.root))
         for text, torque in zip(_ATTITUDE_TERMS, (f1star, f2star))
     )
-    return _generate_rhs(
+    return generate_rhs(
         "<full rhs>", ("theta", "theta_dot", "phi", "phi_dot"), (f1star.root, f2star.root),
         (Var("theta_dot"), theta_acc, Var("phi_dot"), phi_acc),
         phi_pole='SingularityError(f"cos(phi) = {cph:.3e} at phi = {phi!r}")',
     )
 
 
-def _at_zero_angles(node: Node) -> Node:
-    """``node`` with theta = phi = 0: each angle is the literal 0.0, and sin
-    and tan of 0.0 are 0.0, cos of 0.0 is 1.0.  These are exact, so every
-    other operation stays, ``0.0 * x`` included."""
-    if isinstance(node, Var) and node.name in ("theta", "phi"):
-        return Num(0.0)
-    if isinstance(node, Call):
-        arg = _at_zero_angles(node.arg)
-        if arg == Num(0.0):
-            return Num(1.0 if node.fn == "cos" else 0.0)
-        return Call(node.fn, arg)
-    if isinstance(node, Neg):
-        return Neg(_at_zero_angles(node.arg))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _at_zero_angles(node.left), _at_zero_angles(node.right))
-    if isinstance(node, Pow):
-        return Pow(_at_zero_angles(node.base), node.exponent)
-    return node
-
-
 @functools.lru_cache(maxsize=8)
-def _linearized_system(partials: Tuple[Optional[TorqueExpression], ...]) -> Callable:
-    """``make(eps)`` of the linearized system for the partial trees f1..f4:
-    each coefficient is its partial at zero angles (a seed-free one is the
-    literal 0.0), checked in the order ``first_order_rhs`` calls them, so
-    the same guard fires first; then the derivative in its operations and
-    order."""
-    c1, c2, c3, c4 = coefficients = [
-        Num(0.0) if partial is None else _at_zero_angles(partial.root) for partial in partials
-    ]
+def _linearized_system(partials: Tuple[TorqueExpression, ...]) -> Callable:
+    """``make(eps)`` of the linearized system for the coefficient trees
+    f1..f4, checked in the order ``first_order_rhs`` calls them, so the same
+    guard fires first; then the derivative in its operations and order."""
+    c1, c2, c3, c4 = coefficients = [partial.root for partial in partials]
     X, Y, Z, W = Var("X"), Var("theta_dot"), Var("Z"), Var("phi_dot")
 
     def acceleration(k: float, x: Node, ca: Node, cb: Node) -> Node:  # -k*x + eps*(ca*X + cb*Z)
         force = BinOp("+", BinOp("*", ca, X), BinOp("*", cb, Z))
         return BinOp("+", BinOp("*", Neg(Num(k)), x), BinOp("*", Var("eps"), force))
 
-    return _generate_rhs(
+    return generate_rhs(
         "<linearized rhs>", ("X", "theta_dot", "Z", "phi_dot"), coefficients,
         (Y, acceleration(3.0, X, c1, c2), W, acceleration(4.0, Z, c3, c4)),
     )
@@ -293,7 +230,7 @@ def make_full_rhs(setup: PerturbSetup) -> Rhs:
 def make_first_order_rhs(eps: float, lin) -> Rhs:
     """Bind eps and linearized coefficients into an rhs(t, state) callable.
 
-    A ``LinearizedTorque`` that carries its partial trees gives one
+    A ``LinearizedTorque`` that carries its coefficient trees gives one
     generated straight-line rhs, compiled once per set of partials and
     equal bit for bit to ``first_order_rhs``; any other ``lin`` gives a
     closure over ``first_order_rhs``.

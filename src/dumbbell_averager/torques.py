@@ -18,10 +18,10 @@ pow is slow on a negative base.  Both are ufuncs over floats, so a scalar
 variable gives the value of a zeros array.  (value, derivative) is the value's
 function and then the partial's.  The linearized torque coefficients
 f1..f4 are the partials of the torques in the nutation or precession angle
-at zero angles, with the angular rates kept exact.  The same generator
-emits a sequence of trees through one shared subexpression table:
-``dynamics`` builds the straight-line right-hand sides of both the full
-and the linearized system with it.
+with both angles folded to 0.0: trees free of the angles, with the angular
+rates kept exact.  All generated code is written here: ``generate_rhs``
+emits the trees in which ``dynamics`` states both systems through one
+shared subexpression table into one straight-line rhs.
 """
 from __future__ import annotations
 
@@ -284,6 +284,26 @@ def diff(node: Node, var: str) -> Optional[Node]:
     return d(node)
 
 
+def _at_zero_angles(node: Node) -> Node:
+    """``node`` with theta = phi = 0: each angle is the literal 0.0, and sin
+    and tan of 0.0 are 0.0, cos of 0.0 is 1.0.  These are exact, so every
+    other operation stays, ``0.0 * x`` included."""
+    if isinstance(node, Var) and node.name in ("theta", "phi"):
+        return Num(0.0)
+    if isinstance(node, Call):
+        arg = _at_zero_angles(node.arg)
+        if arg == Num(0.0):
+            return Num(1.0 if node.fn == "cos" else 0.0)
+        return Call(node.fn, arg)
+    if isinstance(node, Neg):
+        return Neg(_at_zero_angles(node.arg))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _at_zero_angles(node.left), _at_zero_angles(node.right))
+    if isinstance(node, Pow):
+        return Pow(_at_zero_angles(node.base), node.exponent)
+    return node
+
+
 # --- Code generation ---
 
 #: per namespace: the functions the emitted code calls, the guard tests on a
@@ -464,6 +484,39 @@ def _generate(root: Node, namespace: str) -> Callable:
     head = f"def torque({', '.join(VARIABLES)}):\n"
     body = head + _guarded(lines + (f"return {result}",), namespace, 4)
     return _exec(body, namespace, "torque", "<torque>")
+
+
+def generate_rhs(
+    filename: str, state: Sequence[str], checked: Sequence[Node], returned: Sequence[Node],
+    phi_pole: Optional[str] = None,
+) -> Callable:
+    """Compile ``make(eps)`` under ``filename``; it returns one straight-line
+    ``rhs(t, s)`` over the math module that unpacks ``s`` into the names
+    ``state``, computes the trees ``checked``, each raising DomainError where
+    it leaves the finite floats, and returns the values of ``returned``; a
+    float error raises DomainError too.  Trees may read ``eps``, bound by a
+    closure, and the names in ``state``.
+
+    With ``phi_pole``, an exception in source, the body starts with
+    ``cph = cos(phi)`` and raises it where cph fails the tan pole guard,
+    which is then the guard of every tan(phi).
+    """
+    names, lines = {}, {}
+    if phi_pole is not None:
+        pole = _NAMESPACES["math"][2].format("cph")
+        names[Call("cos", Var("phi"))] = "cph"
+        lines = {"cph": "cph = cos(phi)", pole: f"if {pole}: raise {phi_pole}"}
+    roots = [(node, True) for node in checked] + [(node, False) for node in returned]
+    body, results = _emit(roots, "math", names, lines)
+    body += (f"return ({', '.join(results[len(checked):])})",)
+    src = (
+        "def make(eps):\n"
+        "    def rhs(t, s):\n"
+        f"        {', '.join(state)} = s\n"
+        f"{_guarded(body, 'math', 8)}"
+        "    return rhs\n"
+    )
+    return _exec(src, "math", "make", filename)
 
 
 @dataclass(frozen=True)
@@ -699,54 +752,50 @@ class LinearizedTorque:
 
     Each is a callable of (t, x_velocity, y_velocity): f1/f3 are the theta
     partials and f2/f4 the phi partials of the two torques at zero angles.
-    A coefficient evaluates the partial alone (a seed-free one is 0.0).
     Only terms linear in the angles survive this extraction; products of
     two or more angle factors are dropped by construction.
 
-    ``partials`` holds the four partial expressions (None where seed-free)
-    when ``extract_linearized`` built the coefficients; from them
-    ``dynamics.make_first_order_rhs`` generates one straight-line function
-    of the linearized system, equal bit for bit to
-    ``dynamics.first_order_rhs`` over f1..f4.  Built from plain callables,
-    ``partials`` is None and ``first_order_rhs`` is the only route.
+    ``partials`` holds the trees f1..f4 evaluate when ``extract_linearized``
+    built them: each partial with both angles folded to 0.0, or the literal
+    0.0 where the torque does not depend on the angle.
+    ``dynamics.make_first_order_rhs`` emits them into one straight-line
+    function of the linearized system.  Built from plain callables,
+    ``partials`` is None and ``dynamics.first_order_rhs`` is the only route.
     """
 
     f1: Callable[[float, float, float], float]
     f2: Callable[[float, float, float], float]
     f3: Callable[[float, float, float], float]
     f4: Callable[[float, float, float], float]
-    partials: Optional[Tuple[Optional[TorqueExpression], ...]] = field(
+    partials: Optional[Tuple[TorqueExpression, ...]] = field(
         default=None, compare=False, repr=False
     )
 
 
-def _angle_partial(expr: TorqueExpression, seed: str) -> Callable[[float, float, float], float]:
-    deriv = expr.partial(seed)
-    if deriv is None:
-        return lambda t, v1, v2: 0.0
-
+def _coefficient(partial: TorqueExpression) -> Callable[[float, float, float], float]:
     def coefficient(t, v1, v2):
         if isinstance(t, np.ndarray) or isinstance(v1, np.ndarray) or isinstance(v2, np.ndarray):
-            return deriv.evaluate(t, 0.0, v1, 0.0, v2)
-        return deriv.compile()(t, 0.0, v1, 0.0, v2)
+            return partial.evaluate(t, 0.0, v1, 0.0, v2)
+        return partial.compile()(t, 0.0, v1, 0.0, v2)
 
     return coefficient
 
 
 def _linearize(f1star: TorqueExpression, f2star: TorqueExpression) -> LinearizedTorque:
-    """The coefficients f1..f4 and their partial trees, without evaluating
-    the torques."""
+    """The coefficients f1..f4 and their trees, without evaluating the
+    torques."""
     pairs = ((f1star, "theta"), (f1star, "phi"), (f2star, "theta"), (f2star, "phi"))
-    return LinearizedTorque(
-        *(_angle_partial(expr, seed) for expr, seed in pairs),
-        partials=tuple(expr.partial(seed) for expr, seed in pairs),
+    partials = tuple(
+        TorqueExpression(Num(0.0) if deriv is None else _at_zero_angles(deriv.root))
+        for deriv in (expr.partial(seed) for expr, seed in pairs)
     )
+    return LinearizedTorque(*map(_coefficient, partials), partials=partials)
 
 
 def extract_linearized(f1star: TorqueExpression, f2star: TorqueExpression) -> LinearizedTorque:
     """Differentiate the torques in the angles at theta = phi = 0.
 
-    The derivative trees give the exact partials; no finite-difference
+    The folded derivative trees are the exact partials; no finite-difference
     step enters.  The coefficients never evaluate the torques' values; those
     are checked here at the origin, and over a grid by validate_equilibrium.
     """

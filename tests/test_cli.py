@@ -259,6 +259,23 @@ class TestMainEntry:
         assert (out / "verify_report.txt").exists()
         assert (out / "zeros.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["frobnicate"], ["reproduce", "nosuch"], ["verify", "--bogus"], [], ["eval", "--config"]],
+        ids=["unknown-command", "unknown-case", "unknown-option", "no-command", "option-value"],
+    )
+    def test_usage_errors_are_config_errors(self, capsys, argv):
+        # argparse's own exit code, 2, is that of a numerical failure
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
     def test_reproduce_needs_case(self, capsys):
         assert cli.main(["reproduce"]) == 1
         assert "case" in capsys.readouterr().err

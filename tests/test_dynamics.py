@@ -143,14 +143,6 @@ class TestGeneratedRhs:
         names = [fn.__code__.co_filename for fn in (f1.compile(), full, linearized)]
         assert names == ["<torque>", "<full rhs>", "<linearized rhs>"]
 
-    def test_zero_angles_fold_trig_and_keep_arithmetic(self):
-        text = "sin(theta) * t + cos(phi) - tan(theta) + sin(-phi) + theta * phi_dot"
-        folded = dynamics._at_zero_angles(da.parse_torque(text).root)
-        # sin(-0.0) is -0.0, so a negated angle is not folded
-        assert da.TorqueExpression(folded).pretty() == (
-            "0.0 * t + 1.0 - 0.0 + sin(-0.0) + 0.0 * phi_dot"
-        )
-
 
 class TestFirstOrderRhs:
     def lin(self, f1=None, f2=None, f3=None, f4=None):

@@ -1,5 +1,6 @@
 """The package's public surface, and what importing it costs."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +74,17 @@ def test_import_brings_in_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a module's underscore names are its own; tests may still reach them
+    package = Path(da.__file__).resolve().parent
+    imported = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imported == []

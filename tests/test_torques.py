@@ -423,6 +423,13 @@ class TestEvalDual:
             agree(expr, b)
 
 
+def variables(node) -> set:
+    """The names of the variables that ``node`` reads."""
+    if isinstance(node, Var):
+        return {node.name}
+    return set().union(*map(variables, torques._children(node)))
+
+
 def bits(value, shape) -> np.ndarray:
     """The float64 bit patterns of ``value`` broadcast to ``shape``."""
     value = np.broadcast_to(np.asarray(value, dtype=float), shape)
@@ -653,6 +660,38 @@ class TestExtraction:
         ("theta*(phi_dot + 2.759)^2 + phi*(theta_dot + 0.051)^3",
          "theta*(phi_dot - 0.05)^-3 + phi*cos(t)*sin(theta_dot + 0.051)^4"),
     ]
+
+    @pytest.mark.parametrize("f1star, f2star", SCALAR_ZERO_PAIRS)
+    def test_coefficient_trees_are_the_partials_at_zero_angles(self, f1star, f2star):
+        # the trees hold no angle and a seed-free one is the literal 0.0; each
+        # coefficient gives the bits of its partial at theta = phi = 0.0, on
+        # arrays by the numpy function, on scalars by the math function
+        e1, e2 = da.parse_torque(f1star), da.parse_torque(f2star)
+        lin = da.extract_linearized(e1, e2)
+        t, v1, v2 = np.random.default_rng(5).uniform(-2.0, 2.0, (3, 16))
+        seeded = ((e1, "theta"), (e1, "phi"), (e2, "theta"), (e2, "phi"))
+        coefficients = (lin.f1, lin.f2, lin.f3, lin.f4)
+        for coefficient, tree, (expr, seed) in zip(coefficients, lin.partials, seeded):
+            assert isinstance(tree, da.TorqueExpression)
+            assert not {"theta", "phi"} & variables(tree.root)
+            deriv = expr.partial(seed)
+            if deriv is None:
+                assert tree.root == Num(0.0)
+                array = scalar = lambda *b: 0.0
+            else:
+                array, scalar = deriv.evaluate, deriv.compile()
+            assert np.array_equal(bits(coefficient(t, v1, v2), t.shape),
+                                  bits(array(t, 0.0, v1, 0.0, v2), t.shape))
+            for b in zip(t, v1, v2):
+                assert bits(coefficient(*b), ()) == bits(scalar(b[0], 0.0, b[1], 0.0, b[2]), ())
+
+    def test_zero_angles_fold_trig_and_keep_arithmetic(self):
+        text = "sin(theta) * t + cos(phi) - tan(theta) + sin(-phi) + theta * phi_dot"
+        folded = torques._at_zero_angles(da.parse_torque(text).root)
+        # sin(-0.0) is -0.0, so a negated angle is not folded
+        assert da.TorqueExpression(folded).pretty() == (
+            "0.0 * t + 1.0 - 0.0 + sin(-0.0) + 0.0 * phi_dot"
+        )
 
     @pytest.mark.parametrize("f1star, f2star", SCALAR_ZERO_PAIRS)
     def test_a_scalar_zero_rate_is_a_zeros_array(self, f1star, f2star):
