@@ -2,8 +2,8 @@
 
 Perturbation torques arrive as text over (t, theta, theta_dot, phi,
 phi_dot).  Parsed trees evaluate on scalars or arrays, differentiate
-exactly through dual numbers, and linearize into the four coefficients
-f1..f4 that drive the averaged fields.
+exactly into derivative expressions (``TorqueExpression.partial``), and
+linearize into the four coefficients f1..f4 that drive the averaged fields.
 """
 
 import numpy as np
@@ -21,14 +21,15 @@ print("\nparsed and pretty-printed (round-trips to the same tree):")
 print(f"  {f2.pretty()}")
 assert da.parse_torque(f2.pretty()).root == f2.root
 
-print("\ndual-number derivative vs central difference, d/dphi at a sample point:")
+print("\nexact derivative (TorqueExpression.partial) vs central difference,"
+      " d/dphi at a sample point:")
 bindings = (0.9, 0.2, -0.4, 0.3, 1.1)
 value, deriv = da.eval_dual(f2, bindings, seed="phi")
 h = 1e-6
 b_hi = list(bindings); b_hi[3] += h
 b_lo = list(bindings); b_lo[3] -= h
 fd = (f2.evaluate(*b_hi) - f2.evaluate(*b_lo)) / (2 * h)
-print(f"  value {value:+.9f}, dual {deriv:+.9f}, finite difference {fd:+.9f}")
+print(f"  value {value:+.9f}, partial {deriv:+.9f}, finite difference {fd:+.9f}")
 
 print("\nlinearized coefficients at zero angles:")
 lin = da.extract_linearized(f1, f2)

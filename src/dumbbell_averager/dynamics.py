@@ -44,9 +44,6 @@ from .torques import (
     parse_torque,
 )
 
-T1 = 2.0 * math.pi / SQRT3
-T2 = math.pi
-
 #: active monodromy-gap determinants below this are degenerate.
 GAP_DET_FLOOR = 1e-10
 
@@ -70,6 +67,10 @@ class Mode(Enum):
     @property
     def base_period(self) -> float:
         return 2.0 * math.pi / self.omega
+
+
+T1 = Mode.NUTATION_T1.base_period
+T2 = Mode.PRECESSION_T2.base_period
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ def _case2_reference(alpha: np.ndarray) -> np.ndarray:
 class BundledCase:
     """A named torque pair with its resonance spec and reference field."""
 
-    name: str
     f1star_text: str
     f2star_text: str
     spec: ResonanceSpec
@@ -51,7 +50,6 @@ class BundledCase:
 
 BUNDLED_CASES: Dict[str, BundledCase] = {
     "corollary1": BundledCase(
-        name="corollary1",
         f1star_text="sin(theta)*theta_dot^4 + sin(phi)*sin(theta)*(1 - phi_dot^2)",
         f2star_text=(
             "cos(theta) - sin(sqrt3*t)*sin(theta)*theta_dot"
@@ -61,7 +59,6 @@ BUNDLED_CASES: Dict[str, BundledCase] = {
         reference_field=_case1_reference,
     ),
     "corollary2": BundledCase(
-        name="corollary2",
         f1star_text=(
             "sin(phi)*sin(theta)*phi_dot + sin(phi)"
             " + sin(2*t)*sin(phi)*(1 - phi_dot)*phi_dot"

@@ -67,8 +67,9 @@ def write_continuation_csv(
     path: Path, ladders: Dict[int, ContinuationReport], meta: Dict[str, object]
 ) -> None:
     """Continuation ladders, keyed by orbit-class index: one row per epsilon
-    rung per ladder.  Failed rungs get a row with nan corrected entries and
-    the failure status.
+    rung per ladder.  In a ladder that failed, the failing rung and every
+    rung after it get a row with nan corrected entries and the ladder's
+    status.
     """
     header = (
         "orbit_class,epsilon,"

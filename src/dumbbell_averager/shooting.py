@@ -534,9 +534,7 @@ def epsilon_continuations(jobs: Sequence[Mapping]) -> List[ContinuationReport]:
     The ladders run on P = min(len(jobs), usable CPUs) processes: job i runs
     in process i mod P, where process 0 is the caller and the others are
     forked children that send their reports back pickled over a pipe.  Each
-    process keeps to its own CPU while they run.  The DOP853 loop and each
-    job's rhs for its first rung are compiled before the fork, so no process
-    compiles them again.  An exception leaves as in
+    process keeps to its own CPU while they run.  An exception leaves as in
     the serial order: the lowest-index failing job's is raised, one that
     cannot be pickled as its type name and text, and a child that dies
     without a result as a DumbbellError naming its exit status or signal.
@@ -547,12 +545,6 @@ def epsilon_continuations(jobs: Sequence[Mapping]) -> List[ContinuationReport]:
     procs = min(len(jobs), len(cpus))
     if procs <= 1:
         return [epsilon_continuation(**job) for job in jobs]
-    _dopri_loop(4)
-    for job in jobs:
-        try:
-            job["rhs_for_eps"](epsilon_ladder(job["eps_list"])[0])
-        except DumbbellError:
-            pass  # the job records it as its first rung's failure
     children: Dict[int, Tuple[BinaryIO, int]] = {}  # pid: (read end, first job)
     _pin(cpus[:1])
     try:

@@ -19,9 +19,9 @@ variable gives the value of a zeros array.  (value, derivative) is the value's
 function and then the partial's.  The linearized torque coefficients
 f1..f4 are the partials of the torques in the nutation or precession angle
 with both angles folded to 0.0: trees free of the angles, with the angular
-rates kept exact.  All generated code is written here: ``generate_rhs``
-emits the trees in which ``dynamics`` states both systems through one
-shared subexpression table into one straight-line rhs.
+rates kept exact.  All code generated from trees is written here:
+``generate_rhs`` emits the trees in which ``dynamics`` states both systems
+through one shared subexpression table into one straight-line rhs.
 """
 from __future__ import annotations
 
@@ -148,12 +148,15 @@ class Pow:
 
 Node = Union[Num, Const, Var, Neg, Call, BinOp, Pow]
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+#: the binary operators by precedence, loosest first; the parser reads each
+#: level left-associative, and signs, powers and atoms bind tighter
+_BINARY_LEVELS = (("+", "-"), ("*", "/"))
+_PREC_NEG, _PREC_POW, _PREC_ATOM = range(len(_BINARY_LEVELS), len(_BINARY_LEVELS) + 3)
 
 
 def _precedence(node: Node) -> int:
     if isinstance(node, BinOp):
-        return _PREC_ADD if node.op in "+-" else _PREC_MUL
+        return next(level for level, ops in enumerate(_BINARY_LEVELS) if node.op in ops)
     if isinstance(node, Neg):
         return _PREC_NEG
     if isinstance(node, Pow):
@@ -187,7 +190,7 @@ def _validate(node: Node) -> None:
         if node.fn not in FUNCTIONS:
             raise ValueError(f"unknown function {node.fn!r}")
     elif isinstance(node, BinOp):
-        if node.op not in ("+", "-", "*", "/"):
+        if not any(node.op in ops for ops in _BINARY_LEVELS):
             raise ValueError(f"unknown operator {node.op!r}")
     elif isinstance(node, Pow):
         if not isinstance(node.exponent, int):
@@ -397,7 +400,8 @@ def _emit(
         elif isinstance(node, Call) and node.fn == "tan":
             a = emit(node.arg, bind=True)
             c = emit(Call("cos", node.arg), bind=True)
-            guard(pole_test, c, "tan argument within 1e-12 of an odd multiple of pi/2")
+            message = f"tan argument within {TAN_POLE_FLOOR:g} of an odd multiple of pi/2"
+            guard(pole_test, c, message)
             expr = f"tan({a})"
         elif isinstance(node, Call):
             expr = f"{node.fn}({emit(node.arg)})"
@@ -568,34 +572,11 @@ _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _SPACE, _WORD = re.compile(r"\s*"), re.compile(r"\w+")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def next(self) -> Tuple[str, str, int]:
-        """Return (kind, lexeme, offset); kind EOF at end of input."""
-        start = self.pos = _SPACE.match(self.text, self.pos).end()
-        if start == len(self.text):
-            return ("EOF", "", start)
-        ch = self.text[start]
-        kind, match = "NUMBER", _NUMBER.match(self.text, start)
-        if not match and (ch.isalpha() or ch == "_"):
-            kind, match = "IDENT", _WORD.match(self.text, start)
-        if match:
-            self.pos = match.end()
-            return (kind, match.group(), start)
-        if ch in "+-*/^()":
-            self.pos += 1
-            return (ch, ch, start)
-        raise TorqueSyntaxError(start, ("number", "identifier", "operator"), repr(ch))
-
-
 class _Parser:
     def __init__(self, text: str):
-        self._tok = _Tokenizer(text)
-        self.kind, self.lexeme, self.offset = self._tok.next()
+        self.text, self.pos = text, 0
         self.depth = 0  # the parentheses, calls and signs open here
+        self._advance()
 
     def _nested(self, parse: Callable[[], Node]) -> Node:
         """``parse()`` inside one more parenthesis, call or sign."""
@@ -607,7 +588,22 @@ class _Parser:
         return node
 
     def _advance(self) -> None:
-        self.kind, self.lexeme, self.offset = self._tok.next()
+        """Scan the next token into kind, lexeme and offset; kind EOF at the
+        end of input."""
+        start = self.offset = _SPACE.match(self.text, self.pos).end()
+        if start == len(self.text):
+            self.kind, self.lexeme = "EOF", ""
+            return
+        ch = self.text[start]
+        kind, match = "NUMBER", _NUMBER.match(self.text, start)
+        if not match and (ch.isalpha() or ch == "_"):
+            kind, match = "IDENT", _WORD.match(self.text, start)
+        if match:
+            self.kind, self.lexeme, self.pos = kind, match.group(), match.end()
+        elif ch in "+-*/^()":
+            self.kind, self.lexeme, self.pos = ch, ch, start + 1
+        else:
+            raise TorqueSyntaxError(start, ("number", "identifier", "operator"), repr(ch))
 
     def _fail(self, *expected: str):
         found = "end of input" if self.kind == "EOF" else repr(self.lexeme)
@@ -633,20 +629,15 @@ class _Parser:
             raise TorqueSyntaxError(0, (f"at most {MAX_NESTING} nested levels",), f"{depth} levels")
         return root
 
-    def _expr(self) -> Node:
-        node = self._term()
-        while self.kind in ("+", "-"):
+    def _expr(self, level: int = 0) -> Node:
+        """Factors joined by the operators of ``_BINARY_LEVELS[level:]``."""
+        if level == len(_BINARY_LEVELS):
+            return self._factor()
+        node = self._expr(level + 1)
+        while self.kind in _BINARY_LEVELS[level]:
             op = self.kind
             self._advance()
-            node = BinOp(op, node, self._term())
-        return node
-
-    def _term(self) -> Node:
-        node = self._factor()
-        while self.kind in ("*", "/"):
-            op = self.kind
-            self._advance()
-            node = BinOp(op, node, self._factor())
+            node = BinOp(op, node, self._expr(level + 1))
         return node
 
     def _factor(self) -> Node:

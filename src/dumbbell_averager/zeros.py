@@ -8,7 +8,9 @@ line search with one batched call per halving for the seeds still halving.
 Every seed does the arithmetic of a solve on its own (``newton2d`` is the
 one-seed case), so the zeros found do not depend on the batching.  A field
 maps points (m, 2) to values (m, 2); a seed whose evaluation raises
-NoConvergenceError drops out and the others go on.
+NoConvergenceError drops out and the others go on, unless every seed's
+first evaluation raises: then the search can say nothing, and raises the
+first seed's error.
 
 A zero is certified simple when the finite-difference Jacobian determinant
 clears a threshold relative to the field's typical magnitude on the
@@ -155,10 +157,12 @@ def _newton_rounds(
     line search (one field call per halving, for the seeds still halving).
     The arithmetic of each seed is that of a solve on its own.  A seed ends
     when it converges, fails, or its field evaluation raises
-    NoConvergenceError; the others go on.  ``field_scale`` None takes
-    ``field_scale_on`` the seeds from the first field call.  Returns, in
-    seed order, each seed's CertifiedZero or the NoConvergenceError that
-    ended it, recorded in the round where the seed ends.
+    NoConvergenceError; the others go on.  When the first field call ends
+    every seed, the first seed's NoConvergenceError is raised.
+    ``field_scale`` None takes ``field_scale_on`` the seeds from the first
+    field call.  Returns, in seed order, each seed's CertifiedZero or the
+    NoConvergenceError that ended it, recorded in the round where the seed
+    ends.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -184,6 +188,8 @@ def _newton_rounds(
     live = np.arange(m)
     x = np.array(seeds, dtype=float)
     fx = evaluate(x, live)
+    if ended.all():
+        raise outcome[0]
     if field_scale is None:
         field_scale = _median_norm(fx[~ended])
     nf = _norms(fx)
@@ -319,7 +325,8 @@ def multistart_zeros(
     earlier kept one (in seed order) are duplicates, dropped in one pass
     per kept zero; survivors are sorted by polar angle then radius.  Seeds
     that fail to converge are skipped, so an empty list is a legitimate
-    outcome.
+    outcome; a field that raises NoConvergenceError at every seed raises
+    the first seed's.
     """
     candidates = [
         zero

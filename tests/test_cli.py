@@ -236,6 +236,20 @@ class TestMainEntry:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_a_field_that_holds_at_no_seed_is_a_numerical_failure(self, tmp_path, capsys):
+        # tan(0.5*t) has its pole at the end of the T2 window, so every
+        # seed's quadrature reaches the node cap; the search cannot say
+        # "no zeros"
+        text = (
+            "F1star = sin(theta)\nF2star = sin(phi)*tan(0.5*t)*phi_dot\nmode = T2\n"
+            "n_r = 2\nn_angle = 4\n"
+        )
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in stage 'solve': trapezoid rule still moving")
+        assert not (out / "zeros.csv").exists()
+
     def test_verify_writes_reports(self, tmp_path):
         # linearized verification of the bundled T2 case, small ladder
         text = (

@@ -62,6 +62,31 @@ def test_pretty_round_trip_of_derivatives(tree, var):
     assert d is None or round_trips(d)
 
 
+#: pieces of torque text: the DSL's tokens, stray characters and words, and
+#: runs of ASCII and Unicode digits
+text_pieces = st.one_of(
+    st.sampled_from(
+        ["+", "-", "*", "/", "^", "(", ")", " ", ".", "e", "E", "e-", "1e999", "x", "sinh", "_",
+         "@", "\t", "\u00e9", "#", *VARIABLES, *torques.CONSTANTS, *torques.FUNCTIONS]
+    ),
+    st.text("0123456789\u0663", min_size=1, max_size=25),
+)
+
+
+@hypothesis.settings(SETTINGS, max_examples=500)
+@hypothesis.given(st.lists(text_pieces, max_size=30).map("".join))
+@hypothesis.example("(" * 40 + "t" + ")" * 40)
+@hypothesis.example("(" * 41 + "t" + ")" * 41)  # past MAX_NESTING
+@hypothesis.example("-" * 41 + "t")
+def test_any_text_parses_to_a_round_trip_or_is_refused_at_an_offset(text):
+    try:
+        expr = da.parse_torque(text)
+    except (da.TorqueSyntaxError, da.UnknownIdentifierError) as exc:
+        assert 0 <= exc.offset <= len(text)
+    else:
+        assert da.parse_torque(expr.pretty()).root == expr.root
+
+
 def outcome(fn, args):
     try:
         result = fn(*args)

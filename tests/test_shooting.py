@@ -373,7 +373,7 @@ class TestEpsilonContinuations:
         ]
         jobs += [dict(zero_ladder(), rhs_for_eps=damped, eps_list=[1e-2, 1e-3]), zero_ladder()]
 
-        def no_rhs(eps):  # raised again, not only when the caller compiles ahead
+        def no_rhs(eps):  # the factory itself raises, in whichever process runs it
             raise da.DomainError(f"no rhs at eps = {eps}")
 
         jobs.append(dict(zero_ladder(), rhs_for_eps=no_rhs))
@@ -417,6 +417,17 @@ class TestEpsilonContinuations:
             shooting.epsilon_continuations(jobs)
         assert caught.type is type(expected)
         assert str(caught.value) == str(expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_a_later_refused_ladder_does_not_overtake_an_earlier_failure(self, cpus, n):
+        # the serial loop raises job 0's error before it reaches job 1's ladder
+        jobs = [
+            ladder_whose_rhs(raising(ArithmeticError("job 0"))),
+            dict(zero_ladder(), eps_list=[]),
+        ]
+        cpus(n)
+        with pytest.raises(ArithmeticError, match="^job 0$"):
+            shooting.epsilon_continuations(jobs)
 
     def test_an_exception_that_cannot_be_pickled_comes_back_as_its_name_and_text(self, cpus):
         class LocalError(Exception):

@@ -300,6 +300,15 @@ class TestBatchedSearch:
         assert len(got) == 4
         assert field_scale_on(field, seeds) > 0.0
 
+    def test_a_field_that_holds_at_no_seed_raises_the_first_seeds_error(self):
+        def field(p):
+            raise da.NoConvergenceError(f"no quadrature at {np.asarray(p)[0].tolist()}")
+
+        domain = da.ZeroSearchDomain(n_r=2, n_angle=4)
+        with pytest.raises(da.NoConvergenceError) as caught:
+            da.multistart_zeros(field, domain)
+        assert str(caught.value) == f"no quadrature at {domain.seeds()[0].tolist()}"
+
 
 def pairwise_dedup(points):
     """The dedup loop ``_first_apart`` replaced: a row is kept when no
