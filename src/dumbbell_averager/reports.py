@@ -111,7 +111,8 @@ def continuation_text(idx: int, rep: ContinuationReport) -> List[str]:
             cert = rep.certificates[i]
             lines.append(
                 f"    eps={eps:<8g} displacement={cert.displacement_norm:.3e} "
-                f"distance={rep.distances[i]:.6e} newton_iters={cert.newton_iters}"
+                f"distance={rep.distances[i]:.6e} newton_iters={cert.newton_iters} "
+                f"jacobians={cert.jacobian_builds}"
             )
         else:
             lines.append(f"    eps={eps:<8g} (no certificate)")

@@ -8,13 +8,19 @@ use.
 P(z) = x(T; z) - z, with the Jacobian assembled from finite-difference
 trajectory columns and the linear solves done through a truncated
 pseudo-inverse: near a resonant plane I - Phi(T) is singular at eps = 0,
-so a plain solve would blow up for small eps.  Newton stops with a
-NoConvergenceError naming divergence once ||P(z)|| grows past
-DIVERGENCE_FACTOR times its value at the guess.  ``epsilon_continuation``
-repeats the shot along a descending eps ladder, reseeding each solve with
-the previous corrected initial condition, and measures the rate at which
-the corrected orbit approaches the averaged prediction.  A ladder ends in
-one of four outcomes:
+so a plain solve would blow up for small eps.  A Jacobian costs four
+integrations, so Newton keeps one while the step it made cut ||P|| by at
+least REUSE_CONTRACTION, and rebuilds it at the new state otherwise.
+Newton stops with a NoConvergenceError naming divergence once ||P(z)||
+grows past DIVERGENCE_FACTOR times its value at the guess.
+``epsilon_continuation`` repeats the shot along a descending eps ladder,
+reseeding each solve with the previous corrected initial condition, and
+measures the rate at which the corrected orbit approaches the averaged
+prediction.  Each rung after the first also starts from a Jacobian built
+with no integration: J(eps) - J(0) is O(eps) and J(0) = M(T) - I is known
+in closed form (``fundamental_matrix``), so the previous rung's Jacobian
+J_k, rescaled as J(0) + (eps_{k+1} / eps_k) * (J_k - J(0)), predicts the
+next one.  A ladder ends in one of four outcomes:
 
 - ``PASS``: every rung converged and the distance to the prediction
   shrinks at first order (empirical order in ORDER_BAND);
@@ -37,12 +43,12 @@ import math
 import os
 import pickle
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import ResonanceSpec, Rhs, SatelliteState, plane_embed
+from .dynamics import ResonanceSpec, Rhs, SatelliteState, fundamental_matrix, plane_embed
 from .errors import DumbbellError, NoConvergenceError, StepSizeUnderflowError
 
 DEFAULT_INTEGRATOR_TOL = 1e-11
@@ -54,6 +60,9 @@ PINV_RCOND = 1e-8
 #: Newton has diverged once ||P(z)|| exceeds this multiple of ||P(guess)||;
 #: shots that converge on the bundled ladders grow it by at most ~2x first
 DIVERGENCE_FACTOR = 10.0
+#: a Newton step's Jacobian is kept for the next step when the step cut
+#: ||P|| by at least this factor, and rebuilt otherwise
+REUSE_CONTRACTION = 4.0
 
 # Dormand-Prince 8(5,3) (Prince & Dormand 1981; Hairer, Norsett & Wanner I,
 # II.10), the decimal constants of Hairer's dop853.f: nodes C and rows A of
@@ -265,11 +274,26 @@ def integrate(
 @dataclass(frozen=True)
 class OrbitCertificate:
     """A shooting-verified periodic initial condition: the corrected state,
-    ||P|| there and the number of Newton iterations that reached it."""
+    ||P|| there, the number of Newton iterations that reached it, the number
+    of Jacobians ``displacement_jacobian`` built for it, and the Jacobian the
+    last step used (None when the guess needed no step and none was given)."""
 
     corrected_ic: SatelliteState
     displacement_norm: float
     newton_iters: int
+    jacobian_builds: int
+    jacobian: Optional[np.ndarray] = field(compare=False, repr=False)
+
+    @property
+    def error_bar(self) -> float:
+        """||P|| / sigma_min of the certificate's Jacobian: how far, to first
+        order, the corrected state can sit from the true periodic one along
+        the Jacobian's weakest direction (inf on a singular Jacobian, nan
+        without one); no integration."""
+        if self.jacobian is None:
+            return math.nan
+        sigma_min = float(np.linalg.svd(self.jacobian, compute_uv=False)[-1])
+        return self.displacement_norm / sigma_min if sigma_min > 0.0 else math.inf
 
 
 def displacement_jacobian(
@@ -296,22 +320,28 @@ def shoot_periodic(
     tol: float = DEFAULT_SHOOTING_TOL,
     max_iter: int = 25,
     integrator_tol: float = DEFAULT_INTEGRATOR_TOL,
+    jacobian: Optional[np.ndarray] = None,
 ) -> OrbitCertificate:
     """Newton-correct ``guess`` until the period map returns to it.
 
-    Raises ValueError, before any integration, unless ``guess`` is 4 finite
-    numbers; NoConvergenceError when the displacement norm fails to reach
-    ``tol`` within ``max_iter`` Newton iterations, or as soon as it exceeds
-    DIVERGENCE_FACTOR times its value at the guess (Newton diverged).
+    The first step uses ``jacobian`` when one is given.  A Jacobian is kept
+    for the next step while the step it made cut ||P|| by at least
+    REUSE_CONTRACTION, and rebuilt by ``displacement_jacobian`` at the new
+    state otherwise.  Raises ValueError, before any integration, unless
+    ``guess`` is 4 finite numbers; NoConvergenceError when the displacement
+    norm fails to reach ``tol`` within ``max_iter`` Newton iterations, or as
+    soon as it exceeds DIVERGENCE_FACTOR times its value at the guess
+    (Newton diverged).
     """
     z = SatelliteState.from_sequence(guess).as_array()
+    jac, built = jacobian, 0
     for iters in range(max_iter + 1):
         displacement = integrate(rhs, z, 0.0, period, tol=integrator_tol) - z
         norm = float(np.linalg.norm(displacement))
         if iters == 0:
             initial_norm = norm
         if norm < tol:
-            return OrbitCertificate(SatelliteState.from_sequence(z), norm, iters)
+            return OrbitCertificate(SatelliteState.from_sequence(z), norm, iters, built, jac)
         if norm > DIVERGENCE_FACTOR * initial_norm:
             raise NoConvergenceError(
                 f"Newton diverged: displacement {norm:.3e} after {iters} iterations "
@@ -319,8 +349,11 @@ def shoot_periodic(
             )
         if iters == max_iter:
             break
-        jac = displacement_jacobian(rhs, z, period, integrator_tol, displacement)
+        if jac is None or (iters > 0 and REUSE_CONTRACTION * norm > last_norm):
+            jac = displacement_jacobian(rhs, z, period, integrator_tol, displacement)
+            built += 1
         z = z + np.linalg.pinv(jac, rcond=PINV_RCOND) @ (-displacement)
+        last_norm = norm
     raise NoConvergenceError(
         f"shooting stalled at displacement {norm:.3e} after {max_iter} iterations"
     )
@@ -389,7 +422,9 @@ def epsilon_continuation(
     """Chase the predicted orbit down a descending epsilon ladder.
 
     Each rung shoots with the previous corrected initial condition as the
-    seed (the first rung starts from the zero-padded averaged zero).  The
+    seed (the first rung starts from the zero-padded averaged zero), and
+    each rung after the first from the previous rung's Jacobian rescaled in
+    eps (see the module docstring).  The
     rung where shooting first fails is recorded as FAILED-AT(eps) and the
     ladder stops there.  A ladder that ``epsilon_ladder`` refuses raises
     ValueError before any shot.
@@ -404,7 +439,10 @@ def epsilon_continuation(
     status = "PASS"
 
     guess = predicted.copy()
-    for eps in eps_tuple:
+    jac0 = fundamental_matrix(period) - np.eye(4)  # J(0), about which rungs rescale
+    for k, eps in enumerate(eps_tuple):
+        last = certificates[-1].jacobian if certificates else None
+        start = None if last is None else jac0 + (eps / eps_tuple[k - 1]) * (last - jac0)
         try:
             cert = shoot_periodic(
                 rhs_for_eps(eps),
@@ -413,6 +451,7 @@ def epsilon_continuation(
                 tol=shooting_tol,
                 max_iter=max_iter,
                 integrator_tol=integrator_tol,
+                jacobian=start,
             )
         except DumbbellError as exc:
             status = f"FAILED-AT({eps:g})"

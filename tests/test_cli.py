@@ -494,6 +494,25 @@ def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys
     assert runs[0] == runs[1]
 
 
+def test_the_linearized_verify_ladders_reuse_their_jacobians(tmp_path, monkeypatch):
+    # the verify-lin-c2 benchmark workload, counted in one process: 124
+    # integrations and 23 Jacobian builds when every Newton step built one
+    with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
+        text = p.read_text(encoding="utf-8")
+    cfg = write(tmp_path, text + "field_source = printed-reference\nverify_system = linearized\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    counts = {"integrate": 0, "displacement_jacobian": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(shooting, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, name, counted)
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert counts["integrate"] <= 74
+    assert counts["displacement_jacobian"] <= 9
+
+
 def zero_group(location, det, classification):
     """One orbit class, with the fields of its first CertifiedZero that the table reads."""
     return [SimpleNamespace(location=location, jacobian_det=det, classification=classification)]

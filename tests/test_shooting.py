@@ -310,6 +310,113 @@ class TestEpsilonContinuation:
             da.epsilon_continuation(never_called, (1.0, 0.0), spec, ladder)
 
 
+# corollary2's printed-reference zeros, one per orbit class, as its search finds them
+REFERENCE2_ZEROS = (
+    (1.28077640640449, 0.0),
+    (0.99999999999987321, 1.1547005383796911),
+    (-0.78077640640441515, 0.0),
+)
+LADDER = (1e-2, 1e-3, 1e-4)
+
+
+def fresh_jacobian_shot(rhs, guess, period):
+    """Newton on P with a fresh ``displacement_jacobian`` at every step, as an
+    oracle for the reuse rule; returns its certificate."""
+    z = np.array(guess, dtype=float)
+    jac = None
+    for iters in range(26):
+        displacement = da.integrate(rhs, z, 0.0, period) - z
+        norm = float(np.linalg.norm(displacement))
+        if norm < shooting.DEFAULT_SHOOTING_TOL:
+            return shooting.OrbitCertificate(da.SatelliteState(*z), norm, iters, iters, jac)
+        jac = shooting.displacement_jacobian(
+            rhs, z, period, shooting.DEFAULT_INTEGRATOR_TOL, displacement
+        )
+        z = z + np.linalg.pinv(jac, rcond=shooting.PINV_RCOND) @ (-displacement)
+    pytest.fail(f"oracle Newton stalled at {norm:.3e}")
+
+
+class TestJacobianReuse:
+    def counted_jacobians(self, monkeypatch):
+        builds = []
+        build = shooting.displacement_jacobian
+        monkeypatch.setattr(
+            shooting, "displacement_jacobian", lambda *a: builds.append(None) or build(*a)
+        )
+        return builds
+
+    def test_error_bar_is_the_displacement_over_the_smallest_singular_value(self):
+        state = da.SatelliteState(0.0, 0.0, 1.0, 0.0)
+        jac = np.diag([4.0, 2.0, 1.0, 0.5])
+        assert shooting.OrbitCertificate(state, 1e-10, 1, 1, jac).error_bar == pytest.approx(2e-10)
+        assert shooting.OrbitCertificate(state, 1e-10, 0, 0, np.zeros((4, 4))).error_bar == math.inf
+        assert math.isnan(shooting.OrbitCertificate(state, 0.0, 0, 0, None).error_bar)
+
+    def test_a_wrong_starting_jacobian_is_rebuilt(self, monkeypatch):
+        lin = da.extract_linearized(*case_torques("corollary2"))
+        rhs = da.make_first_order_rhs(1e-3, lin)
+        guess = (0.0, 0.0, (1 + S17) / 4, 0.0)
+        plain = da.shoot_periodic(rhs, guess, math.pi)
+        builds = self.counted_jacobians(monkeypatch)
+        cert = da.shoot_periodic(rhs, guess, math.pi, jacobian=np.eye(4))
+        assert cert.displacement_norm < shooting.DEFAULT_SHOOTING_TOL
+        assert len(builds) == cert.jacobian_builds >= 1
+        moved = np.linalg.norm(cert.corrected_ic.as_array() - plain.corrected_ic.as_array())
+        assert moved <= cert.error_bar + plain.error_bar
+
+    @pytest.mark.parametrize("zero", REFERENCE2_ZEROS, ids=["class0", "class1", "class2"])
+    def test_reused_jacobians_land_within_the_error_bars_of_fresh_ones(self, monkeypatch, zero):
+        # a corrected state is first-order accurate to its error bar along the
+        # Jacobian's weakest direction, so two shots that each converged sit
+        # within the sum of their bars of each other
+        lin = da.extract_linearized(*case_torques("corollary2"))
+        spec = da.BUNDLED_CASES["corollary2"].spec
+        builds = self.counted_jacobians(monkeypatch)
+        report = da.epsilon_continuation(
+            lambda eps: da.make_first_order_rhs(eps, lin), zero, spec, LADDER
+        )
+        assert len(report.certificates) == len(LADDER)
+        assert sum(c.jacobian_builds for c in report.certificates) == len(builds)
+        guess = report.prediction.as_array()
+        for eps, cert in zip(LADDER, report.certificates):
+            oracle = fresh_jacobian_shot(da.make_first_order_rhs(eps, lin), guess, spec.window)
+            guess = oracle.corrected_ic.as_array()
+            moved = np.linalg.norm(cert.corrected_ic.as_array() - guess)
+            assert moved <= cert.error_bar + oracle.error_bar, eps
+        # every rung after the first started from the rescaled Jacobian
+        assert report.certificates[1].jacobian_builds < report.certificates[1].newton_iters
+
+    def test_a_ladder_ending_at_eps_zero_keeps_its_status(self):
+        # at eps = 0 the rescaled start is the closed-form M(T) - I itself
+        lin = da.extract_linearized(*case_torques("corollary2"))
+        spec = da.BUNDLED_CASES["corollary2"].spec
+        factory = lambda eps: da.make_first_order_rhs(eps, lin)
+        jac0 = da.fundamental_matrix(spec.window) - np.eye(4)
+        for zero, status in zip(REFERENCE2_ZEROS, ("PASS", "ORDER-OUT-OF-BAND", "PASS")):
+            report = da.epsilon_continuation(factory, zero, spec, (1e-2, 1e-3, 0.0))
+            assert report.status == status
+            last = report.certificates[-1]
+            assert (last.newton_iters, last.jacobian_builds) == (1, 0)
+            assert last.jacobian.tobytes() == jac0.tobytes()
+
+    @pytest.mark.parametrize(
+        "zero, failure",
+        [
+            (REFERENCE2_ZEROS[0], "displacement 3.101e+01 after 3 iterations exceeds 10x its value 1.687e+00"),
+            (REFERENCE2_ZEROS[1], "displacement 6.630e+01 after 2 iterations exceeds 10x its value 3.366e+00"),
+        ],
+        ids=["class0", "class1"],
+    )
+    def test_full_ladders_fail_where_and_as_they_did(self, zero, failure):
+        f1, f2 = case_torques("corollary2")
+        spec = da.BUNDLED_CASES["corollary2"].spec
+        report = da.epsilon_continuation(
+            lambda eps: da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=eps)), zero, spec, LADDER
+        )
+        assert report.status == "FAILED-AT(0.01)"
+        assert report.failure == f"NoConvergenceError: Newton diverged: {failure} at the guess"
+
+
 T1_SPEC = da.ResonanceSpec(da.Mode.NUTATION_T1, 1, 1)
 
 
