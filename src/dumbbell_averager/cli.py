@@ -1,13 +1,14 @@
 """Command-line front end.
 
-    dumbbell-averager <eval|solve|verify|reproduce> --config <path>
+    dumbbell-averager <eval|solve|verify|reproduce> [case] --config <path>
                       [--out <dir>] [--force]
 
 ``eval`` writes the averaged field on a grid, ``solve`` writes certified
 zeros, ``verify`` runs the epsilon-continuation ladder on every simple
-orbit class, and ``reproduce <case>`` runs a bundled configuration
-end-to-end, comparing the pipeline-derived field against the bundled
-closed-form reference field and letting direct shooting arbitrate.
+orbit class, and ``reproduce`` runs a bundled case end-to-end, comparing
+the pipeline-derived field against the bundled closed-form reference field
+and letting direct shooting arbitrate.  ``reproduce`` takes a bundled case
+name, ``--config``, or both; the others need ``--config``.
 
 Exit codes: 0 success, 1 configuration, usage or artifact error, 2 numerical
 failure (the failing stage is named on stderr).
@@ -16,6 +17,7 @@ failure (the failing stage is named on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -139,6 +141,12 @@ class RunConfig:
                 raise ConfigError(f"{key}: {exc}") from None
         object.__setattr__(self, "torques", tuple(trees))
 
+    @functools.cached_property
+    def linearized(self):
+        """The torques' angle-linearized coefficients, extracted on first use
+        and kept for every later stage."""
+        return extract_linearized(*self.torques)
+
 
 def _check_case(case: str, spec: ResonanceSpec) -> None:
     """Refuse an unknown case, or one whose reference field lives on another plane."""
@@ -220,10 +228,8 @@ def _build_field(config: RunConfig, source: str, case: Optional[str]):
     if source == "printed-reference":
         meta["case"] = case
         return BUNDLED_CASES[case].reference_field, meta
-    f1, f2 = config.torques
-    report = validate_equilibrium(f1, f2)
-    lin = extract_linearized(f1, f2)
-    fld = AveragedField(config.spec, lin, config.quad_tol)
+    report = validate_equilibrium(*config.torques)
+    fld = AveragedField(config.spec, config.linearized, config.quad_tol)
     meta["quad_tol"] = config.quad_tol
     meta["equilibrium_check"] = report.status
     return fld, meta
@@ -262,11 +268,17 @@ def cmd_solve(config: RunConfig, outdir: Path, filename: Optional[str] = None,
 
 
 def _rhs_factory(config: RunConfig, system: str):
-    f1, f2 = config.torques
     if system == "full":
+        f1, f2 = config.torques
         return lambda eps: make_full_rhs(PerturbSetup(f1, f2, epsilon=eps))
-    lin = extract_linearized(f1, f2)
+    lin = config.linearized
     return lambda eps: make_first_order_rhs(eps, lin)
+
+
+def _tolerances(config: RunConfig) -> Dict[str, float]:
+    """The shooting and integrator tolerances, as ``epsilon_continuation``
+    arguments and as continuation-CSV metadata."""
+    return {"shooting_tol": config.shooting_tol, "integrator_tol": config.integrator_tol}
 
 
 def _ladder_jobs(
@@ -281,8 +293,7 @@ def _ladder_jobs(
             averaged_zero=group[0].location,
             spec=config.spec,
             eps_list=config.epsilon_list,
-            shooting_tol=config.shooting_tol,
-            integrator_tol=config.integrator_tol,
+            **_tolerances(config),
         )
         for idx, group in enumerate(groups)
         if group[0].is_simple
@@ -305,8 +316,7 @@ def cmd_verify(config: RunConfig, outdir: Path) -> int:
     (ladders,) = _run_ladders([jobs])
     meta = {
         "system": config.verify_system,
-        "shooting_tol": config.shooting_tol,
-        "integrator_tol": config.integrator_tol,
+        **_tolerances(config),
         "epsilon_list": "/".join(f"{e:g}" for e in config.epsilon_list),
     }
     reports.write_continuation_csv(outdir / names["continuation"], ladders, meta)
@@ -328,13 +338,7 @@ def cmd_reproduce(config: RunConfig, case: str, outdir: Path) -> int:
     runs = _run_ladders([_ladder_jobs(config, groups[source], system) for source, system in sets])
     ladders = dict(zip(sets, runs))
     for (source, system), ladders_of_set in ladders.items():
-        meta = {
-            "case": case,
-            "source": source,
-            "system": system,
-            "shooting_tol": config.shooting_tol,
-            "integrator_tol": config.integrator_tol,
-        }
+        meta = {"case": case, "source": source, "system": system, **_tolerances(config)}
         reports.write_continuation_csv(outdir / names[source, system], ladders_of_set, meta)
 
     lines = reports.comparison_table(

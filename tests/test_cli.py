@@ -335,6 +335,29 @@ class TestMainEntry:
         assert len(parsed) == 2
 
     @pytest.mark.parametrize(
+        "argv, extra",
+        [(["reproduce"], ""), (["verify"], "verify_system = linearized\n")],
+        ids=["reproduce", "verify-linearized"],
+    )
+    def test_each_run_extracts_the_linearized_torque_once(self, tmp_path, monkeypatch, argv, extra):
+        # the pipeline field and every linearized ladder share one extraction
+        extracted = []
+        extract = cli.extract_linearized
+        monkeypatch.setattr(
+            cli, "extract_linearized", lambda f1, f2: extracted.append(f1) or extract(f1, f2)
+        )
+        with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
+            text = p.read_text(encoding="utf-8")
+        small = {"n_r = 16": "n_r = 2", "n_angle = 32": "n_angle = 8",
+                 "epsilon_list = 1e-2, 1e-3, 1e-4": "epsilon_list = 1e-2"}
+        for old, new in small.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write(tmp_path, text + extra)
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(extracted) == 1
+
+    @pytest.mark.parametrize(
         "command, line",
         [
             ("eval", "quad_tol = nan"),

@@ -193,7 +193,7 @@ class TestShootPeriodic:
         f1, f2 = case_torques("corollary2")
         rhs = da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=1e-3))
         with pytest.raises((da.NoConvergenceError, da.StepSizeUnderflowError)):
-            da.shoot_periodic(rhs, (0.0, 0.0, 3.0, 3.0), math.pi, max_iter=6)
+            da.shoot_periodic(rhs, (0.0, 0.0, 3.0, 3.0), math.pi)
 
     def test_rerun_from_corrected_is_fixed_point(self):
         f1, f2 = case_torques("corollary2")
@@ -236,6 +236,16 @@ class TestShootPeriodic:
             da.shoot_periodic(counted, (0.0, 0.0, (1 + S17) / 4, 0.0), math.pi)
         assert calls < 100_000
 
+    def test_stall_is_named(self):
+        # a constant displacement: Newton's steps are truncated to nothing,
+        # so it neither converges nor diverges until SHOOTING_MAX_ITER runs out
+        stalled = (
+            f"shooting stalled at displacement 3.142e\\+00 after {shooting.SHOOTING_MAX_ITER} "
+            "iterations"
+        )
+        with pytest.raises(da.NoConvergenceError, match=stalled):
+            da.shoot_periodic(lambda t, s: (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), math.pi)
+
     def test_displacement_jacobian_matches_monodromy_at_eps_zero(self):
         z = np.array([0.4, 0.2, 0.0, 0.0])
         base = da.integrate(da.unperturbed_rhs, z, 0.0, da.T1, tol=1e-11) - z
@@ -269,13 +279,24 @@ class TestEpsilonContinuation:
         assert report.status == "PASS"
         assert report.distances[0] < 1e-10
 
+    def test_one_rung_ladder_passes_without_a_slope(self):
+        # one rung at eps > 0 with a nonzero distance has no slope, so the
+        # ladder passes on convergence alone
+        lin = da.extract_linearized(*case_torques("corollary2"))
+        spec = da.BUNDLED_CASES["corollary2"].spec
+        report = da.epsilon_continuation(
+            self.lin_factory(lin), ((1 - S17) / 4, 0.0), spec, [1e-2]
+        )
+        assert report.status == "PASS"
+        assert math.isnan(report.empirical_order)
+        assert report.pair_orders == ()
+        assert report.distances[0] == pytest.approx(0.0108385, rel=1e-5)
+
     def test_failure_is_identified_by_epsilon(self):
         f1, f2 = case_torques("corollary2")
         setup = lambda eps: da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=eps))
         spec = da.BUNDLED_CASES["corollary2"].spec
-        report = da.epsilon_continuation(
-            setup, ((1 + S17) / 4, 0.0), spec, [0.5], max_iter=8
-        )
+        report = da.epsilon_continuation(setup, ((1 + S17) / 4, 0.0), spec, [0.5])
         assert report.status == "FAILED-AT(0.5)"
         assert report.failure is not None
         assert not report.passed
