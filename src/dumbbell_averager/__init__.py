@@ -30,7 +30,6 @@ from .errors import (
     DumbbellError,
     NoConvergenceError,
     SingularJacobianError,
-    SingularityError,
     StepSizeUnderflowError,
 )
 from .reference import BUNDLED_CASES
@@ -69,7 +68,6 @@ __all__ = [
     "ResonanceSpec",
     "SatelliteState",
     "SingularJacobianError",
-    "SingularityError",
     "StepSizeUnderflowError",
     "T1",
     "T2",

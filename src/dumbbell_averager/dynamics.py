@@ -29,10 +29,11 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateMonodromyError, SingularityError
+from .errors import DegenerateMonodromyError
 from .torques import (
     SQRT3,
     TAN_POLE_FLOOR,
+    TAN_POLE_MESSAGE,
     BinOp,
     DomainError,
     Neg,
@@ -143,18 +144,19 @@ def full_rhs(s: StateLike, t: float, setup: PerturbSetup) -> Tuple[float, float,
     hand: the oracle that the generated ``make_full_rhs`` reproduces bit for
     bit.
 
-    Raises SingularityError when |cos phi| < 1e-12 (tan pole); verification
-    orbits stay near phi = 0 so the guard rejects rather than saturates.  An
-    overflow or a math domain error raises DomainError.
+    The torques F1* and F2* come first, each raising its own DomainError;
+    then the tan(phi) of the attitude terms raises the torques' tan pole
+    DomainError where |cos phi| < 1e-12.  An overflow or a math domain error
+    raises DomainError too.
     """
     th, thd, ph, phd = s
     eps = setup.epsilon
     try:
-        cph = math.cos(ph)
-        if abs(cph) < TAN_POLE_FLOOR:
-            raise SingularityError(f"cos(phi) = {cph:.3e} at phi = {ph!r}")
         tf1 = setup.f1star.compile()(t, th, thd, ph, phd)
         tf2 = setup.f2star.compile()(t, th, thd, ph, phd)
+        cph = math.cos(ph)
+        if abs(cph) < TAN_POLE_FLOOR:
+            raise DomainError(TAN_POLE_MESSAGE)
         d_thd = 2.0 * phd * (1.0 + thd) * math.tan(ph) - 3.0 * math.sin(th) * math.cos(th) + eps * tf1
         d_phd = -((1.0 + thd) ** 2 + 3.0 * math.cos(th) ** 2) * math.sin(ph) * cph + eps * tf2
     except (OverflowError, ValueError) as exc:
@@ -186,11 +188,9 @@ _ATTITUDE_TERMS = (
 
 @functools.lru_cache(maxsize=8)
 def _full_system(f1star: TorqueExpression, f2star: TorqueExpression) -> Callable:
-    """``make(eps)`` of the full system: the |cos phi| test, the F1* and
-    F2* sections, then each attitude term plus eps times its torque.
-
-    One floor, ``TAN_POLE_FLOOR``, serves the |cos phi| test and the
-    torques' tan pole guard, so that the test is also every tan(phi)'s guard.
+    """``make(eps)`` of the full system: the F1* and F2* sections, then
+    each attitude term plus eps times its torque.  The first term's tan(phi)
+    is guarded as a torque's tan is; one cos(phi) serves every use.
     """
     theta_acc, phi_acc = (
         BinOp("+", parse_torque(text).root, BinOp("*", Var("eps"), torque.root))
@@ -199,7 +199,6 @@ def _full_system(f1star: TorqueExpression, f2star: TorqueExpression) -> Callable
     return generate_rhs(
         "<full rhs>", ("theta", "theta_dot", "phi", "phi_dot"), (f1star.root, f2star.root),
         (Var("theta_dot"), theta_acc, Var("phi_dot"), phi_acc),
-        phi_pole='SingularityError(f"cos(phi) = {cph:.3e} at phi = {phi!r}")',
     )
 
 

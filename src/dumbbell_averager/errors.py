@@ -5,10 +5,6 @@ class DumbbellError(Exception):
     """Base class for all package-specific failures."""
 
 
-class SingularityError(DumbbellError):
-    """State evaluation hit the tan(phi) pole (|cos phi| below threshold)."""
-
-
 class DegenerateMonodromyError(DumbbellError):
     """Active block of the monodromy gap is numerically singular."""
 

@@ -320,9 +320,10 @@ def shoot_periodic(
     REUSE_CONTRACTION, and rebuilt by ``displacement_jacobian`` at the new
     state otherwise.  Raises ValueError, before any integration, unless
     ``guess`` is 4 finite numbers; NoConvergenceError when the displacement
-    norm fails to reach ``tol`` within SHOOTING_MAX_ITER Newton iterations
-    (shooting stalled), or as soon as it exceeds DIVERGENCE_FACTOR times its
-    value at the guess (Newton diverged).
+    norm fails to reach ``tol`` within SHOOTING_MAX_ITER Newton iterations,
+    or at once when a step from a Jacobian built at z leaves z unchanged,
+    as every later step would (shooting stalled), or as soon as the norm
+    exceeds DIVERGENCE_FACTOR times its value at the guess (Newton diverged).
     """
     z = SatelliteState.from_sequence(guess).as_array()
     jac, built = jacobian, 0
@@ -340,14 +341,15 @@ def shoot_periodic(
             )
         if iters == SHOOTING_MAX_ITER:
             break
-        if jac is None or (iters > 0 and REUSE_CONTRACTION * norm > last_norm):
+        fresh = jac is None or (iters > 0 and REUSE_CONTRACTION * norm > last_norm)
+        if fresh:
             jac = displacement_jacobian(rhs, z, period, integrator_tol, displacement)
             built += 1
-        z = z + np.linalg.pinv(jac, rcond=PINV_RCOND) @ (-displacement)
-        last_norm = norm
-    raise NoConvergenceError(
-        f"shooting stalled at displacement {norm:.3e} after {SHOOTING_MAX_ITER} iterations"
-    )
+        moved = z + np.linalg.pinv(jac, rcond=PINV_RCOND) @ (-displacement)
+        if fresh and np.array_equal(moved, z):
+            break
+        z, last_norm = moved, norm
+    raise NoConvergenceError(f"shooting stalled at displacement {norm:.3e} after {iters} iterations")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DumbbellError, SingularityError
+from .errors import DumbbellError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -43,8 +43,10 @@ VARIABLES = ("t", "theta", "theta_dot", "phi", "phi_dot")
 CONSTANTS = {"pi": math.pi, "sqrt3": SQRT3}
 FUNCTIONS = ("sin", "cos", "tan")
 
-#: tan arguments closer than this to an odd multiple of pi/2 are rejected.
+#: tan arguments closer than this to an odd multiple of pi/2 are rejected,
+#: with this DomainError text
 TAN_POLE_FLOOR = 1e-12
+TAN_POLE_MESSAGE = f"tan argument within {TAN_POLE_FLOOR:g} of an odd multiple of pi/2"
 
 #: the parser refuses a torque whose tree is deeper than this many levels,
 #: or whose text has more parentheses, calls and signs open at one point.
@@ -348,8 +350,7 @@ def _uses(root: Node) -> collections.Counter:
 
 
 def _emit(
-    roots: Sequence[Tuple[Node, bool]], namespace: str, names: Optional[dict] = None,
-    lines: Optional[dict] = None,
+    roots: Sequence[Tuple[Node, bool]], namespace: str
 ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """Straight-line statements, and an expression per root, for the values
     of ``roots``: (tree, finite) pairs, emitted in order through one table of
@@ -363,13 +364,11 @@ def _emit(
     it, ``(vn := ...)``; a later root reads either by its name.  Zero
     divisors, zero bases of negative powers and tan poles raise DomainError,
     and so does a result outside the finite floats where ``finite`` is set
-    and the root is not a literal.  A guard
-    is written once per condition, where it is first needed.  ``names`` and
-    ``lines`` seed the table and the statements: the values a prologue
-    computed, and its lines, a guard keyed by its condition.
+    and the root is not a literal.  A guard is written once per condition,
+    where it is first needed.
     """
     _, zero_test, pole_test, finite_test, _ = _NAMESPACES[namespace]
-    names, lines = dict(names or {}), dict(lines or {})
+    names, lines = {}, {}  # the table; the statements, a guard keyed by its condition
     counts = [_uses(root) for root, _ in roots]
     needed, seen = set(), set()  # the subtrees a root reads from an earlier one
     for (root, _), root_uses in zip(roots, counts):
@@ -400,8 +399,7 @@ def _emit(
         elif isinstance(node, Call) and node.fn == "tan":
             a = emit(node.arg, bind=True)
             c = emit(Call("cos", node.arg), bind=True)
-            message = f"tan argument within {TAN_POLE_FLOOR:g} of an odd multiple of pi/2"
-            guard(pole_test, c, message)
+            guard(pole_test, c, TAN_POLE_MESSAGE)
             expr = f"tan({a})"
         elif isinstance(node, Call):
             expr = f"{node.fn}({emit(node.arg)})"
@@ -475,7 +473,7 @@ def _exec(src: str, namespace: str, name: str, filename: str) -> Callable:
     The code is compiled under ``filename``, so that profiles and tracebacks
     tell each kind of generated function apart."""
     env = dict(_NAMESPACES[namespace][0], **CONSTANTS, TAN_POLE_FLOOR=TAN_POLE_FLOOR,
-               DomainError=DomainError, SingularityError=SingularityError, _worded=_worded)
+               DomainError=DomainError, _worded=_worded)
     exec(compile(src, filename, "exec"), env)
     return env[name]
 
@@ -491,27 +489,18 @@ def _generate(root: Node, namespace: str) -> Callable:
 
 
 def generate_rhs(
-    filename: str, state: Sequence[str], checked: Sequence[Node], returned: Sequence[Node],
-    phi_pole: Optional[str] = None,
+    filename: str, state: Sequence[str], checked: Sequence[Node], returned: Sequence[Node]
 ) -> Callable:
     """Compile ``make(eps)`` under ``filename``; it returns one straight-line
     ``rhs(t, s)`` over the math module that unpacks ``s`` into the names
     ``state``, computes the trees ``checked``, each raising DomainError where
-    it leaves the finite floats, and returns the values of ``returned``; a
-    float error raises DomainError too.  Trees may read ``eps``, bound by a
+    it leaves the finite floats, and returns the values of ``returned``.  A
+    float error, a zero divisor or a tan pole in any tree raises DomainError
+    too, as in a torque's own code.  Trees may read ``eps``, bound by a
     closure, and the names in ``state``.
-
-    With ``phi_pole``, an exception in source, the body starts with
-    ``cph = cos(phi)`` and raises it where cph fails the tan pole guard,
-    which is then the guard of every tan(phi).
     """
-    names, lines = {}, {}
-    if phi_pole is not None:
-        pole = _NAMESPACES["math"][2].format("cph")
-        names[Call("cos", Var("phi"))] = "cph"
-        lines = {"cph": "cph = cos(phi)", pole: f"if {pole}: raise {phi_pole}"}
     roots = [(node, True) for node in checked] + [(node, False) for node in returned]
-    body, results = _emit(roots, "math", names, lines)
+    body, results = _emit(roots, "math")
     body += (f"return ({', '.join(results[len(checked):])})",)
     src = (
         "def make(eps):\n"

@@ -517,12 +517,25 @@ def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys
     assert runs[0] == runs[1]
 
 
-def test_the_linearized_verify_ladders_reuse_their_jacobians(tmp_path, monkeypatch):
-    # the verify-lin-c2 benchmark workload, counted in one process: 124
-    # integrations and 23 Jacobian builds when every Newton step built one
-    with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
+@pytest.mark.parametrize(
+    "argv, extra, integrations, builds",
+    [
+        (["reproduce", "corollary1"], "", 189, 36),
+        (["reproduce", "corollary2"], "", 229, 33),
+        (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 74, 9),
+    ],
+    ids=["reproduce-c1", "reproduce-c2", "verify-lin-c2"],
+)
+def test_the_benchmark_workloads_keep_their_shooting_cost(
+    tmp_path, monkeypatch, argv, extra, integrations, builds
+):
+    # the benchmark workloads, counted in one process on one CPU: at most
+    # these integrations and Jacobian builds (verify-lin-c2 took 124 and 23
+    # when every Newton step built one)
+    case = "corollary1" if "corollary1" in argv else "corollary2"
+    with cli.resources.as_file(cli.bundled_config_path(case)) as p:
         text = p.read_text(encoding="utf-8")
-    cfg = write(tmp_path, text + "field_source = printed-reference\nverify_system = linearized\n")
+    cfg = write(tmp_path, text + extra)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     counts = {"integrate": 0, "displacement_jacobian": 0}
     for name in counts:
@@ -531,9 +544,9 @@ def test_the_linearized_verify_ladders_reuse_their_jacobians(tmp_path, monkeypat
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(shooting, name, counted)
-    assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert counts["integrate"] <= 74
-    assert counts["displacement_jacobian"] <= 9
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert counts["integrate"] <= integrations
+    assert counts["displacement_jacobian"] <= builds
 
 
 def zero_group(location, det, classification):

@@ -66,7 +66,7 @@ class TestFullRhs:
 
     def test_phi_singularity_guard(self):
         setup = corollary1_setup(0.0)
-        with pytest.raises(da.SingularityError):
+        with pytest.raises(da.DomainError):
             da.full_rhs((0.0, 0.0, math.pi / 2, 0.0), 0.0, setup)
 
     #: the oracle and the generated rhs, as rhs(state, setup)
@@ -100,8 +100,24 @@ class TestFullRhs:
     @pytest.mark.parametrize("rhs", BOTH.values(), ids=BOTH.keys())
     def test_singularity_text(self, rhs):
         setup = corollary1_setup(0.0)
-        with pytest.raises(da.SingularityError, match=r"cos\(phi\) = 6\.123e-17 at phi = 1\.57"):
+        with pytest.raises(da.DomainError, match=r"tan argument within 1e-12 of an odd multiple of pi/2"):
             rhs((0.0, 0.0, math.pi / 2, 0.0), setup)
+
+    @pytest.mark.parametrize("f1", ["tan(phi)", "0"])
+    @pytest.mark.parametrize("rhs", BOTH.values(), ids=BOTH.keys())
+    def test_the_phi_pole_is_the_tan_pole_on_every_path(self, rhs, f1):
+        # one condition, one error: the attitude terms' tan(phi) is guarded
+        # as the torque tan(phi) is, alone or as F1*
+        tan_phi = da.parse_torque("tan(phi)")
+        t, s = 0.0, (0.0, 0.0, math.pi / 2, 0.0)
+        for path in (
+            lambda: tan_phi.compile()(t, *s),
+            lambda: tan_phi.evaluate(t, *s),
+            lambda: rhs(s, da.PerturbSetup(da.parse_torque(f1), ZERO, epsilon=1.0)),
+        ):
+            with pytest.raises(da.DomainError) as info:
+                path()
+            assert str(info.value) == "tan argument within 1e-12 of an odd multiple of pi/2"
 
 
 class TestGeneratedRhs:

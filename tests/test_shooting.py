@@ -84,7 +84,7 @@ class TestIntegrate:
         f1, f2 = case_torques("corollary2")
         rhs = da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=0.0))
         # start exactly on the pole surface: the very first rhs call raises
-        with pytest.raises(da.SingularityError):
+        with pytest.raises(da.DomainError):
             da.integrate(rhs, (0.0, 0.0, math.pi / 2, 0.0), 0.0, 1.0)
 
     def test_rejects_bad_window(self):
@@ -236,15 +236,29 @@ class TestShootPeriodic:
             da.shoot_periodic(counted, (0.0, 0.0, (1 + S17) / 4, 0.0), math.pi)
         assert calls < 100_000
 
-    def test_stall_is_named(self):
-        # a constant displacement: Newton's steps are truncated to nothing,
-        # so it neither converges nor diverges until SHOOTING_MAX_ITER runs out
-        stalled = (
-            f"shooting stalled at displacement 3.142e\\+00 after {shooting.SHOOTING_MAX_ITER} "
-            "iterations"
+    def test_stall_is_named(self, monkeypatch):
+        # a constant displacement: the Jacobian is zero and its step is
+        # truncated to nothing, so the shot stops at once, after the one
+        # integration of P and the four of the Jacobian's columns
+        calls, integrate = [], shooting.integrate
+        monkeypatch.setattr(
+            shooting, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)
         )
+        stalled = "shooting stalled at displacement 3.142e\\+00 after 0 iterations"
         with pytest.raises(da.NoConvergenceError, match=stalled):
             da.shoot_periodic(lambda t, s: (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), math.pi)
+        assert len(calls) <= 6
+
+    def test_iteration_cap_is_named(self, monkeypatch):
+        # corollary1's reference zero: the linearized first rung keeps moving
+        # for 17 Newton steps before it converges, so a cap of 3 stops it
+        f1, f2 = case_torques("corollary1")
+        spec = da.BUNDLED_CASES["corollary1"].spec
+        rhs = da.make_first_order_rhs(1e-2, da.extract_linearized(f1, f2))
+        monkeypatch.setattr(shooting, "SHOOTING_MAX_ITER", 3)
+        stalled = r"shooting stalled at displacement .* after 3 iterations"
+        with pytest.raises(da.NoConvergenceError, match=stalled):
+            da.shoot_periodic(rhs, da.plane_embed((SQRT3 / 3, 0.0), spec.mode), spec.window)
 
     def test_displacement_jacobian_matches_monodromy_at_eps_zero(self):
         z = np.array([0.4, 0.2, 0.0, 0.0])
