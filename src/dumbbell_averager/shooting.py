@@ -11,6 +11,14 @@ pseudo-inverse: near a resonant plane I - Phi(T) is singular at eps = 0,
 so a plain solve would blow up for small eps.  A Jacobian costs four
 integrations, so Newton keeps one while the step it made cut ||P|| by at
 least REUSE_CONTRACTION, and rebuilds it at the new state otherwise.
+Newton converges only linearly to a singular root, by (d - 1)/d per step
+where P is homogeneous of degree d there (Decker, Keller & Kelley 1983;
+Griewank 1985), and the origin, the trivial equilibrium, is such a root of
+the bundled torques.  So once the last ORIGIN_RATIO_COUNT step ratios
+||z_k|| / ||z_{k-1}|| all lie inside ORIGIN_RATIO_BAND and within
+ORIGIN_RATIO_SPREAD of each other, Newton integrates once from the origin
+and ends the shot there when ||P(0)|| < tol; otherwise it goes on, and the
+origin is not tried again in that shot.
 Newton stops with a NoConvergenceError naming divergence once ||P(z)||
 grows past DIVERGENCE_FACTOR times its value at the guess.
 ``epsilon_continuation`` repeats the shot along a descending eps ladder,
@@ -55,6 +63,13 @@ DIVERGENCE_FACTOR = 10.0
 REUSE_CONTRACTION = 4.0
 #: Newton iterations a shot may take before it is declared stalled
 SHOOTING_MAX_ITER = 25
+#: a steady contraction toward the origin: ORIGIN_RATIO_COUNT ratios
+#: ||z_k|| / ||z_{k-1}|| inside ORIGIN_RATIO_BAND, the largest at most
+#: 1 + ORIGIN_RATIO_SPREAD times the smallest; corollary1's ladders shrink
+#: by 0.80 per step (linearized, degree 5) and 0.70 ... 0.67 (full)
+ORIGIN_RATIO_COUNT = 3
+ORIGIN_RATIO_BAND = (0.2, 0.95)
+ORIGIN_RATIO_SPREAD = 0.1
 
 # Dormand-Prince 8(5,3) (Prince & Dormand 1981; Hairer, Norsett & Wanner I,
 # II.10), the decimal constants of Hairer's dop853.f: nodes C and rows A of
@@ -263,18 +278,25 @@ def integrate(
     return np.array(_dopri_loop(len(y))(rhs, t0, t1, h, h_floor, tol, *y, *k))
 
 
+#: why a shot ended, as ``OrbitCertificate.reason`` names it
+CONVERGED = "converged"
+AT_SINGULAR_ORIGIN = "singular root at the origin"
+
+
 @dataclass(frozen=True)
 class OrbitCertificate:
     """A shooting-verified periodic initial condition: the corrected state,
     ||P|| there, the number of Newton iterations that reached it, the number
-    of Jacobians ``displacement_jacobian`` built for it, and the Jacobian the
-    last step used (None when the guess needed no step and none was given)."""
+    of Jacobians ``displacement_jacobian`` built for it, the Jacobian the
+    last step used (None when the guess needed no step and none was given)
+    and why the shot ended: ``CONVERGED`` or ``AT_SINGULAR_ORIGIN``."""
 
     corrected_ic: SatelliteState
     displacement_norm: float
     newton_iters: int
     jacobian_builds: int
     jacobian: Optional[np.ndarray] = field(compare=False, repr=False)
+    reason: str = field(default=CONVERGED, compare=False)
 
     @property
     def error_bar(self) -> float:
@@ -286,6 +308,17 @@ class OrbitCertificate:
             return math.nan
         sigma_min = float(np.linalg.svd(self.jacobian, compute_uv=False)[-1])
         return self.displacement_norm / sigma_min if sigma_min > 0.0 else math.inf
+
+
+def _contracts_steadily(ratios: Sequence[float]) -> bool:
+    """Whether the last ratios ||z_k|| / ||z_{k-1}|| of a shot are a steady
+    contraction toward the origin (see ORIGIN_RATIO_COUNT)."""
+    last = ratios[-ORIGIN_RATIO_COUNT:]
+    return (
+        len(last) == ORIGIN_RATIO_COUNT
+        and all(ORIGIN_RATIO_BAND[0] < r < ORIGIN_RATIO_BAND[1] for r in last)
+        and max(last) <= (1.0 + ORIGIN_RATIO_SPREAD) * min(last)
+    )
 
 
 def displacement_jacobian(
@@ -318,7 +351,12 @@ def shoot_periodic(
     The first step uses ``jacobian`` when one is given.  A Jacobian is kept
     for the next step while the step it made cut ||P|| by at least
     REUSE_CONTRACTION, and rebuilt by ``displacement_jacobian`` at the new
-    state otherwise.  Raises ValueError, before any integration, unless
+    state otherwise.  The first time the last ORIGIN_RATIO_COUNT steps have
+    shrunk ||z|| at a steady ratio (see the module docstring), P is
+    integrated once from the origin; if ||P(0)|| < ``tol`` the shot ends
+    there, with reason AT_SINGULAR_ORIGIN, ||P(0)|| as its displacement and
+    the Jacobian of the last step, else Newton goes on and never tries the
+    origin again.  Raises ValueError, before any integration, unless
     ``guess`` is 4 finite numbers; NoConvergenceError when the displacement
     norm fails to reach ``tol`` within SHOOTING_MAX_ITER Newton iterations,
     or at once when a step from a Jacobian built at z leaves z unchanged,
@@ -327,6 +365,7 @@ def shoot_periodic(
     """
     z = SatelliteState.from_sequence(guess).as_array()
     jac, built = jacobian, 0
+    ratios: Optional[List[float]] = []  # None once the origin was tried
     for iters in range(SHOOTING_MAX_ITER + 1):
         displacement = integrate(rhs, z, 0.0, period, tol=integrator_tol) - z
         norm = float(np.linalg.norm(displacement))
@@ -348,6 +387,18 @@ def shoot_periodic(
         moved = z + np.linalg.pinv(jac, rcond=PINV_RCOND) @ (-displacement)
         if fresh and np.array_equal(moved, z):
             break
+        if ratios is not None and np.any(z):
+            ratios.append(float(np.linalg.norm(moved) / np.linalg.norm(z)))
+            if _contracts_steadily(ratios):
+                ratios = None
+                origin = np.zeros(z.size)
+                at_origin = integrate(rhs, origin, 0.0, period, tol=integrator_tol)
+                origin_norm = float(np.linalg.norm(at_origin))
+                if origin_norm < tol:
+                    return OrbitCertificate(
+                        SatelliteState.from_sequence(origin), origin_norm, iters + 1, built, jac,
+                        AT_SINGULAR_ORIGIN,
+                    )
         z, last_norm = moved, norm
     raise NoConvergenceError(f"shooting stalled at displacement {norm:.3e} after {iters} iterations")
 

@@ -493,11 +493,16 @@ class TestMainEntry:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the ladders run forked")
-@pytest.mark.parametrize("command", ["reproduce", "verify"])
-def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize(
+    "command, case",
+    [("reproduce", "corollary2"), ("verify", "corollary2"), ("reproduce", "corollary1")],
+    ids=["reproduce", "verify", "reproduce-c1"],
+)
+def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys, command, case):
     # reproduce corollary2 runs 10 ladders, the linearized verify of its
-    # reference field 3; with two usable CPUs one child runs every other one
-    with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
+    # reference field 3, and reproduce corollary1 2, whose shots end at the
+    # origin; with two usable CPUs one child runs every other one
+    with cli.resources.as_file(cli.bundled_config_path(case)) as p:
         text = p.read_text(encoding="utf-8")
     if command == "verify":
         text += "field_source = printed-reference\nverify_system = linearized\n"
@@ -520,7 +525,7 @@ def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize(
     "argv, extra, integrations, builds",
     [
-        (["reproduce", "corollary1"], "", 189, 36),
+        (["reproduce", "corollary1"], "", 36, 6),
         (["reproduce", "corollary2"], "", 229, 33),
         (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 74, 9),
     ],
@@ -531,7 +536,8 @@ def test_the_benchmark_workloads_keep_their_shooting_cost(
 ):
     # the benchmark workloads, counted in one process on one CPU: at most
     # these integrations and Jacobian builds (verify-lin-c2 took 124 and 23
-    # when every Newton step built one)
+    # when every Newton step built one, reproduce-c1 189 and 36 when its
+    # ladders chased the origin step by step)
     case = "corollary1" if "corollary1" in argv else "corollary2"
     with cli.resources.as_file(cli.bundled_config_path(case)) as p:
         text = p.read_text(encoding="utf-8")

@@ -250,13 +250,13 @@ class TestShootPeriodic:
         assert len(calls) <= 6
 
     def test_iteration_cap_is_named(self, monkeypatch):
-        # corollary1's reference zero: the linearized first rung keeps moving
-        # for 17 Newton steps before it converges, so a cap of 3 stops it
+        # corollary1's reference zero: the linearized first rung ends at the
+        # origin after its third Newton step, so a cap of 2 stops it first
         f1, f2 = case_torques("corollary1")
         spec = da.BUNDLED_CASES["corollary1"].spec
         rhs = da.make_first_order_rhs(1e-2, da.extract_linearized(f1, f2))
-        monkeypatch.setattr(shooting, "SHOOTING_MAX_ITER", 3)
-        stalled = r"shooting stalled at displacement .* after 3 iterations"
+        monkeypatch.setattr(shooting, "SHOOTING_MAX_ITER", 2)
+        stalled = r"shooting stalled at displacement .* after 2 iterations"
         with pytest.raises(da.NoConvergenceError, match=stalled):
             da.shoot_periodic(rhs, da.plane_embed((SQRT3 / 3, 0.0), spec.mode), spec.window)
 
@@ -266,6 +266,78 @@ class TestShootPeriodic:
         jac = da.shooting.displacement_jacobian(da.unperturbed_rhs, z, da.T1, 1e-11, base)
         expected = da.fundamental_matrix(da.T1) - np.eye(4)
         assert np.abs(jac - expected).max() < 1e-6
+
+
+def period_map(monkeypatch, displacement):
+    """Make ``shooting.integrate`` return s0 + displacement(s0), whatever the
+    rhs; returns the list of states it is called from."""
+    starts = []
+
+    def integrate(rhs, s0, t0, t1, tol):
+        starts.append(np.array(s0, dtype=float))
+        return starts[-1] + displacement(starts[-1])
+
+    monkeypatch.setattr(shooting, "integrate", integrate)
+    return starts
+
+
+class TestSingularOrigin:
+    def test_a_shot_sliding_to_the_origin_ends_there(self, monkeypatch):
+        # corollary1's linearized field is homogeneous of degree 5 about the
+        # origin, so Newton shrinks ||z|| by 4/5 per step toward it
+        f1, f2 = case_torques("corollary1")
+        spec = da.BUNDLED_CASES["corollary1"].spec
+        rhs = da.make_first_order_rhs(1e-2, da.extract_linearized(f1, f2))
+        calls, integrate = [], shooting.integrate
+        monkeypatch.setattr(
+            shooting, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)
+        )
+        cert = da.shoot_periodic(rhs, da.plane_embed((SQRT3 / 3, 0.0), spec.mode), spec.window)
+        assert tuple(cert.corrected_ic) == (0.0, 0.0, 0.0, 0.0)
+        assert cert.displacement_norm == 0.0
+        assert cert.reason == shooting.AT_SINGULAR_ORIGIN
+        # three steps from fresh Jacobians, then the one integration from 0
+        assert (cert.newton_iters, cert.jacobian_builds, len(calls)) == (3, 3, 16)
+        assert cert.error_bar == 0.0
+
+    def test_an_origin_that_is_no_orbit_is_tried_once(self, monkeypatch):
+        # P(z) = z^3 - b: Newton shrinks z by 2/3 per step toward the simple
+        # root b^(1/3) = 0.01, but P(0) = -b is not below tol
+        b = 1e-6
+        starts = period_map(monkeypatch, lambda z: z**3 - b)
+        cert = da.shoot_periodic(lambda t, s: s, (1.0, 1.0, 1.0, 1.0), 1.0)
+        assert sum(not s.any() for s in starts) == 1
+        assert cert.reason == shooting.CONVERGED
+        assert cert.newton_iters > shooting.ORIGIN_RATIO_COUNT
+        # ||P|| < tol with P' = 3e-4 there leaves the root a few 1e-7 away
+        assert cert.displacement_norm < shooting.DEFAULT_SHOOTING_TOL
+        assert cert.corrected_ic.as_array() == pytest.approx([0.01] * 4, rel=1e-4)
+
+    def test_a_slow_contraction_never_tries_the_origin(self, monkeypatch):
+        # P(z) = z^30: Newton shrinks z by 29/30 per step, above the band,
+        # until ||P|| < tol near z = 0.45
+        starts = period_map(monkeypatch, lambda z: z**30)
+        cert = da.shoot_periodic(lambda t, s: s, (1.0, 1.0, 1.0, 1.0), 1.0)
+        assert cert.reason == shooting.CONVERGED
+        assert cert.newton_iters > shooting.ORIGIN_RATIO_COUNT
+        assert all(s.any() for s in starts)
+
+    @pytest.mark.parametrize(
+        "ratios, steady",
+        [
+            ((0.8, 0.8, 0.8), True),
+            ((0.5, 0.70, 0.71, 0.69), True),
+            ((0.8, 0.8), False),
+            ((0.19, 0.19, 0.19), False),
+            ((0.2, 0.2, 0.2), False),
+            ((0.95, 0.95, 0.95), False),
+            ((0.63, 0.90, 0.69), False),
+            ((0.69, 0.65, 0.61), False),
+            ((0.70, 0.71, 0.69, 0.3), False),
+        ],
+    )
+    def test_steady_means_three_ratios_inside_the_band_within_ten_percent(self, ratios, steady):
+        assert shooting._contracts_steadily(ratios) is steady
 
 
 class TestEpsilonContinuation:
