@@ -10,6 +10,10 @@ the pipeline-derived field against the bundled closed-form reference field
 and letting direct shooting arbitrate.  ``reproduce`` takes a bundled case
 name, ``--config``, or both; the others need ``--config``.
 
+``verify`` and ``reproduce`` run their zero searches and ladders as the
+tasks of one pool over the usable CPUs (``_solve_and_shoot``); nothing they
+write, print or raise depends on the number of CPUs.
+
 Exit codes: 0 success, 1 configuration, usage or artifact error, 2 numerical
 failure (the failing stage is named on stderr).
 """
@@ -23,7 +27,7 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
+from typing import Dict, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -32,7 +36,8 @@ from .averaging import AveragedField
 from .dynamics import Mode, PerturbSetup, ResonanceSpec, make_first_order_rhs, make_full_rhs
 from .errors import DumbbellError
 from .reference import BUNDLED_CASES
-from .shooting import ContinuationReport, epsilon_continuations, epsilon_ladder
+from .pool import run_tasks, settled
+from .shooting import epsilon_continuation, epsilon_ladder
 from .torques import TorqueExpression, extract_linearized, parse_torque, validate_equilibrium
 from .zeros import (
     DEFAULT_NEWTON_TOL,
@@ -252,17 +257,19 @@ def cmd_eval(config: RunConfig, outdir: Path) -> Path:
     return path
 
 
-def cmd_solve(config: RunConfig, outdir: Path, filename: Optional[str] = None,
-              source: Optional[str] = None, case: Optional[str] = None):
-    """Certified zeros of the field of ``source`` and ``case``, by default the
-    configured ones, written to ``filename``, by default solve's."""
-    fld, meta = _build_field(config, source or config.field_source, case or config.case)
+def _search(config: RunConfig, fld, meta: dict) -> tuple:
+    """The certified zeros of ``fld``, their orbit classes and the metadata
+    of their CSV, ``meta`` first."""
     zeros = multistart_zeros(fld, config.domain, tol=config.newton_tol)
-    groups = group_orbit_classes(zeros)
-    meta.update(newton_tol=config.newton_tol, **asdict(config.domain))
+    meta = dict(meta, newton_tol=config.newton_tol, **asdict(config.domain))
     if isinstance(fld, AveragedField):
         meta["quad_nodes_max"] = fld.max_nodes_used
-    path = outdir / (filename or _ARTIFACTS["solve"]["zeros"])
+    return zeros, group_orbit_classes(zeros), meta
+
+
+def cmd_solve(config: RunConfig, outdir: Path):
+    zeros, groups, meta = _search(config, *_build_field(config, config.field_source, config.case))
+    path = outdir / _ARTIFACTS["solve"]["zeros"]
     reports.write_zeros_csv(path, zeros, groups, meta)
     return zeros, groups, path
 
@@ -281,48 +288,68 @@ def _tolerances(config: RunConfig) -> Dict[str, float]:
     return {"shooting_tol": config.shooting_tol, "integrator_tol": config.integrator_tol}
 
 
-def _ladder_jobs(
-    config: RunConfig, groups: Sequence[Sequence[CertifiedZero]], system: str
-) -> Dict[int, dict]:
-    """``epsilon_continuation`` arguments of the simple orbit classes'
-    ladders, keyed by orbit-class index."""
-    factory = _rhs_factory(config, system)
-    return {
-        idx: dict(
-            rhs_for_eps=factory,
-            averaged_zero=group[0].location,
-            spec=config.spec,
-            eps_list=config.epsilon_list,
-            **_tolerances(config),
-        )
-        for idx, group in enumerate(groups)
-        if group[0].is_simple
-    }
+def _solve_and_shoot(config: RunConfig, searches: Dict[str, Tuple[str, Path]],
+                     case: Optional[str], systems: Sequence[str]) -> tuple:
+    """Search the field of each ``searches`` entry, label: (field source,
+    zeros CSV), and shoot its simple orbit classes in each of ``systems``,
+    as the tasks of one ``run_tasks`` pool: a search task is its label and
+    returns its ladder tasks, (label, system, class index, zero location),
+    so the ladders of one field run while another is still searched.  The
+    outcomes are then taken in the serial order, every search (writing its
+    zeros CSV) before any ladder, and the first failure met is raised.
+    Returns each label's orbit classes and each (label, system)'s ladders,
+    keyed by class index."""
+    fields = {label: _build_field(config, source, case) for label, (source, _) in searches.items()}
+    failure = None
+    try:  # built before the pool forks; the serial order meets a failure after the zeros CSVs
+        factories = {system: _rhs_factory(config, system) for system in systems}
+    except DumbbellError as exc:
+        factories, failure = {}, exc
 
+    def ladder_tasks(label: str, groups: Sequence[Sequence[CertifiedZero]]) -> list:
+        return [(label, system, idx, tuple(float(v) for v in group[0].location))
+                for system in factories for idx, group in enumerate(groups) if group[0].is_simple]
 
-def _run_ladders(job_sets: Sequence[Dict[int, dict]]) -> List[Dict[int, ContinuationReport]]:
-    """The reports of every set's ladders, keyed as their jobs; all ladders
-    go to one ``epsilon_continuations`` call, which spreads them over the CPUs."""
-    done = iter(epsilon_continuations([job for jobs in job_sets for job in jobs.values()]))
-    return [{idx: next(done) for idx in jobs} for jobs in job_sets]
+    def run(task):
+        if task in fields:
+            found = _search(config, *fields[task])
+            return found, ladder_tasks(task, found[1])
+        return epsilon_continuation(
+            rhs_for_eps=factories[task[1]], averaged_zero=task[3], spec=config.spec,
+            eps_list=config.epsilon_list, **_tolerances(config),
+        ), ()
+
+    # a wrapped layer function (``__wrapped__``, as a tracer's spans) sees
+    # only the calls made in its own process, so then no task leaves it
+    wrapped = any(hasattr(f, "__wrapped__") for f in (multistart_zeros, epsilon_continuation))
+    outcomes, groups = run_tasks(fields, run, fork=not wrapped), {}
+    for label, (_, path) in searches.items():
+        zeros, groups[label], meta = settled(outcomes[label])
+        reports.write_zeros_csv(path, zeros, groups[label], meta)
+    if failure is not None:
+        raise failure
+    ladders = {(label, system): {} for label in fields for system in systems}
+    for label in fields:
+        for task in ladder_tasks(label, groups[label]):
+            ladders[task[:2]][task[2]] = settled(outcomes[task])
+    return groups, ladders
 
 
 def cmd_verify(config: RunConfig, outdir: Path) -> int:
     names = _ARTIFACTS["verify"]
-    _, groups, _ = cmd_solve(config, outdir, names["zeros"])
-    jobs = _ladder_jobs(config, groups, config.verify_system)
-    if not jobs:
+    source, system = config.field_source, config.verify_system
+    searches = {source: (source, outdir / names["zeros"])}
+    _, ladders = _solve_and_shoot(config, searches, config.case, (system,))
+    ladders = ladders[source, system]
+    if not ladders:
         raise DumbbellError("verify: no simple zeros found in the search annulus")
-    (ladders,) = _run_ladders([jobs])
     meta = {
-        "system": config.verify_system,
+        "system": system,
         **_tolerances(config),
         "epsilon_list": "/".join(f"{e:g}" for e in config.epsilon_list),
     }
     reports.write_continuation_csv(outdir / names["continuation"], ladders, meta)
-    reports.write_text_report(
-        outdir / names["report"], reports.verify_report(config.verify_system, ladders)
-    )
+    reports.write_text_report(outdir / names["report"], reports.verify_report(system, ladders))
     if all(not rep.certificates for rep in ladders.values()):
         raise DumbbellError("verify: shooting failed on every orbit class")
     return 0
@@ -330,13 +357,9 @@ def cmd_verify(config: RunConfig, outdir: Path) -> int:
 
 def cmd_reproduce(config: RunConfig, case: str, outdir: Path) -> int:
     names = _ARTIFACTS["reproduce"]
-    _, pipe_groups, _ = cmd_solve(config, outdir, names["pipeline"], "pipeline")
-    _, ref_groups, _ = cmd_solve(config, outdir, names["reference"], "printed-reference", case)
-
-    groups = {"pipeline": pipe_groups, "reference": ref_groups}
-    sets = [(source, system) for source in groups for system in _VERIFY_SYSTEMS]
-    runs = _run_ladders([_ladder_jobs(config, groups[source], system) for source, system in sets])
-    ladders = dict(zip(sets, runs))
+    searches = {"pipeline": ("pipeline", outdir / names["pipeline"]),
+                "reference": ("printed-reference", outdir / names["reference"])}
+    groups, ladders = _solve_and_shoot(config, searches, case, _VERIFY_SYSTEMS)
     for (source, system), ladders_of_set in ladders.items():
         meta = {"case": case, "source": source, "system": system, **_tolerances(config)}
         reports.write_continuation_csv(outdir / names[source, system], ladders_of_set, meta)

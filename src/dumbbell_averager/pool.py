@@ -1,0 +1,240 @@
+"""``run_tasks``: one pool of processes, one per usable CPU, for tasks whose
+runs return further tasks.
+
+The caller and P - 1 children, each pinned to its own CPU, take the next
+task whenever they are free from one shared pipe of pickled records of
+RECORD bytes; a write of at most PIPE_BUF bytes is atomic, so each read
+takes a whole record.  The process that ran a task keeps its first
+follow-up and queues the others; the children fork once a task first waits
+in the pipe.  A child sends each task it takes, then its outcome, over a
+pipe of its own, which the caller reads between its tasks.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import select
+from collections import deque
+from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
+
+from .errors import DumbbellError
+
+#: bytes of a queued task's record, at most PIPE_BUF (512 or more on POSIX)
+RECORD = 512
+
+
+def _usable_cpus() -> List[int]:
+    """The CPUs this process may run on; one where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return [0]
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _pin(cpus: Sequence[int]) -> None:
+    """Run the calling process on ``cpus`` only, where it can choose them.
+    Measured on a 2-vCPU host (15 alternating pairs of fresh processes),
+    leaving the ladder processes unpinned raised the median wall time of
+    every benchmark workload by 18-34%."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, cpus)
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or, when it does not survive pickling, an exception of the
+    same family (DumbbellError or RuntimeError) with its type name and text."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        family = DumbbellError if isinstance(exc, DumbbellError) else RuntimeError
+        return family(f"{type(exc).__name__}: {exc}")
+
+
+def _attempt(run: Callable, task: Hashable) -> Tuple[object, Sequence[Hashable]]:
+    """``run(task)``, (outcome, follow-ups); an Exception it raises is the outcome."""
+    try:
+        return run(task)
+    except Exception as exc:
+        return exc, ()
+
+
+def settled(outcome: object) -> object:
+    """A task's outcome from ``run_tasks``, raised when it is an exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class _Queue:
+    """The shared task pipe, non-blocking, and the tasks this process keeps."""
+
+    def __init__(self) -> None:
+        self.read, self.write = os.pipe()
+        for fd in (self.read, self.write):
+            os.set_blocking(fd, False)
+        self.own: deque = deque()
+        self.shared = False  # whether this process has queued a task in the pipe
+
+    def put(self, tasks: Sequence[Hashable]) -> None:
+        """Keep the first of ``tasks`` to run next and queue the others;
+        ValueError for a task whose pickle is longer than a record."""
+        for task in tasks[1:]:
+            record = pickle.dumps(task)
+            if len(record) > RECORD:
+                raise ValueError(f"task {task!r} pickles to more than {RECORD} bytes")
+            os.write(self.write, record.ljust(RECORD, b"\0"))
+            self.shared = True
+        self.own.extendleft(tasks[:1])
+
+    def take(self) -> Hashable:
+        """The next task; BlockingIOError while there is none, also when
+        another process took the record first."""
+        if self.own:
+            return self.own.popleft()
+        return pickle.loads(os.read(self.read, RECORD))
+
+
+def _read(fd: int, size: int) -> bytearray:
+    """Exactly ``size`` bytes from ``fd``; EOFError if it ends first."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _send(pipe, message: object) -> None:
+    """Write ``message`` to ``pipe`` pickled behind its length."""
+    data = pickle.dumps(message)
+    pipe.write(len(data).to_bytes(8, "little") + data)
+    pipe.flush()
+
+
+def _child(run: Callable, queue: _Queue, results: int, cpu: int, lifeline: int) -> None:
+    """Forked child: on ``cpu``, run tasks until the caller closes the write
+    end of ``lifeline``, sending over ``results`` each task before it runs
+    it and (outcome, follow-ups) after; leave with os._exit, status 0 only
+    then.  Once the caller has gone a send fails, so no further task starts."""
+    status = 1
+    try:
+        _pin([cpu])
+        queue.own.clear()
+        with os.fdopen(results, "wb") as pipe:
+            while True:
+                try:
+                    task = queue.take()
+                except BlockingIOError:
+                    if lifeline in select.select([queue.read, lifeline], [], [])[0]:
+                        status = 0
+                        break
+                    continue
+                _send(pipe, task)
+                outcome, follow = _attempt(run, task)
+                queue.put(follow)
+                if isinstance(outcome, Exception):
+                    outcome = _portable(outcome)
+                _send(pipe, (outcome, follow))
+    finally:
+        os._exit(status)
+
+
+def _receive(fd: int, children: Dict[int, list]) -> list:
+    """[(task, outcome, follow-ups)] for the next message a child sent over
+    ``fd`` when it is an outcome, [] when it names the task the child took.
+    Once the child has ended, that task's outcome is a DumbbellError naming
+    its exit status or signal; the error is raised when the child had taken
+    no task the caller knows of, as it may have taken one from the pipe."""
+    pid, task = children[fd]
+    try:
+        message = pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+    except EOFError:
+        del children[fd]
+        os.close(fd)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        error = DumbbellError(f"task process {pid} {how} without a result")
+        if task is None:
+            raise error
+        return [(task, error, ())]
+    children[fd][1] = message if task is None else None
+    return [] if task is None else [(task, *message)]
+
+
+def run_tasks(
+    tasks: Iterable[Hashable], run: Callable, fork: bool = True
+) -> Dict[Hashable, object]:
+    """Run each of ``tasks`` and each follow-up a run returns, and map every
+    task to its outcome: ``run(task)`` returns (outcome, follow-up sequence),
+    and an Exception it raises is the outcome.  Tasks are distinct, hashable
+    and picklable, and none is None.  With ``fork`` false or one usable CPU
+    nothing forks and tasks run first in, first out.  A child's exception
+    that cannot be pickled comes back as its type name and text; a child
+    that dies is a DumbbellError naming its exit status or signal.  Every
+    child is reaped before this returns or raises, and killed first when the
+    caller is interrupted."""
+    tasks, cpus, outcomes = list(tasks), _usable_cpus() if fork else [0], {}
+    if len(cpus) == 1:
+        waiting = deque(tasks)
+        while waiting:
+            task = waiting.popleft()
+            outcomes[task], follow = _attempt(run, task)
+            waiting.extend(follow)
+        return outcomes
+    queue, (lifeline, alive) = _Queue(), os.pipe()
+    queue.put(tasks)
+    # a task enters when it is made and leaves when it is done, in whichever
+    # order the caller learns of the two; once empty, every task made is done
+    unfinished = set(tasks)
+    children: Dict[int, list] = {}  # read end of a child's pipe: [pid, task it runs]
+    unforked = cpus[1:]  # a child that dies is not replaced
+    try:
+        while unfinished:
+            # the children fork once a task waits for them: a forked process
+            # pays for each page it first writes, and the caller's own first
+            # task (verify's one search) runs sooner without that
+            if queue.shared and unforked:
+                _pin(cpus[:1])
+                for cpu in unforked:
+                    read, write = os.pipe()
+                    pid = os.fork()
+                    if pid == 0:
+                        for fd in (alive, read, *children):
+                            os.close(fd)
+                        _child(run, queue, write, cpu, lifeline)
+                    os.close(write)
+                    children[read] = [pid, None]
+                unforked = []
+            ready = select.select(list(children), [], [], 0)[0]
+            done = [outcome for fd in ready for outcome in _receive(fd, children)]
+            if not ready:
+                try:
+                    task = queue.take()
+                except BlockingIOError:
+                    select.select([queue.read, *children], [], [])
+                    continue
+                outcome, follow = _attempt(run, task)
+                queue.put(follow)
+                done = [(task, outcome, follow)]
+            for task, outcome, follow in done:
+                outcomes[task] = outcome
+                unfinished.symmetric_difference_update([task, *follow])
+    except BaseException:
+        import signal  # only here: a run that does not fail pays no import
+
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(alive)  # idle children see the lifeline end and leave
+        for fd, (pid, _) in children.items():
+            os.close(fd)
+            os.waitpid(pid, 0)
+        for fd in (queue.read, queue.write, lifeline):
+            os.close(fd)
+        _pin(cpus)
+    return outcomes

@@ -29,20 +29,15 @@ with no integration: J(eps) - J(0) is O(eps) and J(0) = M(T) - I is known
 in closed form (``fundamental_matrix``), so the previous rung's Jacobian
 J_k, rescaled as J(0) + (eps_{k+1} / eps_k) * (J_k - J(0)), predicts the
 next one.  ``ContinuationReport`` names the statuses a ladder ends in.
-
-``epsilon_continuations`` runs several independent ladders at once, one
-forked process per usable CPU, and returns their reports in order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import pickle
 import string
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -549,120 +544,3 @@ def epsilon_continuation(
         status=status,
         failure=failure,
     )
-
-
-def _usable_cpus() -> List[int]:
-    """The CPUs this process may run on; one where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return [0]
-    if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
-
-
-def _pin(cpus: Sequence[int]) -> None:
-    """Run the calling process on ``cpus`` only, where it can choose them.
-    Measured on a 2-vCPU host (15 alternating pairs of fresh processes),
-    leaving the ladder processes unpinned raised the median wall time of
-    every benchmark workload by 18-34%."""
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, cpus)
-
-
-def _run_share(jobs: Sequence[Mapping], indices: range) -> Dict[int, object]:
-    """The report, or the exception, of each job in ``indices``; stops at the
-    first exception, as no later job can be the lowest-index failure."""
-    outcomes: Dict[int, object] = {}
-    for i in indices:
-        try:
-            outcomes[i] = epsilon_continuation(**jobs[i])
-        except Exception as exc:
-            outcomes[i] = exc
-            break
-    return outcomes
-
-
-def _portable(exc: Exception) -> Exception:
-    """``exc``, or, when it does not survive pickling, an exception of the
-    same family (DumbbellError or RuntimeError) with its type name and text."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        family = DumbbellError if isinstance(exc, DumbbellError) else RuntimeError
-        return family(f"{type(exc).__name__}: {exc}")
-
-
-def _child(jobs: Sequence[Mapping], indices: range, cpu: int, read: int, write: int) -> None:
-    """Forked child: run the share on ``cpu``, send the outcomes pickled over
-    the pipe and leave with os._exit, status 0 only once they are sent."""
-    status = 1
-    try:
-        os.close(read)
-        _pin([cpu])
-        outcomes = _run_share(jobs, indices)
-        for i, outcome in outcomes.items():
-            if isinstance(outcome, Exception):
-                outcomes[i] = _portable(outcome)
-        with os.fdopen(write, "wb") as pipe:
-            pickle.dump(outcomes, pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def epsilon_continuations(jobs: Sequence[Mapping]) -> List[ContinuationReport]:
-    """Run ``epsilon_continuation(**job)`` for every job; the reports come
-    back in job order.
-
-    The ladders run on P = min(len(jobs), usable CPUs) processes: job i runs
-    in process i mod P, where process 0 is the caller and the others are
-    forked children that send their reports back pickled over a pipe.  Each
-    process keeps to its own CPU while they run.  An exception leaves as in
-    the serial order: the lowest-index failing job's is raised, one that
-    cannot be pickled as its type name and text, and a child that dies
-    without a result as a DumbbellError naming its exit status or signal.
-    Every child is reaped before this returns or raises.
-    """
-    jobs = list(jobs)
-    cpus = _usable_cpus()
-    procs = min(len(jobs), len(cpus))
-    if procs <= 1:
-        return [epsilon_continuation(**job) for job in jobs]
-    children: Dict[int, Tuple[BinaryIO, int]] = {}  # pid: (read end, first job)
-    _pin(cpus[:1])
-    try:
-        for first in range(1, procs):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(jobs, range(first, len(jobs), procs), cpus[first], read, write)
-            os.close(write)
-            children[pid] = (os.fdopen(read, "rb"), first)
-        outcomes = _run_share(jobs, range(0, len(jobs), procs))
-        # each pipe is read to its end before its child is reaped, so a
-        # child waiting on a full pipe is always let go
-        for pid, (pipe, first) in list(children.items()):
-            with pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code == 0 and payload:
-                outcomes.update(pickle.loads(payload))
-            else:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                outcomes[first] = DumbbellError(f"ladder process {pid} {how} without a result")
-    except BaseException:
-        import signal  # only here: a run that does not fail pays no import
-
-        for pid, (pipe, _) in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    finally:
-        _pin(cpus)
-    failed = [i for i, outcome in outcomes.items() if isinstance(outcome, Exception)]
-    if failed:
-        raise outcomes[min(failed)]
-    return [outcomes[i] for i in range(len(jobs))]

@@ -2,8 +2,11 @@
 
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -339,23 +342,26 @@ class TestMainEntry:
         [(["reproduce"], ""), (["verify"], "verify_system = linearized\n")],
         ids=["reproduce", "verify-linearized"],
     )
-    def test_each_run_extracts_the_linearized_torque_once(self, tmp_path, monkeypatch, argv, extra):
-        # the pipeline field and every linearized ladder share one extraction
-        extracted = []
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_run_extracts_the_linearized_torque_once(
+        self, tmp_path, monkeypatch, argv, extra, cpus
+    ):
+        # the pipeline field and every linearized ladder, in every process,
+        # share one extraction, counted by a line in a file
+        log = tmp_path / "extractions"
         extract = cli.extract_linearized
-        monkeypatch.setattr(
-            cli, "extract_linearized", lambda f1, f2: extracted.append(f1) or extract(f1, f2)
-        )
-        with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
-            text = p.read_text(encoding="utf-8")
-        small = {"n_r = 16": "n_r = 2", "n_angle = 32": "n_angle = 8",
-                 "epsilon_list = 1e-2, 1e-3, 1e-4": "epsilon_list = 1e-2"}
-        for old, new in small.items():
-            assert old in text
-            text = text.replace(old, new)
-        cfg = write(tmp_path, text + extra)
+
+        def counted(f1, f2):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return extract(f1, f2)
+
+        monkeypatch.setattr(cli, "extract_linearized", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+        cfg = write(tmp_path, small_corollary2() + extra)
         assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert len(extracted) == 1
+        assert log.read_text(encoding="utf-8") == f"{os.getpid()}\n"
 
     @pytest.mark.parametrize(
         "command, line",
@@ -499,9 +505,10 @@ class TestMainEntry:
     ids=["reproduce", "verify", "reproduce-c1"],
 )
 def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys, command, case):
-    # reproduce corollary2 runs 10 ladders, the linearized verify of its
-    # reference field 3, and reproduce corollary1 2, whose shots end at the
-    # origin; with two usable CPUs one child runs every other one
+    # reproduce corollary2 runs 2 searches and 10 ladders, the linearized
+    # verify of its reference field 1 search and 3 ladders, and reproduce
+    # corollary1 2 searches and 2 ladders, whose shots end at the origin;
+    # with P usable CPUs, P - 1 forked children share them with the caller
     with cli.resources.as_file(cli.bundled_config_path(case)) as p:
         text = p.read_text(encoding="utf-8")
     if command == "verify":
@@ -511,33 +518,156 @@ def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
     runs = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         out = tmp_path / f"cpus{cpus}"
+        del forks[:]
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(forks) == cpus - 1
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         runs.append((files, capsys.readouterr().out.replace(str(out), "<out>")))
-    assert len(forks) == 1
     assert sorted(runs[0][0]) == sorted(cli._ARTIFACTS[command].values())
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def small_corollary2():
+    """corollary2's config with 16 seeds and a one-rung ladder."""
+    with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
+        text = p.read_text(encoding="utf-8")
+    small = {"n_r = 16": "n_r = 2", "n_angle = 32": "n_angle = 8",
+             "epsilon_list = 1e-2, 1e-3, 1e-4": "epsilon_list = 1e-2"}
+    for old, new in small.items():
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def runs_on_one_and_two_cpus(monkeypatch, capsys, argv, out):
+    """(exit code, files written, stderr) of ``cli.main(argv + --out)`` with
+    one usable CPU and with two."""
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        where = out / f"cpus{cpus}"
+        code = cli.main(argv + ["--out", str(where)])
+        files = {p.name: p.read_bytes() for p in where.iterdir()} if where.exists() else {}
+        runs.append((code, files, capsys.readouterr().err.replace(str(where), "<out>")))
+    return runs
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the searches and ladders run forked")
+@pytest.mark.parametrize(
+    "failing, error, written",
+    [
+        ({"pipeline", "reference", "ladders"}, "pipeline search", []),
+        ({"reference", "ladders"}, "reference search", ["zeros_pipeline.csv"]),
+        ({"reference"}, "reference search", ["zeros_pipeline.csv"]),
+        ({"ladders"}, None, ["zeros_pipeline.csv", "zeros_reference.csv"]),
+    ],
+    ids=["both-searches", "reference-search-and-ladders", "reference-search", "ladders"],
+)
+def test_failures_leave_in_the_serial_order(tmp_path, monkeypatch, capsys, failing, error, written):
+    # a search failure outranks every ladder failure, and the pipeline
+    # search's the reference search's; of the ladders, the first in the
+    # serial order fails first: the pipeline field's first simple orbit
+    # class in the first system.  The files on disk are those the serial
+    # order leaves, with one usable CPU or two
+    cfg = write(tmp_path, small_corollary2())
+    if error is None:
+        config = cli.load_config(cfg)
+        _, groups, _ = cli._search(config, *cli._build_field(config, "pipeline", None))
+        first = next(group[0].location for group in groups if group[0].is_simple)
+        error = f"{cli._VERIFY_SYSTEMS[0]} ladder from {tuple(float(v) for v in first)}"
+    search = cli.multistart_zeros
+
+    def searched(fld, *args, **kwargs):
+        source = "pipeline" if isinstance(fld, averaging.AveragedField) else "reference"
+        if source in failing:
+            raise cli.DumbbellError(f"{source} search")
+        return search(fld, *args, **kwargs)
+
+    def shot(**job):  # each system's rhs factory is its name here
+        raise cli.DumbbellError(f"{job['rhs_for_eps']} ladder from {job['averaged_zero']}")
+
+    monkeypatch.setattr(cli, "multistart_zeros", searched)
+    if "ladders" in failing:
+        monkeypatch.setattr(cli, "_rhs_factory", lambda config, system: system)
+        monkeypatch.setattr(cli, "epsilon_continuation", shot)
+    runs = runs_on_one_and_two_cpus(
+        monkeypatch, capsys, ["reproduce", "--config", str(cfg)], tmp_path
+    )
+    code, files, err = runs[0]
+    assert (code, sorted(files)) == (2, written)
+    assert err.endswith(f"numerical failure in stage 'reproduce': {error}\n")
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the ladders run forked")
+def test_a_child_that_dies_in_a_ladder_fails_after_both_zeros_files(
+    tmp_path, monkeypatch, capsys
+):
+    # the caller's ladders wait until a child has begun one, which kills
+    # its own process; the death is that ladder's outcome, raised by the
+    # serial order after both searches wrote their zeros, and the caller
+    # runs the other ladders without forking another child
+    cfg = write(tmp_path, small_corollary2())
+    caller, marker, shoot = os.getpid(), tmp_path / "child-started", cli.epsilon_continuation
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+
+    def shot(**job):
+        if os.getpid() == caller:
+            deadline = time.monotonic() + 30
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return shoot(**job)
+        marker.touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "epsilon_continuation", shot)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    out = tmp_path / "o"
+    assert cli.main(["reproduce", "--config", str(cfg), "--out", str(out)]) == 2
+    assert len(forks) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["zeros_pipeline.csv", "zeros_reference.csv"]
+    assert re.search(
+        rf"'reproduce': task process \d+ was killed by signal {signal.SIGKILL:d} without a result\n$",
+        capsys.readouterr().err,
+    )
+
+
+def test_a_torque_that_fails_to_linearize_fails_after_the_zeros_file(tmp_path, monkeypatch, capsys):
+    # the printed-reference field needs no linearization, so the serial
+    # order writes zeros.csv before the linearized ladders' extraction fails
+    f1 = next(line for line in REFERENCE1.splitlines() if line.startswith("F1star"))
+    text = REFERENCE1.replace(f1, "F1star = sin(theta) + (t + 1e200)^2")
+    cfg = write(tmp_path, text + "verify_system = linearized\n")
+    runs = runs_on_one_and_two_cpus(monkeypatch, capsys, ["verify", "--config", str(cfg)], tmp_path)
+    code, files, err = runs[0]
+    assert (code, sorted(files)) == (2, ["zeros.csv"])
+    assert "numerical failure in stage 'verify': OverflowError" in err
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize(
-    "argv, extra, integrations, builds",
+    "argv, extra, points, integrations, builds",
     [
-        (["reproduce", "corollary1"], "", 36, 6),
-        (["reproduce", "corollary2"], "", 229, 33),
-        (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 74, 9),
+        (["reproduce", "corollary1"], "", 52_720, 36, 6),
+        (["reproduce", "corollary2"], "", 23_844, 229, 33),
+        (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 0, 74, 9),
     ],
     ids=["reproduce-c1", "reproduce-c2", "verify-lin-c2"],
 )
 def test_the_benchmark_workloads_keep_their_shooting_cost(
-    tmp_path, monkeypatch, argv, extra, integrations, builds
+    tmp_path, monkeypatch, argv, extra, points, integrations, builds
 ):
     # the benchmark workloads, counted in one process on one CPU: at most
-    # these integrations and Jacobian builds (verify-lin-c2 took 124 and 23
-    # when every Newton step built one, reproduce-c1 189 and 36 when its
-    # ladders chased the origin step by step)
+    # these averaged-field points, integrations and Jacobian builds
+    # (verify-lin-c2 took 124 and 23 when every Newton step built one,
+    # reproduce-c1 189 and 36 when its ladders chased the origin step by
+    # step); a field built or searched twice would show in the points
     case = "corollary1" if "corollary1" in argv else "corollary2"
     with cli.resources.as_file(cli.bundled_config_path(case)) as p:
         text = p.read_text(encoding="utf-8")
@@ -550,7 +680,15 @@ def test_the_benchmark_workloads_keep_their_shooting_cost(
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(shooting, name, counted)
+    evaluate, evaluated = averaging.AveragedField.evaluate, []
+
+    def evaluate_counted(fld, alpha):
+        evaluated.append(np.atleast_2d(np.asarray(alpha)).shape[0])
+        return evaluate(fld, alpha)
+
+    monkeypatch.setattr(averaging.AveragedField, "evaluate", evaluate_counted)
     assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert sum(evaluated) <= points
     assert counts["integrate"] <= integrations
     assert counts["displacement_jacobian"] <= builds
 

@@ -62,8 +62,9 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_import_brings_in_no_process_pool():
-    # the ladders fork by hand; a pool module would add tens of milliseconds
-    # to every command's start-up
+    # the package's own pool forks by hand; multiprocessing or
+    # concurrent.futures would add tens of milliseconds to every command's
+    # start-up
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(Path(da.__file__).resolve().parents[1])!r})\n"

@@ -1,0 +1,267 @@
+"""The task pool: outcomes in any process, follow-up tasks, the order of
+failures, children that die and an interrupted caller."""
+
+import os
+import signal
+import time
+
+import pytest
+from test_shooting import S17, ZERO_LIN, case_torques
+
+import dumbbell_averager as da
+from dumbbell_averager import pool
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks")
+
+T1_SPEC = da.ResonanceSpec(da.Mode.NUTATION_T1, 1, 1)
+
+
+def zero_ladder():
+    """A one-rung ladder of the unperturbed system, which passes at once."""
+    return dict(
+        rhs_for_eps=lambda eps: da.make_first_order_rhs(eps, ZERO_LIN),
+        averaged_zero=(0.7, -0.1),
+        spec=T1_SPEC,
+        eps_list=[0.0],
+    )
+
+
+def ladder_whose_rhs(act):
+    """A one-rung ladder whose rhs calls ``act()`` and then is the unperturbed one."""
+    return dict(
+        zero_ladder(),
+        rhs_for_eps=lambda eps: lambda t, s: act() or da.unperturbed_rhs(t, s),
+    )
+
+
+def raising(exc):
+    def act():
+        raise exc
+
+    return act
+
+
+def ladders(jobs):
+    """``epsilon_continuation(**job)`` of each job, run as the pool's tasks:
+    the reports in job order, or the lowest-index job's exception raised."""
+    outcomes = pool.run_tasks(range(len(jobs)), lambda i: (da.epsilon_continuation(**jobs[i]), ()))
+    return [pool.settled(outcomes[i]) for i in range(len(jobs))]
+
+
+def wait_for(path, seconds=30.0):
+    """Return once ``path`` exists, or after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def in_a_child(tmp_path, act):
+    """An act for two ladders: the caller keeps the first task, and its rhs
+    waits until the other task's rhs, which only a child can run, has begun
+    and calls ``act()``."""
+    caller, marker = os.getpid(), tmp_path / "child-started"
+
+    def either():
+        if os.getpid() == caller:
+            wait_for(marker)
+        else:
+            marker.touch()
+            act()
+
+    return either
+
+
+class TestRunTasks:
+    """The number of usable CPUs is faked here through os.sched_getaffinity;
+    the caller's own pins are recorded in ``self.pins``."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        self.pins = []
+
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+        pin = lambda pid, cpus: self.pins.append(sorted(cpus))
+        monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+        yield use
+        # every child was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_reports_come_back_in_job_order(self, cpus, monkeypatch):
+        f1, f2 = case_torques("corollary2")
+        lin = da.extract_linearized(f1, f2)
+        damped = lambda eps: lambda t, s: (s[1], -3.0 * s[0] - eps * s[1], s[3], -4.0 * s[2])
+        jobs = [
+            dict(
+                rhs_for_eps=lambda eps: da.make_first_order_rhs(eps, lin),
+                averaged_zero=(x, 0.0),
+                spec=da.BUNDLED_CASES["corollary2"].spec,
+                eps_list=[1e-2, 1e-3],
+            )
+            for x in ((1 - S17) / 4, (1 + S17) / 4)
+        ]
+        jobs += [dict(zero_ladder(), rhs_for_eps=damped, eps_list=[1e-2, 1e-3]), zero_ladder()]
+
+        def no_rhs(eps):  # the factory itself raises, in whichever process runs it
+            raise da.DomainError(f"no rhs at eps = {eps}")
+
+        jobs.append(dict(zero_ladder(), rhs_for_eps=no_rhs))
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        cpus(1)
+        with monkeypatch.context() as serial:
+            serial.setattr(os, "fork", no_fork)
+            reports = ladders(jobs)
+        assert [r.status for r in reports] == [
+            "PASS", "PASS", "COLLAPSED-TO-EQUILIBRIUM", "PASS", "FAILED-AT(0)"
+        ]
+        assert reports[-1].failure == "DomainError: no rhs at eps = 0.0"
+        assert repr(reports) == repr([da.epsilon_continuation(**job) for job in jobs])
+        assert self.pins == []
+        for n in (2, 3, 8):  # 8 usable CPUs make more processes than jobs
+            cpus(n)
+            assert repr(ladders(jobs)) == repr(reports)
+            # the caller keeps to the first CPU while its children run
+            assert self.pins[-2:] == [[0], list(range(n))]
+
+    def test_one_cpu_runs_each_task_in_order_follow_ups_last(self, cpus):
+        ran, follow = [], {"a": ["a1"], "b": ["b1", "b2"]}
+
+        def run(task):
+            ran.append(task)
+            return task.upper(), follow.get(task, [])
+
+        cpus(1)
+        outcomes = pool.run_tasks(["a", "b"], run)
+        assert ran == ["a", "b", "a1", "b1", "b2"]
+        assert outcomes == {task: task.upper() for task in ran}
+
+    def test_nothing_forks_while_no_task_waits_for_another_process(self, cpus, monkeypatch):
+        # a run's first follow-up stays with the process that ran it
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cpus(2)
+        run = lambda task: (task, [task + 1] if task < 3 else [])
+        assert pool.run_tasks([0], run) == {0: 0, 1: 1, 2: 2, 3: 3}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_task_and_follow_up_comes_back_once(self, cpus, n):
+        # a follow-up can be done before its maker's outcome reaches the caller
+        def run(task):
+            if task[0] == "first":
+                return os.getpid(), [("next", task[1], k) for k in range(3)]
+            return task[1] * 3 + task[2], ()
+
+        cpus(n)
+        outcomes = pool.run_tasks([("first", i) for i in range(20)], run)
+        assert {t: v for t, v in outcomes.items() if t[0] == "next"} == {
+            ("next", i, k): 3 * i + k for i in range(20) for k in range(3)
+        }
+        assert len(outcomes) == 80
+
+    def test_a_task_longer_than_a_record_is_refused(self, cpus):
+        cpus(2)
+        with pytest.raises(ValueError, match="pickles to more than 512 bytes"):
+            pool.run_tasks(["first", "x" * pool.RECORD], lambda task: (task, ()))
+
+    def test_a_follow_up_runs_while_an_earlier_task_still_runs(self, cpus, tmp_path):
+        # A holds the caller until B's follow-up, run in the child, writes
+        # the marker; a runner that starts follow-ups only once every first
+        # task is done would wait out A's 30 s
+        marker = tmp_path / "marker"
+
+        def run(task):
+            if task == "A":
+                wait_for(marker)
+                return marker.exists(), ()
+            if task == "B":
+                return "B", ["B2"]
+            marker.touch()
+            return "B2", ()
+
+        cpus(2)
+        started = time.monotonic()
+        assert pool.run_tasks(["A", "B"], run) == {"A": True, "B": "B", "B2": "B2"}
+        assert time.monotonic() - started < 10
+
+    @pytest.mark.parametrize(
+        "failing, expected",
+        [
+            ({1: LookupError("job 1"), 2: ArithmeticError("job 2")}, LookupError("job 1")),
+            ({2: ArithmeticError("job 2"), 3: LookupError("job 3")}, ArithmeticError("job 2")),
+            ({0: ArithmeticError("job 0"), 1: LookupError("job 1")}, ArithmeticError("job 0")),
+            ({3: LookupError("job 3")}, LookupError("job 3")),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_the_lowest_index_failure_is_raised(self, cpus, failing, expected, n):
+        jobs = [
+            ladder_whose_rhs(raising(failing[i])) if i in failing else zero_ladder()
+            for i in range(4)
+        ]
+        cpus(n)
+        with pytest.raises(type(expected)) as caught:
+            ladders(jobs)
+        assert caught.type is type(expected)
+        assert str(caught.value) == str(expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_a_later_refused_ladder_does_not_overtake_an_earlier_failure(self, cpus, n):
+        # the serial order raises job 0's error before it reaches job 1's ladder
+        jobs = [
+            ladder_whose_rhs(raising(ArithmeticError("job 0"))),
+            dict(zero_ladder(), eps_list=[]),
+        ]
+        cpus(n)
+        with pytest.raises(ArithmeticError, match="^job 0$"):
+            ladders(jobs)
+
+    def test_an_exception_that_cannot_be_pickled_comes_back_as_its_name_and_text(
+        self, cpus, tmp_path
+    ):
+        class LocalError(Exception):
+            pass
+
+        cpus(2)
+        jobs = [ladder_whose_rhs(in_a_child(tmp_path, raising(LocalError("not by reference"))))] * 2
+        with pytest.raises(RuntimeError, match=r"^LocalError: not by reference$"):
+            ladders(jobs)
+
+    @pytest.mark.parametrize(
+        "end, text",
+        [
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL:d}"),
+            (lambda: os._exit(3), "exited with status 3"),
+            (lambda: os._exit(0), "exited with status 0"),
+        ],
+        ids=["killed", "exited", "exited-silently"],
+    )
+    def test_a_child_that_dies_is_a_dumbbell_error(self, cpus, tmp_path, end, text):
+        cpus(2)
+        jobs = [ladder_whose_rhs(in_a_child(tmp_path, end))] * 2
+        with pytest.raises(da.DumbbellError, match=text):
+            ladders(jobs)
+
+    def test_an_interrupted_caller_kills_its_child(self, cpus, tmp_path):
+        caller, marker = os.getpid(), tmp_path / "child-started"
+
+        def stop_caller_or_hang_child():
+            if os.getpid() == caller:
+                wait_for(marker)
+                raise KeyboardInterrupt
+            marker.touch()
+            time.sleep(60)
+            os._exit(0)
+
+        cpus(2)
+        jobs = [ladder_whose_rhs(stop_caller_or_hang_child)] * 2
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            ladders(jobs)
+        assert time.monotonic() - started < 30

@@ -1,9 +1,6 @@
 """Adaptive integration, periodic shooting, and epsilon continuation."""
 
 import math
-import os
-import signal
-import time
 
 import numpy as np
 import pytest
@@ -522,164 +519,3 @@ class TestJacobianReuse:
         )
         assert report.status == "FAILED-AT(0.01)"
         assert report.failure == f"NoConvergenceError: Newton diverged: {failure} at the guess"
-
-
-T1_SPEC = da.ResonanceSpec(da.Mode.NUTATION_T1, 1, 1)
-
-
-def zero_ladder():
-    """A one-rung ladder of the unperturbed system, which passes at once."""
-    return dict(
-        rhs_for_eps=lambda eps: da.make_first_order_rhs(eps, ZERO_LIN),
-        averaged_zero=(0.7, -0.1),
-        spec=T1_SPEC,
-        eps_list=[0.0],
-    )
-
-
-def ladder_whose_rhs(act):
-    """A one-rung ladder whose rhs calls ``act()`` and then is the unperturbed one."""
-    return dict(
-        zero_ladder(),
-        rhs_for_eps=lambda eps: lambda t, s: act() or da.unperturbed_rhs(t, s),
-    )
-
-
-def raising(exc):
-    def act():
-        raise exc
-
-    return act
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the ladders run forked")
-class TestEpsilonContinuations:
-    """Several ladders at once: job i runs in process i mod P, where P is the
-    number of usable CPUs, faked here through os.sched_getaffinity; the
-    caller's own pins are recorded in ``self.pins``."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        self.pins = []
-
-        def use(n):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-        pin = lambda pid, cpus: self.pins.append(sorted(cpus))
-        monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
-        yield use
-        # every child was reaped
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_reports_come_back_in_job_order(self, cpus, monkeypatch):
-        f1, f2 = case_torques("corollary2")
-        lin = da.extract_linearized(f1, f2)
-        damped = lambda eps: lambda t, s: (s[1], -3.0 * s[0] - eps * s[1], s[3], -4.0 * s[2])
-        jobs = [
-            dict(
-                rhs_for_eps=lambda eps: da.make_first_order_rhs(eps, lin),
-                averaged_zero=(x, 0.0),
-                spec=da.BUNDLED_CASES["corollary2"].spec,
-                eps_list=[1e-2, 1e-3],
-            )
-            for x in ((1 - S17) / 4, (1 + S17) / 4)
-        ]
-        jobs += [dict(zero_ladder(), rhs_for_eps=damped, eps_list=[1e-2, 1e-3]), zero_ladder()]
-
-        def no_rhs(eps):  # the factory itself raises, in whichever process runs it
-            raise da.DomainError(f"no rhs at eps = {eps}")
-
-        jobs.append(dict(zero_ladder(), rhs_for_eps=no_rhs))
-
-        def no_fork():
-            raise AssertionError("forked")
-
-        cpus(1)
-        with monkeypatch.context() as serial:
-            serial.setattr(os, "fork", no_fork)
-            reports = shooting.epsilon_continuations(jobs)
-        assert [r.status for r in reports] == [
-            "PASS", "PASS", "COLLAPSED-TO-EQUILIBRIUM", "PASS", "FAILED-AT(0)"
-        ]
-        assert reports[-1].failure == "DomainError: no rhs at eps = 0.0"
-        assert repr(reports) == repr([da.epsilon_continuation(**job) for job in jobs])
-        assert self.pins == []
-        for n in (2, 3, 8):  # 8 usable CPUs make one process per job
-            cpus(n)
-            assert repr(shooting.epsilon_continuations(jobs)) == repr(reports)
-            # the caller keeps to the first CPU while its children run
-            assert self.pins[-2:] == [[0], list(range(n))]
-
-    @pytest.mark.parametrize(
-        "failing, expected",
-        [
-            # jobs 1 and 3 run in the child, 0 and 2 in the caller
-            ({1: LookupError("job 1"), 2: ArithmeticError("job 2")}, LookupError("job 1")),
-            ({2: ArithmeticError("job 2"), 3: LookupError("job 3")}, ArithmeticError("job 2")),
-            ({0: ArithmeticError("job 0"), 1: LookupError("job 1")}, ArithmeticError("job 0")),
-            ({3: LookupError("job 3")}, LookupError("job 3")),
-        ],
-    )
-    def test_the_lowest_index_failure_is_raised(self, cpus, failing, expected):
-        jobs = [
-            ladder_whose_rhs(raising(failing[i])) if i in failing else zero_ladder()
-            for i in range(4)
-        ]
-        cpus(2)
-        with pytest.raises(type(expected)) as caught:
-            shooting.epsilon_continuations(jobs)
-        assert caught.type is type(expected)
-        assert str(caught.value) == str(expected)
-
-    @pytest.mark.parametrize("n", [1, 2, 8])
-    def test_a_later_refused_ladder_does_not_overtake_an_earlier_failure(self, cpus, n):
-        # the serial loop raises job 0's error before it reaches job 1's ladder
-        jobs = [
-            ladder_whose_rhs(raising(ArithmeticError("job 0"))),
-            dict(zero_ladder(), eps_list=[]),
-        ]
-        cpus(n)
-        with pytest.raises(ArithmeticError, match="^job 0$"):
-            shooting.epsilon_continuations(jobs)
-
-    def test_an_exception_that_cannot_be_pickled_comes_back_as_its_name_and_text(self, cpus):
-        class LocalError(Exception):
-            pass
-
-        cpus(2)
-        jobs = [zero_ladder(), ladder_whose_rhs(raising(LocalError("not by reference")))]
-        with pytest.raises(RuntimeError, match=r"^LocalError: not by reference$"):
-            shooting.epsilon_continuations(jobs)
-
-    @pytest.mark.parametrize(
-        "end, text",
-        [
-            (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL:d}"),
-            (lambda: os._exit(3), "exited with status 3"),
-            (lambda: os._exit(0), "exited with status 0"),
-        ],
-        ids=["killed", "exited", "exited-silently"],
-    )
-    def test_a_child_that_dies_is_a_dumbbell_error(self, cpus, end, text):
-        caller = os.getpid()
-        cpus(2)
-        jobs = [zero_ladder(), ladder_whose_rhs(lambda: os.getpid() != caller and end())]
-        with pytest.raises(da.DumbbellError, match=text):
-            shooting.epsilon_continuations(jobs)
-
-    def test_an_interrupted_caller_kills_its_child(self, cpus):
-        caller = os.getpid()
-
-        def stop_caller_or_hang_child():
-            if os.getpid() == caller:
-                raise KeyboardInterrupt
-            time.sleep(60)
-            os._exit(0)
-
-        cpus(2)
-        jobs = [ladder_whose_rhs(stop_caller_or_hang_child)] * 2
-        started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            shooting.epsilon_continuations(jobs)
-        assert time.monotonic() - started < 30

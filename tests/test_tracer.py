@@ -27,8 +27,13 @@ n_angle = 8
 """
 
 SCRIPT = """
-import json, sys
+import json, os, sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
+# two usable CPUs, and a fork fails: a traced run keeps every task in the
+# process whose spans are read
+os.sched_getaffinity = lambda pid: {{0, 1}}
+os.sched_setaffinity = lambda pid, cpus: None
+os.fork = None
 import dumbbell_averager
 import dumbbell_averager.cli
 import tracer
@@ -36,16 +41,18 @@ import tracer
 t = tracer.Tracer(0)
 tracer.install(t, dumbbell_averager)
 main = t.span("cli.main", dumbbell_averager.cli.main)
-rc = main(["verify", "--config", {cfg!r}, "--out", {out!r}])
+rc = main([{command!r}, "--config", {cfg!r}, "--out", {out!r}])
 print(json.dumps(t.layer_metrics(report_bytes=0)))
 sys.exit(rc)
 """
 
 
-def test_traced_verify_run(tmp_path):
+def traced_run(tmp_path, command):
+    """The layer metrics of a traced ``command`` run of CONFIG."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG, encoding="utf-8")
     script = SCRIPT.format(
+        command=command,
         perfbench=str(ROOT / "perfbench"),
         src=str(ROOT / "src"),
         cfg=str(cfg),
@@ -55,7 +62,11 @@ def test_traced_verify_run(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_verify_run(tmp_path):
+    metrics = traced_run(tmp_path, "verify")
     for counter in (
         "torques.coeff_calls_scalar",
         "dynamics.rhs_lin_calls",
@@ -64,6 +75,13 @@ def test_traced_verify_run(tmp_path):
         "trace.spans",
     ):
         assert metrics[counter] > 0, counter
+
+
+def test_traced_reproduce_run(tmp_path):
+    # two searches and their ladders, which would fork without the tracer
+    metrics = traced_run(tmp_path, "reproduce")
+    assert metrics["zeros.multistart_s"] > 0
+    assert metrics["shooting.ladders"] > 0
 
 
 def test_perfbench_selftest():
