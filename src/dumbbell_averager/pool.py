@@ -4,10 +4,12 @@ runs return further tasks.
 The caller and P - 1 children, each pinned to its own CPU, take the next
 task whenever they are free from one shared pipe of pickled records of
 RECORD bytes; a write of at most PIPE_BUF bytes is atomic, so each read
-takes a whole record.  The process that ran a task keeps its first
-follow-up and queues the others; the children fork once a task first waits
-in the pipe.  A child sends each task it takes, then its outcome, over a
-pipe of its own, which the caller reads between its tasks.
+takes a whole record.  Every task and follow-up is queued there in order,
+and the children fork once the caller, holding a task, sees another waiting.
+A child sends each task it takes, then its outcome, over a pipe of its own,
+which the caller reads between its tasks.  A run ends once each task made,
+initial or named by an outcome the caller has received, has an outcome, so
+a child that dies before it reports holds no run open.
 """
 
 from __future__ import annotations
@@ -53,12 +55,24 @@ def _portable(exc: Exception) -> Exception:
         return family(f"{type(exc).__name__}: {exc}")
 
 
-def _attempt(run: Callable, task: Hashable) -> Tuple[object, Sequence[Hashable]]:
-    """``run(task)``, (outcome, follow-ups); an Exception it raises is the outcome."""
+def _record(task: Hashable) -> bytes:
+    """``task``'s queue record, its pickle padded to RECORD bytes;
+    ValueError when the pickle is longer."""
+    record = pickle.dumps(task)
+    if len(record) > RECORD:
+        raise ValueError(f"task {task!r} pickles to more than {RECORD} bytes")
+    return record.ljust(RECORD, b"\0")
+
+
+def _attempt(run: Callable, task: Hashable) -> Tuple[object, Sequence[Hashable], List[bytes]]:
+    """``run(task)`` as (outcome, follow-ups, their records); an Exception
+    the run raises, or a follow-up that cannot become a record, is the
+    outcome, with no follow-ups."""
     try:
-        return run(task)
+        outcome, follow = run(task)
+        return outcome, follow, [_record(made) for made in follow]
     except Exception as exc:
-        return exc, ()
+        return exc, (), []
 
 
 def settled(outcome: object) -> object:
@@ -66,35 +80,6 @@ def settled(outcome: object) -> object:
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-class _Queue:
-    """The shared task pipe, non-blocking, and the tasks this process keeps."""
-
-    def __init__(self) -> None:
-        self.read, self.write = os.pipe()
-        for fd in (self.read, self.write):
-            os.set_blocking(fd, False)
-        self.own: deque = deque()
-        self.shared = False  # whether this process has queued a task in the pipe
-
-    def put(self, tasks: Sequence[Hashable]) -> None:
-        """Keep the first of ``tasks`` to run next and queue the others;
-        ValueError for a task whose pickle is longer than a record."""
-        for task in tasks[1:]:
-            record = pickle.dumps(task)
-            if len(record) > RECORD:
-                raise ValueError(f"task {task!r} pickles to more than {RECORD} bytes")
-            os.write(self.write, record.ljust(RECORD, b"\0"))
-            self.shared = True
-        self.own.extendleft(tasks[:1])
-
-    def take(self) -> Hashable:
-        """The next task; BlockingIOError while there is none, also when
-        another process took the record first."""
-        if self.own:
-            return self.own.popleft()
-        return pickle.loads(os.read(self.read, RECORD))
 
 
 def _read(fd: int, size: int) -> bytearray:
@@ -115,27 +100,28 @@ def _send(pipe, message: object) -> None:
     pipe.flush()
 
 
-def _child(run: Callable, queue: _Queue, results: int, cpu: int, lifeline: int) -> None:
-    """Forked child: on ``cpu``, run tasks until the caller closes the write
-    end of ``lifeline``, sending over ``results`` each task before it runs
-    it and (outcome, follow-ups) after; leave with os._exit, status 0 only
-    then.  Once the caller has gone a send fails, so no further task starts."""
+def _child(run: Callable, queue: int, put: int, results: int, cpu: int, lifeline: int) -> None:
+    """Forked child: on ``cpu``, run tasks from ``queue``, queueing their
+    follow-ups at ``put``, until the caller closes the write end of
+    ``lifeline``, sending over ``results`` each task before it runs it and
+    (outcome, follow-ups) after; leave with os._exit, status 0 only then.
+    Once the caller has gone a send fails, so no further task starts."""
     status = 1
     try:
         _pin([cpu])
-        queue.own.clear()
         with os.fdopen(results, "wb") as pipe:
             while True:
-                try:
-                    task = queue.take()
+                try:  # BlockingIOError also when another process took the record
+                    task = pickle.loads(os.read(queue, RECORD))
                 except BlockingIOError:
-                    if lifeline in select.select([queue.read, lifeline], [], [])[0]:
+                    if lifeline in select.select([queue, lifeline], [], [])[0]:
                         status = 0
                         break
                     continue
                 _send(pipe, task)
-                outcome, follow = _attempt(run, task)
-                queue.put(follow)
+                outcome, follow, records = _attempt(run, task)
+                for record in records:
+                    os.write(put, record)
                 if isinstance(outcome, Exception):
                     outcome = _portable(outcome)
                 _send(pipe, (outcome, follow))
@@ -171,58 +157,62 @@ def run_tasks(
     """Run each of ``tasks`` and each follow-up a run returns, and map every
     task to its outcome: ``run(task)`` returns (outcome, follow-up sequence),
     and an Exception it raises is the outcome.  Tasks are distinct, hashable
-    and picklable, and none is None.  With ``fork`` false or one usable CPU
-    nothing forks and tasks run first in, first out.  A child's exception
-    that cannot be pickled comes back as its type name and text; a child
-    that dies is a DumbbellError naming its exit status or signal.  Every
-    child is reaped before this returns or raises, and killed first when the
-    caller is interrupted."""
+    and picklable to at most RECORD bytes (ValueError up front for an
+    initial one; a follow-up's error is its maker's outcome), and none is
+    None.  With ``fork`` false or one usable CPU nothing forks and tasks run
+    first in, first out.  A child's exception that cannot be pickled comes
+    back as its type name and text; a child that dies is a DumbbellError
+    naming its exit status or signal.  Every child is reaped before this
+    returns or raises, and killed first when the caller is interrupted."""
     tasks, cpus, outcomes = list(tasks), _usable_cpus() if fork else [0], {}
+    records = [_record(task) for task in tasks]
     if len(cpus) == 1:
         waiting = deque(tasks)
         while waiting:
             task = waiting.popleft()
-            outcomes[task], follow = _attempt(run, task)
+            outcomes[task], follow, _ = _attempt(run, task)
             waiting.extend(follow)
         return outcomes
-    queue, (lifeline, alive) = _Queue(), os.pipe()
-    queue.put(tasks)
-    # a task enters when it is made and leaves when it is done, in whichever
-    # order the caller learns of the two; once empty, every task made is done
-    unfinished = set(tasks)
+    (queue, put), (lifeline, alive) = os.pipe(), os.pipe()
+    for fd in (queue, put):
+        os.set_blocking(fd, False)
+    made = set(tasks)  # the initial tasks and the follow-ups named by an outcome
     children: Dict[int, list] = {}  # read end of a child's pipe: [pid, task it runs]
     unforked = cpus[1:]  # a child that dies is not replaced
     try:
-        while unfinished:
-            # the children fork once a task waits for them: a forked process
-            # pays for each page it first writes, and the caller's own first
-            # task (verify's one search) runs sooner without that
-            if queue.shared and unforked:
-                _pin(cpus[:1])
-                for cpu in unforked:
-                    read, write = os.pipe()
-                    pid = os.fork()
-                    if pid == 0:
-                        for fd in (alive, read, *children):
-                            os.close(fd)
-                        _child(run, queue, write, cpu, lifeline)
-                    os.close(write)
-                    children[read] = [pid, None]
-                unforked = []
+        for record in records:
+            os.write(put, record)
+        while not made <= outcomes.keys():
             ready = select.select(list(children), [], [], 0)[0]
             done = [outcome for fd in ready for outcome in _receive(fd, children)]
             if not ready:
                 try:
-                    task = queue.take()
+                    task = pickle.loads(os.read(queue, RECORD))
                 except BlockingIOError:
-                    select.select([queue.read, *children], [], [])
+                    select.select([queue, *children], [], [])
                     continue
-                outcome, follow = _attempt(run, task)
-                queue.put(follow)
+                # the children fork once a task waits for them: a forked
+                # process pays for each page it first writes, and the
+                # caller's own first task (verify's one search) runs sooner
+                if unforked and select.select([queue], [], [], 0)[0]:
+                    _pin(cpus[:1])
+                    for cpu in unforked:
+                        read, write = os.pipe()
+                        pid = os.fork()
+                        if pid == 0:
+                            for fd in (alive, read, *children):
+                                os.close(fd)
+                            _child(run, queue, put, write, cpu, lifeline)
+                        os.close(write)
+                        children[read] = [pid, None]
+                    unforked = []
+                outcome, follow, records = _attempt(run, task)
+                for record in records:
+                    os.write(put, record)
                 done = [(task, outcome, follow)]
             for task, outcome, follow in done:
                 outcomes[task] = outcome
-                unfinished.symmetric_difference_update([task, *follow])
+                made.update(follow)
     except BaseException:
         import signal  # only here: a run that does not fail pays no import
 
@@ -234,7 +224,7 @@ def run_tasks(
         for fd, (pid, _) in children.items():
             os.close(fd)
             os.waitpid(pid, 0)
-        for fd in (queue.read, queue.write, lifeline):
+        for fd in (queue, put, lifeline):
             os.close(fd)
         _pin(cpus)
     return outcomes

@@ -1,7 +1,9 @@
 """The task pool: outcomes in any process, follow-up tasks, the order of
-failures, children that die and an interrupted caller."""
+failures, children that die, an interrupted caller and what a run leaves
+behind."""
 
 import os
+import pickle
 import signal
 import time
 
@@ -69,6 +71,13 @@ def in_a_child(tmp_path, act):
             act()
 
     return either
+
+
+class ExitWhenSent:
+    """An outcome whose pickling ends the process with status 7."""
+
+    def __reduce__(self):
+        os._exit(7)
 
 
 class TestRunTasks:
@@ -141,7 +150,8 @@ class TestRunTasks:
         assert outcomes == {task: task.upper() for task in ran}
 
     def test_nothing_forks_while_no_task_waits_for_another_process(self, cpus, monkeypatch):
-        # a run's first follow-up stays with the process that ran it
+        # the caller forks once, holding a task, it sees another queued; each
+        # task here makes one follow-up, so no two ever wait at once
         def no_fork():
             raise AssertionError("forked")
 
@@ -165,10 +175,36 @@ class TestRunTasks:
         }
         assert len(outcomes) == 80
 
-    def test_a_task_longer_than_a_record_is_refused(self, cpus):
-        cpus(2)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_task_longer_than_a_record_is_refused(self, cpus, n):
+        def run(task):
+            raise AssertionError("ran")
+
+        cpus(n)
         with pytest.raises(ValueError, match="pickles to more than 512 bytes"):
-            pool.run_tasks(["first", "x" * pool.RECORD], lambda task: (task, ()))
+            pool.run_tasks(["first", "x" * pool.RECORD], run)
+
+    @pytest.mark.parametrize("bad", [lambda: None, "x" * pool.RECORD], ids=["unpicklable", "long"])
+    @pytest.mark.parametrize("n, maker", [(1, "A"), (2, "A"), (2, "B")])
+    def test_a_follow_up_that_cannot_be_queued_is_its_makers_outcome(
+        self, cpus, tmp_path, bad, n, maker
+    ):
+        # with two CPUs, A runs in the caller and B in the child: A waits
+        # for B's marker
+        marker = tmp_path / "B-started"
+
+        def run(task):
+            if task == "A" and n > 1:
+                wait_for(marker)
+            marker.touch()
+            return task, ["queued", bad] if task == maker else ()
+
+        cpus(n)
+        outcomes = pool.run_tasks(["A", "B"], run)
+        error, other = outcomes.pop(maker), "B" if maker == "A" else "A"
+        assert isinstance(error, (pickle.PicklingError, ValueError)), error
+        assert "pickle" in str(error)
+        assert outcomes == {other: other}  # nothing of the maker's was queued
 
     def test_a_follow_up_runs_while_an_earlier_task_still_runs(self, cpus, tmp_path):
         # A holds the caller until B's follow-up, run in the child, writes
@@ -247,6 +283,77 @@ class TestRunTasks:
         jobs = [ladder_whose_rhs(in_a_child(tmp_path, end))] * 2
         with pytest.raises(da.DumbbellError, match=text):
             ladders(jobs)
+
+    @pytest.mark.parametrize(
+        "outcome, follow, error, text",
+        [
+            (ExitWhenSent(), ["C1", "C2"], da.DumbbellError, "exited with status 7 without a result"),
+            (lambda: None, ["C1", "C2"], da.DumbbellError, "exited with status 1 without a result"),
+            ("B", ["C1", "C2", "x" * pool.RECORD], ValueError, "pickles to more than 512 bytes"),
+        ],
+        ids=["dies-when-sent", "unpicklable", "long-follow-up"],
+    )
+    def test_a_child_that_dies_before_it_reports_holds_no_run_open(
+        self, cpus, tmp_path, outcome, follow, error, text
+    ):
+        # B runs in the child (A waits for its marker) and may queue C1 and
+        # C2 and then die before its outcome, which names them, is sent
+        marker = tmp_path / "B-started"
+
+        def run(task):
+            if task == "A":
+                wait_for(marker)
+                time.sleep(0.3)
+                return "A", ["E1", "E2"]
+            if task == "B":
+                marker.touch()
+                return outcome, follow
+            return task, ()
+
+        def hang(signum, frame):
+            raise TimeoutError("run_tasks still waits")
+
+        cpus(2)
+        previous, started = signal.signal(signal.SIGALRM, hang), time.monotonic()
+        signal.alarm(30)
+        try:
+            outcomes = pool.run_tasks(["A", "B"], run)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 10
+        assert isinstance(outcomes["B"], error)
+        assert text in str(outcomes["B"])
+        assert {task: outcomes[task] for task in ("A", "E1", "E2")} == {
+            "A": "A", "E1": "E1", "E2": "E2"
+        }
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+    @pytest.mark.parametrize("end", ["done", "killed", "refused"])
+    def test_a_run_leaves_no_descriptor_or_child_behind(self, cpus, tmp_path, end):
+        marker = tmp_path / "B-started"
+
+        def run(task):
+            if task == "A":  # the caller's task; B runs in the child
+                wait_for(marker)
+            else:
+                marker.touch()
+                if end == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return task, ()
+
+        tasks = ["A", "B"] + (["x" * pool.RECORD] if end == "refused" else [])
+        cpus(2)
+        before = sorted(os.listdir("/proc/self/fd"))
+        if end == "refused":
+            with pytest.raises(ValueError, match="pickles to more than 512 bytes"):
+                pool.run_tasks(tasks, run)
+        else:
+            outcomes = pool.run_tasks(tasks, run)
+            assert isinstance(outcomes["B"], da.DumbbellError) == (end == "killed")
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_an_interrupted_caller_kills_its_child(self, cpus, tmp_path):
         caller, marker = os.getpid(), tmp_path / "child-started"
