@@ -60,7 +60,8 @@ def _quadrature_rows(
     spaced samples times the period.  ``f(t, idx)`` maps sample times (n,)
     and point indices (k,) to values (k, rows, n).  Each point stops at the
     first doubling where every row's estimate moved by less than
-    tol*max(1, |estimate|), and NoConvergenceError is raised past N=2**20.
+    tol*max(1, |estimate|), and NoConvergenceError is raised past N=2**20,
+    holding the integrals and node counts of the points that stopped.
     Only the points still moving are sampled at the next level, in blocks of
     at most QUAD_BLOCK_SAMPLES point-nodes per call.  A point's integrals
     therefore do not depend on the other points of the call.  Returns
@@ -80,7 +81,7 @@ def _quadrature_rows(
     active = np.arange(points)
     total = sums(np.arange(n) * (period / n), active)
     estimate = total * (period / n)
-    values = np.empty_like(total)
+    values = np.full_like(total, np.nan)
     nodes = np.zeros(points, dtype=int)
     while n <= QUAD_MAX_NODES // 2:
         total = total + sums((np.arange(n) + 0.5) * (period / n), active)
@@ -94,9 +95,9 @@ def _quadrature_rows(
         active, total, estimate = active[moving], total[moving], refined[moving]
         if not active.size:
             return values, nodes
-    raise NoConvergenceError(
-        f"trapezoid rule still moving by more than {tol:g} at N={n} nodes"
-    )
+    error = NoConvergenceError(f"trapezoid rule still moving by more than {tol:g} at N={n} nodes")
+    error.values, error.nodes = values, nodes
+    raise error
 
 
 @dataclass
@@ -105,6 +106,9 @@ class AveragedField:
 
     ``evaluate`` accepts a single (2,) point or a batch (m, 2) and returns
     matching shape; row i of a batch is bit for bit ``evaluate(alpha[i])``.
+    A batch with a point whose quadrature does not converge raises
+    NoConvergenceError, whose ``values`` are the batch's rows, NaN in the
+    points that did not converge.
     ``max_nodes_used`` records the largest quadrature node count any point
     needed (diagnostics only).
     """
@@ -141,7 +145,11 @@ class AveragedField:
             core = x * (self.lin.f1(t, v, 0.0) if nutation else self.lin.f4(t, 0.0, v))
             return np.stack([w1 * s * core, w2 * c * core], axis=1)
 
-        out, nodes = _quadrature_rows(integrand, self.spec.window, self.quad_tolerance, len(pts))
+        try:
+            out, nodes = _quadrature_rows(integrand, self.spec.window, self.quad_tolerance, len(pts))
+        except NoConvergenceError as exc:  # the points that stopped count
+            self.max_nodes_used = max(self.max_nodes_used, int(exc.nodes.max()))
+            raise
         self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
         return out[0] if single else out
 

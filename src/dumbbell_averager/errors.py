@@ -10,7 +10,13 @@ class DegenerateMonodromyError(DumbbellError):
 
 
 class NoConvergenceError(DumbbellError):
-    """An iterative scheme (quadrature, Newton, shooting) hit its cap."""
+    """An iterative scheme (quadrature, Newton, shooting) hit its cap.
+
+    A batched quadrature keeps what it finished: ``values`` holds each
+    point's integrals, NaN where they still moved, and ``nodes`` the nodes
+    each point took, 0 where it moved; both are None otherwise."""
+
+    values = nodes = None
 
 
 class SingularJacobianError(NoConvergenceError):

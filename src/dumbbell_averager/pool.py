@@ -6,10 +6,12 @@ task whenever they are free from one shared pipe of pickled records of
 RECORD bytes; a write of at most PIPE_BUF bytes is atomic, so each read
 takes a whole record.  Every task and follow-up is queued there in order,
 and the children fork once the caller, holding a task, sees another waiting.
-A child sends each task it takes, then its outcome, over a pipe of its own,
-which the caller reads between its tasks.  A run ends once each task made,
-initial or named by an outcome the caller has received, has an outcome, so
-a child that dies before it reports holds no run open.
+A task that finds the pipe full runs in the caller instead, from a deque of
+its own: a child names such follow-ups in its outcome.  A child sends each
+task it takes, then its outcome, over a pipe of its own, which the caller
+reads between its tasks.  A run ends once each task made, initial or named
+by an outcome the caller has received, has an outcome, so a child that dies
+before it reports holds no run open, and no task lives only in a child.
 """
 
 from __future__ import annotations
@@ -75,6 +77,17 @@ def _attempt(run: Callable, task: Hashable) -> Tuple[object, Sequence[Hashable],
         return exc, (), []
 
 
+def _put(put: int, tasks: Sequence[Hashable], records: List[bytes]) -> List[Hashable]:
+    """Queue each task's record at ``put``, in order, and return the tasks
+    not queued once the pipe is full."""
+    for i, record in enumerate(records):
+        try:
+            os.write(put, record)
+        except BlockingIOError:
+            return list(tasks[i:])
+    return []
+
+
 def settled(outcome: object) -> object:
     """A task's outcome from ``run_tasks``, raised when it is an exception."""
     if isinstance(outcome, Exception):
@@ -104,7 +117,8 @@ def _child(run: Callable, queue: int, put: int, results: int, cpu: int, lifeline
     """Forked child: on ``cpu``, run tasks from ``queue``, queueing their
     follow-ups at ``put``, until the caller closes the write end of
     ``lifeline``, sending over ``results`` each task before it runs it and
-    (outcome, follow-ups) after; leave with os._exit, status 0 only then.
+    (outcome, follow-ups, those it could not queue) after; leave with
+    os._exit, status 0 only then.
     Once the caller has gone a send fails, so no further task starts."""
     status = 1
     try:
@@ -120,21 +134,21 @@ def _child(run: Callable, queue: int, put: int, results: int, cpu: int, lifeline
                     continue
                 _send(pipe, task)
                 outcome, follow, records = _attempt(run, task)
-                for record in records:
-                    os.write(put, record)
+                unqueued = _put(put, follow, records)
                 if isinstance(outcome, Exception):
                     outcome = _portable(outcome)
-                _send(pipe, (outcome, follow))
+                _send(pipe, (outcome, follow, unqueued))
     finally:
         os._exit(status)
 
 
 def _receive(fd: int, children: Dict[int, list]) -> list:
-    """[(task, outcome, follow-ups)] for the next message a child sent over
-    ``fd`` when it is an outcome, [] when it names the task the child took.
-    Once the child has ended, that task's outcome is a DumbbellError naming
-    its exit status or signal; the error is raised when the child had taken
-    no task the caller knows of, as it may have taken one from the pipe."""
+    """[(task, outcome, follow-ups, those not queued)] for the next message
+    a child sent over ``fd`` when it is an outcome, [] when it names the task
+    the child took.  Once the child has ended, that task's outcome is a
+    DumbbellError naming its exit status or signal; the error is raised when
+    the child had taken no task the caller knows of, as it may have taken
+    one from the pipe."""
     pid, task = children[fd]
     try:
         message = pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
@@ -146,7 +160,7 @@ def _receive(fd: int, children: Dict[int, list]) -> list:
         error = DumbbellError(f"task process {pid} {how} without a result")
         if task is None:
             raise error
-        return [(task, error, ())]
+        return [(task, error, (), ())]
     children[fd][1] = message if task is None else None
     return [] if task is None else [(task, *message)]
 
@@ -180,14 +194,13 @@ def run_tasks(
     children: Dict[int, list] = {}  # read end of a child's pipe: [pid, task it runs]
     unforked = cpus[1:]  # a child that dies is not replaced
     try:
-        for record in records:
-            os.write(put, record)
+        own = deque(_put(put, tasks, records))  # tasks the full pipe refused
         while not made <= outcomes.keys():
             ready = select.select(list(children), [], [], 0)[0]
             done = [outcome for fd in ready for outcome in _receive(fd, children)]
             if not ready:
                 try:
-                    task = pickle.loads(os.read(queue, RECORD))
+                    task = own.popleft() if own else pickle.loads(os.read(queue, RECORD))
                 except BlockingIOError:
                     select.select([queue, *children], [], [])
                     continue
@@ -207,12 +220,11 @@ def run_tasks(
                         children[read] = [pid, None]
                     unforked = []
                 outcome, follow, records = _attempt(run, task)
-                for record in records:
-                    os.write(put, record)
-                done = [(task, outcome, follow)]
-            for task, outcome, follow in done:
+                done = [(task, outcome, follow, _put(put, follow, records))]
+            for task, outcome, follow, unqueued in done:
                 outcomes[task] = outcome
                 made.update(follow)
+                own.extend(unqueued)
     except BaseException:
         import signal  # only here: a run that does not fail pays no import
 

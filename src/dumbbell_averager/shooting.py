@@ -5,22 +5,22 @@ Dormand-Prince 8(5,3) pair (DOP853); the tableau is kept once, as data, and
 the step loop for size n is emitted from it as straight-line code on first
 use.
 ``shoot_periodic`` runs Newton on the period-T displacement map
-P(z) = x(T; z) - z, with the Jacobian assembled from finite-difference
-trajectory columns and the linear solves done through a truncated
-pseudo-inverse: near a resonant plane I - Phi(T) is singular at eps = 0,
-so a plain solve would blow up for small eps.  A Jacobian costs four
-integrations, so Newton keeps one while the step it made cut ||P|| by at
-least REUSE_CONTRACTION, and rebuilds it at the new state otherwise.
-Newton converges only linearly to a singular root, by (d - 1)/d per step
-where P is homogeneous of degree d there (Decker, Keller & Kelley 1983;
-Griewank 1985), and the origin, the trivial equilibrium, is such a root of
-the bundled torques.  So once the last ORIGIN_RATIO_COUNT step ratios
-||z_k|| / ||z_{k-1}|| all lie inside ORIGIN_RATIO_BAND and within
-ORIGIN_RATIO_SPREAD of each other, Newton integrates once from the origin
-and ends the shot there when ||P(0)|| < tol; otherwise it goes on, and the
-origin is not tried again in that shot.
-Newton stops with a NoConvergenceError naming divergence once ||P(z)||
-grows past DIVERGENCE_FACTOR times its value at the guess.
+P(z) = x(T; z) - z, with the Jacobian J assembled from finite-difference
+trajectory columns and inverted once, as a truncated pseudo-inverse J^+:
+near a resonant plane I - Phi(T) is singular at eps = 0, so a plain solve
+would blow up for small eps.  A Jacobian costs four integrations, so Newton
+keeps one while the step it made cut ||P|| by at least REUSE_CONTRACTION,
+and rebuilds it at the new state otherwise.  A step dz_k = -J^+ P(z_k)
+contracts by Theta_k = ||J^+ P(z_{k+1})|| / ||dz_k|| (Deuflhard 2004,
+chs. 2-3), read off the next P with no integration; Newton has diverged
+once a step from a fresh Jacobian has Theta_k >= 1.  Newton converges only
+linearly to a singular root, by (d - 1)/d per step where P is homogeneous
+of degree d there (Decker, Keller & Kelley 1983; Griewank 1985), and the
+origin, the trivial equilibrium, is such a root of the bundled torques.  So
+once the last ORIGIN_RATIO_COUNT step ratios ||z_k|| / ||z_{k-1}|| all lie
+inside ORIGIN_RATIO_BAND and within ORIGIN_RATIO_SPREAD of each other,
+Newton integrates once from the origin and ends the shot there when
+||P(0)|| < tol; otherwise it goes on, and the origin is not tried again.
 ``epsilon_continuation`` repeats the shot along a descending eps ladder,
 reseeding each solve with the previous corrected initial condition, and
 measures the rate at which the corrected orbit approaches the averaged
@@ -50,9 +50,6 @@ DEFAULT_SHOOTING_TOL = 1e-10
 SHOOTING_FD_STEP = 1e-7
 #: singular values below this fraction of the largest are truncated
 PINV_RCOND = 1e-8
-#: Newton has diverged once ||P(z)|| exceeds this multiple of ||P(guess)||;
-#: shots that converge on the bundled ladders grow it by at most ~2x first
-DIVERGENCE_FACTOR = 10.0
 #: a Newton step's Jacobian is kept for the next step when the step cut
 #: ||P|| by at least this factor, and rebuilt otherwise
 REUSE_CONTRACTION = 4.0
@@ -282,15 +279,16 @@ AT_SINGULAR_ORIGIN = "singular root at the origin"
 class OrbitCertificate:
     """A shooting-verified periodic initial condition: the corrected state,
     ||P|| there, the number of Newton iterations that reached it, the number
-    of Jacobians ``displacement_jacobian`` built for it, the Jacobian the
-    last step used (None when the guess needed no step and none was given)
-    and why the shot ended: ``CONVERGED`` or ``AT_SINGULAR_ORIGIN``."""
+    of Jacobians ``displacement_jacobian`` built for it, the Jacobian and
+    the contraction Theta of the last step (None and nan without one) and
+    why the shot ended: ``CONVERGED`` or ``AT_SINGULAR_ORIGIN``."""
 
     corrected_ic: SatelliteState
     displacement_norm: float
     newton_iters: int
     jacobian_builds: int
     jacobian: Optional[np.ndarray] = field(compare=False, repr=False)
+    contraction: float = field(default=math.nan, compare=False)
     reason: str = field(default=CONVERGED, compare=False)
 
     @property
@@ -355,23 +353,22 @@ def shoot_periodic(
     ``guess`` is 4 finite numbers; NoConvergenceError when the displacement
     norm fails to reach ``tol`` within SHOOTING_MAX_ITER Newton iterations,
     or at once when a step from a Jacobian built at z leaves z unchanged,
-    as every later step would (shooting stalled), or as soon as the norm
-    exceeds DIVERGENCE_FACTOR times its value at the guess (Newton diverged).
+    as every later step would (shooting stalled), or when ||P|| is not yet
+    below ``tol`` after such a step with Theta >= 1 (Newton diverged).
     """
     z = SatelliteState.from_sequence(guess).as_array()
-    jac, built = jacobian, 0
+    jac, built, theta, fresh = jacobian, 0, math.nan, False
     ratios: Optional[List[float]] = []  # None once the origin was tried
     for iters in range(SHOOTING_MAX_ITER + 1):
         displacement = integrate(rhs, z, 0.0, period, tol=integrator_tol) - z
         norm = float(np.linalg.norm(displacement))
-        if iters == 0:
-            initial_norm = norm
+        if iters and step.any():  # the simplified correction over the last step
+            theta = float(np.linalg.norm(pinv @ displacement) / np.linalg.norm(step))
         if norm < tol:
-            return OrbitCertificate(SatelliteState.from_sequence(z), norm, iters, built, jac)
-        if norm > DIVERGENCE_FACTOR * initial_norm:
+            return OrbitCertificate(SatelliteState.from_sequence(z), norm, iters, built, jac, theta)
+        if fresh and theta >= 1.0:
             raise NoConvergenceError(
-                f"Newton diverged: displacement {norm:.3e} after {iters} iterations "
-                f"exceeds {DIVERGENCE_FACTOR:g}x its value {initial_norm:.3e} at the guess"
+                f"Newton diverged: contraction {theta:.3g} >= 1 after {iters} iterations"
             )
         if iters == SHOOTING_MAX_ITER:
             break
@@ -379,7 +376,10 @@ def shoot_periodic(
         if fresh:
             jac = displacement_jacobian(rhs, z, period, integrator_tol, displacement)
             built += 1
-        moved = z + np.linalg.pinv(jac, rcond=PINV_RCOND) @ (-displacement)
+        if fresh or iters == 0:
+            pinv = np.linalg.pinv(jac, rcond=PINV_RCOND)
+        step = pinv @ (-displacement)
+        moved = z + step
         if fresh and np.array_equal(moved, z):
             break
         if ratios is not None and np.any(z):
@@ -392,7 +392,7 @@ def shoot_periodic(
                 if origin_norm < tol:
                     return OrbitCertificate(
                         SatelliteState.from_sequence(origin), origin_norm, iters + 1, built, jac,
-                        AT_SINGULAR_ORIGIN,
+                        theta, AT_SINGULAR_ORIGIN,
                     )
         z, last_norm = moved, norm
     raise NoConvergenceError(f"shooting stalled at displacement {norm:.3e} after {iters} iterations")

@@ -99,13 +99,17 @@ def _field_rows(
 ) -> Tuple[np.ndarray, Dict[int, NoConvergenceError]]:
     """``field`` at every row of ``points`` in one call.
 
-    When that call raises NoConvergenceError, its rows are evaluated again
-    one at a time; the rows that still raise come back as NaN, with their
-    exception in the returned {row: exception} map.
+    When that call raises NoConvergenceError, the rows its ``values`` hold
+    (see ``AveragedField``) are kept, and without them each row is
+    evaluated again alone; the rows that still fail come back as NaN, with
+    their exception in the returned {row: exception} map.
     """
     try:
         return _rows(field, points), {}
     except NoConvergenceError as exc:
+        if exc.values is not None and len(exc.values) == len(points):
+            values = np.asarray(exc.values, dtype=float).reshape(points.shape)
+            return values, {int(i): exc for i in np.flatnonzero(np.isnan(values).any(axis=1))}
         if len(points) == 1:
             return np.full((1, 2), np.nan), {0: exc}
     values = np.full(points.shape, np.nan)

@@ -329,6 +329,41 @@ class TestRunTasks:
         }
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+    def test_initial_tasks_past_what_the_pipe_holds_all_run(self, cpus):
+        # the pipe holds 128 records; the caller runs the rest itself
+        cpus(2)
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert pool.run_tasks(range(200), lambda task: (task * task, ())) == {
+            task: task * task for task in range(200)
+        }
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+    def test_follow_ups_past_what_the_pipe_holds_all_run(self, cpus, tmp_path):
+        # the caller holds the first task until the child has run the other
+        # 19, whose 190 follow-ups overflow the pipe's 128 records: the child
+        # names the ones it could not queue, and the caller runs them
+        caller = os.getpid()
+
+        def run(task):
+            if task[0] == "next":
+                return 10 * task[1] + task[2], ()
+            if os.getpid() == caller:
+                deadline = time.monotonic() + 30
+                while len(list(tmp_path.iterdir())) < 19 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            (tmp_path / str(task[1])).touch()
+            return os.getpid(), [("next", task[1], k) for k in range(10)]
+
+        cpus(2)
+        before = sorted(os.listdir("/proc/self/fd"))
+        outcomes = pool.run_tasks([("first", i) for i in range(20)], run)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        ran_by = [outcomes.pop(("first", i)) for i in range(20)]
+        assert ran_by[0] == caller and caller not in ran_by[1:]
+        assert outcomes == {("next", i, k): 10 * i + k for i in range(20) for k in range(10)}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
     @pytest.mark.parametrize("end", ["done", "killed", "refused"])
     def test_a_run_leaves_no_descriptor_or_child_behind(self, cpus, tmp_path, end):
         marker = tmp_path / "B-started"

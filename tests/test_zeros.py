@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
-from dumbbell_averager import zeros
+from dumbbell_averager import averaging, zeros
 from dumbbell_averager.zeros import (
     DEDUP_DISTANCE,
     DEFAULT_NEWTON_TOL,
     MAX_SEEDS,
+    _field_rows,
     _first_apart,
     _newton_rounds,
     field_scale_on,
@@ -299,6 +300,42 @@ class TestBatchedSearch:
         # every zero of REF2 lies at x < 2, and some seeds still reach each
         assert len(got) == 4
         assert field_scale_on(field, seeds) > 0.0
+
+    def test_points_whose_quadrature_stops_cost_one_node_budget(self, monkeypatch):
+        # with a budget of 32 nodes cos(v) averages at amplitudes up to 0.5
+        # and not at 2 or 3: each point costs in the batch what it costs
+        # alone, and the batch's rows and error texts are those of the
+        # points evaluated alone
+        monkeypatch.setattr(averaging, "QUAD_MAX_NODES", 32)
+        samples = []
+
+        def f4(t, v1, v2):
+            samples.append(np.size(v2))
+            return np.cos(v2)
+
+        zero = lambda t, v1, v2: 0.0
+        lin = da.LinearizedTorque(zero, zero, zero, f4)
+        spec = da.ResonanceSpec(da.Mode.PRECESSION_T2, 1, 1)
+        points = np.array([[0.1, 0.0], [2.0, 0.0], [0.3, 0.1], [3.0, 0.0], [0.5, 0.0]])
+        alone, costs = [], []
+        for point in points:
+            samples.clear()
+            try:
+                alone.append(da.AveragedField(spec, lin)(point[None])[0])
+            except da.NoConvergenceError as exc:
+                alone.append(str(exc))
+            costs.append(sum(samples))
+        assert costs == [32] * 5
+        samples.clear()
+        field = da.AveragedField(spec, lin)
+        values, errors = _field_rows(field, points)
+        assert sum(samples) == sum(costs)
+        assert {i: str(exc) for i, exc in errors.items()} == {1: alone[1], 3: alone[3]}
+        assert "still moving" in alone[1]
+        for i in (0, 2, 4):
+            assert values[i].tobytes() == alone[i].tobytes()
+        assert np.isnan(values[[1, 3]]).all()
+        assert field.max_nodes_used == 32
 
     def test_a_field_that_holds_at_no_seed_raises_the_first_seeds_error(self):
         def field(p):
