@@ -21,14 +21,15 @@ Both reduce periodic integrands to one node-doubling trapezoid rule
 (``_quadrature_rows``), which converges spectrally for smooth periodic
 functions.  A batch of plane points is integrated together, but each point
 stops doubling at its own node count, so its value is the same whatever
-else is in the batch.
+else is in the batch.  ``AveragedField`` recovers a polynomial field from
+one such batch, and then evaluates the polynomial instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Callable, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +101,22 @@ def _quadrature_rows(
     raise error
 
 
+def _polynomial(pts: np.ndarray, terms: tuple) -> np.ndarray:
+    """The polynomial (exponents (i, j), i + j > 0; coefficients (m, 2)) at
+    rows (x, y), in elementwise products and sums: no row's bits depend on another's."""
+    exponents, coefficients = terms
+    xs, ys = [None, pts[:, 0].copy()], [None, pts[:, 1].copy()]
+    for _ in range(max(i + j for i, j in exponents) - 1):
+        xs.append(xs[-1] * xs[1])
+        ys.append(ys[-1] * ys[1])
+    f1, f2 = np.zeros(len(pts)), np.zeros(len(pts))
+    for (i, j), (c1, c2) in zip(exponents, coefficients.tolist()):
+        monomial = xs[i] if not j else ys[j] if not i else xs[i] * ys[j]
+        f1 += monomial * c1
+        f2 += monomial * c2
+    return np.column_stack((f1, f2))
+
+
 @dataclass
 class AveragedField:
     """Averaged bifurcation field over plane initial conditions.
@@ -111,12 +128,61 @@ class AveragedField:
     points that did not converge.
     ``max_nodes_used`` records the largest quadrature node count any point
     needed (diagnostics only).
+
+    ``degrees`` None integrates every point.  Otherwise it holds the degrees
+    d of the active coefficient (f1 on T1, f4 on T2) in the active rate, so
+    the field is a polynomial of degrees d + 1.  The first ``evaluate`` fits
+    it to the quadrature at the even ones of 4 points per monomial on a
+    golden-angle spiral over the unit disk, and checks the odd ones within
+    ``quad_tolerance * max(1, |F|)``.  A fit that misses or raises keeps the
+    field on quadrature, errors and all; otherwise a point is the polynomial,
+    integrated only where that is not finite.
     """
 
     spec: ResonanceSpec
     lin: LinearizedTorque
     quad_tolerance: float = DEFAULT_QUAD_TOL
+    degrees: Optional[FrozenSet[int]] = None
     max_nodes_used: int = field(default=0, init=False)
+    #: None until the first evaluate; then the polynomial's terms, or ()
+    _terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _integrals(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        mode, a1, a2 = self.spec.mode, pts[:, 0:1], pts[:, 1:2]
+        omega, nutation = mode.omega, mode is Mode.NUTATION_T1
+        w1 = mode.kappa / (2.0 * self.spec.p * math.pi)
+        w2 = mode.kappa * omega / (2.0 * self.spec.p * math.pi)
+
+        def integrand(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            c, s = np.cos(omega * t), np.sin(omega * t)
+            x = a1[idx] * c + (a2[idx] / omega) * s
+            v = a2[idx] * c - omega * a1[idx] * s
+            # the inactive rate is the scalar 0.0: the generated numpy code
+            # gives a scalar the bits of an array lane, so the field is that
+            # of a zeros array
+            core = x * (self.lin.f1(t, v, 0.0) if nutation else self.lin.f4(t, 0.0, v))
+            return np.stack([w1 * s * core, w2 * c * core], axis=1)
+
+        return _quadrature_rows(integrand, self.spec.window, self.quad_tolerance, len(pts))
+
+    def _recover(self) -> tuple:
+        """The polynomial's terms from one batched quadrature, or ()."""
+        try:  # any failure leaves quadrature at the caller's points to say why
+            exponents = [(i, d + 1 - i) for d in sorted(self.degrees) for i in range(d + 2)]
+            k = np.arange(4 * len(exponents))
+            radius, angle = np.sqrt((k + 0.5) / k.size), k * (math.pi * (3.0 - math.sqrt(5.0)))
+            pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+            values, nodes = self._integrals(pts)
+            basis = np.column_stack([_polynomial(pts[0::2], ([e], np.eye(1, 2)))[:, 0]
+                                     for e in exponents])
+            terms = (exponents, np.linalg.lstsq(basis, values[0::2], rcond=None)[0])
+        except Exception:
+            return ()
+        error = np.abs(_polynomial(pts[1::2], terms) - values[1::2])
+        if not np.all(error <= self.quad_tolerance * np.maximum(1.0, np.abs(values[1::2]))):
+            return ()
+        self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
+        return terms
 
     def evaluate(self, alpha) -> np.ndarray:
         a = np.asarray(alpha, dtype=float)
@@ -126,31 +192,20 @@ class AveragedField:
             raise ValueError(f"alpha must have 2 components, got shape {a.shape}")
         if not len(pts):
             return np.empty((0, 2))
-        mode = self.spec.mode
-        omega = mode.omega
-        nutation = mode is Mode.NUTATION_T1
-        w1 = mode.kappa / (2.0 * self.spec.p * math.pi)
-        w2 = mode.kappa * omega / (2.0 * self.spec.p * math.pi)
-        a1 = pts[:, 0:1]
-        a2 = pts[:, 1:2]
-
-        def integrand(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            c = np.cos(omega * t)
-            s = np.sin(omega * t)
-            x = a1[idx] * c + (a2[idx] / omega) * s
-            v = a2[idx] * c - omega * a1[idx] * s
-            # the inactive rate is the scalar 0.0: the generated numpy code
-            # gives a scalar the bits of an array lane, so the field is that
-            # of a zeros array
-            core = x * (self.lin.f1(t, v, 0.0) if nutation else self.lin.f4(t, 0.0, v))
-            return np.stack([w1 * s * core, w2 * c * core], axis=1)
-
-        try:
-            out, nodes = _quadrature_rows(integrand, self.spec.window, self.quad_tolerance, len(pts))
-        except NoConvergenceError as exc:  # the points that stopped count
-            self.max_nodes_used = max(self.max_nodes_used, int(exc.nodes.max()))
-            raise
-        self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
+        if self._terms is None:
+            self._terms = self._recover() if self.degrees else ()
+        out = _polynomial(pts, self._terms) if self._terms else np.full(pts.shape, np.nan)
+        # where the polynomial gives no finite value, quadrature gives it or says why
+        rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if rows.size:
+            try:
+                out[rows], nodes = self._integrals(pts[rows])
+            except NoConvergenceError as exc:  # the points that stopped count
+                self.max_nodes_used = max(self.max_nodes_used, int(exc.nodes.max()))
+                out[rows] = exc.values
+                exc.values = out
+                raise
+            self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
         return out[0] if single else out
 
     def __call__(self, alpha) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from . import averaging, reports, shooting
+from . import averaging, reports, shooting, torques
 from .averaging import AveragedField
 from .dynamics import Mode, PerturbSetup, ResonanceSpec, make_first_order_rhs, make_full_rhs
 from .errors import DumbbellError
@@ -234,7 +234,10 @@ def _build_field(config: RunConfig, source: str, case: Optional[str]):
         meta["case"] = case
         return BUNDLED_CASES[case].reference_field, meta
     report = validate_equilibrium(*config.torques)
-    fld = AveragedField(config.spec, config.linearized, config.quad_tol)
+    # read off the torque: coefficients built from plain callables carry no trees
+    t1 = config.spec.mode is Mode.NUTATION_T1
+    degrees = torques.velocity_degrees(config.torques[not t1], "theta_dot" if t1 else "phi_dot")
+    fld = AveragedField(config.spec, config.linearized, config.quad_tol, degrees)
     meta["quad_tol"] = config.quad_tol
     meta["equilibrium_check"] = report.status
     return fld, meta

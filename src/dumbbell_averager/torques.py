@@ -19,9 +19,10 @@ variable gives the value of a zeros array.  (value, derivative) is the value's
 function and then the partial's.  The linearized torque coefficients
 f1..f4 are the partials of the torques in the nutation or precession angle
 with both angles folded to 0.0: trees free of the angles, with the angular
-rates kept exact.  All code generated from trees is written here:
-``generate_rhs`` emits the trees in which ``dynamics`` states both systems
-through one shared subexpression table into one straight-line rhs.
+rates kept exact, and ``velocity_degrees`` reads their degrees in a rate.
+All code generated from trees is written here: ``generate_rhs`` emits the
+trees in which ``dynamics`` states both systems through one shared
+subexpression table into one straight-line rhs.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, FrozenSet, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -750,6 +751,42 @@ class LinearizedTorque:
     partials: Optional[Tuple[TorqueExpression, ...]] = field(
         default=None, compare=False, repr=False
     )
+
+
+MAX_VELOCITY_DEGREE = 16
+
+
+def velocity_degrees(expr: TorqueExpression, var: str) -> Optional[FrozenSet[int]]:
+    """The degrees ``expr`` can hold as a polynomial in ``var`` (any other name
+    enters only the coefficients), or None where ``var`` appears under a call,
+    in a divisor or a negative power, or a degree passes MAX_VELOCITY_DEGREE."""
+    const = frozenset({0})
+
+    def product(a, b):
+        out = None if a is None or b is None else frozenset(i + j for i in a for j in b)
+        return out if out is not None and max(out) <= MAX_VELOCITY_DEGREE else None
+
+    def walk(node: Node) -> Optional[FrozenSet[int]]:
+        if isinstance(node, (Num, Const, Var)):
+            return frozenset({1}) if node == Var(var) else const
+        if isinstance(node, (Neg, Call)):
+            arg = walk(node.arg)
+            return arg if isinstance(node, Neg) or arg == const else None
+        if isinstance(node, Pow):
+            base, out = walk(node.base), const
+            if base != const and not 0 <= node.exponent <= MAX_VELOCITY_DEGREE:
+                return None
+            for _ in range(node.exponent if base != const else 0):
+                out = product(out, base)
+            return out
+        left, right = walk(node.left), walk(node.right)
+        if node.op == "/":
+            return left if right == const else None
+        if node.op == "*":
+            return product(left, right)
+        return None if left is None or right is None else left | right
+
+    return walk(expr.root)
 
 
 def _coefficient(partial: TorqueExpression) -> Callable[[float, float, float], float]:

@@ -69,9 +69,15 @@ class ZeroSearchDomain:
         r, a = np.meshgrid(radii, angles, indexing="ij")
         return np.column_stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()])
 
-    def contains(self, point: Sequence[float]) -> bool:
-        r = math.hypot(float(point[0]), float(point[1]))
-        return self.r1 <= r <= self.r2
+    def contains(self, point: Sequence[float]) -> Union[bool, np.ndarray]:
+        """Whether ``point`` (2,), or each row of (k, 2), lies in the annulus by
+        ``math.hypot``'s radius; numpy's decides rows 1e-12 relative off both bounds."""
+        rows = np.atleast_2d(np.asarray(point, dtype=float))
+        r = np.hypot(rows[:, 0], rows[:, 1])
+        near = np.isclose(r[:, None], [self.r1, self.r2], rtol=1e-12, atol=0.0).any(axis=1)
+        r[near] = [math.hypot(x, y) for x, y in rows[near].tolist()]
+        inside = (self.r1 <= r) & (r <= self.r2)
+        return bool(inside[0]) if np.ndim(point) == 1 else inside
 
 
 @dataclass(frozen=True)
@@ -327,22 +333,21 @@ def multistart_zeros(
     All seeds iterate together, one batched field call per stencil point
     or line-search halving.  Zeros within Euclidean distance 1e-6 of an
     earlier kept one (in seed order) are duplicates, dropped in one pass
-    per kept zero; survivors are sorted by polar angle then radius.  Seeds
-    that fail to converge are skipped, so an empty list is a legitimate
-    outcome; a field that raises NoConvergenceError at every seed raises
-    the first seed's.
+    per kept zero; survivors are sorted by polar angle (0 where |y| <= 1e-6)
+    then radius.  Seeds that fail to converge are skipped, so an empty list
+    is a legitimate outcome; a field that raises NoConvergenceError at every
+    seed raises the first seed's.
     """
-    candidates = [
-        zero
-        for zero in _newton_rounds(field, domain.seeds(), tol, NEWTON_MAX_ITER, None)
-        if isinstance(zero, CertifiedZero) and domain.contains(zero.location)
-    ]
-    locations = np.array([zero.location for zero in candidates]).reshape(-1, 2)
-    found = [candidates[i] for i in _first_apart(locations)]
+    outcomes = _newton_rounds(field, domain.seeds(), tol, NEWTON_MAX_ITER, None)
+    converged = [zero for zero in outcomes if isinstance(zero, CertifiedZero)]
+    locations = np.array([zero.location for zero in converged]).reshape(-1, 2)
+    inside = np.flatnonzero(domain.contains(locations))
+    found = [converged[inside[i]] for i in _first_apart(locations[inside])]
 
     def sort_key(z: CertifiedZero) -> Tuple[float, float]:
-        x, y = z.location
-        return (math.atan2(y, x) % (2.0 * math.pi), math.hypot(x, y))
+        x, y = z.location  # on the axis within DEDUP_DISTANCE, as in group_orbit_classes
+        angle = math.atan2(0.0 if abs(y) <= DEDUP_DISTANCE else y, x)
+        return (angle % (2.0 * math.pi), math.hypot(x, y))
 
     found.sort(key=sort_key)
     return found

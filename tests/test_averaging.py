@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
+from dumbbell_averager import cli, torques
 from dumbbell_averager.averaging import _quadrature_rows
 
 SQRT3 = math.sqrt(3.0)
@@ -286,3 +287,117 @@ class TestMalkinRoute:
             assert np.allclose(
                 da.malkin_average(g1, spec, alpha), fld.evaluate(alpha), atol=1e-9
             )
+
+
+def pipeline_field(name, degrees=...):
+    """corollary ``name``'s pipeline field as the CLI builds it, or with
+    ``degrees`` in place of the ones read off its torque."""
+    with cli.resources.as_file(cli.bundled_config_path(name)) as path:
+        config = cli.load_config(path)
+    fld, _ = cli._build_field(config, "pipeline", name)
+    if degrees is not ...:
+        fld = da.AveragedField(fld.spec, fld.lin, degrees=degrees)
+    return fld
+
+
+#: the closed forms of the bundled pipeline fields, as {(i, j): the
+#: coefficients of x^i y^j in both components}
+CLOSED_FORMS = {
+    # (3x^2 + y^2)^2 (y/48, x/16)
+    "corollary1": {
+        (4, 1): (9 / 48, 0.0), (2, 3): (6 / 48, 0.0), (0, 5): (1 / 48, 0.0),
+        (5, 0): (0.0, 9 / 16), (3, 2): (0.0, 6 / 16), (1, 4): (0.0, 1 / 16),
+    },
+    # (w(4 + 4z - 4z^2 - w^2)/16, (4z(2 + z - 2z^2) - w^2(1 + 2z))/8)
+    "corollary2": {
+        (0, 1): (1 / 4, 0.0), (1, 1): (1 / 4, 0.0), (2, 1): (-1 / 4, 0.0), (0, 3): (-1 / 16, 0.0),
+        (1, 0): (0.0, 1.0), (2, 0): (0.0, 1 / 2), (3, 0): (0.0, -1.0),
+        (0, 2): (0.0, -1 / 8), (1, 2): (0.0, -1 / 4),
+    },
+}
+
+
+def raised(call):
+    """(exception type, text) that ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestPolynomialRoute:
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_recovers_the_closed_forms(self, name):
+        fld = pipeline_field(name)
+        fld.evaluate([0.3, 0.2])
+        exponents, coefficients = fld._terms
+        assert set(CLOSED_FORMS[name]) <= set(exponents)
+        for exponent, got in zip(exponents, coefficients):
+            want = CLOSED_FORMS[name].get(exponent, (0.0, 0.0))
+            assert np.abs(got - want).max() <= 1e-13, exponent
+        # one recovery batch, all of it at the node count the search used to need
+        assert fld.max_nodes_used == 32
+        lin, spec = fld.lin, fld.spec
+        for alpha in ([0.5, 0.3], [-4.0, 2.5]):
+            oracle = da.malkin_average(da.linearized_perturbation(lin), spec, alpha)
+            assert np.allclose(fld.evaluate(alpha), oracle, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_a_row_is_its_point_alone(self, name):
+        fld = pipeline_field(name)
+        rng = np.random.default_rng(32)
+        pts = np.vstack([rng.uniform(-5.0, 5.0, (37, 2)), [[0.0, 0.0], [1e-300, -2.0]]])
+        batch = fld.evaluate(pts)
+        for i, p in enumerate(pts):
+            assert fld.evaluate(p).tobytes() == batch[i].tobytes()
+            assert pipeline_field(name).evaluate(pts[i:]).tobytes() == batch[i:].tobytes()
+
+    def test_a_rate_under_a_call_stays_on_quadrature(self):
+        config = cli.RunConfig(
+            f1star="sin(theta)*sin(theta_dot)", f2star="sin(phi)", mode=da.Mode.NUTATION_T1
+        )
+        fld, _ = cli._build_field(config, "pipeline", None)
+        assert fld.degrees is None
+        quadrature = da.AveragedField(config.spec, config.linearized)
+        pts = np.array([[0.3, -0.9], [1.1, 0.4], [2.0, 1.0]])
+        assert fld.evaluate(pts).tobytes() == quadrature.evaluate(pts).tobytes()
+        assert fld._terms == () and fld.max_nodes_used == quadrature.max_nodes_used
+
+    def test_too_few_degrees_fall_back_to_quadrature(self):
+        # degree-1 monomials cannot hold corollary1's quintic field
+        fld = pipeline_field("corollary1", degrees=frozenset({0}))
+        quadrature = pipeline_field("corollary1", degrees=None)
+        pts = np.array([[0.3, -0.9], [1.1, 0.4]])
+        assert fld.evaluate(pts).tobytes() == quadrature.evaluate(pts).tobytes()
+        assert fld._terms == () and fld.max_nodes_used == quadrature.max_nodes_used
+        for degrees in (frozenset(), frozenset({-1}), frozenset({-3})):  # no monomial of degree > 0
+            fld = da.AveragedField(T1_SPEC, const_lin(f1=ones), degrees=degrees)
+            quadrature = da.AveragedField(T1_SPEC, const_lin(f1=ones))
+            assert fld.evaluate(pts).tobytes() == quadrature.evaluate(pts).tobytes()
+
+    def test_a_recovery_that_raises_leaves_the_parents_error(self, monkeypatch):
+        # a coefficient that divides by the inactive rate, which is 0.0, and
+        # then a node budget that no point meets
+        point = [0.4, 0.1]
+        expr = da.parse_torque("theta_dot^2/phi_dot")
+        lin = const_lin(f1=lambda t, v1, v2: expr.evaluate(t, 0.0, v1, 0.0, v2))
+        degrees = torques.velocity_degrees(expr, "theta_dot")
+        fields = [(da.AveragedField(T1_SPEC, lin, degrees=degrees), da.AveragedField(T1_SPEC, lin))]
+        monkeypatch.setattr(da.averaging, "QUAD_MAX_NODES", 16)
+        fields.append((pipeline_field("corollary2"), pipeline_field("corollary2", degrees=None)))
+        for fld, parent in fields:
+            want = raised(lambda: parent.evaluate(point))
+            assert want is not None
+            assert raised(lambda: fld.evaluate(point)) == want
+            assert fld._terms == () and fld.max_nodes_used == parent.max_nodes_used
+        assert degrees == {2}
+        assert raised(lambda: fields[0][1](point)) == (da.DomainError, "division by zero")
+        assert raised(lambda: fields[1][1](point))[0] is da.NoConvergenceError
+
+    def test_where_the_polynomial_overflows_quadrature_raises(self):
+        fld, quadrature = pipeline_field("corollary1"), pipeline_field("corollary1", degrees=None)
+        for pts in ([[0.5, 0.2], [1e70, 0.0]], [math.nan, 1.0]):
+            want = raised(lambda: quadrature.evaluate(pts))
+            assert want is not None and raised(lambda: fld.evaluate(pts)) == want
+        assert fld._terms

@@ -652,23 +652,25 @@ def test_a_torque_that_fails_to_linearize_fails_after_the_zeros_file(tmp_path, m
 
 
 @pytest.mark.parametrize(
-    "argv, extra, points, integrations, builds",
+    "argv, extra, points, quadrature, integrations, builds",
     [
-        (["reproduce", "corollary1"], "", 52_720, 36, 6),
-        (["reproduce", "corollary2"], "", 23_844, 160, 22),
-        (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 0, 30, 3),
+        (["reproduce", "corollary1"], "", 52_720, 32, 36, 6),
+        (["reproduce", "corollary2"], "", 23_844, 36, 160, 22),
+        (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 0, 0, 30, 3),
     ],
     ids=["reproduce-c1", "reproduce-c2", "verify-lin-c2"],
 )
 def test_the_benchmark_workloads_keep_their_shooting_cost(
-    tmp_path, monkeypatch, argv, extra, points, integrations, builds
+    tmp_path, monkeypatch, argv, extra, points, quadrature, integrations, builds
 ):
     # the benchmark workloads, counted in one process on one CPU: at most
-    # these averaged-field points, integrations and Jacobian builds
-    # (verify-lin-c2 took 124 and 23 when every Newton step built one, and
-    # 74 and 9 when a shot stopped only once ||P|| grew tenfold; reproduce-c1
-    # 189 and 36 when its ladders chased the origin step by step); a field
-    # built or searched twice would show in the points
+    # these averaged-field points, points integrated by quadrature,
+    # integrations and Jacobian builds (verify-lin-c2 took 124 and 23 when
+    # every Newton step built one, and 74 and 9 when a shot stopped only once
+    # ||P|| grew tenfold; reproduce-c1 189 and 36 when its ladders chased the
+    # origin step by step); a field built or searched twice would show in the
+    # points, and a field integrated at every point (52,720 and 23,844) in
+    # the quadrature, which recovers each pipeline polynomial in one batch
     case = "corollary1" if "corollary1" in argv else "corollary2"
     with cli.resources.as_file(cli.bundled_config_path(case)) as p:
         text = p.read_text(encoding="utf-8")
@@ -688,8 +690,16 @@ def test_the_benchmark_workloads_keep_their_shooting_cost(
         return evaluate(fld, alpha)
 
     monkeypatch.setattr(averaging.AveragedField, "evaluate", evaluate_counted)
+    quadrature_rows, integrated = averaging._quadrature_rows, []
+
+    def quadrature_counted(f, period, tol, count):
+        integrated.append(count)
+        return quadrature_rows(f, period, tol, count)
+
+    monkeypatch.setattr(averaging, "_quadrature_rows", quadrature_counted)
     assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert sum(evaluated) <= points
+    assert sum(integrated) <= quadrature
     assert counts["integrate"] <= integrations
     assert counts["displacement_jacobian"] <= builds
 

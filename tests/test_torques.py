@@ -590,6 +590,61 @@ class TestDiff:
             diff(x, "psi")
 
 
+class TestVelocityDegrees:
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("sin(theta)*sin(theta_dot)", None),  # under a call
+            ("theta_dot^2/(1 + theta_dot)", None),  # in a divisor
+            ("theta_dot^-2 + 1", None),  # under a negative power
+            ("theta_dot^17", None),  # past MAX_VELOCITY_DEGREE
+            ("(1 + theta_dot)^99999999999", None),
+            ("sin(theta) + cos(t)*pi", {0}),
+            ("theta_dot^0 + sin(theta_dot^0)", {0}),
+            ("sin(t)*(theta_dot^2 - phi_dot)/cos(phi_dot) + tan(theta)*theta_dot/t", {0, 1, 2}),
+            ("(theta_dot + t)^3/sqrt3", {0, 1, 2, 3}),
+            ("-(theta_dot*phi_dot^-1)^2*theta_dot^14", {16}),
+        ],
+    )
+    def test_degrees(self, text, want):
+        assert torques.velocity_degrees(da.parse_torque(text), "theta_dot") == want
+
+    def test_bundled_torques_and_their_coefficients(self):
+        trees = {
+            name: (da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text))
+            for name, case in da.BUNDLED_CASES.items()
+        }
+        c1, c2 = trees["corollary1"], trees["corollary2"]
+        assert torques.velocity_degrees(c1[0], "theta_dot") == {0, 4}
+        assert torques.velocity_degrees(c2[1], "phi_dot") == {0, 1, 2}
+        f1 = torques.extract_linearized(*c1).partials[0]
+        f4 = torques.extract_linearized(*c2).partials[3]
+        assert torques.velocity_degrees(f1, "theta_dot") in ({4}, {0, 4})
+        assert torques.velocity_degrees(f4, "phi_dot") == {0, 1, 2}
+
+    def test_random_trees_expand_to_the_degrees_named(self):
+        # sympy expands each tree the walk calls a polynomial in theta_dot;
+        # its monomials must hold no other degree
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("theta_dot")
+        rng = random.Random(32)
+        checked = 0
+        for _ in range(400):
+            tree = random_expression(rng, rng.randint(1, 4), low_exponent=-2)
+            degrees = torques.velocity_degrees(da.TorqueExpression(tree), "theta_dot")
+            if degrees is None:
+                continue
+            try:
+                expr = sympy.expand(to_sympy(tree, sympy))
+            except ZeroDivisionError:
+                continue
+            if expr.has(sympy.zoo, sympy.nan):
+                continue
+            assert {m for (m,) in sympy.Poly(expr, x).monoms()} <= degrees
+            checked += degrees != {0}
+        assert checked >= 25
+
+
 class TestExtraction:
     def test_case1_coefficients(self):
         case = da.BUNDLED_CASES["corollary1"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
-from dumbbell_averager import averaging, zeros
+from dumbbell_averager import averaging, cli, zeros
 from dumbbell_averager.zeros import (
     DEDUP_DISTANCE,
     DEFAULT_NEWTON_TOL,
@@ -211,8 +211,11 @@ def seed_by_seed(field, seeds, scale):
 
 
 def polar(z):
-    """The order multistart_zeros sorts its zeros in."""
-    return (math.atan2(z.location[1], z.location[0]) % (2 * math.pi), math.hypot(*z.location))
+    """The order multistart_zeros sorts its zeros in: a zero with |y| at most
+    the dedup distance lies on the first axis."""
+    x, y = z.location
+    on_axis = abs(y) <= zeros.DEDUP_DISTANCE
+    return (math.atan2(0.0 if on_axis else y, x) % (2 * math.pi), math.hypot(x, y))
 
 
 def seed_by_seed_zeros(field, domain):
@@ -411,3 +414,84 @@ class TestDedup:
             (0.5 + 1e-7, 0.0), (2.0 - 4e-7, 0.0), (0.0, 1.0), (0.0, 1.0 + 1.2e-6),
             (-1.5, 0.0), (-1.5, -1e-6),
         ]
+
+
+class TestAxisAndAnnulus:
+    def test_sign_noise_in_y_keeps_an_axis_zero_first(self, monkeypatch):
+        # (1.28, -1e-15) lies on the first axis, at angle 0, not near 2 pi
+        def zero(x, y):
+            return zeros.CertifiedZero(np.array([x, y]), 0.0, np.eye(2), 1.0, "Simple")
+
+        outcomes = [zero(-0.78, 0.0), zero(1.28, -1e-15), zero(0.5, -2e-6)]
+        monkeypatch.setattr(zeros, "_newton_rounds", lambda *args: outcomes)
+        got = da.multistart_zeros(None, da.ZeroSearchDomain())
+        assert [tuple(z.location) for z in got] == [(1.28, -1e-15), (-0.78, 0.0), (0.5, -2e-6)]
+        assert got == sorted(outcomes, key=polar)
+
+    def test_contains_decides_rows_as_math_hypot_does(self):
+        domain = da.ZeroSearchDomain(r1=0.05, r2=5.0)
+        rng = np.random.default_rng(33)
+        points = [rng.uniform(-6.0, 6.0, (2000, 2))]
+        for r in (domain.r1, domain.r2):
+            radii = np.array([np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)])
+            angles = rng.uniform(0.0, 2 * math.pi, (2000, 1))
+            points.append(np.column_stack([(radii * np.cos(angles)).ravel(),
+                                           (radii * np.sin(angles)).ravel()]))
+            points.append(np.column_stack([radii, np.zeros(3)]))
+            points.append(np.column_stack([np.zeros(3), -radii]))
+        points = np.vstack(points + [[[math.nan, 1.0], [math.inf, 0.0]]])
+        want = [domain.r1 <= math.hypot(x, y) <= domain.r2 for x, y in points.tolist()]
+        # numpy's radius alone decides some of these points otherwise
+        radius = np.hypot(points[:, 0], points[:, 1])
+        assert ((domain.r1 <= radius) & (radius <= domain.r2)).tolist() != want
+        got = domain.contains(points)
+        assert got.dtype == bool and got.tolist() == want
+        assert [domain.contains(p) for p in points] == want
+        assert 0 < sum(want) < len(want)
+        assert domain.contains(np.empty((0, 2))).tolist() == []
+
+
+def real_zeros(pair, symbols):
+    """The real zeros of a polynomial pair, as floats: those of the pair with
+    its common factor divided out, and those of each factor of the common
+    factor, which must keep one sign, so that its real zeros are where its
+    gradient vanishes too."""
+    sympy = pytest.importorskip("sympy")
+    common = sympy.gcd(*pair)
+    systems = [[sympy.cancel(p / common) for p in pair]]
+    for factor, _ in sympy.factor_list(common)[1]:
+        assert factor.is_nonnegative or factor.is_nonpositive, factor
+        systems.append([factor] + [sympy.diff(factor, s) for s in symbols])
+    points = set()
+    for system in systems:
+        for solution in sympy.solve(system, symbols, dict=True):
+            values = [complex(solution[s]) for s in symbols]
+            if all(abs(v.imag) < 1e-12 for v in values):
+                points.add(tuple(v.real for v in values))
+    return points
+
+
+@pytest.mark.parametrize(
+    "name, want", [("corollary1", []), ("corollary2", [(1 + S17) / 4, (1 - S17) / 4])]
+)
+def test_the_pipeline_zeros_are_every_real_zero_of_the_closed_form(name, want):
+    # the pipeline fields' closed forms are polynomials, so their real zeros
+    # in the annulus are the complete set the multistart search must find
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y", real=True)
+    pairs = {
+        "corollary1": ((3 * x**2 + y**2) ** 2 * y / 48, (3 * x**2 + y**2) ** 2 * x / 16),
+        "corollary2": (
+            y * (4 + 4 * x - 4 * x**2 - y**2) / 16,
+            (4 * x * (2 + x - 2 * x**2) - y**2 * (1 + 2 * x)) / 8,
+        ),
+    }
+    domain = da.ZeroSearchDomain()
+    exact = sorted(p for p in real_zeros(pairs[name], (x, y)) if domain.contains(p))
+    assert exact == pytest.approx([(v, 0.0) for v in sorted(want)], abs=1e-12)
+    with cli.resources.as_file(cli.bundled_config_path(name)) as path:
+        fld, _ = cli._build_field(cli.load_config(path), "pipeline", name)
+    found = sorted(tuple(z.location) for z in da.multistart_zeros(fld, domain))
+    assert len(found) == len(exact)
+    for f, e in zip(found, exact):
+        assert np.abs(np.subtract(f, e)).max() <= 1e-9
