@@ -10,9 +10,11 @@ the pipeline-derived field against the bundled closed-form reference field
 and letting direct shooting arbitrate.  ``reproduce`` takes a bundled case
 name, ``--config``, or both; the others need ``--config``.
 
-``verify`` and ``reproduce`` run their zero searches and ladders as the
-tasks of one pool over the usable CPUs (``_solve_and_shoot``); nothing they
-write, print or raise depends on the number of CPUs.
+``verify`` and ``reproduce`` run their zero searches, then the ladders
+planned from them, as two batches of one pool over the usable CPUs
+(``_solve_and_shoot``); a ladder whose zero lies within ``newton_tol`` of a
+ladder already planned in the same system reads that one's shots.  Nothing
+they write, print or raise depends on the number of CPUs.
 
 Exit codes: 0 success, 1 configuration, usage or artifact error, 2 numerical
 failure (the failing stage is named on stderr).
@@ -37,15 +39,9 @@ from .dynamics import Mode, PerturbSetup, ResonanceSpec, make_first_order_rhs, m
 from .errors import DumbbellError
 from .reference import BUNDLED_CASES
 from .pool import run_tasks, settled
-from .shooting import epsilon_continuation, epsilon_ladder
+from .shooting import continuation_report, epsilon_continuation, epsilon_ladder
 from .torques import TorqueExpression, extract_linearized, parse_torque, validate_equilibrium
-from .zeros import (
-    DEFAULT_NEWTON_TOL,
-    CertifiedZero,
-    ZeroSearchDomain,
-    group_orbit_classes,
-    multistart_zeros,
-)
+from .zeros import DEFAULT_NEWTON_TOL, ZeroSearchDomain, group_orbit_classes, multistart_zeros
 
 
 class ConfigError(Exception):
@@ -291,17 +287,29 @@ def _tolerances(config: RunConfig) -> Dict[str, float]:
     return {"shooting_tol": config.shooting_tol, "integrator_tol": config.integrator_tol}
 
 
+def _shared_shots(tasks: Sequence[tuple], tol: float) -> Dict[tuple, tuple]:
+    """Map each ladder task, (label, system, class index, averaged zero), to
+    the task whose shots it reads: the first earlier one that is shot, in
+    the same system, with a zero within ``tol`` of its own, else itself."""
+    shots: Dict[tuple, tuple] = {}
+    for task in tasks:
+        shots[task] = next((shot for shot in shots.values() if shot[1] == task[1]
+                            and math.dist(shot[3], task[3]) <= tol), task)
+    return shots
+
+
 def _solve_and_shoot(config: RunConfig, searches: Dict[str, Tuple[str, Path]],
                      case: Optional[str], systems: Sequence[str]) -> tuple:
     """Search the field of each ``searches`` entry, label: (field source,
     zeros CSV), and shoot its simple orbit classes in each of ``systems``,
-    as the tasks of one ``run_tasks`` pool: a search task is its label and
-    returns its ladder tasks, (label, system, class index, zero location),
-    so the ladders of one field run while another is still searched.  The
-    outcomes are then taken in the serial order, every search (writing its
-    zeros CSV) before any ladder, and the first failure met is raised.
-    Returns each label's orbit classes and each (label, system)'s ladders,
-    keyed by class index."""
+    as the batches of one ``run_tasks`` pool: the searches, each task its
+    label, then, once every search has succeeded, each ladder task (label,
+    system, class index, zero location) that ``_shared_shots`` maps to
+    itself; the others read the shots it maps them to.  The outcomes are
+    then taken in the serial order, every search (writing its zeros CSV)
+    before any ladder, and the first failure met is raised.  Returns each
+    label's orbit classes and each (label, system)'s ladders, keyed by
+    class index."""
     fields = {label: _build_field(config, source, case) for label, (source, _) in searches.items()}
     failure = None
     try:  # built before the pool forks; the serial order meets a failure after the zeros CSVs
@@ -309,32 +317,40 @@ def _solve_and_shoot(config: RunConfig, searches: Dict[str, Tuple[str, Path]],
     except DumbbellError as exc:
         factories, failure = {}, exc
 
-    def ladder_tasks(label: str, groups: Sequence[Sequence[CertifiedZero]]) -> list:
-        return [(label, system, idx, tuple(float(v) for v in group[0].location))
-                for system in factories for idx, group in enumerate(groups) if group[0].is_simple]
-
     def run(task):
         if task in fields:
-            found = _search(config, *fields[task])
-            return found, ladder_tasks(task, found[1])
+            return _search(config, *fields[task])
         return epsilon_continuation(
             rhs_for_eps=factories[task[1]], averaged_zero=task[3], spec=config.spec,
             eps_list=config.epsilon_list, **_tolerances(config),
-        ), ()
+        )
+
+    shots: Dict[tuple, tuple] = {}
+
+    def plan(outcomes) -> list:
+        if shots or any(isinstance(outcomes[label], Exception) for label in fields):
+            return []
+        shots.update(_shared_shots([
+            (label, system, idx, tuple(float(v) for v in group[0].location))
+            for label in fields for system in factories
+            for idx, group in enumerate(outcomes[label][1]) if group[0].is_simple
+        ], config.newton_tol))
+        return [task for task, shot in shots.items() if task == shot]
 
     # a wrapped layer function (``__wrapped__``, as a tracer's spans) sees
     # only the calls made in its own process, so then no task leaves it
     wrapped = any(hasattr(f, "__wrapped__") for f in (multistart_zeros, epsilon_continuation))
-    outcomes, groups = run_tasks(fields, run, fork=not wrapped), {}
+    outcomes, groups = run_tasks(fields, run, plan, fork=not wrapped), {}
     for label, (_, path) in searches.items():
         zeros, groups[label], meta = settled(outcomes[label])
         reports.write_zeros_csv(path, zeros, groups[label], meta)
     if failure is not None:
         raise failure
     ladders = {(label, system): {} for label in fields for system in systems}
-    for label in fields:
-        for task in ladder_tasks(label, groups[label]):
-            ladders[task[:2]][task[2]] = settled(outcomes[task])
+    for task, shot in shots.items():
+        report = settled(outcomes[shot])
+        ladders[task[:2]][task[2]] = report if task == shot else continuation_report(
+            task[3], config.spec, report.eps_list, report.certificates, report.failure)
     return groups, ladders
 
 

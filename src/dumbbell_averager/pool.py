@@ -1,17 +1,17 @@
-"""``run_tasks``: one pool of processes, one per usable CPU, for tasks whose
-runs return further tasks.
+"""``run_tasks``: one pool of processes, one per usable CPU, that runs
+batches of tasks, each planned in the caller from the outcomes before it.
 
 The caller and P - 1 children, each pinned to its own CPU, take the next
 task whenever they are free from one shared pipe of pickled records of
 RECORD bytes; a write of at most PIPE_BUF bytes is atomic, so each read
-takes a whole record.  Every task and follow-up is queued there in order,
-and the children fork once the caller, holding a task, sees another waiting.
-A task that finds the pipe full runs in the caller instead, from a deque of
-its own: a child names such follow-ups in its outcome.  A child sends each
-task it takes, then its outcome, over a pipe of its own, which the caller
-reads between its tasks.  A run ends once each task made, initial or named
-by an outcome the caller has received, has an outcome, so a child that dies
-before it reports holds no run open, and no task lives only in a child.
+takes a whole record.  Only the caller queues tasks there, in order, and
+the children fork once the caller, holding a task, sees another waiting;
+they serve every later batch.  A task that finds the pipe full runs in the
+caller instead, from a deque of its own.  A child sends each task it takes,
+then its outcome, over a pipe of its own, which the caller reads between
+its tasks.  A batch ends once each of its tasks has an outcome, so a child
+that dies before it reports holds no run open; the caller then plans the
+next batch, and the run ends with an empty one.
 """
 
 from __future__ import annotations
@@ -59,22 +59,22 @@ def _portable(exc: Exception) -> Exception:
 
 def _record(task: Hashable) -> bytes:
     """``task``'s queue record, its pickle padded to RECORD bytes;
-    ValueError when the pickle is longer."""
-    record = pickle.dumps(task)
+    ValueError when it does not pickle or the pickle is longer."""
+    try:
+        record = pickle.dumps(task)
+    except Exception as exc:
+        raise ValueError(f"task {task!r} does not pickle: {exc}") from None
     if len(record) > RECORD:
         raise ValueError(f"task {task!r} pickles to more than {RECORD} bytes")
     return record.ljust(RECORD, b"\0")
 
 
-def _attempt(run: Callable, task: Hashable) -> Tuple[object, Sequence[Hashable], List[bytes]]:
-    """``run(task)`` as (outcome, follow-ups, their records); an Exception
-    the run raises, or a follow-up that cannot become a record, is the
-    outcome, with no follow-ups."""
+def _attempt(run: Callable, task: Hashable) -> object:
+    """``run(task)``, or the Exception it raises."""
     try:
-        outcome, follow = run(task)
-        return outcome, follow, [_record(made) for made in follow]
+        return run(task)
     except Exception as exc:
-        return exc, (), []
+        return exc
 
 
 def _put(put: int, tasks: Sequence[Hashable], records: List[bytes]) -> List[Hashable]:
@@ -113,12 +113,11 @@ def _send(pipe, message: object) -> None:
     pipe.flush()
 
 
-def _child(run: Callable, queue: int, put: int, results: int, cpu: int, lifeline: int) -> None:
-    """Forked child: on ``cpu``, run tasks from ``queue``, queueing their
-    follow-ups at ``put``, until the caller closes the write end of
-    ``lifeline``, sending over ``results`` each task before it runs it and
-    (outcome, follow-ups, those it could not queue) after; leave with
-    os._exit, status 0 only then.
+def _child(run: Callable, queue: int, results: int, cpu: int, lifeline: int) -> None:
+    """Forked child: on ``cpu``, run tasks from ``queue`` until the caller
+    closes the write end of ``lifeline``, sending over ``results`` each task
+    before it runs it and its outcome after; leave with os._exit, status 0
+    only then.
     Once the caller has gone a send fails, so no further task starts."""
     status = 1
     try:
@@ -133,22 +132,18 @@ def _child(run: Callable, queue: int, put: int, results: int, cpu: int, lifeline
                         break
                     continue
                 _send(pipe, task)
-                outcome, follow, records = _attempt(run, task)
-                unqueued = _put(put, follow, records)
-                if isinstance(outcome, Exception):
-                    outcome = _portable(outcome)
-                _send(pipe, (outcome, follow, unqueued))
+                outcome = _attempt(run, task)
+                _send(pipe, _portable(outcome) if isinstance(outcome, Exception) else outcome)
     finally:
         os._exit(status)
 
 
 def _receive(fd: int, children: Dict[int, list]) -> list:
-    """[(task, outcome, follow-ups, those not queued)] for the next message
-    a child sent over ``fd`` when it is an outcome, [] when it names the task
-    the child took.  Once the child has ended, that task's outcome is a
-    DumbbellError naming its exit status or signal; the error is raised when
-    the child had taken no task the caller knows of, as it may have taken
-    one from the pipe."""
+    """[(task, outcome)] for the next message a child sent over ``fd`` when
+    it is an outcome, [] when it names the task the child took.  Once the
+    child has ended, that task's outcome is a DumbbellError naming its exit
+    status or signal; the error is raised when the child had taken no task
+    the caller knows of, as it may have taken one from the pipe."""
     pid, task = children[fd]
     try:
         message = pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
@@ -160,71 +155,75 @@ def _receive(fd: int, children: Dict[int, list]) -> list:
         error = DumbbellError(f"task process {pid} {how} without a result")
         if task is None:
             raise error
-        return [(task, error, (), ())]
+        return [(task, error)]
     children[fd][1] = message if task is None else None
-    return [] if task is None else [(task, *message)]
+    return [] if task is None else [(task, message)]
 
 
 def run_tasks(
-    tasks: Iterable[Hashable], run: Callable, fork: bool = True
+    tasks: Iterable[Hashable], run: Callable, then: Callable = lambda outcomes: (),
+    fork: bool = True,
 ) -> Dict[Hashable, object]:
-    """Run each of ``tasks`` and each follow-up a run returns, and map every
-    task to its outcome: ``run(task)`` returns (outcome, follow-up sequence),
-    and an Exception it raises is the outcome.  Tasks are distinct, hashable
-    and picklable to at most RECORD bytes (ValueError up front for an
-    initial one; a follow-up's error is its maker's outcome), and none is
-    None.  With ``fork`` false or one usable CPU nothing forks and tasks run
-    first in, first out.  A child's exception that cannot be pickled comes
-    back as its type name and text; a child that dies is a DumbbellError
-    naming its exit status or signal.  Every child is reaped before this
-    returns or raises, and killed first when the caller is interrupted."""
-    tasks, cpus, outcomes = list(tasks), _usable_cpus() if fork else [0], {}
-    records = [_record(task) for task in tasks]
+    """Run each of ``tasks`` as the first batch, and map every task run to
+    its outcome: ``run(task)`` returns it, and an Exception it raises is the
+    outcome.  Once every task queued has an outcome, the caller calls
+    ``then(outcomes)`` and queues the batch it returns; the run ends with an
+    empty batch.  Tasks are distinct across batches, hashable and picklable
+    to at most RECORD bytes (ValueError before their batch is queued), and
+    none is None.  With ``fork`` false or one usable CPU nothing forks and
+    tasks run first in, first out.  A child's exception that cannot be
+    pickled comes back as its type name and text; a child that dies is a
+    DumbbellError naming its exit status or signal.  Every child is reaped
+    before this returns or raises, and killed first when the caller is
+    interrupted."""
+    cpus, outcomes = _usable_cpus() if fork else [0], {}
+
+    def batch_of(tasks: Iterable[Hashable]) -> Tuple[List[Hashable], List[bytes]]:
+        tasks = list(tasks)
+        return tasks, [_record(task) for task in tasks]
+
+    batch, records = batch_of(tasks)
     if len(cpus) == 1:
-        waiting = deque(tasks)
-        while waiting:
-            task = waiting.popleft()
-            outcomes[task], follow, _ = _attempt(run, task)
-            waiting.extend(follow)
+        while batch:
+            outcomes.update((task, _attempt(run, task)) for task in batch)
+            batch, _ = batch_of(then(outcomes))
         return outcomes
     (queue, put), (lifeline, alive) = os.pipe(), os.pipe()
     for fd in (queue, put):
         os.set_blocking(fd, False)
-    made = set(tasks)  # the initial tasks and the follow-ups named by an outcome
     children: Dict[int, list] = {}  # read end of a child's pipe: [pid, task it runs]
     unforked = cpus[1:]  # a child that dies is not replaced
     try:
-        own = deque(_put(put, tasks, records))  # tasks the full pipe refused
-        while not made <= outcomes.keys():
-            ready = select.select(list(children), [], [], 0)[0]
-            done = [outcome for fd in ready for outcome in _receive(fd, children)]
-            if not ready:
-                try:
-                    task = own.popleft() if own else pickle.loads(os.read(queue, RECORD))
-                except BlockingIOError:
-                    select.select([queue, *children], [], [])
-                    continue
-                # the children fork once a task waits for them: a forked
-                # process pays for each page it first writes, and the
-                # caller's own first task (verify's one search) runs sooner
-                if unforked and select.select([queue], [], [], 0)[0]:
-                    _pin(cpus[:1])
-                    for cpu in unforked:
-                        read, write = os.pipe()
-                        pid = os.fork()
-                        if pid == 0:
-                            for fd in (alive, read, *children):
-                                os.close(fd)
-                            _child(run, queue, put, write, cpu, lifeline)
-                        os.close(write)
-                        children[read] = [pid, None]
-                    unforked = []
-                outcome, follow, records = _attempt(run, task)
-                done = [(task, outcome, follow, _put(put, follow, records))]
-            for task, outcome, follow, unqueued in done:
-                outcomes[task] = outcome
-                made.update(follow)
-                own.extend(unqueued)
+        while batch:
+            # own: the tasks the full pipe refused, which the caller runs
+            own, waiting = deque(_put(put, batch, records)), set(batch)
+            while not waiting <= outcomes.keys():
+                ready = select.select(list(children), [], [], 0)[0]
+                done = [outcome for fd in ready for outcome in _receive(fd, children)]
+                if not ready:
+                    try:
+                        task = own.popleft() if own else pickle.loads(os.read(queue, RECORD))
+                    except BlockingIOError:
+                        select.select([queue, *children], [], [])
+                        continue
+                    # the children fork once a task waits for them: a forked
+                    # process pays for each page it first writes, and the
+                    # caller's own first task (verify's one search) runs sooner
+                    if unforked and select.select([queue], [], [], 0)[0]:
+                        _pin(cpus[:1])
+                        for cpu in unforked:
+                            read, write = os.pipe()
+                            pid = os.fork()
+                            if pid == 0:
+                                for fd in (alive, read, put, *children):
+                                    os.close(fd)
+                                _child(run, queue, write, cpu, lifeline)
+                            os.close(write)
+                            children[read] = [pid, None]
+                        unforked = []
+                    done = [(task, _attempt(run, task))]
+                outcomes.update(done)
+            batch, records = batch_of(then(outcomes))
     except BaseException:
         import signal  # only here: a run that does not fail pays no import
 

@@ -417,6 +417,11 @@ class ContinuationReport:
     - ``ORDER-OUT-OF-BAND``: every rung converged, neither of the above;
     - ``FAILED-AT(eps)``: shooting raised on rung eps (``failure`` holds
       the error) and the ladder stopped there.
+
+    ``continuation_report`` builds it from the certificates and the
+    prediction.  In ``reproduce``, a reference class within ``newton_tol``
+    of a pipeline class is read from the pipeline's shots: its report is
+    built from their certificates and its own prediction.
     """
 
     prediction: SatelliteState
@@ -452,6 +457,54 @@ def epsilon_ladder(eps_list: Sequence[float]) -> Tuple[float, ...]:
     return ladder
 
 
+def continuation_report(
+    averaged_zero: Sequence[float],
+    spec: ResonanceSpec,
+    eps_list: Tuple[float, ...],
+    certificates: Sequence[OrbitCertificate],
+    failure: Optional[str] = None,
+) -> ContinuationReport:
+    """The report of a ladder on ``eps_list`` whose first rungs gave
+    ``certificates``, read against the prediction ``averaged_zero``: the
+    distances, orders and status that ``ContinuationReport`` describes.
+    ``failure``, the error's type name and text, ends the ladder on the
+    rung after the last certificate."""
+    predicted = np.asarray(plane_embed(averaged_zero, spec.mode), dtype=float)
+    states = [c.corrected_ic.as_array() for c in certificates]
+    distances = [float(np.linalg.norm(state - predicted)) for state in states]
+    pair_orders = [
+        math.log(da / db) / math.log(ea / eb) if min(ea, eb, da, db) > 0.0 else math.nan
+        for ea, eb, da, db in zip(eps_list, eps_list[1:], distances, distances[1:])
+    ]
+    valid = [(math.log(e), math.log(d)) for e, d in zip(eps_list, distances) if e > 0.0 and d > 0.0]
+    empirical_order = float(np.polyfit(*np.array(valid).T, 1)[0]) if len(valid) >= 2 else math.nan
+
+    if failure is not None:
+        status = f"FAILED-AT({eps_list[len(certificates)]:g})"
+    elif np.linalg.norm(predicted) > COLLAPSE_RADIUS and all(
+        np.linalg.norm(state) <= COLLAPSE_RADIUS for state in states
+    ):
+        status = "COLLAPSED-TO-EQUILIBRIUM"
+    elif math.isfinite(empirical_order) and not (
+        ORDER_BAND[0] <= empirical_order <= ORDER_BAND[1]
+    ):
+        status = "ORDER-OUT-OF-BAND"
+    else:
+        status = "PASS"
+
+    return ContinuationReport(
+        prediction=SatelliteState.from_sequence(predicted),
+        spec=spec,
+        eps_list=eps_list,
+        certificates=tuple(certificates),
+        distances=tuple(distances),
+        pair_orders=tuple(pair_orders),
+        empirical_order=empirical_order,
+        status=status,
+        failure=failure,
+    )
+
+
 def epsilon_continuation(
     rhs_for_eps: Callable[[float], Rhs],
     averaged_zero: Sequence[float],
@@ -461,7 +514,8 @@ def epsilon_continuation(
     integrator_tol: float = DEFAULT_INTEGRATOR_TOL,
 ) -> ContinuationReport:
     """Chase the predicted orbit down a descending epsilon ladder, to the
-    first rung where shooting fails, and report how it ended.
+    first rung where shooting fails, and report how it ended
+    (``continuation_report``).
 
     Each rung shoots with the previous corrected initial condition as the
     seed (the first rung starts from the zero-padded averaged zero), and
@@ -470,15 +524,11 @@ def epsilon_continuation(
     refuses raises ValueError before any shot.
     """
     eps_tuple = epsilon_ladder(eps_list)
-
-    predicted = np.asarray(plane_embed(averaged_zero, spec.mode), dtype=float)
+    guess = np.asarray(plane_embed(averaged_zero, spec.mode), dtype=float)
     period = spec.window
     certificates: List[OrbitCertificate] = []
-    distances: List[float] = []
     failure = None
-    status = "PASS"
 
-    guess = predicted.copy()
     jac0 = fundamental_matrix(period) - np.eye(4)  # J(0), about which rungs rescale
     for k, eps in enumerate(eps_tuple):
         last = certificates[-1].jacobian if certificates else None
@@ -493,54 +543,8 @@ def epsilon_continuation(
                 jacobian=start,
             )
         except DumbbellError as exc:
-            status = f"FAILED-AT({eps:g})"
             failure = f"{type(exc).__name__}: {exc}"
             break
-        corrected = cert.corrected_ic.as_array()
         certificates.append(cert)
-        distances.append(float(np.linalg.norm(corrected - predicted)))
-        guess = corrected
-
-    pair_orders: List[float] = []
-    for (ea, da), (eb, db) in zip(
-        zip(eps_tuple, distances), zip(eps_tuple[1:], distances[1:])
-    ):
-        if da > 0.0 and db > 0.0 and ea > 0.0 and eb > 0.0:
-            pair_orders.append(math.log(da / db) / math.log(ea / eb))
-        else:
-            pair_orders.append(float("nan"))
-
-    valid = [
-        (math.log(e), math.log(d))
-        for e, d in zip(eps_tuple, distances)
-        if e > 0.0 and d > 0.0
-    ]
-    if len(valid) >= 2:
-        xs = np.array([v[0] for v in valid])
-        ys = np.array([v[1] for v in valid])
-        empirical_order = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        empirical_order = float("nan")
-
-    if status == "PASS":
-        if np.linalg.norm(predicted) > COLLAPSE_RADIUS and all(
-            np.linalg.norm(c.corrected_ic.as_array()) <= COLLAPSE_RADIUS
-            for c in certificates
-        ):
-            status = "COLLAPSED-TO-EQUILIBRIUM"
-        elif math.isfinite(empirical_order) and not (
-            ORDER_BAND[0] <= empirical_order <= ORDER_BAND[1]
-        ):
-            status = "ORDER-OUT-OF-BAND"
-
-    return ContinuationReport(
-        prediction=SatelliteState.from_sequence(predicted),
-        spec=spec,
-        eps_list=eps_tuple,
-        certificates=tuple(certificates),
-        distances=tuple(distances),
-        pair_orders=tuple(pair_orders),
-        empirical_order=empirical_order,
-        status=status,
-        failure=failure,
-    )
+        guess = cert.corrected_ic.as_array()
+    return continuation_report(averaged_zero, spec, eps_tuple, certificates, failure)

@@ -505,7 +505,7 @@ class TestMainEntry:
     ids=["reproduce", "verify", "reproduce-c1"],
 )
 def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys, command, case):
-    # reproduce corollary2 runs 2 searches and 10 ladders, the linearized
+    # reproduce corollary2 runs 2 searches and 6 ladders, the linearized
     # verify of its reference field 1 search and 3 ladders, and reproduce
     # corollary1 2 searches and 2 ladders, whose shots end at the origin;
     # with P usable CPUs, P - 1 forked children share them with the caller
@@ -651,21 +651,84 @@ def test_a_torque_that_fails_to_linearize_fails_after_the_zeros_file(tmp_path, m
     assert runs[1] == runs[0]
 
 
+def test_a_reference_class_at_a_pipeline_zero_reads_the_pipeline_shots(tmp_path, monkeypatch):
+    # corollary2's reference classes at (1.2808, 0) and (-0.7808, 0) lie
+    # within newton_tol of the pipeline's; each reads the pipeline ladder's
+    # certificates against its own zero, and only class 1 is shot
+    with cli.resources.as_file(cli.bundled_config_path("corollary2")) as p:
+        config = cli.load_config(p)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    searches = {"pipeline": ("pipeline", tmp_path / "p.csv"),
+                "reference": ("printed-reference", tmp_path / "r.csv")}
+    groups, ladders = cli._solve_and_shoot(config, searches, "corollary2", cli._VERIFY_SYSTEMS)
+    zeros = {label: [tuple(float(v) for v in group[0].location) for group in groups[label]]
+             for label in groups}
+    for system in cli._VERIFY_SYSTEMS:
+        shared = []
+        for idx, report in ladders["reference", system].items():
+            zero = zeros["reference"][idx]
+            twin = [j for j, z in enumerate(zeros["pipeline"])
+                    if math.dist(z, zero) <= config.newton_tol]
+            assert report.prediction == dynamics.SatelliteState.from_sequence(
+                dynamics.plane_embed(zero, config.mode))
+            if not twin:
+                continue
+            shot = ladders["pipeline", system][twin[0]]
+            assert report.certificates is shot.certificates
+            assert repr(report) == repr(shooting.continuation_report(
+                zero, config.spec, shot.eps_list, shot.certificates, shot.failure))
+            shared.append(idx)
+        assert shared == [0, 2]
+
+
+def test_zeros_apart_by_more_than_newton_tol_are_shot_apart():
+    tol = DEFAULT_NEWTON_TOL
+    first = ("pipeline", "full", 0, (1.0, 0.0))
+    apart = ("reference", "full", 0, (1.0 + 10 * tol, 0.0))
+    within = ("reference", "full", 1, (1.0, 0.5 * tol))
+    near_apart = ("reference", "full", 2, (1.0 + 10.5 * tol, 0.0))
+    other_system = ("reference", "linearized", 0, (1.0, 0.0))
+    assert cli._shared_shots([first, apart, within, near_apart, other_system], tol) == {
+        first: first, apart: apart, within: first, near_apart: apart, other_system: other_system
+    }
+
+
+@pytest.mark.parametrize("failing", ["pipeline", "reference"])
+def test_a_failed_search_plans_no_ladder(tmp_path, monkeypatch, capsys, failing):
+    cfg = write(tmp_path, small_corollary2())
+    search, shot = cli.multistart_zeros, []
+
+    def searched(fld, *args, **kwargs):
+        if isinstance(fld, averaging.AveragedField) == (failing == "pipeline"):
+            raise cli.DumbbellError(f"{failing} search")
+        return search(fld, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "multistart_zeros", searched)
+    monkeypatch.setattr(cli, "epsilon_continuation", lambda **job: shot.append(job))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.main(["reproduce", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"numerical failure in stage 'reproduce': {failing} search\n")
+    assert shot == []
+
+
 @pytest.mark.parametrize(
-    "argv, extra, points, quadrature, integrations, builds",
+    "argv, extra, points, quadrature, integrations, builds, ladders",
     [
-        (["reproduce", "corollary1"], "", 52_720, 32, 36, 6),
-        (["reproduce", "corollary2"], "", 23_844, 36, 160, 22),
-        (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 0, 0, 30, 3),
+        (["reproduce", "corollary1"], "", 52_720, 32, 36, 6, 2),
+        (["reproduce", "corollary2"], "", 23_844, 36, 86, 12, 6),
+        (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 0, 0, 30, 3, 3),
     ],
     ids=["reproduce-c1", "reproduce-c2", "verify-lin-c2"],
 )
 def test_the_benchmark_workloads_keep_their_shooting_cost(
-    tmp_path, monkeypatch, argv, extra, points, quadrature, integrations, builds
+    tmp_path, monkeypatch, argv, extra, points, quadrature, integrations, builds, ladders
 ):
     # the benchmark workloads, counted in one process on one CPU: at most
     # these averaged-field points, points integrated by quadrature,
-    # integrations and Jacobian builds (verify-lin-c2 took 124 and 23 when
+    # integrations and Jacobian builds, and these ladders (reproduce-c2 took
+    # 160 integrations, 22 builds and 10 ladders when each field shot its
+    # own; verify-lin-c2 took 124 and 23 when
     # every Newton step built one, and 74 and 9 when a shot stopped only once
     # ||P|| grew tenfold; reproduce-c1 189 and 36 when its ladders chased the
     # origin step by step); a field built or searched twice would show in the
@@ -697,11 +760,14 @@ def test_the_benchmark_workloads_keep_their_shooting_cost(
         return quadrature_rows(f, period, tol, count)
 
     monkeypatch.setattr(averaging, "_quadrature_rows", quadrature_counted)
+    shoot, shot = cli.epsilon_continuation, []
+    monkeypatch.setattr(cli, "epsilon_continuation", lambda **job: shot.append(1) or shoot(**job))
     assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert sum(evaluated) <= points
     assert sum(integrated) <= quadrature
     assert counts["integrate"] <= integrations
     assert counts["displacement_jacobian"] <= builds
+    assert len(shot) == ladders
 
 
 def zero_group(location, det, classification):

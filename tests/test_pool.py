@@ -1,6 +1,6 @@
-"""The task pool: outcomes in any process, follow-up tasks, the order of
-failures, children that die, an interrupted caller and what a run leaves
-behind."""
+"""The task pool: outcomes in any process, batches planned by the caller,
+the order of failures, children that die, an interrupted caller and what a
+run leaves behind."""
 
 import os
 import pickle
@@ -46,7 +46,7 @@ def raising(exc):
 def ladders(jobs):
     """``epsilon_continuation(**job)`` of each job, run as the pool's tasks:
     the reports in job order, or the lowest-index job's exception raised."""
-    outcomes = pool.run_tasks(range(len(jobs)), lambda i: (da.epsilon_continuation(**jobs[i]), ()))
+    outcomes = pool.run_tasks(range(len(jobs)), lambda i: da.epsilon_continuation(**jobs[i]))
     return [pool.settled(outcomes[i]) for i in range(len(jobs))]
 
 
@@ -55,6 +55,12 @@ def wait_for(path, seconds=30.0):
     deadline = time.monotonic() + seconds
     while not path.exists() and time.monotonic() < deadline:
         time.sleep(0.001)
+
+
+def then_once(batch):
+    """A ``then`` that plans ``batch`` after the first batch and nothing after that."""
+    batches = [list(batch)]
+    return lambda outcomes: batches.pop() if batches else []
 
 
 def in_a_child(tmp_path, act):
@@ -137,43 +143,81 @@ class TestRunTasks:
             # the caller keeps to the first CPU while its children run
             assert self.pins[-2:] == [[0], list(range(n))]
 
-    def test_one_cpu_runs_each_task_in_order_follow_ups_last(self, cpus):
-        ran, follow = [], {"a": ["a1"], "b": ["b1", "b2"]}
+    def test_one_cpu_runs_each_batch_in_order(self, cpus):
+        ran = []
 
         def run(task):
             ran.append(task)
-            return task.upper(), follow.get(task, [])
+            return task.upper()
 
         cpus(1)
-        outcomes = pool.run_tasks(["a", "b"], run)
+        outcomes = pool.run_tasks(["a", "b"], run, then_once(["a1", "b1", "b2"]))
         assert ran == ["a", "b", "a1", "b1", "b2"]
         assert outcomes == {task: task.upper() for task in ran}
 
     def test_nothing_forks_while_no_task_waits_for_another_process(self, cpus, monkeypatch):
         # the caller forks once, holding a task, it sees another queued; each
-        # task here makes one follow-up, so no two ever wait at once
+        # batch here is one task, so no two ever wait at once
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
         cpus(2)
-        run = lambda task: (task, [task + 1] if task < 3 else [])
-        assert pool.run_tasks([0], run) == {0: 0, 1: 1, 2: 2, 3: 3}
+        then = lambda outcomes: [len(outcomes)] if len(outcomes) < 4 else []
+        assert pool.run_tasks([0], lambda task: task, then) == {0: 0, 1: 1, 2: 2, 3: 3}
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_every_task_and_follow_up_comes_back_once(self, cpus, n):
-        # a follow-up can be done before its maker's outcome reaches the caller
+    def test_every_task_of_every_batch_comes_back_once(self, cpus, n):
         def run(task):
-            if task[0] == "first":
-                return os.getpid(), [("next", task[1], k) for k in range(3)]
-            return task[1] * 3 + task[2], ()
+            return os.getpid() if task[0] == "first" else task[1] * 3 + task[2]
 
         cpus(n)
-        outcomes = pool.run_tasks([("first", i) for i in range(20)], run)
+        planned = [("next", i, k) for i in range(20) for k in range(3)]
+        outcomes = pool.run_tasks([("first", i) for i in range(20)], run, then_once(planned))
         assert {t: v for t, v in outcomes.items() if t[0] == "next"} == {
             ("next", i, k): 3 * i + k for i in range(20) for k in range(3)
         }
         assert len(outcomes) == 80
+
+    def test_then_runs_in_the_caller_once_per_batch(self, cpus, tmp_path):
+        # each call of then is written to a file, so a call in a child would show
+        calls, log = [], tmp_path / "then"
+
+        def then(outcomes):
+            with log.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+            calls.append(sorted(outcomes))
+            return [len(outcomes) + k for k in range(3)] if len(outcomes) < 9 else []
+
+        cpus(2)
+        outcomes = pool.run_tasks(range(3), lambda task: -task, then)
+        assert outcomes == {task: -task for task in range(9)}
+        assert calls == [[0, 1, 2], list(range(6)), list(range(9))]
+        assert log.read_text().split() == [str(os.getpid())] * 3
+
+    def test_one_fork_serves_every_batch(self, cpus, tmp_path, monkeypatch):
+        # each task of a batch holds its process until two processes have
+        # begun one, so the child forked for the first batch runs one task
+        # of each batch
+        fork, forks, batch = os.fork, [], [0]
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+
+        def run(task):
+            (tmp_path / f"{task[0]}-{os.getpid()}").touch()
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.glob(f"{task[0]}-*"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return os.getpid()
+
+        def then(outcomes):
+            batch[0] += 1
+            return [(batch[0], k) for k in range(2)] if batch[0] < 2 else []
+
+        cpus(2)
+        outcomes = pool.run_tasks([(0, k) for k in range(2)], run, then)
+        assert len(forks) == 1
+        pids = [{outcomes[b, k] for k in range(2)} for b in range(2)]
+        assert pids[0] == pids[1] and os.getpid() in pids[0] and len(pids[0]) == 2
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_task_longer_than_a_record_is_refused(self, cpus, n):
@@ -185,46 +229,19 @@ class TestRunTasks:
             pool.run_tasks(["first", "x" * pool.RECORD], run)
 
     @pytest.mark.parametrize("bad", [lambda: None, "x" * pool.RECORD], ids=["unpicklable", "long"])
-    @pytest.mark.parametrize("n, maker", [(1, "A"), (2, "A"), (2, "B")])
-    def test_a_follow_up_that_cannot_be_queued_is_its_makers_outcome(
-        self, cpus, tmp_path, bad, n, maker
-    ):
-        # with two CPUs, A runs in the caller and B in the child: A waits
-        # for B's marker
-        marker = tmp_path / "B-started"
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_planned_task_that_cannot_be_queued_is_refused(self, cpus, bad, n):
+        # nothing of the refused batch runs, and no child outlives the run
+        ran = []
 
         def run(task):
-            if task == "A" and n > 1:
-                wait_for(marker)
-            marker.touch()
-            return task, ["queued", bad] if task == maker else ()
+            ran.append(task)
+            return task
 
         cpus(n)
-        outcomes = pool.run_tasks(["A", "B"], run)
-        error, other = outcomes.pop(maker), "B" if maker == "A" else "A"
-        assert isinstance(error, (pickle.PicklingError, ValueError)), error
-        assert "pickle" in str(error)
-        assert outcomes == {other: other}  # nothing of the maker's was queued
-
-    def test_a_follow_up_runs_while_an_earlier_task_still_runs(self, cpus, tmp_path):
-        # A holds the caller until B's follow-up, run in the child, writes
-        # the marker; a runner that starts follow-ups only once every first
-        # task is done would wait out A's 30 s
-        marker = tmp_path / "marker"
-
-        def run(task):
-            if task == "A":
-                wait_for(marker)
-                return marker.exists(), ()
-            if task == "B":
-                return "B", ["B2"]
-            marker.touch()
-            return "B2", ()
-
-        cpus(2)
-        started = time.monotonic()
-        assert pool.run_tasks(["A", "B"], run) == {"A": True, "B": "B", "B2": "B2"}
-        assert time.monotonic() - started < 10
+        with pytest.raises(ValueError, match="pickle"):
+            pool.run_tasks(["A", "B"], run, then_once(["queued", bad]))
+        assert "queued" not in ran
 
     @pytest.mark.parametrize(
         "failing, expected",
@@ -285,30 +302,29 @@ class TestRunTasks:
             ladders(jobs)
 
     @pytest.mark.parametrize(
-        "outcome, follow, error, text",
+        "outcome, text",
         [
-            (ExitWhenSent(), ["C1", "C2"], da.DumbbellError, "exited with status 7 without a result"),
-            (lambda: None, ["C1", "C2"], da.DumbbellError, "exited with status 1 without a result"),
-            ("B", ["C1", "C2", "x" * pool.RECORD], ValueError, "pickles to more than 512 bytes"),
+            (ExitWhenSent(), "exited with status 7 without a result"),
+            (lambda: None, "exited with status 1 without a result"),
         ],
-        ids=["dies-when-sent", "unpicklable", "long-follow-up"],
+        ids=["dies-when-sent", "unpicklable"],
     )
     def test_a_child_that_dies_before_it_reports_holds_no_run_open(
-        self, cpus, tmp_path, outcome, follow, error, text
+        self, cpus, tmp_path, outcome, text
     ):
-        # B runs in the child (A waits for its marker) and may queue C1 and
-        # C2 and then die before its outcome, which names them, is sent
+        # B runs in the child (A waits for its marker) and dies before its
+        # outcome is sent; the batch ends, and the caller runs the next
         marker = tmp_path / "B-started"
 
         def run(task):
             if task == "A":
                 wait_for(marker)
                 time.sleep(0.3)
-                return "A", ["E1", "E2"]
+                return "A"
             if task == "B":
                 marker.touch()
-                return outcome, follow
-            return task, ()
+                return outcome
+            return task
 
         def hang(signum, frame):
             raise TimeoutError("run_tasks still waits")
@@ -317,12 +333,12 @@ class TestRunTasks:
         previous, started = signal.signal(signal.SIGALRM, hang), time.monotonic()
         signal.alarm(30)
         try:
-            outcomes = pool.run_tasks(["A", "B"], run)
+            outcomes = pool.run_tasks(["A", "B"], run, then_once(["E1", "E2"]))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 10
-        assert isinstance(outcomes["B"], error)
+        assert isinstance(outcomes["B"], da.DumbbellError)
         assert text in str(outcomes["B"])
         assert {task: outcomes[task] for task in ("A", "E1", "E2")} == {
             "A": "A", "E1": "E1", "E2": "E2"
@@ -333,35 +349,20 @@ class TestRunTasks:
         # the pipe holds 128 records; the caller runs the rest itself
         cpus(2)
         before = sorted(os.listdir("/proc/self/fd"))
-        assert pool.run_tasks(range(200), lambda task: (task * task, ())) == {
+        assert pool.run_tasks(range(200), lambda task: task * task) == {
             task: task * task for task in range(200)
         }
         assert sorted(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
-    def test_follow_ups_past_what_the_pipe_holds_all_run(self, cpus, tmp_path):
-        # the caller holds the first task until the child has run the other
-        # 19, whose 190 follow-ups overflow the pipe's 128 records: the child
-        # names the ones it could not queue, and the caller runs them
-        caller = os.getpid()
-
-        def run(task):
-            if task[0] == "next":
-                return 10 * task[1] + task[2], ()
-            if os.getpid() == caller:
-                deadline = time.monotonic() + 30
-                while len(list(tmp_path.iterdir())) < 19 and time.monotonic() < deadline:
-                    time.sleep(0.001)
-            (tmp_path / str(task[1])).touch()
-            return os.getpid(), [("next", task[1], k) for k in range(10)]
-
+    def test_planned_tasks_past_what_the_pipe_holds_all_run(self, cpus):
+        # 200 planned tasks overflow the pipe's 128 records; the caller runs the rest
         cpus(2)
         before = sorted(os.listdir("/proc/self/fd"))
-        outcomes = pool.run_tasks([("first", i) for i in range(20)], run)
+        planned = [("next", k) for k in range(200)]
+        outcomes = pool.run_tasks(["A", "B"], lambda task: task, then_once(planned))
         assert sorted(os.listdir("/proc/self/fd")) == before
-        ran_by = [outcomes.pop(("first", i)) for i in range(20)]
-        assert ran_by[0] == caller and caller not in ran_by[1:]
-        assert outcomes == {("next", i, k): 10 * i + k for i in range(20) for k in range(10)}
+        assert outcomes == {task: task for task in ["A", "B", *planned]}
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
     @pytest.mark.parametrize("end", ["done", "killed", "refused"])
@@ -375,7 +376,7 @@ class TestRunTasks:
                 marker.touch()
                 if end == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
-            return task, ()
+            return task
 
         tasks = ["A", "B"] + (["x" * pool.RECORD] if end == "refused" else [])
         cpus(2)
