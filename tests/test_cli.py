@@ -728,10 +728,10 @@ def test_the_benchmark_workloads_keep_their_shooting_cost(
     # these averaged-field points, points integrated by quadrature,
     # integrations and Jacobian builds, and these ladders (reproduce-c2 took
     # 160 integrations, 22 builds and 10 ladders when each field shot its
-    # own; verify-lin-c2 took 124 and 23 when
-    # every Newton step built one, and 74 and 9 when a shot stopped only once
-    # ||P|| grew tenfold; reproduce-c1 189 and 36 when its ladders chased the
-    # origin step by step); a field built or searched twice would show in the
+    # own; verify-lin-c2 took 124 and 23 when every Newton step built one,
+    # and 74 and 9 when a shot stopped only once ||P|| grew tenfold;
+    # reproduce-c1 189 and 36 when its ladders chased the origin step by
+    # step); a field built or searched twice would show in the
     # points, and a field integrated at every point (52,720 and 23,844) in
     # the quadrature, which recovers each pipeline polynomial in one batch
     case = "corollary1" if "corollary1" in argv else "corollary2"
