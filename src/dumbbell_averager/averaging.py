@@ -186,10 +186,9 @@ class AveragedField:
 
     def evaluate(self, alpha) -> np.ndarray:
         a = np.asarray(alpha, dtype=float)
-        single = a.ndim == 1
-        pts = np.atleast_2d(a)
-        if pts.shape[1] != 2:
+        if a.ndim not in (1, 2) or a.shape[-1] != 2:
             raise ValueError(f"alpha must have 2 components, got shape {a.shape}")
+        single, pts = a.ndim == 1, np.atleast_2d(a)
         if not len(pts):
             return np.empty((0, 2))
         if self._terms is None:

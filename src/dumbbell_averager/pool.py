@@ -4,14 +4,16 @@ batches of tasks, each planned in the caller from the outcomes before it.
 The caller and P - 1 children, each pinned to its own CPU, take the next
 task whenever they are free from one shared pipe of pickled records of
 RECORD bytes; a write of at most PIPE_BUF bytes is atomic, so each read
-takes a whole record.  Only the caller queues tasks there, in order, and
-the children fork once the caller, holding a task, sees another waiting;
-they serve every later batch.  A task that finds the pipe full runs in the
-caller instead, from a deque of its own.  A child sends each task it takes,
-then its outcome, over a pipe of its own, which the caller reads between
-its tasks.  A batch ends once each of its tasks has an outcome, so a child
-that dies before it reports holds no run open; the caller then plans the
-next batch, and the run ends with an empty one.
+takes a whole record.  Only the caller queues tasks there: a batch's
+records wait in order in a backlog, which the caller writes into the pipe
+as far as it holds before it takes each task of its own.  The children
+fork once the caller, holding a task, sees another waiting; they serve
+every later batch, and leave at the end of the pipe, once the caller has
+closed its write end.  A child sends each task it takes, then its outcome,
+over a pipe of its own, which the caller reads between its tasks.  A batch
+ends once each of its tasks has an outcome, so a child that dies before it
+reports holds no run open; the caller then plans the next batch, and the
+run ends with an empty one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import pickle
 import select
 from collections import deque
-from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Callable, Deque, Dict, Hashable, Iterable, List, Sequence
 
 from .errors import DumbbellError
 
@@ -77,15 +79,15 @@ def _attempt(run: Callable, task: Hashable) -> object:
         return exc
 
 
-def _put(put: int, tasks: Sequence[Hashable], records: List[bytes]) -> List[Hashable]:
-    """Queue each task's record at ``put``, in order, and return the tasks
-    not queued once the pipe is full."""
-    for i, record in enumerate(records):
+def _fill(put: int, backlog: Deque[bytes]) -> None:
+    """Queue the records of ``backlog`` at ``put``, in order, until it is
+    empty or the pipe is full."""
+    while backlog:
         try:
-            os.write(put, record)
+            os.write(put, backlog[0])
         except BlockingIOError:
-            return list(tasks[i:])
-    return []
+            return
+        backlog.popleft()
 
 
 def settled(outcome: object) -> object:
@@ -113,9 +115,9 @@ def _send(pipe, message: object) -> None:
     pipe.flush()
 
 
-def _child(run: Callable, queue: int, results: int, cpu: int, lifeline: int) -> None:
-    """Forked child: on ``cpu``, run tasks from ``queue`` until the caller
-    closes the write end of ``lifeline``, sending over ``results`` each task
+def _child(run: Callable, queue: int, results: int, cpu: int) -> None:
+    """Forked child: on ``cpu``, run tasks from ``queue`` until it ends, once
+    the caller has closed its write end, sending over ``results`` each task
     before it runs it and its outcome after; leave with os._exit, status 0
     only then.
     Once the caller has gone a send fails, so no further task starts."""
@@ -125,12 +127,14 @@ def _child(run: Callable, queue: int, results: int, cpu: int, lifeline: int) -> 
         with os.fdopen(results, "wb") as pipe:
             while True:
                 try:  # BlockingIOError also when another process took the record
-                    task = pickle.loads(os.read(queue, RECORD))
+                    record = os.read(queue, RECORD)
                 except BlockingIOError:
-                    if lifeline in select.select([queue, lifeline], [], [])[0]:
-                        status = 0
-                        break
+                    select.select([queue], [], [])
                     continue
+                if not record:
+                    status = 0
+                    break
+                task = pickle.loads(record)
                 _send(pipe, task)
                 outcome = _attempt(run, task)
                 _send(pipe, _portable(outcome) if isinstance(outcome, Exception) else outcome)
@@ -170,39 +174,29 @@ def run_tasks(
     ``then(outcomes)`` and queues the batch it returns; the run ends with an
     empty batch.  Tasks are distinct across batches, hashable and picklable
     to at most RECORD bytes (ValueError before their batch is queued), and
-    none is None.  With ``fork`` false or one usable CPU nothing forks and
-    tasks run first in, first out.  A child's exception that cannot be
-    pickled comes back as its type name and text; a child that dies is a
-    DumbbellError naming its exit status or signal.  Every child is reaped
-    before this returns or raises, and killed first when the caller is
-    interrupted."""
+    none is None.  Each process starts its tasks first in, first out; with
+    ``fork`` false or one usable CPU nothing forks, and the caller runs
+    every task.  A child's exception that cannot be pickled comes back as
+    its type name and text; a child that dies is a DumbbellError naming its
+    exit status or signal.  Every child is reaped before this returns or
+    raises, and killed first when the caller is interrupted."""
     cpus, outcomes = _usable_cpus() if fork else [0], {}
-
-    def batch_of(tasks: Iterable[Hashable]) -> Tuple[List[Hashable], List[bytes]]:
-        tasks = list(tasks)
-        return tasks, [_record(task) for task in tasks]
-
-    batch, records = batch_of(tasks)
-    if len(cpus) == 1:
-        while batch:
-            outcomes.update((task, _attempt(run, task)) for task in batch)
-            batch, _ = batch_of(then(outcomes))
-        return outcomes
-    (queue, put), (lifeline, alive) = os.pipe(), os.pipe()
+    queue, put = os.pipe()
     for fd in (queue, put):
         os.set_blocking(fd, False)
     children: Dict[int, list] = {}  # read end of a child's pipe: [pid, task it runs]
     unforked = cpus[1:]  # a child that dies is not replaced
     try:
+        batch = list(tasks)
         while batch:
-            # own: the tasks the full pipe refused, which the caller runs
-            own, waiting = deque(_put(put, batch, records)), set(batch)
+            backlog, waiting = deque([_record(task) for task in batch]), set(batch)
             while not waiting <= outcomes.keys():
+                _fill(put, backlog)
                 ready = select.select(list(children), [], [], 0)[0]
                 done = [outcome for fd in ready for outcome in _receive(fd, children)]
                 if not ready:
                     try:
-                        task = own.popleft() if own else pickle.loads(os.read(queue, RECORD))
+                        task = pickle.loads(os.read(queue, RECORD))
                     except BlockingIOError:
                         select.select([queue, *children], [], [])
                         continue
@@ -215,15 +209,15 @@ def run_tasks(
                             read, write = os.pipe()
                             pid = os.fork()
                             if pid == 0:
-                                for fd in (alive, read, put, *children):
+                                for fd in (read, put, *children):
                                     os.close(fd)
-                                _child(run, queue, write, cpu, lifeline)
+                                _child(run, queue, write, cpu)
                             os.close(write)
                             children[read] = [pid, None]
                         unforked = []
                     done = [(task, _attempt(run, task))]
                 outcomes.update(done)
-            batch, records = batch_of(then(outcomes))
+            batch = list(then(outcomes))
     except BaseException:
         import signal  # only here: a run that does not fail pays no import
 
@@ -231,11 +225,11 @@ def run_tasks(
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.close(alive)  # idle children see the lifeline end and leave
+        os.close(put)  # idle children read the end of the queue and leave
         for fd, (pid, _) in children.items():
             os.close(fd)
             os.waitpid(pid, 0)
-        for fd in (queue, put, lifeline):
-            os.close(fd)
-        _pin(cpus)
+        os.close(queue)
+        if len(cpus) > 1:  # the caller was pinned only if it could fork
+            _pin(cpus)
     return outcomes

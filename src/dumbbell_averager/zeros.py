@@ -71,13 +71,17 @@ class ZeroSearchDomain:
 
     def contains(self, point: Sequence[float]) -> Union[bool, np.ndarray]:
         """Whether ``point`` (2,), or each row of (k, 2), lies in the annulus by
-        ``math.hypot``'s radius; numpy's decides rows 1e-12 relative off both bounds."""
-        rows = np.atleast_2d(np.asarray(point, dtype=float))
+        ``math.hypot``'s radius; numpy's decides rows 1e-12 relative off both
+        bounds.  ValueError for a point of any other shape."""
+        point = np.asarray(point, dtype=float)
+        if point.ndim not in (1, 2) or point.shape[-1] != 2:
+            raise ValueError(f"point must have 2 components, got shape {point.shape}")
+        rows = np.atleast_2d(point)
         r = np.hypot(rows[:, 0], rows[:, 1])
         near = np.isclose(r[:, None], [self.r1, self.r2], rtol=1e-12, atol=0.0).any(axis=1)
         r[near] = [math.hypot(x, y) for x, y in rows[near].tolist()]
         inside = (self.r1 <= r) & (r <= self.r2)
-        return bool(inside[0]) if np.ndim(point) == 1 else inside
+        return bool(inside[0]) if point.ndim == 1 else inside
 
 
 @dataclass(frozen=True)

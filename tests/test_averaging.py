@@ -401,3 +401,10 @@ class TestPolynomialRoute:
             want = raised(lambda: quadrature.evaluate(pts))
             assert want is not None and raised(lambda: fld.evaluate(pts)) == want
         assert fld._terms
+
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("degrees", [..., None], ids=["polynomial", "quadrature"])
+    def test_both_routes_refuse_points_of_another_shape(self, degrees, shape):
+        fld = pipeline_field("corollary2", degrees)
+        with pytest.raises(ValueError, match="alpha must have 2 components"):
+            fld.evaluate(np.full(shape, 0.5))

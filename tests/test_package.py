@@ -92,6 +92,33 @@ def test_no_module_imports_another_modules_private_names():
     assert imported == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # pyflakes' rule, by an ast walk; a word of a string that is not a
+    # docstring counts as a use, for __all__ and for the source templates
+    # that generated code runs from
+    package = Path(da.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+            word
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings
+            for word in re.findall(r"\w+", node.value)
+        }
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
 def test_every_exception_class_is_raised_somewhere():
     # an error that nothing constructs is a name without meaning; the text is
     # searched, since generated code raises from inside source templates

@@ -2,6 +2,7 @@
 the order of failures, children that die, an interrupted caller and what a
 run leaves behind."""
 
+import itertools
 import os
 import pickle
 import signal
@@ -77,6 +78,22 @@ def in_a_child(tmp_path, act):
             act()
 
     return either
+
+
+def starts_by_process(tasks):
+    """Run ``tasks``, each of which sleeps about 2 ms, and map each process
+    to the tasks it started, in the order it started them."""
+    count = itertools.count()  # each forked copy counts on in its own process
+
+    def run(task):
+        start = next(count)
+        time.sleep(0.002)
+        return os.getpid(), start
+
+    starts = {}
+    for task, (pid, _) in sorted(pool.run_tasks(tasks, run).items(), key=lambda item: item[1][1]):
+        starts.setdefault(pid, []).append(task)
+    return starts
 
 
 class ExitWhenSent:
@@ -344,9 +361,39 @@ class TestRunTasks:
             "A": "A", "E1": "E1", "E2": "E2"
         }
 
+    def test_one_cpu_starts_a_batch_past_what_the_pipe_holds_in_order(self, cpus):
+        cpus(1)
+        assert starts_by_process(range(200)) == {os.getpid(): list(range(200))}
+
+    def test_two_cpus_share_a_batch_past_what_the_pipe_holds_in_order(self, cpus):
+        # each process takes the tasks in the pipe's order, and the child
+        # takes tasks the first 128 records left in the caller's backlog
+        cpus(2)
+        starts = starts_by_process(range(200))
+        assert len(starts) == 2 and sorted(sum(starts.values(), [])) == list(range(200))
+        assert all(tasks == sorted(tasks) for tasks in starts.values())
+        (child,) = [tasks for pid, tasks in starts.items() if pid != os.getpid()]
+        assert max(child) >= 128
+
+    def test_a_clean_run_reaps_every_child_with_status_0(self, cpus, monkeypatch):
+        # the children leave at the end of the queue, once the caller closes it
+        waitpid, codes = os.waitpid, []
+
+        def reap(pid, options):
+            reaped = waitpid(pid, options)
+            codes.append(os.waitstatus_to_exitcode(reaped[1]))
+            return reaped
+
+        monkeypatch.setattr(os, "waitpid", reap)
+        cpus(2)
+        assert pool.run_tasks(range(20), lambda task: time.sleep(0.002) or -task) == {
+            task: -task for task in range(20)
+        }
+        assert codes == [0]
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
     def test_initial_tasks_past_what_the_pipe_holds_all_run(self, cpus):
-        # the pipe holds 128 records; the caller runs the rest itself
+        # the pipe holds 128 records; the rest wait in the caller's backlog
         cpus(2)
         before = sorted(os.listdir("/proc/self/fd"))
         assert pool.run_tasks(range(200), lambda task: task * task) == {
@@ -356,7 +403,7 @@ class TestRunTasks:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
     def test_planned_tasks_past_what_the_pipe_holds_all_run(self, cpus):
-        # 200 planned tasks overflow the pipe's 128 records; the caller runs the rest
+        # 200 planned tasks overflow the pipe's 128 records; the rest wait in the backlog
         cpus(2)
         before = sorted(os.listdir("/proc/self/fd"))
         planned = [("next", k) for k in range(200)]

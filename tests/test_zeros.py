@@ -450,6 +450,11 @@ class TestAxisAndAnnulus:
         assert 0 < sum(want) < len(want)
         assert domain.contains(np.empty((0, 2))).tolist() == []
 
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (2, 2, 2)])
+    def test_contains_refuses_points_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="point must have 2 components"):
+            da.ZeroSearchDomain(r1=0.05, r2=5.0).contains(np.full(shape, 0.5))
+
 
 def real_zeros(pair, symbols):
     """The real zeros of a polynomial pair, as floats: those of the pair with
