@@ -28,7 +28,7 @@ print(f"prediction: plane point ({zero[0]:+.6f}, {zero[1]:+.6f}) on the "
       f"{case.spec.mode.value} plane, period {case.spec.window:.6f}")
 
 print("\n-- single shot on the linearized system at eps = 1e-3 --")
-rhs = da.make_first_order_rhs(1e-3, lin)
+rhs = da.linearized_system(lin)(1e-3)
 guess = da.plane_embed(zero, case.spec.mode)
 cert = da.shoot_periodic(rhs, guess, case.spec.window)
 moved = np.linalg.norm(cert.corrected_ic.as_array() - np.array(guess))
@@ -37,15 +37,13 @@ print(f"  displacement : {cert.displacement_norm:.2e} after {cert.newton_iters} 
 print(f"  moved by     : {moved:.3e} (order eps, as averaging predicts)")
 
 print("\n-- epsilon ladder on the linearized system --")
-factory = lambda eps: da.make_first_order_rhs(eps, lin)
-rep = da.epsilon_continuation(factory, zero, case.spec, eps_ladder)
+rep = da.epsilon_continuation(da.linearized_system(lin), zero, case.spec, eps_ladder)
 for eps, d in zip(rep.eps_list, rep.distances):
     print(f"  eps={eps:8.0e}  distance to prediction {d:.6e}")
 print(f"  status {rep.status}, empirical order {rep.empirical_order:.3f}")
 
 print("\n-- same ladder on the full nonlinear system --")
-factory = lambda eps: da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=eps))
-rep = da.epsilon_continuation(factory, zero, case.spec, eps_ladder)
+rep = da.epsilon_continuation(da.full_system(f1, f2), zero, case.spec, eps_ladder)
 for eps, d in zip(rep.eps_list, rep.distances):
     print(f"  eps={eps:8.0e}  distance to prediction {d:.6e}")
 if rep.certificates:

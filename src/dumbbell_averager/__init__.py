@@ -12,15 +12,14 @@ from .dynamics import (
     T1,
     T2,
     Mode,
-    PerturbSetup,
     ResonanceSpec,
     SatelliteState,
     closed_form_solution,
     first_order_rhs,
     full_rhs,
+    full_system,
     fundamental_matrix,
-    make_first_order_rhs,
-    make_full_rhs,
+    linearized_system,
     monodromy_gap,
     plane_embed,
     unperturbed_rhs,
@@ -64,7 +63,6 @@ __all__ = [
     "LinearizedTorque",
     "Mode",
     "NoConvergenceError",
-    "PerturbSetup",
     "ResonanceSpec",
     "SatelliteState",
     "SingularJacobianError",
@@ -81,13 +79,13 @@ __all__ = [
     "extract_linearized",
     "first_order_rhs",
     "full_rhs",
+    "full_system",
     "fundamental_matrix",
     "group_orbit_classes",
     "integrate",
     "jacobian2d",
     "linearized_perturbation",
-    "make_first_order_rhs",
-    "make_full_rhs",
+    "linearized_system",
     "malkin_average",
     "monodromy_gap",
     "multistart_zeros",

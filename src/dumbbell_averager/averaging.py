@@ -35,7 +35,7 @@ import numpy as np
 
 from .dynamics import Mode, ResonanceSpec, closed_form_solution, monodromy_gap, plane_flow
 from .errors import NoConvergenceError
-from .torques import LinearizedTorque
+from .torques import OVERFLOW_MESSAGE, DomainError, LinearizedTorque
 
 #: node-doubling starts here ...
 QUAD_START_NODES = 16
@@ -59,7 +59,8 @@ def _quadrature_rows(
     Composite trapezoid from N=16 nodes; for a periodic integrand the
     endpoint weights merge, so each estimate is a plain mean of uniformly
     spaced samples times the period.  ``f(t, idx)`` maps sample times (n,)
-    and point indices (k,) to values (k, rows, n).  Each point stops at the
+    and point indices (k,) to values (k, rows, n); a sum that is not finite
+    raises DomainError, as a torque does.  Each point stops at the
     first doubling where every row's estimate moved by less than
     tol*max(1, |estimate|), and NoConvergenceError is raised past N=2**20,
     holding the integrals and node counts of the points that stopped.
@@ -71,12 +72,12 @@ def _quadrature_rows(
 
     def sums(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
         block = max(1, QUAD_BLOCK_SAMPLES // t.size)
-        return np.concatenate(
-            [
-                np.sum(np.asarray(f(t, idx[i : i + block]), dtype=float), axis=-1)
-                for i in range(0, idx.size, block)
-            ]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.concatenate([np.sum(np.asarray(f(t, idx[i : i + block]), dtype=float), axis=-1)
+                                  for i in range(0, idx.size, block)])
+        if not np.isfinite(out).all():
+            raise DomainError(OVERFLOW_MESSAGE)
+        return out
 
     n = QUAD_START_NODES
     active = np.arange(points)
@@ -125,7 +126,8 @@ class AveragedField:
     matching shape; row i of a batch is bit for bit ``evaluate(alpha[i])``.
     A batch with a point whose quadrature does not converge raises
     NoConvergenceError, whose ``values`` are the batch's rows, NaN in the
-    points that did not converge.
+    points that did not converge; a point quadrature meets that is not
+    finite, or whose integrand is not, raises DomainError at once.
     ``max_nodes_used`` records the largest quadrature node count any point
     needed (diagnostics only).
 
@@ -148,6 +150,8 @@ class AveragedField:
     _terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def _integrals(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if not np.isfinite(pts).all():
+            raise DomainError(OVERFLOW_MESSAGE)
         mode, a1, a2 = self.spec.mode, pts[:, 0:1], pts[:, 1:2]
         omega, nutation = mode.omega, mode is Mode.NUTATION_T1
         w1 = mode.kappa / (2.0 * self.spec.p * math.pi)
@@ -193,8 +197,9 @@ class AveragedField:
             return np.empty((0, 2))
         if self._terms is None:
             self._terms = self._recover() if self.degrees else ()
-        out = _polynomial(pts, self._terms) if self._terms else np.full(pts.shape, np.nan)
         # where the polynomial gives no finite value, quadrature gives it or says why
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _polynomial(pts, self._terms) if self._terms else np.full(pts.shape, np.nan)
         rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
         if rows.size:
             try:

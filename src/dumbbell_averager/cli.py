@@ -35,7 +35,7 @@ import numpy as np
 
 from . import averaging, reports, shooting, torques
 from .averaging import AveragedField
-from .dynamics import Mode, PerturbSetup, ResonanceSpec, make_first_order_rhs, make_full_rhs
+from .dynamics import Mode, ResonanceSpec, full_system, linearized_system
 from .errors import DumbbellError
 from .reference import BUNDLED_CASES
 from .pool import run_tasks, settled
@@ -274,11 +274,7 @@ def cmd_solve(config: RunConfig, outdir: Path):
 
 
 def _rhs_factory(config: RunConfig, system: str):
-    if system == "full":
-        f1, f2 = config.torques
-        return lambda eps: make_full_rhs(PerturbSetup(f1, f2, epsilon=eps))
-    lin = config.linearized
-    return lambda eps: make_first_order_rhs(eps, lin)
+    return full_system(*config.torques) if system == "full" else linearized_system(config.linearized)
 
 
 def _tolerances(config: RunConfig) -> Dict[str, float]:

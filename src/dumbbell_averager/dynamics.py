@@ -15,8 +15,10 @@ Both systems are stated here as trees: the full one from the attitude
 terms and the two torque trees, the linearized one from the four
 coefficient trees of a ``LinearizedTorque``, which hold no angle.
 ``torques.generate_rhs`` writes the code of each, one straight-line
-rhs(t, s); ``full_rhs`` and ``first_order_rhs``, written by hand, are the
-oracles they match bit for bit.
+rhs(t, s).  ``full_system`` and ``linearized_system`` hand each out as the
+map from eps to its rhs that shooting's epsilon ladder takes;
+``full_rhs`` and ``first_order_rhs``, written by hand, are the oracles
+they match bit for bit.
 """
 
 from __future__ import annotations
@@ -126,34 +128,20 @@ class ResonanceSpec:
         return self.p * self.mode.base_period
 
 
-@dataclass(frozen=True)
-class PerturbSetup:
-    """Perturbation data: the two torque expressions and eps."""
+def full_rhs(s: StateLike, t: float, eps: float, f1star, f2star) -> Tuple[float, float, float, float]:
+    """Time derivative of the full nonlinear attitude equations with the
+    torques F1* and F2*, written by hand: the oracle that ``full_system``'s
+    generated rhs reproduces bit for bit.
 
-    f1star: TorqueExpression
-    f2star: TorqueExpression
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
-
-
-def full_rhs(s: StateLike, t: float, setup: PerturbSetup) -> Tuple[float, float, float, float]:
-    """Time derivative of the full nonlinear attitude equations, written by
-    hand: the oracle that the generated ``make_full_rhs`` reproduces bit for
-    bit.
-
-    The torques F1* and F2* come first, each raising its own DomainError;
-    then the tan(phi) of the attitude terms raises the torques' tan pole
-    DomainError where |cos phi| < 1e-12.  An overflow or a math domain error
-    raises DomainError too.
+    The torques come first, each raising its own DomainError; then the
+    tan(phi) of the attitude terms raises the torques' tan pole DomainError
+    where |cos phi| < 1e-12.  An overflow or a math domain error raises
+    DomainError too.
     """
     th, thd, ph, phd = s
-    eps = setup.epsilon
     try:
-        tf1 = setup.f1star.compile()(t, th, thd, ph, phd)
-        tf2 = setup.f2star.compile()(t, th, thd, ph, phd)
+        tf1 = f1star.compile()(t, th, thd, ph, phd)
+        tf2 = f2star.compile()(t, th, thd, ph, phd)
         cph = math.cos(ph)
         if abs(cph) < TAN_POLE_FLOOR:
             raise DomainError(TAN_POLE_MESSAGE)
@@ -171,7 +159,7 @@ def first_order_rhs(s: StateLike, t: float, eps: float, lin) -> Tuple[float, flo
     (t, x_velocity, y_velocity); the perturbations enter as
     F1 = f1*X + f2*Z and F2 = f3*X + f4*Z.  This is the oracle the
     generated linearized rhs reproduces bit for bit, and the path
-    ``make_first_order_rhs`` takes for coefficients without trees.
+    ``linearized_system`` takes for coefficients without trees.
     """
     X, Y, Z, W = s
     F1 = lin.f1(t, Y, W) * X + lin.f2(t, Y, W) * Z
@@ -220,28 +208,37 @@ def _linearized_system(partials: Tuple[TorqueExpression, ...]) -> Callable:
     )
 
 
-def make_full_rhs(setup: PerturbSetup) -> Rhs:
-    """The full system's rhs(t, state) for ``setup``: the torque pair's one
-    generated straight-line function, compiled once, with eps bound by a
-    closure; equal bit for bit to ``full_rhs``."""
-    return _full_system(setup.f1star, setup.f2star)(setup.epsilon)
+def _finite(eps: float) -> float:
+    if not math.isfinite(eps):
+        raise ValueError("epsilon must be finite")
+    return eps
 
 
-def make_first_order_rhs(eps: float, lin) -> Rhs:
-    """Bind eps and linearized coefficients into an rhs(t, state) callable.
+def full_system(f1star: TorqueExpression, f2star: TorqueExpression) -> Callable[[float], Rhs]:
+    """The full system as ``epsilon_continuation``'s ``rhs_for_eps``: eps to
+    the torque pair's one generated rhs(t, state), compiled at the first
+    call, equal bit for bit to ``full_rhs``."""
 
-    A ``LinearizedTorque`` that carries its coefficient trees gives one
-    generated straight-line rhs, compiled once per set of partials and
-    equal bit for bit to ``first_order_rhs``; any other ``lin`` gives a
-    closure over ``first_order_rhs``.
-    """
-    if getattr(lin, "partials", None) is not None:
-        return _linearized_system(lin.partials)(eps)
+    def rhs_for_eps(eps: float) -> Rhs:
+        return _full_system(f1star, f2star)(_finite(eps))
 
-    def rhs(t: float, s: StateLike) -> Tuple[float, float, float, float]:
-        return first_order_rhs(s, t, eps, lin)
+    return rhs_for_eps
 
-    return rhs
+
+def linearized_system(lin) -> Callable[[float], Rhs]:
+    """The linearized system as ``epsilon_continuation``'s ``rhs_for_eps``:
+    one generated rhs per set of partials, equal bit for bit to
+    ``first_order_rhs``, or for coefficients without trees a closure over
+    it.  Either system refuses a non-finite eps with ValueError."""
+    partials = getattr(lin, "partials", None)
+
+    def rhs_for_eps(eps: float) -> Rhs:
+        eps = _finite(eps)
+        if partials is not None:
+            return _linearized_system(partials)(eps)
+        return lambda t, s: first_order_rhs(s, t, eps, lin)  # looked up at each call
+
+    return rhs_for_eps
 
 
 def unperturbed_rhs(t: float, s: StateLike) -> Tuple[float, float, float, float]:

@@ -515,7 +515,8 @@ def epsilon_continuation(
 ) -> ContinuationReport:
     """Chase the predicted orbit down a descending epsilon ladder, to the
     first rung where shooting fails, and report how it ended
-    (``continuation_report``).
+    (``continuation_report``).  ``rhs_for_eps`` maps each rung's eps to its
+    rhs(t, state): ``dynamics.full_system`` or ``linearized_system``.
 
     Each rung shoots with the previous corrected initial condition as the
     seed (the first rung starts from the zero-padded averaged zero), and

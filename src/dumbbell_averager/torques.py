@@ -48,6 +48,7 @@ FUNCTIONS = ("sin", "cos", "tan")
 #: with this DomainError text
 TAN_POLE_FLOOR = 1e-12
 TAN_POLE_MESSAGE = f"tan argument within {TAN_POLE_FLOOR:g} of an odd multiple of pi/2"
+OVERFLOW_MESSAGE = "OverflowError: result outside the floats"
 
 #: the parser refuses a torque whose tree is deeper than this many levels,
 #: or whose text has more parentheses, calls and signs open at one point.
@@ -441,7 +442,7 @@ def _emit(
     for (root, finite), uses in zip(roots, counts):  # emit reads this root's uses
         results.append(emit(root, bind=True))
         if finite and not isinstance(root, (Num, Const)):
-            guard(finite_test, results[-1], "OverflowError: result outside the floats")
+            guard(finite_test, results[-1], OVERFLOW_MESSAGE)
     return tuple(lines.values()), tuple(results)
 
 
@@ -739,7 +740,7 @@ class LinearizedTorque:
     ``partials`` holds the trees f1..f4 evaluate when ``extract_linearized``
     built them: each partial with both angles folded to 0.0, or the literal
     0.0 where the torque does not depend on the angle.
-    ``dynamics.make_first_order_rhs`` emits them into one straight-line
+    ``dynamics.linearized_system`` emits them into one straight-line
     function of the linearized system.  Built from plain callables,
     ``partials`` is None and ``dynamics.first_order_rhs`` is the only route.
     """

@@ -168,8 +168,7 @@ def test_criterion_5_full_system_verification():
     assert groups, "pipeline found no simple orbit classes to verify"
 
     ladder = [1e-2, 1e-3, 1e-4]
-    full = lambda eps: da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=eps))
-    linearized = lambda eps: da.make_first_order_rhs(eps, lin)
+    full, linearized = da.full_system(f1, f2), da.linearized_system(lin)
     # named full-system outcome per simple orbit class, by its alpha_1
     expected_full = {(1 + S17) / 4: "FAILED-AT(0.01)", (1 - S17) / 4: "COLLAPSED-TO-EQUILIBRIUM"}
     details = []

@@ -1,6 +1,7 @@
 """Quadrature engine and the two averaging routes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -401,6 +402,24 @@ class TestPolynomialRoute:
             want = raised(lambda: quadrature.evaluate(pts))
             assert want is not None and raised(lambda: fld.evaluate(pts)) == want
         assert fld._terms
+
+    @pytest.mark.parametrize("degrees", [..., None], ids=["polynomial", "quadrature"])
+    @pytest.mark.parametrize(
+        "point, sampled",
+        [([1e70, 0.0], [16]), ([math.inf, 0.0], []), ([0.5, -math.inf], []), ([math.nan, 1.0], [])],
+    )
+    def test_a_value_outside_the_floats_is_a_domain_error_at_once(self, degrees, point, sampled):
+        # at (1e70, 0) x * core overflows at the first 16 nodes, and sums of
+        # inf never settle: the rule would double them to 2**20 nodes; a
+        # point that is not finite is refused before any node
+        fld = pipeline_field("corollary1", degrees)
+        fld.evaluate([0.5, 0.2])  # the polynomial, where there is one, is recovered
+        f1, times = fld.lin.f1, []
+        fld.lin = replace(fld.lin, f1=lambda t, v1, v2: times.append(np.size(t)) or f1(t, v1, v2))
+        assert raised(lambda: fld.evaluate(point)) == (
+            da.DomainError, "OverflowError: result outside the floats"
+        )
+        assert times == sampled
 
     @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (2, 2, 2)])
     @pytest.mark.parametrize("degrees", [..., None], ids=["polynomial", "quadrature"])

@@ -1,5 +1,6 @@
 """Config parsing, command orchestration, artifact determinism, exit codes."""
 
+import json
 import math
 import os
 import re
@@ -428,7 +429,7 @@ class TestMainEntry:
         # coefficients without partial trees still go through first_order_rhs
         hand_built = LinearizedTorque(*(lambda t, v1, v2: 0.0,) * 4)
         with pytest.raises(AssertionError, match="first_order_rhs called"):
-            dynamics.make_first_order_rhs(1e-2, hand_built)(0.0, (1.0, 0.0, 0.0, 0.0))
+            dynamics.linearized_system(hand_built)(1e-2)(0.0, (1.0, 0.0, 0.0, 0.0))
 
     def test_python_m_runs_the_command_line(self, tmp_path):
         cfg = write(tmp_path, REFERENCE1)
@@ -880,3 +881,56 @@ def test_reproduce_prints_the_comparison_table_it_writes(tmp_path, capsys):
     assert cli.main(["reproduce", "corollary1", "--out", str(out)]) == 0
     table = (out / "comparison.txt").read_bytes().decode("utf-8")
     assert capsys.readouterr().out == table + f"wrote comparison table under {out}\n"
+
+
+#: runs the ``cli.main`` argument lists {runs!r} in one fresh interpreter and
+#: prints [exit code, stdout, stderr] of each
+WARNINGS_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+import dumbbell_averager.cli as cli
+results = []
+for argv in {runs!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_no_warning_escapes_a_run(tmp_path):
+    # the benchmark workloads and two runs whose polynomial overflows, with
+    # every warning an error (``python -W error``) and without: a warning in
+    # a forked task becomes that task's error there, so it changes the outcome
+    configs = Path(cli.__file__).parent / "configs"
+    overflow = REFERENCE1.replace("field_source = printed-reference\n", "")
+    runs = {
+        "reproduce-c1": ["reproduce", "corollary1", "--config", str(configs / "corollary1.cfg")],
+        "reproduce-c2": ["reproduce", "corollary2", "--config", str(configs / "corollary2.cfg")],
+        "verify-lin-c2": ["verify", "--config", str(write(
+            tmp_path, (configs / "corollary2.cfg").read_text(encoding="utf-8")
+            + "field_source = printed-reference\nverify_system = linearized\n", "lin.cfg"))],
+        "eval-overflow": ["eval", "--config", str(write(
+            tmp_path, overflow + "eval_lo = -1e80\neval_hi = 1e80\neval_n = 3\n", "eval.cfg"))],
+        "solve-overflow": ["solve", "--config", str(write(
+            tmp_path, overflow + "r1 = 1e60\nr2 = 1e80\nn_r = 2\nn_angle = 4\n", "solve.cfg"))],
+    }
+    argvs = [argv + ["--out", f"o/{name}"] for name, argv in runs.items()]
+    script = WARNINGS_SCRIPT.format(src=str(Path(cli.__file__).resolve().parents[1]), runs=argvs)
+    seen = {}
+    for flags in (["-W", "error"], []):
+        cwd = tmp_path / ("strict" if flags else "plain")
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, *flags, "-c", script], cwd=cwd,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        results = json.loads(proc.stdout)
+        assert [code for code, _, _ in results] == [0, 0, 0, 2, 2]
+        assert [err for _, _, err in results[:3]] == ["", "", ""]
+        for (_, _, err), command in zip(results[3:], ("eval", "solve")):
+            assert re.fullmatch(f"numerical failure in stage '{command}': [^\n]*\n", err), err
+        files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*.*"))}
+        seen[bool(flags)] = results, files
+    assert len(seen[True][1]) == 17
+    assert seen[True] == seen[False]

@@ -13,10 +13,9 @@ ZERO = da.parse_torque("0")
 
 
 def corollary1_setup(eps):
+    """(eps, F1*, F2*) of corollary1, the trailing arguments of ``full_rhs``."""
     case = da.BUNDLED_CASES["corollary1"]
-    return da.PerturbSetup(
-        da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text), epsilon=eps
-    )
+    return eps, da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
 
 
 class TestFullRhs:
@@ -24,21 +23,17 @@ class TestFullRhs:
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_equilibrium_is_fixed_point(self, name, eps):
         case = da.BUNDLED_CASES[name]
-        setup = da.PerturbSetup(
-            da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text), epsilon=eps
-        )
+        f1, f2 = da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
         for t in (0.0, 0.37, 2.0, 11.0):
-            assert da.full_rhs((0.0, 0.0, 0.0, 0.0), t, setup) == (0.0, 0.0, 0.0, 0.0)
+            assert da.full_rhs((0.0, 0.0, 0.0, 0.0), t, eps, f1, f2) == (0.0, 0.0, 0.0, 0.0)
 
     def test_pure_nutation_restoring_torque(self):
-        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.0)
-        d = da.full_rhs((math.pi / 4, 0.0, 0.0, 0.0), 0.0, setup)
+        d = da.full_rhs((math.pi / 4, 0.0, 0.0, 0.0), 0.0, 0.0, ZERO, ZERO)
         assert d == pytest.approx((0.0, -1.5, 0.0, 0.0), abs=1e-15)
 
     def test_mixed_state_value(self):
         # frozen from independent symbolic evaluation of the two accelerations
-        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.0)
-        d = da.full_rhs((0.0, 0.1, math.pi / 6, 0.2), 0.0, setup)
+        d = da.full_rhs((0.0, 0.1, math.pi / 6, 0.2), 0.0, 0.0, ZERO, ZERO)
         assert d[0] == 0.1
         assert d[1] == pytest.approx(0.25403411844343534, abs=1e-14)
         assert d[2] == 0.2
@@ -50,29 +45,26 @@ class TestFullRhs:
         acc_th = 2 * phd * (1 + thd) * sympy.tan(ph) - 3 * sympy.sin(th) * sympy.cos(th)
         acc_ph = -((1 + thd) ** 2 + 3 * sympy.cos(th) ** 2) * sympy.sin(ph) * sympy.cos(ph)
         oracle = sympy.lambdify((th, thd, ph, phd), (acc_th, acc_ph), "math")
-        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.0)
         rng = np.random.default_rng(3)
         for _ in range(25):
             s = rng.uniform(-1.2, 1.2, 4)
-            got = da.full_rhs(tuple(s), 0.0, setup)
+            got = da.full_rhs(tuple(s), 0.0, 0.0, ZERO, ZERO)
             want = oracle(*s)
             assert got[1] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
             assert got[3] == pytest.approx(want[1], rel=1e-12, abs=1e-12)
 
     def test_torques_enter_scaled_by_epsilon(self):
-        setup = da.PerturbSetup(da.parse_torque("2"), da.parse_torque("-3"), epsilon=0.5)
-        d = da.full_rhs((0.0, 0.0, 0.0, 0.0), 0.0, setup)
+        d = da.full_rhs((0.0, 0.0, 0.0, 0.0), 0.0, 0.5, da.parse_torque("2"), da.parse_torque("-3"))
         assert d == pytest.approx((0.0, 1.0, 0.0, -1.5))
 
     def test_phi_singularity_guard(self):
-        setup = corollary1_setup(0.0)
         with pytest.raises(da.DomainError):
-            da.full_rhs((0.0, 0.0, math.pi / 2, 0.0), 0.0, setup)
+            da.full_rhs((0.0, 0.0, math.pi / 2, 0.0), 0.0, *corollary1_setup(0.0))
 
-    #: the oracle and the generated rhs, as rhs(state, setup)
+    #: the oracle and the generated rhs, as rhs(state, (eps, F1*, F2*))
     BOTH = {
-        "full_rhs": lambda s, setup: da.full_rhs(s, 0.0, setup),
-        "generated": lambda s, setup: da.make_full_rhs(setup)(0.0, s),
+        "full_rhs": lambda s, setup: da.full_rhs(s, 0.0, *setup),
+        "generated": lambda s, setup: da.full_system(*setup[1:])(setup[0])(0.0, s),
     }
 
     @pytest.mark.parametrize("rhs", BOTH.values(), ids=BOTH.keys())
@@ -85,16 +77,14 @@ class TestFullRhs:
         ],
     )
     def test_float_errors_are_domain_errors(self, rhs, state, message):
-        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.0)
         with pytest.raises(da.DomainError) as info:
-            rhs(state, setup)
+            rhs(state, (0.0, ZERO, ZERO))
         assert str(info.value) == message
 
     @pytest.mark.parametrize("rhs", BOTH.values(), ids=BOTH.keys())
     def test_nan_attitude_terms_are_returned(self, rhs):
         # no finite test on the accelerations: the integrator rejects the step
-        setup = da.PerturbSetup(ZERO, ZERO, epsilon=0.1)
-        d = rhs((math.nan, 0.0, 0.0, 0.0), setup)
+        d = rhs((math.nan, 0.0, 0.0, 0.0), (0.1, ZERO, ZERO))
         assert math.isnan(d[1]) and math.isnan(d[3])
 
     @pytest.mark.parametrize("rhs", BOTH.values(), ids=BOTH.keys())
@@ -113,7 +103,7 @@ class TestFullRhs:
         for path in (
             lambda: tan_phi.compile()(t, *s),
             lambda: tan_phi.evaluate(t, *s),
-            lambda: rhs(s, da.PerturbSetup(da.parse_torque(f1), ZERO, epsilon=1.0)),
+            lambda: rhs(s, (1.0, da.parse_torque(f1), ZERO)),
         ):
             with pytest.raises(da.DomainError) as info:
                 path()
@@ -145,17 +135,47 @@ class TestGeneratedRhs:
     def test_full_rhs_is_compiled_once_per_torque_pair(self):
         case = da.BUNDLED_CASES["corollary2"]
         f1, f2 = da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
-        rhs = [da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=eps)) for eps in (1e-2, 1e-3)]
+        rhs = [da.full_system(f1, f2)(eps) for eps in (1e-2, 1e-3)]
         assert rhs[0].__code__ is rhs[1].__code__
         assert rhs[0](0.7, (0.1, 0.2, 0.3, 0.4)) != rhs[1](0.7, (0.1, 0.2, 0.3, 0.4))
+
+    def test_each_system_compiles_once_at_its_first_epsilon(self):
+        # building a system compiles nothing; its first eps compiles the one
+        # function that every later eps of the same torques shares
+        f1, f2 = da.parse_torque("theta * t^2 + 0.125"), da.parse_torque("phi * phi_dot^3")
+        systems = {
+            dynamics._full_system: lambda: da.full_system(f1, f2),
+            dynamics._linearized_system: lambda: da.linearized_system(da.extract_linearized(f1, f2)),
+        }
+        state = (0.1, 0.2, 0.3, 0.4)
+        for compiled, build in systems.items():
+            misses = compiled.cache_info().misses
+            system = build()
+            assert compiled.cache_info().misses == misses
+            rhs = [system(eps) for eps in (1e-2, 1e-3)]
+            assert compiled.cache_info().misses == misses + 1
+            assert rhs[0].__code__ is rhs[1].__code__
+            assert rhs[0](0.7, state) != rhs[1](0.7, state)
+
+    def test_coefficients_without_trees_call_first_order_rhs_as_it_is_at_the_call(
+        self, monkeypatch
+    ):
+        hand_built = da.LinearizedTorque(*(lambda t, v1, v2: 1.0,) * 4)
+        rhs = da.linearized_system(hand_built)(1e-2)
+        state = (1.0, 0.5, 2.0, 0.25)
+        assert rhs(0.3, state) == dynamics.first_order_rhs(state, 0.3, 1e-2, hand_built)
+        calls = []
+        monkeypatch.setattr(dynamics, "first_order_rhs", lambda *args: calls.append(args) or ())
+        assert rhs(0.3, state) == ()
+        assert calls == [(state, 0.3, 1e-2, hand_built)]
 
     def test_each_kind_of_generated_function_has_its_own_file_name(self):
         # profilers key functions by (file, line, name): under one shared name
         # the full and the linearized rhs would merge into one row
         case = da.BUNDLED_CASES["corollary2"]
         f1, f2 = da.parse_torque(case.f1star_text), da.parse_torque(case.f2star_text)
-        full = da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=1e-2))
-        linearized = da.make_first_order_rhs(1e-2, da.extract_linearized(f1, f2))
+        full = da.full_system(f1, f2)(1e-2)
+        linearized = da.linearized_system(da.extract_linearized(f1, f2))(1e-2)
         names = [fn.__code__.co_filename for fn in (f1.compile(), full, linearized)]
         assert names == ["<torque>", "<full rhs>", "<linearized rhs>"]
 
@@ -325,6 +345,11 @@ class TestDomainTypes:
         assert da.plane_embed((1.0, 2.0), da.Mode.NUTATION_T1) == (1.0, 2.0, 0.0, 0.0)
         assert da.plane_embed((1.0, 2.0), da.Mode.PRECESSION_T2) == (0.0, 0.0, 1.0, 2.0)
 
-    def test_perturb_setup_requires_finite_epsilon(self):
-        with pytest.raises(ValueError):
-            da.PerturbSetup(ZERO, ZERO, epsilon=float("nan"))
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_both_systems_refuse_a_non_finite_epsilon(self, eps):
+        lin = da.extract_linearized(ZERO, ZERO)
+        hand_built = da.LinearizedTorque(*(lambda t, v1, v2: 0.0,) * 4)
+        for system in (da.full_system(ZERO, ZERO), da.linearized_system(lin),
+                       da.linearized_system(hand_built)):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                system(eps)

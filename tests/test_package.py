@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "LinearizedTorque",
     "Mode",
     "NoConvergenceError",
-    "PerturbSetup",
     "ResonanceSpec",
     "SatelliteState",
     "SingularJacobianError",
@@ -35,13 +34,13 @@ PUBLIC_NAMES = [
     "extract_linearized",
     "first_order_rhs",
     "full_rhs",
+    "full_system",
     "fundamental_matrix",
     "group_orbit_classes",
     "integrate",
     "jacobian2d",
     "linearized_perturbation",
-    "make_first_order_rhs",
-    "make_full_rhs",
+    "linearized_system",
     "malkin_average",
     "monodromy_gap",
     "multistart_zeros",

@@ -22,7 +22,7 @@ T1_SPEC = da.ResonanceSpec(da.Mode.NUTATION_T1, 1, 1)
 def zero_ladder():
     """A one-rung ladder of the unperturbed system, which passes at once."""
     return dict(
-        rhs_for_eps=lambda eps: da.make_first_order_rhs(eps, ZERO_LIN),
+        rhs_for_eps=da.linearized_system(ZERO_LIN),
         averaged_zero=(0.7, -0.1),
         spec=T1_SPEC,
         eps_list=[0.0],
@@ -127,7 +127,7 @@ class TestRunTasks:
         damped = lambda eps: lambda t, s: (s[1], -3.0 * s[0] - eps * s[1], s[3], -4.0 * s[2])
         jobs = [
             dict(
-                rhs_for_eps=lambda eps: da.make_first_order_rhs(eps, lin),
+                rhs_for_eps=da.linearized_system(lin),
                 averaged_zero=(x, 0.0),
                 spec=da.BUNDLED_CASES["corollary2"].spec,
                 eps_list=[1e-2, 1e-3],

@@ -191,10 +191,9 @@ def test_generated_full_rhs_is_full_rhs(tree1, tree2, b, eps):
     signed zeros included, or raises the same DomainError with the same
     text, the torques' own errors before the attitude terms' tan(phi) pole."""
     f1, f2 = da.TorqueExpression(tree1), da.TorqueExpression(tree2)
-    setup = da.PerturbSetup(f1, f2, epsilon=eps)
     t, s = b[0], b[1:]
-    generated = full_outcome(da.make_full_rhs(setup), (t, s))
-    assert float_bits(generated) == float_bits(full_outcome(da.full_rhs, (s, t, setup)))
+    generated = full_outcome(da.full_system(f1, f2)(eps), (t, s))
+    assert float_bits(generated) == float_bits(full_outcome(da.full_rhs, (s, t, eps, f1, f2)))
 
 
 @SETTINGS
@@ -232,7 +231,7 @@ def test_generated_linearized_rhs_is_first_order_rhs(tree1, tree2, b, eps):
     # torques' values at the origin, so that a torque such as 1/theta has them
     lin = torques._linearize(da.TorqueExpression(tree1), da.TorqueExpression(tree2))
     t, s = b[0], b[1:]
-    generated = outcome(da.make_first_order_rhs(eps, lin), (t, s))
+    generated = outcome(da.linearized_system(lin)(eps), (t, s))
     assert float_bits(generated) == float_bits(outcome(da.first_order_rhs, (s, t, eps, lin)))
 
 

@@ -66,7 +66,7 @@ class TestIntegrate:
         spec = da.BUNDLED_CASES[name].spec
         s0 = da.plane_embed((1.2808, 0.3), spec.mode)
         ends = [
-            da.integrate(da.make_first_order_rhs(1e-2, x), s0, 0.0, spec.window, tol=1e-11)
+            da.integrate(da.linearized_system(x)(1e-2), s0, 0.0, spec.window, tol=1e-11)
             for x in (lin, plain)
         ]
         assert ends[0].tobytes() == ends[1].tobytes()
@@ -79,7 +79,7 @@ class TestIntegrate:
 
     def test_pole_error_propagates_out_of_integrate(self):
         f1, f2 = case_torques("corollary2")
-        rhs = da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=0.0))
+        rhs = da.full_system(f1, f2)(0.0)
         # start exactly on the pole surface: the very first rhs call raises
         with pytest.raises(da.DomainError):
             da.integrate(rhs, (0.0, 0.0, math.pi / 2, 0.0), 0.0, 1.0)
@@ -130,9 +130,9 @@ class TestIntegrate:
         # 450 calls; a fifth-order pair needs 1,825 and 1,495
         f1, f2 = case_torques("corollary2")
         if system == "linearized":
-            rhs = da.make_first_order_rhs(1e-2, da.extract_linearized(f1, f2))
+            rhs = da.linearized_system(da.extract_linearized(f1, f2))(1e-2)
         else:
-            rhs = da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=1e-2))
+            rhs = da.full_system(f1, f2)(1e-2)
         calls = []
 
         def counted(t, s):
@@ -169,7 +169,7 @@ class TestTableau:
 
 class TestShootPeriodic:
     def test_manifold_point_is_already_periodic(self):
-        rhs = da.make_first_order_rhs(0.0, ZERO_LIN)
+        rhs = da.linearized_system(ZERO_LIN)(0.0)
         cert = da.shoot_periodic(rhs, (0.4, 0.2, 0.0, 0.0), da.T1)
         assert cert.displacement_norm < 1e-10
         assert np.abs(cert.corrected_ic.as_array() - [0.4, 0.2, 0.0, 0.0]).max() < 1e-9
@@ -179,7 +179,7 @@ class TestShootPeriodic:
     def test_corrects_perturbed_orbit(self):
         f1, f2 = case_torques("corollary2")
         lin = da.extract_linearized(f1, f2)
-        rhs = da.make_first_order_rhs(1e-3, lin)
+        rhs = da.linearized_system(lin)(1e-3)
         guess = (0.0, 0.0, (1 - S17) / 4, 0.0)
         cert = da.shoot_periodic(rhs, guess, math.pi)
         assert cert.displacement_norm < 1e-10
@@ -189,14 +189,14 @@ class TestShootPeriodic:
 
     def test_far_guess_fails(self):
         f1, f2 = case_torques("corollary2")
-        rhs = da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=1e-3))
+        rhs = da.full_system(f1, f2)(1e-3)
         with pytest.raises((da.NoConvergenceError, da.StepSizeUnderflowError)):
             da.shoot_periodic(rhs, (0.0, 0.0, 3.0, 3.0), math.pi)
 
     def test_rerun_from_corrected_is_fixed_point(self):
         f1, f2 = case_torques("corollary2")
         lin = da.extract_linearized(f1, f2)
-        rhs = da.make_first_order_rhs(1e-3, lin)
+        rhs = da.linearized_system(lin)(1e-3)
         first = da.shoot_periodic(rhs, (0.0, 0.0, (1 - S17) / 4, 0.0), math.pi)
         second = da.shoot_periodic(rhs, tuple(first.corrected_ic), math.pi)
         moved = second.corrected_ic.as_array() - first.corrected_ic.as_array()
@@ -205,7 +205,7 @@ class TestShootPeriodic:
     def test_corrected_orbit_is_periodic_along_the_way(self):
         f1, f2 = case_torques("corollary2")
         lin = da.extract_linearized(f1, f2)
-        rhs = da.make_first_order_rhs(1e-3, lin)
+        rhs = da.linearized_system(lin)(1e-3)
         T = math.pi
         cert = da.shoot_periodic(rhs, (0.0, 0.0, (1 - S17) / 4, 0.0), T)
         interior = [(k + 1) * T / 9 for k in range(8)]
@@ -223,7 +223,7 @@ class TestShootPeriodic:
         # its first step instead of letting the integrator exhaust its step
         # budget
         f1, f2 = case_torques("corollary2")
-        rhs = da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=1e-2))
+        rhs = da.full_system(f1, f2)(1e-2)
         calls = 0
 
         def counted(t, s):
@@ -253,7 +253,7 @@ class TestShootPeriodic:
         # origin after its third Newton step, so a cap of 2 stops it first
         f1, f2 = case_torques("corollary1")
         spec = da.BUNDLED_CASES["corollary1"].spec
-        rhs = da.make_first_order_rhs(1e-2, da.extract_linearized(f1, f2))
+        rhs = da.linearized_system(da.extract_linearized(f1, f2))(1e-2)
         monkeypatch.setattr(shooting, "SHOOTING_MAX_ITER", 2)
         stalled = r"shooting stalled at displacement .* after 2 iterations"
         with pytest.raises(da.NoConvergenceError, match=stalled):
@@ -323,7 +323,7 @@ class TestSingularOrigin:
         # origin, so Newton shrinks ||z|| by 4/5 per step toward it
         f1, f2 = case_torques("corollary1")
         spec = da.BUNDLED_CASES["corollary1"].spec
-        rhs = da.make_first_order_rhs(1e-2, da.extract_linearized(f1, f2))
+        rhs = da.linearized_system(da.extract_linearized(f1, f2))(1e-2)
         calls, integrate = [], shooting.integrate
         monkeypatch.setattr(
             shooting, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)
@@ -377,15 +377,12 @@ class TestSingularOrigin:
 
 
 class TestEpsilonContinuation:
-    def lin_factory(self, lin):
-        return lambda eps: da.make_first_order_rhs(eps, lin)
-
     def test_first_order_convergence_on_linearized_system(self):
         f1, f2 = case_torques("corollary2")
         lin = da.extract_linearized(f1, f2)
         spec = da.BUNDLED_CASES["corollary2"].spec
         report = da.epsilon_continuation(
-            self.lin_factory(lin), ((1 - S17) / 4, 0.0), spec, [1e-2, 1e-3, 1e-4]
+            da.linearized_system(lin), ((1 - S17) / 4, 0.0), spec, [1e-2, 1e-3, 1e-4]
         )
         assert report.passed
         assert len(report.certificates) == 3
@@ -396,7 +393,7 @@ class TestEpsilonContinuation:
     def test_zero_epsilon_ladder(self):
         spec = da.ResonanceSpec(da.Mode.NUTATION_T1, 1, 1)
         report = da.epsilon_continuation(
-            self.lin_factory(ZERO_LIN), (0.7, -0.1), spec, [0.0]
+            da.linearized_system(ZERO_LIN), (0.7, -0.1), spec, [0.0]
         )
         assert report.status == "PASS"
         assert report.distances[0] < 1e-10
@@ -407,7 +404,7 @@ class TestEpsilonContinuation:
         lin = da.extract_linearized(*case_torques("corollary2"))
         spec = da.BUNDLED_CASES["corollary2"].spec
         report = da.epsilon_continuation(
-            self.lin_factory(lin), ((1 - S17) / 4, 0.0), spec, [1e-2]
+            da.linearized_system(lin), ((1 - S17) / 4, 0.0), spec, [1e-2]
         )
         assert report.status == "PASS"
         assert math.isnan(report.empirical_order)
@@ -416,9 +413,8 @@ class TestEpsilonContinuation:
 
     def test_failure_is_identified_by_epsilon(self):
         f1, f2 = case_torques("corollary2")
-        setup = lambda eps: da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=eps))
         spec = da.BUNDLED_CASES["corollary2"].spec
-        report = da.epsilon_continuation(setup, ((1 + S17) / 4, 0.0), spec, [0.5])
+        report = da.epsilon_continuation(da.full_system(f1, f2), ((1 + S17) / 4, 0.0), spec, [0.5])
         assert report.status == "FAILED-AT(0.5)"
         assert report.failure is not None
         assert not report.passed
@@ -438,10 +434,10 @@ class TestEpsilonContinuation:
         spec = da.ResonanceSpec(da.Mode.NUTATION_T1, 1, 1)
         with pytest.raises(ValueError):
             da.epsilon_continuation(
-                self.lin_factory(ZERO_LIN), (1.0, 0.0), spec, [1e-4, 1e-3]
+                da.linearized_system(ZERO_LIN), (1.0, 0.0), spec, [1e-4, 1e-3]
             )
         with pytest.raises(ValueError):
-            da.epsilon_continuation(self.lin_factory(ZERO_LIN), (1.0, 0.0), spec, [])
+            da.epsilon_continuation(da.linearized_system(ZERO_LIN), (1.0, 0.0), spec, [])
 
     @pytest.mark.parametrize("ladder", [[1e-2, math.nan], [math.inf, 1e-2]])
     def test_non_finite_rung_is_refused_before_any_shot(self, ladder):
@@ -497,7 +493,7 @@ class TestJacobianReuse:
 
     def test_a_wrong_starting_jacobian_is_rebuilt(self, monkeypatch):
         lin = da.extract_linearized(*case_torques("corollary2"))
-        rhs = da.make_first_order_rhs(1e-3, lin)
+        rhs = da.linearized_system(lin)(1e-3)
         guess = (0.0, 0.0, (1 + S17) / 4, 0.0)
         plain = da.shoot_periodic(rhs, guess, math.pi)
         builds = self.counted_jacobians(monkeypatch)
@@ -518,15 +514,13 @@ class TestJacobianReuse:
         lin = da.extract_linearized(*case_torques("corollary2"))
         spec = da.BUNDLED_CASES["corollary2"].spec
         builds = self.counted_jacobians(monkeypatch)
-        report = da.epsilon_continuation(
-            lambda eps: da.make_first_order_rhs(eps, lin), zero, spec, LADDER
-        )
+        report = da.epsilon_continuation(da.linearized_system(lin), zero, spec, LADDER)
         assert len(report.certificates) == len(LADDER)
         assert sum(c.jacobian_builds for c in report.certificates) == len(builds)
         assert all(c.contraction < 1e-2 for c in report.certificates)
         guess = report.prediction.as_array()
         for eps, cert in zip(LADDER, report.certificates):
-            oracle = fresh_jacobian_shot(da.make_first_order_rhs(eps, lin), guess, spec.window)
+            oracle = fresh_jacobian_shot(da.linearized_system(lin)(eps), guess, spec.window)
             guess = oracle.corrected_ic.as_array()
             moved = np.linalg.norm(cert.corrected_ic.as_array() - guess)
             assert moved <= cert.error_bar + oracle.error_bar, eps
@@ -540,7 +534,7 @@ class TestJacobianReuse:
         # a Newton that goes on lands on class 0's orbit, 1.188 away
         lin = da.extract_linearized(*case_torques("corollary2"))
         spec = da.BUNDLED_CASES["corollary2"].spec
-        factory = lambda eps: da.make_first_order_rhs(eps, lin)
+        factory = da.linearized_system(lin)
         calls, integrate = [], shooting.integrate
         monkeypatch.setattr(
             shooting, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)
@@ -560,7 +554,7 @@ class TestJacobianReuse:
         # class 1 fails on its first rung and never reaches it
         lin = da.extract_linearized(*case_torques("corollary2"))
         spec = da.BUNDLED_CASES["corollary2"].spec
-        factory = lambda eps: da.make_first_order_rhs(eps, lin)
+        factory = da.linearized_system(lin)
         jac0 = da.fundamental_matrix(spec.window) - np.eye(4)
         for zero, status in zip(REFERENCE2_ZEROS, ("PASS", "FAILED-AT(0.01)", "PASS")):
             report = da.epsilon_continuation(factory, zero, spec, (1e-2, 1e-3, 0.0))
@@ -583,8 +577,6 @@ class TestJacobianReuse:
     def test_full_ladders_fail_where_and_as_they_did(self, zero, failure):
         f1, f2 = case_torques("corollary2")
         spec = da.BUNDLED_CASES["corollary2"].spec
-        report = da.epsilon_continuation(
-            lambda eps: da.make_full_rhs(da.PerturbSetup(f1, f2, epsilon=eps)), zero, spec, LADDER
-        )
+        report = da.epsilon_continuation(da.full_system(f1, f2), zero, spec, LADDER)
         assert report.status == "FAILED-AT(0.01)"
         assert report.failure == f"NoConvergenceError: Newton diverged: {failure}"

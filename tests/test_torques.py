@@ -177,10 +177,11 @@ class TestParser:
         b = (0.5, 0.25, 1.5, 0.75, 1.25)
         assert scalar_dual(expr, "phi")(*b) == pytest.approx(da.eval_dual(expr, b, "phi"))
         # both generated right-hand sides, bit for bit against their oracles
-        state, setup = (0.25, 1.5, 0.75, 1.25), dynamics.PerturbSetup(expr, expr, epsilon=0.01)
-        assert dynamics.make_full_rhs(setup)(0.5, state) == dynamics.full_rhs(state, 0.5, setup)
+        state = (0.25, 1.5, 0.75, 1.25)
+        full = dynamics.full_system(expr, expr)(0.01)
+        assert full(0.5, state) == dynamics.full_rhs(state, 0.5, 0.01, expr, expr)
         lin = da.extract_linearized(expr, expr)
-        assert dynamics.make_first_order_rhs(0.01, lin)(0.5, state) == dynamics.first_order_rhs(
+        assert dynamics.linearized_system(lin)(0.01)(0.5, state) == dynamics.first_order_rhs(
             state, 0.5, 0.01, lin
         )
 
