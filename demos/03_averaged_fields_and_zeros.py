@@ -38,7 +38,8 @@ for name in ("corollary1", "corollary2"):
     for label, fld in (("pipeline", field.evaluate), ("reference", case.reference_field)):
         zeros = da.multistart_zeros(fld, domain)
         groups = da.group_orbit_classes(zeros)
-        print(f"  {label} zeros: {len(zeros)} in {len(groups)} orbit class(es)")
+        print(f"  {label} zeros: {len(zeros)} in {len(groups)} orbit class(es); "
+              f"search {zeros.verdict}")
         for z in zeros:
             print(f"    ({z.location[0]:+.9f}, {z.location[1]:+.9f})  "
                   f"det={z.jacobian_det:+.6e}  {z.classification}")

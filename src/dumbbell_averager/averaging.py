@@ -103,19 +103,44 @@ def _quadrature_rows(
 
 
 def _polynomial(pts: np.ndarray, terms: tuple) -> np.ndarray:
-    """The polynomial (exponents (i, j), i + j > 0; coefficients (m, 2)) at
-    rows (x, y), in elementwise products and sums: no row's bits depend on another's."""
+    """The polynomial (exponents (i, j); coefficients (m, k)) at rows (x, y),
+    as (n, k), in elementwise products and sums: no row's bits depend on another's."""
     exponents, coefficients = terms
-    xs, ys = [None, pts[:, 0].copy()], [None, pts[:, 1].copy()]
+    xs, ys = [np.ones(len(pts)), pts[:, 0].copy()], [np.ones(len(pts)), pts[:, 1].copy()]
     for _ in range(max(i + j for i, j in exponents) - 1):
         xs.append(xs[-1] * xs[1])
         ys.append(ys[-1] * ys[1])
-    f1, f2 = np.zeros(len(pts)), np.zeros(len(pts))
-    for (i, j), (c1, c2) in zip(exponents, coefficients.tolist()):
-        monomial = xs[i] if not j else ys[j] if not i else xs[i] * ys[j]
-        f1 += monomial * c1
-        f2 += monomial * c2
-    return np.column_stack((f1, f2))
+    out = np.zeros((len(pts), coefficients.shape[1]))
+    for (i, j), c in zip(exponents, coefficients):
+        out += (xs[i] if not j else ys[j] if not i else xs[i] * ys[j])[:, None] * c
+    return out
+
+
+class Polynomial:
+    """A polynomial map of plane points: ``terms`` are its exponents (i, j)
+    and coefficients (m, k), one column per component, the form in which
+    ``AveragedField`` recovers a field.  A point (2,) or points (..., 2)
+    give values (k,) or (..., k), by ``_polynomial``."""
+
+    def __init__(self, exponents: Sequence[Tuple[int, int]], coefficients) -> None:
+        exponents = list(exponents)
+        self.terms = (exponents, np.array(coefficients, dtype=float).reshape(len(exponents), -1))
+
+    def __call__(self, alpha) -> np.ndarray:
+        a = np.asarray(alpha, dtype=float)
+        values = _polynomial(a.reshape(-1, 2), self.terms)
+        return values.reshape(a.shape[:-1] + values.shape[1:])
+
+    def with_jacobian(self) -> "Polynomial":
+        """This 2D field and its exact Jacobian, over the exponents of both:
+        columns F1, F2, dF1/dx, dF1/dy, dF2/dx, dF2/dy."""
+        table: dict = {}
+        for (i, j), (c1, c2) in zip(*self.terms):
+            table.setdefault((i, j), np.zeros(6))[:2] += (c1, c2)
+            for n, exponent, cols in ((i, (i - 1, j), [2, 4]), (j, (i, j - 1), [3, 5])):
+                if n:
+                    table.setdefault(exponent, np.zeros(6))[cols] += (n * c1, n * c2)
+        return Polynomial(table, list(table.values()))
 
 
 @dataclass
@@ -177,8 +202,7 @@ class AveragedField:
             radius, angle = np.sqrt((k + 0.5) / k.size), k * (math.pi * (3.0 - math.sqrt(5.0)))
             pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
             values, nodes = self._integrals(pts)
-            basis = np.column_stack([_polynomial(pts[0::2], ([e], np.eye(1, 2)))[:, 0]
-                                     for e in exponents])
+            basis = _polynomial(pts[0::2], (exponents, np.eye(len(exponents))))
             terms = (exponents, np.linalg.lstsq(basis, values[0::2], rcond=None)[0])
         except Exception:
             return ()
@@ -188,6 +212,14 @@ class AveragedField:
         self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
         return terms
 
+    @property
+    def terms(self) -> Optional[tuple]:
+        """The polynomial's terms, as ``Polynomial.terms``, recovered on first
+        use; None for a field on quadrature."""
+        if self._terms is None:
+            self._terms = self._recover() if self.degrees else ()
+        return self._terms or None
+
     def evaluate(self, alpha) -> np.ndarray:
         a = np.asarray(alpha, dtype=float)
         if a.ndim not in (1, 2) or a.shape[-1] != 2:
@@ -195,11 +227,10 @@ class AveragedField:
         single, pts = a.ndim == 1, np.atleast_2d(a)
         if not len(pts):
             return np.empty((0, 2))
-        if self._terms is None:
-            self._terms = self._recover() if self.degrees else ()
+        terms = self.terms
         # where the polynomial gives no finite value, quadrature gives it or says why
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _polynomial(pts, self._terms) if self._terms else np.full(pts.shape, np.nan)
+            out = _polynomial(pts, terms) if terms else np.full(pts.shape, np.nan)
         rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
         if rows.size:
             try:

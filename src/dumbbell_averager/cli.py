@@ -14,7 +14,8 @@ name, ``--config``, or both; the others need ``--config``.
 planned from them, as two batches of one pool over the usable CPUs
 (``_solve_and_shoot``); a ladder whose zero lies within ``newton_tol`` of a
 ladder already planned in the same system reads that one's shots.  Nothing
-they write, print or raise depends on the number of CPUs.
+they write, print or raise depends on the number of CPUs.  A zero search
+whose verdict is not "complete" says so in one stderr line.
 
 Exit codes: 0 success, 1 configuration, usage or artifact error, 2 numerical
 failure (the failing stage is named on stderr).
@@ -266,8 +267,15 @@ def _search(config: RunConfig, fld, meta: dict) -> tuple:
     return zeros, group_orbit_classes(zeros), meta
 
 
+def _note_verdict(label: str, zeros) -> None:
+    """One stderr line for a zero search that did not prove its zero set complete."""
+    if zeros.verdict != "complete":
+        print(f"{label} zero search: {zeros.verdict}", file=sys.stderr)
+
+
 def cmd_solve(config: RunConfig, outdir: Path):
     zeros, groups, meta = _search(config, *_build_field(config, config.field_source, config.case))
+    _note_verdict(config.field_source, zeros)
     path = outdir / _ARTIFACTS["solve"]["zeros"]
     reports.write_zeros_csv(path, zeros, groups, meta)
     return zeros, groups, path
@@ -339,6 +347,7 @@ def _solve_and_shoot(config: RunConfig, searches: Dict[str, Tuple[str, Path]],
     outcomes, groups = run_tasks(fields, run, plan, fork=not wrapped), {}
     for label, (_, path) in searches.items():
         zeros, groups[label], meta = settled(outcomes[label])
+        _note_verdict(label, zeros)
         reports.write_zeros_csv(path, zeros, groups[label], meta)
     if failure is not None:
         raise failure

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import DegenerateMonodromyError
 from .torques import (
+    OVERFLOW_MESSAGE,
     SQRT3,
     TAN_POLE_FLOOR,
     TAN_POLE_MESSAGE,
@@ -148,7 +149,8 @@ def full_rhs(s: StateLike, t: float, eps: float, f1star, f2star) -> Tuple[float,
         d_thd = 2.0 * phd * (1.0 + thd) * math.tan(ph) - 3.0 * math.sin(th) * math.cos(th) + eps * tf1
         d_phd = -((1.0 + thd) ** 2 + 3.0 * math.cos(th) ** 2) * math.sin(ph) * cph + eps * tf2
     except (OverflowError, ValueError) as exc:
-        raise DomainError(f"{type(exc).__name__}: {exc}") from None
+        overflow = isinstance(exc, OverflowError)
+        raise DomainError(OVERFLOW_MESSAGE if overflow else f"ValueError: {exc}") from None
     return (thd, d_thd, phd, d_phd)
 
 

@@ -2,40 +2,38 @@
 
 Two ready-made perturbation cases ship with the package, one per resonant
 plane.  Each carries the torque text plus a closed-form polynomial
-"reference field": the documented averaged field for that torque pair.
-The pipeline (extract coefficients, then quadrature) produces its own field
-from the same torque text; for both bundled cases the two fields disagree,
-which is deliberate - ``reproduce`` evaluates both zero sets side by side
-and leaves the verdict to direct shooting on the full equations of motion.
+"reference field": the documented averaged field for that torque pair,
+written out as ``averaging.Polynomial`` terms, the type the pipeline's
+recovered fields share, so the zero search proves both zero sets by the
+same subdivision.  The pipeline (extract coefficients, then quadrature)
+produces its own field from the same torque text; for both bundled cases
+the two fields disagree, which is deliberate - ``reproduce`` evaluates both
+zero sets side by side and leaves the verdict to direct shooting on the
+full equations of motion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Dict
 
-import numpy as np
-
+from .averaging import Polynomial
 from .dynamics import Mode, ResonanceSpec
 from .torques import SQRT3
 
-
-def _case1_reference(alpha: np.ndarray) -> np.ndarray:
-    """Reference polynomials on the nutation plane: unique zero (sqrt3/3, 0)."""
-    a = np.asarray(alpha, dtype=float)
-    x, y = a[..., 0], a[..., 1]
-    f1 = y * (3.0 * x**2 + y**2) / 48.0
-    f2 = (3.0 * (SQRT3 - 3.0 * x) * x**2 - (SQRT3 + 3.0 * x) * y**2) / 24.0
-    return np.stack([f1, f2], axis=-1)
-
-
-def _case2_reference(alpha: np.ndarray) -> np.ndarray:
-    """Reference polynomials on the precession plane: four zeros, three orbits."""
-    a = np.asarray(alpha, dtype=float)
-    z, w = a[..., 0], a[..., 1]
-    g1 = (z - 1.0) * w / 8.0
-    g2 = (4.0 * z * (2.0 + z - 2.0 * z**2) - w**2 * (1.0 + 2.0 * z)) / 32.0
-    return np.stack([g1, g2], axis=-1)
+#: nutation plane: (y(3x^2 + y^2)/48, (3(sqrt3 - 3x)x^2 - (sqrt3 + 3x)y^2)/24),
+#: unique zero (sqrt3/3, 0)
+_CASE1_REFERENCE = Polynomial(
+    [(2, 1), (0, 3), (2, 0), (3, 0), (0, 2), (1, 2)],
+    [[1 / 16, 0.0], [1 / 48, 0.0], [0.0, SQRT3 / 8], [0.0, -3 / 8], [0.0, -SQRT3 / 24], [0.0, -1 / 8]],
+)
+#: precession plane: ((z - 1)w/8, (4z(2 + z - 2z^2) - w^2(1 + 2z))/32),
+#: four zeros, three orbits
+_CASE2_REFERENCE = Polynomial(
+    [(1, 1), (0, 1), (1, 0), (2, 0), (3, 0), (0, 2), (1, 2)],
+    [[1 / 8, 0.0], [-1 / 8, 0.0], [0.0, 1 / 4], [0.0, 1 / 8], [0.0, -1 / 4], [0.0, -1 / 32],
+     [0.0, -1 / 16]],
+)
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class BundledCase:
     f1star_text: str
     f2star_text: str
     spec: ResonanceSpec
-    reference_field: Callable[[np.ndarray], np.ndarray]
+    reference_field: Polynomial
 
 
 BUNDLED_CASES: Dict[str, BundledCase] = {
@@ -56,7 +54,7 @@ BUNDLED_CASES: Dict[str, BundledCase] = {
             " - sin(theta)*theta_dot^2 - cos(phi)*(1 - phi_dot^2)"
         ),
         spec=ResonanceSpec(mode=Mode.NUTATION_T1, p=1, q=1),
-        reference_field=_case1_reference,
+        reference_field=_CASE1_REFERENCE,
     ),
     "corollary2": BundledCase(
         f1star_text=(
@@ -65,6 +63,6 @@ BUNDLED_CASES: Dict[str, BundledCase] = {
         ),
         f2star_text="sin(phi) - sin(2*t)*sin(phi)*phi_dot - sin(phi)*phi_dot^2",
         spec=ResonanceSpec(mode=Mode.PRECESSION_T2, p=1, q=1),
-        reference_field=_case2_reference,
+        reference_field=_CASE2_REFERENCE,
     ),
 }

@@ -448,8 +448,7 @@ def _emit(
 
 def _guarded(body: Sequence[str], namespace: str, indent: int) -> str:
     """``body`` in a try that turns the namespace's float errors into
-    DomainError, as source lines at ``indent`` spaces; numpy's overflow is
-    worded as the math module's ``OverflowError``."""
+    DomainError, as source lines at ``indent`` spaces, worded by ``_worded``."""
     pad = " " * indent
     if namespace == "numpy":
         body = ['with errstate(over="raise", invalid="raise"):', *(f"    {line}" for line in body)]
@@ -461,12 +460,13 @@ def _guarded(body: Sequence[str], namespace: str, indent: int) -> str:
 
 
 def _worded(exc: Exception) -> str:
-    """The DomainError text of a float error: its type and message, with
-    numpy's named as the math module's (an overflow ``OverflowError``, an
-    invalid value ``ValueError``)."""
-    name = type(exc).__name__
-    if isinstance(exc, FloatingPointError):
-        name = "OverflowError" if str(exc).startswith("overflow") else "ValueError"
+    """The DomainError text of a float error: OVERFLOW_MESSAGE for every
+    overflow, Python's, the math module's or numpy's, as the finite guard
+    words it; otherwise its type and message, numpy's invalid value named as
+    the math module's ``ValueError``."""
+    if isinstance(exc, OverflowError) or str(exc).startswith("overflow"):
+        return OVERFLOW_MESSAGE
+    name = "ValueError" if isinstance(exc, FloatingPointError) else type(exc).__name__
     return f"{name}: {exc}"
 
 

@@ -1,21 +1,30 @@
-"""Simple-zero search for 2D averaged fields.
+"""Simple-zero search for 2D averaged fields over an annulus r1 <= |alpha| <= r2,
+which excludes the origin (the trivial equilibrium).
 
-Damped Newton iteration from a polar grid of seeds over an annulus that
-excludes the origin (the trivial equilibrium).  All seeds iterate together
-in rounds: each round evaluates the four-point Jacobian stencil of every
-live seed, one batched field call per stencil point, then runs the halving
-line search with one batched call per halving for the seeds still halving.
-Every seed does the arithmetic of a solve on its own (``newton2d`` is the
-one-seed case), so the zeros found do not depend on the batching.  A field
-maps points (m, 2) to values (m, 2); a seed whose evaluation raises
-NoConvergenceError drops out and the others go on, unless every seed's
-first evaluation raises: then the search can say nothing, and raises the
-first seed's error.
+A field with polynomial ``terms`` (``averaging.Polynomial``, or an
+``AveragedField`` that recovered one) is searched by subdivision: a box is
+dropped where an interval enclosure of F1 or F2 excludes 0 or Krawczyk's
+operator proves it zero-free, and holds one zero where the operator maps it
+into its interior (Krawczyk, Computing 4, 1969).  Each enclosure is widened
+by an a-priori bound on its rounding (Rump, Acta Numerica 19, 2010), so no
+zero of the polynomial is dropped, and the search says whether it decided
+every box.  Newton, on the exact Jacobian, polishes the rest.
 
-A zero is certified simple when the finite-difference Jacobian determinant
-clears a threshold relative to the field's typical magnitude on the
-annulus; each periodic orbit of the underlying system shows up as either
-one zero or a (a, b)/(a, -b) pair, which ``group_orbit_classes`` collapses.
+Any other field is searched by damped Newton from a polar grid of seeds.
+All seeds iterate together in rounds: each round evaluates the four-point
+Jacobian stencil of every live seed, one batched field call per stencil
+point, then runs the halving line search with one batched call per halving
+for the seeds still halving.  Every seed does the arithmetic of a solve on
+its own (``newton2d`` is the one-seed case), so the zeros found do not
+depend on the batching.  A field maps points (m, 2) to values (m, 2); a
+seed whose evaluation raises NoConvergenceError drops out and the others go
+on, unless every seed's first evaluation raises: then the search can say
+nothing, and raises the first seed's error.
+
+A zero is certified simple when the Jacobian determinant clears a threshold
+relative to the field's typical magnitude on the annulus; each periodic
+orbit of the underlying system shows up as either one zero or a
+(a, b)/(a, -b) pair, which ``group_orbit_classes`` collapses.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .averaging import Polynomial
 from .errors import NoConvergenceError, SingularJacobianError
 
 Field2D = Callable[[np.ndarray], np.ndarray]
@@ -47,10 +57,24 @@ MAX_HALVINGS = 20
 #: most seeds one search takes
 MAX_SEEDS = 2**16
 
+#: unit roundoff: a float operation's relative rounding error is at most this
+UNIT_ROUNDOFF = 2.0**-53
+#: Krawczyk's test runs on a box inflated by this fraction, to prove zeros on its edge
+INFLATION = 0.125
+#: the first boxes cut [-r2, r2]^2 into this many per side (odd: boxes centred on the axes)
+FIRST_GRID = 9
+#: an unproved box narrower than this fraction of 2*r2 is undecided
+MIN_BOX_WIDTH = 2.0**-20
+#: more open boxes than this are all undecided
+MAX_BOXES = 2**12
+
 
 @dataclass(frozen=True)
 class ZeroSearchDomain:
-    """Closed annulus r1 <= ||alpha|| <= r2 with a polar grid of Newton seeds."""
+    """Closed annulus r1 <= ||alpha|| <= r2 with a polar grid of n_r * n_angle
+    points: the Newton seeds of a field without polynomial terms.  For a
+    polynomial field they are only the sample whose median ||F|| sets the
+    field scale of the Simple/Degenerate verdict."""
 
     r1: float = 0.05
     r2: float = 5.0
@@ -86,8 +110,9 @@ class ZeroSearchDomain:
 
 @dataclass(frozen=True)
 class CertifiedZero:
-    """A Newton-converged zero: its location, ||field||, finite-difference
-    Jacobian and determinant there, and the determinant's simplicity verdict."""
+    """A Newton-converged zero: its location, ||field||, Jacobian (exact for
+    a polynomial field, else central differences) and determinant there, and
+    the determinant's simplicity verdict."""
 
     location: np.ndarray
     residual_norm: float
@@ -167,7 +192,8 @@ def _newton_rounds(
     """Damped Newton from every row of ``seeds`` at once.
 
     Each round moves every live seed by one ``newton2d`` iteration: the
-    Jacobian stencil (one field call per stencil point), then the halving
+    Jacobian (exact from the field's ``terms`` where it has them, else the
+    stencil, one field call per stencil point), then the halving
     line search (one field call per halving, for the seeds still halving).
     The arithmetic of each seed is that of a solve on its own.  A seed ends
     when it converges, fails, or its field evaluation raises
@@ -199,6 +225,8 @@ def _newton_rounds(
                 end(ids[rows[i]], exc)
         return values
 
+    terms = getattr(field, "terms", None)
+    table = terms and Polynomial(*terms).with_jacobian()
     live = np.arange(m)
     x = np.array(seeds, dtype=float)
     fx = evaluate(x, live)
@@ -212,7 +240,11 @@ def _newton_rounds(
         live, x, fx, nf = live[keep], x[keep], fx[keep], nf[keep]
         if not live.size:
             break
-        jac = _stencil(lambda pts: evaluate(pts, live), x)
+        if table:
+            with np.errstate(over="ignore", invalid="ignore"):
+                jac = table(x)[:, 2:].reshape(-1, 2, 2)
+        else:
+            jac = _stencil(lambda pts: evaluate(pts, live), x)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         for j in np.flatnonzero(~ended[live] & (np.abs(det) < ITER_DET_FLOOR)):
             end(
@@ -327,22 +359,180 @@ def _first_apart(points: np.ndarray) -> List[int]:
     return kept
 
 
+def _powers(lo: np.ndarray, hi: np.ndarray, degree: int) -> np.ndarray:
+    """Bounds of x^n and y^n over boxes [lo, hi] (k, 2), n = 0 .. degree, by
+    repeated products: (degree + 1, lower/upper, coordinate, k)."""
+    a, b = lo.T, hi.T
+    low, high = [np.ones_like(a), a], [np.ones_like(b), b]
+    for _ in range(degree - 1):
+        low.append(low[-1] * a)
+        high.append(high[-1] * b)
+    low, high = np.array(low), np.array(high)
+    even_lo = low[2::2].copy()
+    low[2::2] = np.where(a > 0.0, even_lo, np.where(b < 0.0, high[2::2], 0.0))
+    high[2::2] = np.maximum(even_lo, high[2::2])
+    return np.stack([low, high], axis=1)
+
+
+def _enclosure(lo: np.ndarray, hi: np.ndarray, terms: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds (n, k) of the polynomial ``terms`` over boxes [lo, hi] (n, 2)
+    that hold for its exact values: each monomial's range is the product of
+    its coordinates' power ranges, summed times the coefficients of each
+    sign, and widened by 2*gamma_N times the sum of the terms' magnitudes,
+    gamma_N = N*u/(1 - N*u), with N = degree + terms + 3 bounding the
+    roundings behind a bound, and by their underflow (Rump 2010).  A bound
+    that is not a number excludes nothing."""
+    exponents, coefficients = terms
+    e = np.asarray(exponents)
+    degree, count = int(e.sum(axis=1).max()), len(e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _powers(lo, hi, degree)
+        ends = (powers[e[:, 0], :, None, 0] * powers[e[:, 1], None, :, 1]).reshape(count, 4, -1)
+        low, high = ends.min(axis=1).T, ends.max(axis=1).T
+        up, down = np.maximum(coefficients, 0.0), np.minimum(coefficients, 0.0)
+        n, reach = degree + count + 3, np.max(np.abs([lo, hi]), initial=1.0)
+        underflow = n * count * 2.0**-1074 * max(1.0, np.abs(coefficients).max()) * reach**degree
+        slack = 2.0 * n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) * (
+            np.maximum(-low, high) @ np.abs(coefficients)) + underflow
+        return low @ up + high @ down - slack, high @ up + low @ down + slack
+
+
+def _krawczyk(lo: np.ndarray, hi: np.ndarray, table: tuple) -> Tuple[np.ndarray, ...]:
+    """Krawczyk's test on boxes X = [lo, hi] (n, 2) of the field whose terms
+    and Jacobian's are ``table`` (``Polynomial.with_jacobian``).
+
+    With X' the box inflated by INFLATION, c its centre and Y the inverse of
+    the midpoint of J(X'), K = c - Y F(c) + (I - Y J(X'))(X' - c) holds every
+    zero in X', from enclosures of F(c) and J(X') and radii widened by the
+    rounding behind them (a few u, the unit roundoff).  Returns whether X
+    holds no zero (F over X excludes 0, or K misses X'), whether X' holds
+    exactly one (K inside X'), and K's bounds.
+    """
+    u, n = UNIT_ROUNDOFF, len(lo)
+    c, half = (lo + hi) / 2.0, (hi - lo) * (0.5 + 0.5 * INFLATION)
+    x_lo, x_hi = c - half, c + half
+    low, high = _enclosure(np.concatenate([lo, x_lo, c]), np.concatenate([hi, x_hi, c]), table)
+    rho = np.maximum(x_hi - c, c - x_lo) * (1.0 + 2.0 * u)  # X' - c within [-rho, rho]
+    # F(c) within fm +- fr, J(X') within jm +- jr
+    fm, jm = (low + high)[2 * n:, :2] / 2.0, ((low + high)[n:2 * n, 2:] / 2.0).reshape(-1, 2, 2)
+    radius = (high - low) / 2.0 + 2.0 * u * (np.abs(low) + np.abs(high))
+    fr, jr = radius[2 * n:, :2], radius[n:2 * n, 2:].reshape(-1, 2, 2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = jm[:, 0, 0] * jm[:, 1, 1] - jm[:, 0, 1] * jm[:, 1, 0]
+        y = np.stack([jm[:, 1, 1], -jm[:, 0, 1], -jm[:, 1, 0], jm[:, 0, 0]], axis=1)
+        y = y.reshape(-1, 2, 2) / det[:, None, None]
+        ay = np.abs(y)
+        # |I - Y J| over X', the rounding of I - Y jm (gamma_3) included
+        bound = np.abs(np.eye(2) - y @ jm) + ay @ jr + 4.0 * u * (np.eye(2) + ay @ np.abs(jm))
+        centre = c - (y @ fm[..., None])[..., 0]
+        radius = (ay @ fr[..., None] + bound @ rho[..., None])[..., 0]
+        radius += 4.0 * u * (np.abs(c) + (ay @ np.abs(fm)[..., None])[..., 0])
+        radius = radius * (1.0 + 16.0 * u) + 2.0 * u * np.abs(centre) + 2.0**-1022
+        k_lo, k_hi = centre - radius, centre + radius
+    excluded = ((low[:n, :2] > 0.0) | (high[:n, :2] < 0.0)).any(axis=1)
+    missed = ((k_lo > x_hi) | (k_hi < x_lo)).any(axis=1)
+    return excluded | missed, ((k_lo > x_lo) & (k_hi < x_hi)).all(axis=1), k_lo, k_hi
+
+
+def _in_annulus(lo: np.ndarray, hi: np.ndarray, domain: ZeroSearchDomain) -> Tuple[np.ndarray, ...]:
+    """Whether each box [lo, hi] (n, 2) meets the annulus, and whether it lies
+    inside, decided with a margin beyond the rounding of squared distances."""
+    near = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    near2, far2 = (near**2).sum(axis=1), (np.maximum(np.abs(lo), np.abs(hi)) ** 2).sum(axis=1)
+    up, down = 1.0 + 8.0 * UNIT_ROUNDOFF, 1.0 - 8.0 * UNIT_ROUNDOFF
+    r1, r2 = domain.r1**2, domain.r2**2
+    meets = (far2 * up >= r1 * down) & (near2 * down <= r2 * up)
+    return meets, (near2 * down >= r1 * up) & (far2 * up <= r2 * down)
+
+
+def _thirds(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each box [lo, hi] (n, 2) cut into 3 x 3 boxes about its centre, so a
+    box centred on an axis has a middle box centred on it too."""
+    c, sixth = (lo + hi) / 2.0, (hi - lo) / 6.0
+    cuts = np.array([lo, c - sixth, c + sixth, hi])
+    i, j = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+    return (np.stack([cuts[i, :, 0], cuts[j, :, 1]], axis=-1).reshape(-1, 2),
+            np.stack([cuts[i + 1, :, 0], cuts[j + 1, :, 1]], axis=-1).reshape(-1, 2))
+
+
+def _subdivide(terms: tuple, domain: ZeroSearchDomain) -> Tuple[np.ndarray, int]:
+    """The points to polish for the zeros of the polynomial ``terms`` in the
+    annulus, and how many boxes stayed undecided.
+
+    Level by level, every open box is tested at once.  A box that misses the
+    annulus, or that ``_krawczyk`` proves zero-free, is dropped.  A box whose
+    inflation holds one zero gives way to its K, and K to the K over it while
+    that halves; then the zero's box is decided: inside the annulus, its
+    centre is polished; meeting it, it is undecided.  Other boxes are cut
+    in ``_thirds``, or, narrower than MIN_BOX_WIDTH * 2 * r2, are undecided,
+    as all are past MAX_BOXES.  Undecided boxes are polished
+    from their centres, after the proved ones.
+    """
+    table = Polynomial(*terms).with_jacobian().terms
+    # the first boxes' edges are symmetric bit for bit, so the middle boxes
+    # stay centred on the axes, where symmetric fields have zeros
+    edges = domain.r2 * np.arange(-FIRST_GRID, FIRST_GRID + 1, 2) / FIRST_GRID
+    lo = np.array([(x, y) for x in edges[:-1] for y in edges[:-1]])
+    hi = np.array([(x, y) for x in edges[1:] for y in edges[1:]])
+    proved, floor = np.zeros(len(lo), dtype=bool), MIN_BOX_WIDTH * 2.0 * domain.r2
+    found: List[np.ndarray] = []
+    undecided: List[np.ndarray] = []
+    while len(lo):
+        empty, unique, k_lo, k_hi = _krawczyk(lo, hi, table)
+        c, width = (lo + hi) / 2.0, (hi - lo).max(axis=1)
+        live = _in_annulus(lo, hi, domain)[0] & ~empty
+        narrows = live & unique & (~proved | ((k_hi - k_lo).max(axis=1) <= width / 2.0))
+        held = live & proved & ~narrows  # a zero's box, decided
+        meets, inside = _in_annulus(lo[held], hi[held], domain)
+        found.append(c[held][inside])
+        undecided += [c[held][meets & ~inside], c[live & ~proved & ~unique & (width < floor)]]
+        split = live & ~proved & ~unique & (width >= floor)
+        split_lo, split_hi = _thirds(lo[split], hi[split])
+        lo, hi = np.concatenate([k_lo[narrows], split_lo]), np.concatenate([k_hi[narrows], split_hi])
+        proved = np.arange(len(lo)) < narrows.sum()
+        if len(lo) > MAX_BOXES:
+            undecided.append((lo + hi) / 2.0)
+            break
+    undecided_points = np.concatenate(undecided)
+    return np.concatenate(found + [undecided_points]), len(undecided_points)
+
+
+class ZeroSet(list):
+    """The zeros a search found, and its ``verdict``: "complete" when
+    subdivision proved the annulus holds no other zero, else what is open."""
+
+    def __init__(self, zeros: Sequence[CertifiedZero], verdict: str) -> None:
+        super().__init__(zeros)
+        self.verdict = verdict
+
+
 def multistart_zeros(
     field: Field2D,
     domain: ZeroSearchDomain,
     tol: float = DEFAULT_NEWTON_TOL,
-) -> List[CertifiedZero]:
-    """Newton from every polar seed; dedup, clip to the annulus, sort.
+) -> ZeroSet:
+    """The zeros of ``field`` in the annulus, as a ZeroSet with its verdict.
 
-    All seeds iterate together, one batched field call per stencil point
-    or line-search halving.  Zeros within Euclidean distance 1e-6 of an
-    earlier kept one (in seed order) are duplicates, dropped in one pass
-    per kept zero; survivors are sorted by polar angle (0 where |y| <= 1e-6)
-    then radius.  Seeds that fail to converge are skipped, so an empty list
-    is a legitimate outcome; a field that raises NoConvergenceError at every
-    seed raises the first seed's.
+    A field with ``terms`` is subdivided (``_subdivide``), and Newton
+    polishes the points it leaves, on the exact Jacobian, with the field
+    scale of the polar seeds; any other field gets Newton from every polar
+    seed.  Either way all points iterate together, one batched field call
+    per stencil point or line-search halving.  Zeros within Euclidean
+    distance 1e-6 of an earlier kept one (in point order) are duplicates,
+    dropped in one pass per kept zero; survivors are sorted by polar angle
+    (0 where |y| <= 1e-6) then radius.  Points that fail to converge are
+    skipped, so an empty list is a legitimate outcome; a field that raises
+    NoConvergenceError at every seed raises the first seed's.
     """
-    outcomes = _newton_rounds(field, domain.seeds(), tol, NEWTON_MAX_ITER, None)
+    terms = getattr(field, "terms", None)
+    if terms is None:
+        seeds, scale = domain.seeds(), None
+        verdict = f"not proved complete: multistart from {len(seeds)} seeds"
+    else:
+        scale = field_scale_on(field, domain.seeds())
+        seeds, undecided = _subdivide(terms, domain)
+        verdict = f"{undecided} box(es) undecided" if undecided else "complete"
+    outcomes = _newton_rounds(field, seeds, tol, NEWTON_MAX_ITER, scale) if len(seeds) else []
     converged = [zero for zero in outcomes if isinstance(zero, CertifiedZero)]
     locations = np.array([zero.location for zero in converged]).reshape(-1, 2)
     inside = np.flatnonzero(domain.contains(locations))
@@ -354,7 +544,7 @@ def multistart_zeros(
         return (angle % (2.0 * math.pi), math.hypot(x, y))
 
     found.sort(key=sort_key)
-    return found
+    return ZeroSet(found, verdict)
 
 
 def group_orbit_classes(zeros: Sequence[CertifiedZero]) -> List[List[CertifiedZero]]:

@@ -16,7 +16,7 @@ import pytest
 from test_tracer import CONFIG as TINY_LINEARIZED_VERIFY
 
 import dumbbell_averager.cli as cli
-from dumbbell_averager import averaging, dynamics, reports, shooting
+from dumbbell_averager import averaging, dynamics, reports, shooting, zeros
 from dumbbell_averager.cli import ConfigError, RunConfig, load_config
 from dumbbell_averager.dynamics import Mode
 from dumbbell_averager.reference import BUNDLED_CASES
@@ -253,6 +253,35 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure in stage 'solve': trapezoid rule still moving")
         assert not (out / "zeros.csv").exists()
+
+    def test_a_field_that_is_no_polynomial_is_searched_by_the_multistart(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # cos(theta_dot) in the active coefficient: the field holds Bessel
+        # functions, so it stays on quadrature and the seeds search it.  On
+        # the axis F2 is proportional to a(J1(z)/z + z/8), z = sqrt3 * a
+        special, optimize = pytest.importorskip("scipy.special"), pytest.importorskip("scipy.optimize")
+        text = (
+            "F1star = sin(theta)*(cos(theta_dot) - sin(sqrt3*t)*theta_dot)\nF2star = sin(phi)\n"
+            "mode = T1\nn_r = 4\nn_angle = 8\n"
+        )
+        cfg = write(tmp_path, text)
+        config = load_config(cfg)
+        assert cli._build_field(config, "pipeline", None)[0].terms is None
+
+        def refused(*args):
+            raise AssertionError("a field without terms was subdivided")
+
+        monkeypatch.setattr(zeros, "_subdivide", refused)
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "pipeline zero search: not proved complete: multistart from 32 seeds\n"
+        assert captured.out.endswith("(1 zero(s), 1 orbit class(es))\n")
+        row = (out / "zeros.csv").read_text(encoding="utf-8").splitlines()[2].split(",")
+        z = optimize.brentq(lambda z: special.j1(z) / z + z / 8, -3.0, -1.0, xtol=1e-15)
+        assert float(row[0]) == pytest.approx(z / SQRT3, abs=1e-9)
+        assert abs(float(row[1])) < 1e-9 and row[4] == "Simple"
 
     def test_verify_writes_reports(self, tmp_path):
         # linearized verification of the bundled T2 case, small ladder
@@ -526,7 +555,9 @@ def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
         assert len(forks) == cpus - 1
         files = {p.name: p.read_bytes() for p in out.iterdir()}
-        runs.append((files, capsys.readouterr().out.replace(str(out), "<out>")))
+        captured = capsys.readouterr()
+        assert captured.err == ""  # every bundled search proves its zero set complete
+        runs.append((files, captured.out.replace(str(out), "<out>")))
     assert sorted(runs[0][0]) == sorted(cli._ARTIFACTS[command].values())
     assert runs[0] == runs[1] == runs[2]
 

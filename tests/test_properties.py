@@ -17,7 +17,8 @@ import dumbbell_averager as da
 import dumbbell_averager.cli as cli
 from dumbbell_averager import torques
 from dumbbell_averager.torques import VARIABLES, BinOp, Call, Const, Neg, Num, Pow, Var, diff
-from dumbbell_averager.zeros import DEDUP_DISTANCE, _first_apart, _median_norm
+from dumbbell_averager.averaging import Polynomial
+from dumbbell_averager.zeros import DEDUP_DISTANCE, _enclosure, _first_apart, _median_norm
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -391,3 +392,36 @@ dedup_points = st.lists(
 @hypothesis.given(dedup_points)
 def test_dedup_keeps_what_the_pairwise_loop_keeps(points):
     assert _first_apart(points) == pairwise_dedup(points)
+
+
+#: polynomial terms: distinct exponents of degree 1 to 6 and coefficients
+#: (m, 2) spanning several orders of magnitude, exact zero included
+coefficient = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e-3, 1e-3))
+polynomial_terms = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: 0 < sum(e) <= 6),
+    min_size=1, max_size=8, unique=True,
+).flatmap(lambda exponents: st.tuples(
+    st.just(exponents),
+    st.lists(st.tuples(coefficient, coefficient), min_size=len(exponents), max_size=len(exponents)),
+))
+#: a box (x, y, width, height), its sides from 0 (a point) to 4
+box_sides = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-6, 4.0))
+boxes = st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), box_sides, box_sides)
+fractions = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6)
+
+
+@SETTINGS
+@hypothesis.given(polynomial_terms, boxes, fractions, st.booleans())
+def test_the_widened_enclosure_holds_the_polynomial_on_its_box(terms, box, fractions, jacobian):
+    """The enclosure over a box, widened by its rounding bound, holds the
+    polynomial's value at every point of the box, and so does the enclosure
+    of the polynomial with its Jacobian, which has a constant term."""
+    field = Polynomial(*terms)
+    field = field.with_jacobian() if jacobian else field
+    x, y, width, height = box
+    lo, hi = np.array([[x, y]]), np.array([[x + width, y + height]])
+    points = np.clip(lo + np.array(fractions) * (hi - lo), lo, hi)
+    points = np.vstack([points, lo, hi, [[x, y + height], [x + width, y]]])
+    low, high = _enclosure(lo, hi, field.terms)
+    values = field(points)
+    assert (low <= values).all() and (values <= high).all()

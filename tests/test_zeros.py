@@ -199,6 +199,12 @@ def pipeline_field(name):
     return da.AveragedField(case.spec, lin)
 
 
+def terms_free(field):
+    """``field`` without its polynomial terms: the multistart searches it, and
+    Newton takes central differences of it."""
+    return lambda p: field(p)
+
+
 def seed_by_seed(field, seeds, scale):
     """One newton2d solve per seed: its zero or the exception it raised."""
     out = []
@@ -246,7 +252,7 @@ def assert_same_zeros(got, want):
 class TestBatchedSearch:
     @pytest.mark.parametrize("name", ["REF1", "REF2", "corollary1", "corollary2"])
     def test_matches_seed_by_seed_newton(self, name):
-        field = {"REF1": REF1, "REF2": REF2}.get(name) or pipeline_field(name)
+        field = terms_free({"REF1": REF1, "REF2": REF2}.get(name) or pipeline_field(name))
         domain = da.ZeroSearchDomain(n_r=4, n_angle=8)
         assert_same_zeros(da.multistart_zeros(field, domain), seed_by_seed_zeros(field, domain))
         # every seed, kept or not, ends as its own solve does (the corollary1
@@ -270,7 +276,8 @@ class TestBatchedSearch:
             calls.append(np.array(p, dtype=float))
             return REF2(p)
 
-        assert_same_zeros(da.multistart_zeros(field, domain), seed_by_seed_zeros(REF2, domain))
+        want = seed_by_seed_zeros(terms_free(REF2), domain)
+        assert_same_zeros(da.multistart_zeros(field, domain), want)
         assert sum(c.shape == seeds.shape and np.array_equal(c, seeds) for c in calls) == 1
 
     def test_memory_does_not_grow_with_the_iteration_budget(self):
@@ -454,6 +461,102 @@ class TestAxisAndAnnulus:
     def test_contains_refuses_points_of_another_shape(self, shape):
         with pytest.raises(ValueError, match="point must have 2 components"):
             da.ZeroSearchDomain(r1=0.05, r2=5.0).contains(np.full(shape, 0.5))
+
+
+def cli_field(name):
+    """corollary ``name``'s pipeline field as the CLI builds it: a polynomial."""
+    with cli.resources.as_file(cli.bundled_config_path(name)) as path:
+        return cli._build_field(cli.load_config(path), "pipeline", name)[0]
+
+
+class TestSubdivision:
+    @pytest.mark.parametrize(
+        "field, count",
+        [("REF1", 1), ("REF2", 4), ("corollary1", 0), ("corollary2", 2)],
+    )
+    def test_each_bundled_search_is_complete(self, field, count):
+        fld = {"REF1": REF1, "REF2": REF2}.get(field) or cli_field(field)
+        assert fld.terms is not None
+        found = da.multistart_zeros(fld, da.ZeroSearchDomain())
+        assert found.verdict == "complete" and len(found) == count
+        assert all(z.classification == "Simple" for z in found)
+
+    def test_the_printed_fields_are_their_closed_forms(self):
+        rng = np.random.default_rng(36)
+        p = rng.uniform(-5.0, 5.0, (50, 2))
+        x, y = p[:, 0], p[:, 1]
+        case1 = np.column_stack([y * (3 * x**2 + y**2) / 48,
+                                 (3 * (SQRT3 - 3 * x) * x**2 - (SQRT3 + 3 * x) * y**2) / 24])
+        case2 = np.column_stack([(x - 1) * y / 8,
+                                 (4 * x * (2 + x - 2 * x**2) - y**2 * (1 + 2 * x)) / 32])
+        for field, want in ((REF1, case1), (REF2, case2)):
+            assert np.allclose(field(p), want, rtol=1e-13, atol=1e-13)
+            assert field(p[0]).shape == (2,) and field(p.reshape(5, 10, 2)).shape == (5, 10, 2)
+
+    def test_the_corollary1_pipeline_search_evaluates_few_field_rows(self, monkeypatch):
+        # the multistart evaluated 52,720 rows of this field and found no
+        # zero; the subdivision proves that from the polynomial's terms and
+        # evaluates the field only on the field-scale sample
+        fld, rows = cli_field("corollary1"), []
+        evaluate = averaging.AveragedField.evaluate
+
+        def counted(self, alpha):
+            rows.append(np.atleast_2d(np.asarray(alpha)).shape[0])
+            return evaluate(self, alpha)
+
+        monkeypatch.setattr(averaging.AveragedField, "evaluate", counted)
+        found = da.multistart_zeros(fld, da.ZeroSearchDomain())
+        assert found == [] and found.verdict == "complete"
+        assert 0 < sum(rows) < 52_720 // 20
+
+    @pytest.mark.parametrize("root, domain, listed", [
+        (0.5, da.ZeroSearchDomain(r1=0.5, r2=2.0), [(0.5, 0.0)]),
+        (2.0, da.ZeroSearchDomain(r1=0.5, r2=2.0), [(2.0, 0.0)]),
+        # Newton ends 1 ulp inside r1, so only the verdict tells of this zero
+        (-0.05, da.ZeroSearchDomain(), []),
+    ])
+    def test_a_zero_on_a_bound_is_undecided(self, root, domain, listed):
+        # F = (x(x - root), y) vanishes at the origin and at (root, 0), on
+        # the circle r1 or r2: its enclosure never leaves the circle
+        field = averaging.Polynomial([(2, 0), (1, 0), (0, 1)], [[1, 0], [-root, 0], [0, 1]])
+        found = da.multistart_zeros(field, domain)
+        assert found.verdict == "1 box(es) undecided"
+        # the undecided box is polished like a proved one
+        assert [tuple(z.location) for z in found] == listed
+
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9])
+    def test_a_zero_just_off_a_bound_is_decided(self, offset):
+        domain = da.ZeroSearchDomain(r1=0.5, r2=2.0)
+        root = 0.5 + offset
+        field = averaging.Polynomial([(2, 0), (1, 0), (0, 1)], [[1, 0], [-root, 0], [0, 1]])
+        found = da.multistart_zeros(field, domain)
+        assert found.verdict == "complete"
+        assert [tuple(z.location) for z in found] == ([(root, 0.0)] if offset > 0 else [])
+
+    def test_a_degenerate_zero_is_undecided(self):
+        # F = (x^2 + y^2) (x - 1 + iy)^2 as (real, imaginary) parts: a double
+        # zero at (1, 0), which no Krawczyk test proves and where Newton's
+        # determinant vanishes; the verdict says so instead of "complete"
+        field = averaging.Polynomial(
+            [(4, 0), (3, 0), (2, 0), (1, 2), (0, 2), (0, 4), (3, 1), (2, 1), (1, 3), (0, 3)],
+            [[1, 0], [-2, 0], [1, 0], [-2, 0], [1, 0], [-1, 0], [0, 2], [0, -2], [0, 2], [0, -2]],
+        )
+        p = np.random.default_rng(36).uniform(-2.0, 2.0, (20, 2))
+        square = (p[:, 0] - 1 + 1j * p[:, 1]) ** 2 * (p[:, 0] ** 2 + p[:, 1] ** 2)
+        assert np.allclose(field(p), np.column_stack([square.real, square.imag]))
+        domain = da.ZeroSearchDomain(r1=0.5, r2=2.0)
+        points, undecided = zeros._subdivide(field.terms, domain)
+        assert undecided == len(points) > 0
+        assert np.abs(points - [1.0, 0.0]).max() < 1e-4
+        found = da.multistart_zeros(field, domain)
+        assert found == [] and found.verdict == f"{undecided} box(es) undecided"
+
+    def test_a_field_without_terms_takes_the_multistart(self, monkeypatch):
+        domain = da.ZeroSearchDomain(n_r=4, n_angle=8)
+        monkeypatch.setattr(zeros, "_subdivide", None)  # never called
+        found = da.multistart_zeros(terms_free(REF2), domain)
+        assert found.verdict == "not proved complete: multistart from 32 seeds"
+        assert_same_zeros(found, seed_by_seed_zeros(terms_free(REF2), domain))
 
 
 def real_zeros(pair, symbols):
