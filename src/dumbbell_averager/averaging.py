@@ -21,8 +21,8 @@ Both reduce periodic integrands to one node-doubling trapezoid rule
 (``_quadrature_rows``), which converges spectrally for smooth periodic
 functions.  A batch of plane points is integrated together, but each point
 stops doubling at its own node count, so its value is the same whatever
-else is in the batch.  ``AveragedField`` recovers a polynomial field from
-one such batch, and then evaluates the polynomial instead.
+else is in the batch.  ``AveragedField.polynomial`` recovers a
+``Polynomial``, the type of the bundled reference fields, from one such batch.
 """
 
 from __future__ import annotations
@@ -102,34 +102,45 @@ def _quadrature_rows(
     raise error
 
 
-def _polynomial(pts: np.ndarray, terms: tuple) -> np.ndarray:
-    """The polynomial (exponents (i, j); coefficients (m, k)) at rows (x, y),
-    as (n, k), in elementwise products and sums: no row's bits depend on another's."""
-    exponents, coefficients = terms
-    xs, ys = [np.ones(len(pts)), pts[:, 0].copy()], [np.ones(len(pts)), pts[:, 1].copy()]
-    for _ in range(max(i + j for i, j in exponents) - 1):
-        xs.append(xs[-1] * xs[1])
-        ys.append(ys[-1] * ys[1])
-    out = np.zeros((len(pts), coefficients.shape[1]))
-    for (i, j), c in zip(exponents, coefficients):
-        out += (xs[i] if not j else ys[j] if not i else xs[i] * ys[j])[:, None] * c
-    return out
+def _plane_points(alpha) -> Tuple[np.ndarray, bool]:
+    """``alpha`` as rows (m, 2), and whether it was a single point (2,);
+    ValueError for any other shape."""
+    a = np.asarray(alpha, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != 2:
+        raise ValueError(f"alpha must have 2 components, got shape {a.shape}")
+    return np.atleast_2d(a), a.ndim == 1
 
 
 class Polynomial:
     """A polynomial map of plane points: ``terms`` are its exponents (i, j)
-    and coefficients (m, k), one column per component, the form in which
-    ``AveragedField`` recovers a field.  A point (2,) or points (..., 2)
-    give values (k,) or (..., k), by ``_polynomial``."""
+    and coefficients (m, k), one column per component.  A point (2,) gives
+    (k,) and points (m, 2) give (m, k); another shape raises ValueError, and
+    a value that is not finite DomainError, without a numpy warning."""
 
     def __init__(self, exponents: Sequence[Tuple[int, int]], coefficients) -> None:
         exponents = list(exponents)
         self.terms = (exponents, np.array(coefficients, dtype=float).reshape(len(exponents), -1))
 
+    def rows(self, pts: np.ndarray) -> np.ndarray:
+        """The values (n, k) at rows (n, 2), unchecked, in elementwise products
+        and sums: no row's bits depend on another's."""
+        exponents, coefficients = self.terms
+        xs, ys = [np.ones(len(pts)), pts[:, 0].copy()], [np.ones(len(pts)), pts[:, 1].copy()]
+        for _ in range(max(i + j for i, j in exponents) - 1):
+            xs.append(xs[-1] * xs[1])
+            ys.append(ys[-1] * ys[1])
+        out = np.zeros((len(pts), coefficients.shape[1]))
+        for (i, j), c in zip(exponents, coefficients):
+            out += (xs[i] if not j else ys[j] if not i else xs[i] * ys[j])[:, None] * c
+        return out
+
     def __call__(self, alpha) -> np.ndarray:
-        a = np.asarray(alpha, dtype=float)
-        values = _polynomial(a.reshape(-1, 2), self.terms)
-        return values.reshape(a.shape[:-1] + values.shape[1:])
+        pts, single = _plane_points(alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.rows(pts)
+        if not np.isfinite(out).all():
+            raise DomainError(OVERFLOW_MESSAGE)
+        return out[0] if single else out
 
     def with_jacobian(self) -> "Polynomial":
         """This 2D field and its exact Jacobian, over the exponents of both:
@@ -145,7 +156,7 @@ class Polynomial:
 
 @dataclass
 class AveragedField:
-    """Averaged bifurcation field over plane initial conditions.
+    """Averaged bifurcation field over plane initial conditions by quadrature.
 
     ``evaluate`` accepts a single (2,) point or a batch (m, 2) and returns
     matching shape; row i of a batch is bit for bit ``evaluate(alpha[i])``.
@@ -155,24 +166,12 @@ class AveragedField:
     finite, or whose integrand is not, raises DomainError at once.
     ``max_nodes_used`` records the largest quadrature node count any point
     needed (diagnostics only).
-
-    ``degrees`` None integrates every point.  Otherwise it holds the degrees
-    d of the active coefficient (f1 on T1, f4 on T2) in the active rate, so
-    the field is a polynomial of degrees d + 1.  The first ``evaluate`` fits
-    it to the quadrature at the even ones of 4 points per monomial on a
-    golden-angle spiral over the unit disk, and checks the odd ones within
-    ``quad_tolerance * max(1, |F|)``.  A fit that misses or raises keeps the
-    field on quadrature, errors and all; otherwise a point is the polynomial,
-    integrated only where that is not finite.
     """
 
     spec: ResonanceSpec
     lin: LinearizedTorque
     quad_tolerance: float = DEFAULT_QUAD_TOL
-    degrees: Optional[FrozenSet[int]] = None
     max_nodes_used: int = field(default=0, init=False)
-    #: None until the first evaluate; then the polynomial's terms, or ()
-    _terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def _integrals(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(pts).all():
@@ -194,53 +193,39 @@ class AveragedField:
 
         return _quadrature_rows(integrand, self.spec.window, self.quad_tolerance, len(pts))
 
-    def _recover(self) -> tuple:
-        """The polynomial's terms from one batched quadrature, or ()."""
-        try:  # any failure leaves quadrature at the caller's points to say why
-            exponents = [(i, d + 1 - i) for d in sorted(self.degrees) for i in range(d + 2)]
+    def polynomial(self, degrees: FrozenSet[int]) -> Optional[Polynomial]:
+        """This field as a Polynomial of degrees d + 1, for the ``degrees`` d of
+        the active coefficient (f1 on T1, f4 on T2) in the active rate: fitted
+        to the quadrature at the even ones of 4 points per monomial on a
+        golden-angle spiral over the unit disk, and checked at the odd ones
+        within ``quad_tolerance * max(1, |F|)``.  None, counting no nodes,
+        where the fit misses or raises."""
+        try:  # the quadrature field reports any failure at its own points
+            exponents = [(i, d + 1 - i) for d in sorted(degrees) for i in range(d + 2)]
             k = np.arange(4 * len(exponents))
             radius, angle = np.sqrt((k + 0.5) / k.size), k * (math.pi * (3.0 - math.sqrt(5.0)))
             pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
             values, nodes = self._integrals(pts)
-            basis = _polynomial(pts[0::2], (exponents, np.eye(len(exponents))))
-            terms = (exponents, np.linalg.lstsq(basis, values[0::2], rcond=None)[0])
+            basis = Polynomial(exponents, np.eye(len(exponents))).rows(pts[0::2])
+            fit = Polynomial(exponents, np.linalg.lstsq(basis, values[0::2], rcond=None)[0])
         except Exception:
-            return ()
-        error = np.abs(_polynomial(pts[1::2], terms) - values[1::2])
+            return None
+        error = np.abs(fit.rows(pts[1::2]) - values[1::2])
         if not np.all(error <= self.quad_tolerance * np.maximum(1.0, np.abs(values[1::2]))):
-            return ()
+            return None
         self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
-        return terms
-
-    @property
-    def terms(self) -> Optional[tuple]:
-        """The polynomial's terms, as ``Polynomial.terms``, recovered on first
-        use; None for a field on quadrature."""
-        if self._terms is None:
-            self._terms = self._recover() if self.degrees else ()
-        return self._terms or None
+        return fit
 
     def evaluate(self, alpha) -> np.ndarray:
-        a = np.asarray(alpha, dtype=float)
-        if a.ndim not in (1, 2) or a.shape[-1] != 2:
-            raise ValueError(f"alpha must have 2 components, got shape {a.shape}")
-        single, pts = a.ndim == 1, np.atleast_2d(a)
+        pts, single = _plane_points(alpha)
         if not len(pts):
             return np.empty((0, 2))
-        terms = self.terms
-        # where the polynomial gives no finite value, quadrature gives it or says why
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _polynomial(pts, terms) if terms else np.full(pts.shape, np.nan)
-        rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
-        if rows.size:
-            try:
-                out[rows], nodes = self._integrals(pts[rows])
-            except NoConvergenceError as exc:  # the points that stopped count
-                self.max_nodes_used = max(self.max_nodes_used, int(exc.nodes.max()))
-                out[rows] = exc.values
-                exc.values = out
-                raise
-            self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
+        try:
+            out, nodes = self._integrals(pts)
+        except NoConvergenceError as exc:  # the points that stopped count
+            self.max_nodes_used = max(self.max_nodes_used, int(exc.nodes.max()))
+            raise
+        self.max_nodes_used = max(self.max_nodes_used, int(nodes.max()))
         return out[0] if single else out
 
     def __call__(self, alpha) -> np.ndarray:

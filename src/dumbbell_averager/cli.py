@@ -220,7 +220,10 @@ def bundled_config_path(case: str):
 
 
 def _build_field(config: RunConfig, source: str, case: Optional[str]):
-    """Return (field callable, meta dict) for ``source``, with ``case`` for the printed reference."""
+    """Return (field callable, meta dict) for ``source``: the printed reference
+    of ``case``, or the pipeline's field, the ``Polynomial`` its quadrature
+    ``AveragedField`` recovers where the torque's degrees allow and the fit
+    holds, else that ``AveragedField``."""
     meta: Dict[str, object] = {
         "field_source": source,
         "mode": config.mode.value,
@@ -234,10 +237,12 @@ def _build_field(config: RunConfig, source: str, case: Optional[str]):
     # read off the torque: coefficients built from plain callables carry no trees
     t1 = config.spec.mode is Mode.NUTATION_T1
     degrees = torques.velocity_degrees(config.torques[not t1], "theta_dot" if t1 else "phi_dot")
-    fld = AveragedField(config.spec, config.linearized, config.quad_tol, degrees)
+    averaged = AveragedField(config.spec, config.linearized, config.quad_tol)
+    polynomial = averaged.polynomial(degrees) if degrees else None
     meta["quad_tol"] = config.quad_tol
     meta["equilibrium_check"] = report.status
-    return fld, meta
+    meta["quad_nodes_max"] = averaged.max_nodes_used
+    return (averaged if polynomial is None else polynomial), meta
 
 
 def _eval_points(config: RunConfig) -> np.ndarray:
@@ -262,8 +267,9 @@ def _search(config: RunConfig, fld, meta: dict) -> tuple:
     of their CSV, ``meta`` first."""
     zeros = multistart_zeros(fld, config.domain, tol=config.newton_tol)
     meta = dict(meta, newton_tol=config.newton_tol, **asdict(config.domain))
-    if isinstance(fld, AveragedField):
-        meta["quad_nodes_max"] = fld.max_nodes_used
+    if "quad_nodes_max" in meta:  # last, and read again off a quadrature field
+        nodes = meta.pop("quad_nodes_max")
+        meta["quad_nodes_max"] = fld.max_nodes_used if isinstance(fld, AveragedField) else nodes
     return zeros, group_orbit_classes(zeros), meta
 
 
@@ -307,14 +313,14 @@ def _solve_and_shoot(config: RunConfig, searches: Dict[str, Tuple[str, Path]],
     """Search the field of each ``searches`` entry, label: (field source,
     zeros CSV), and shoot its simple orbit classes in each of ``systems``,
     as the batches of one ``run_tasks`` pool: the searches, each task its
-    label, then, once every search has succeeded, each ladder task (label,
+    label, which builds the field too (a fit then runs beside the other
+    search), then, once every search has succeeded, each ladder task (label,
     system, class index, zero location) that ``_shared_shots`` maps to
     itself; the others read the shots it maps them to.  The outcomes are
     then taken in the serial order, every search (writing its zeros CSV)
     before any ladder, and the first failure met is raised.  Returns each
     label's orbit classes and each (label, system)'s ladders, keyed by
     class index."""
-    fields = {label: _build_field(config, source, case) for label, (source, _) in searches.items()}
     failure = None
     try:  # built before the pool forks; the serial order meets a failure after the zeros CSVs
         factories = {system: _rhs_factory(config, system) for system in systems}
@@ -322,8 +328,8 @@ def _solve_and_shoot(config: RunConfig, searches: Dict[str, Tuple[str, Path]],
         factories, failure = {}, exc
 
     def run(task):
-        if task in fields:
-            return _search(config, *fields[task])
+        if task in searches:
+            return _search(config, *_build_field(config, searches[task][0], case))
         return epsilon_continuation(
             rhs_for_eps=factories[task[1]], averaged_zero=task[3], spec=config.spec,
             eps_list=config.epsilon_list, **_tolerances(config),
@@ -332,11 +338,11 @@ def _solve_and_shoot(config: RunConfig, searches: Dict[str, Tuple[str, Path]],
     shots: Dict[tuple, tuple] = {}
 
     def plan(outcomes) -> list:
-        if shots or any(isinstance(outcomes[label], Exception) for label in fields):
+        if shots or any(isinstance(outcomes[label], Exception) for label in searches):
             return []
         shots.update(_shared_shots([
             (label, system, idx, tuple(float(v) for v in group[0].location))
-            for label in fields for system in factories
+            for label in searches for system in factories
             for idx, group in enumerate(outcomes[label][1]) if group[0].is_simple
         ], config.newton_tol))
         return [task for task, shot in shots.items() if task == shot]
@@ -344,14 +350,14 @@ def _solve_and_shoot(config: RunConfig, searches: Dict[str, Tuple[str, Path]],
     # a wrapped layer function (``__wrapped__``, as a tracer's spans) sees
     # only the calls made in its own process, so then no task leaves it
     wrapped = any(hasattr(f, "__wrapped__") for f in (multistart_zeros, epsilon_continuation))
-    outcomes, groups = run_tasks(fields, run, plan, fork=not wrapped), {}
+    outcomes, groups = run_tasks(searches, run, plan, fork=not wrapped), {}
     for label, (_, path) in searches.items():
         zeros, groups[label], meta = settled(outcomes[label])
         _note_verdict(label, zeros)
         reports.write_zeros_csv(path, zeros, groups[label], meta)
     if failure is not None:
         raise failure
-    ladders = {(label, system): {} for label in fields for system in systems}
+    ladders = {(label, system): {} for label in searches for system in systems}
     for task, shot in shots.items():
         report = settled(outcomes[shot])
         ladders[task[:2]][task[2]] = report if task == shot else continuation_report(

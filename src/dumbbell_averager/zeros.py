@@ -1,8 +1,8 @@
 """Simple-zero search for 2D averaged fields over an annulus r1 <= |alpha| <= r2,
 which excludes the origin (the trivial equilibrium).
 
-A field with polynomial ``terms`` (``averaging.Polynomial``, or an
-``AveragedField`` that recovered one) is searched by subdivision: a box is
+A ``Polynomial`` field (``averaging``: a printed reference, or the
+pipeline's field where it recovered one) is searched by subdivision: a box is
 dropped where an interval enclosure of F1 or F2 excludes 0 or Krawczyk's
 operator proves it zero-free, and holds one zero where the operator maps it
 into its interior (Krawczyk, Computing 4, 1969).  Each enclosure is widened
@@ -37,6 +37,7 @@ import numpy as np
 
 from .averaging import Polynomial
 from .errors import NoConvergenceError, SingularJacobianError
+from .torques import OVERFLOW_MESSAGE, DomainError
 
 Field2D = Callable[[np.ndarray], np.ndarray]
 
@@ -72,8 +73,8 @@ MAX_BOXES = 2**12
 @dataclass(frozen=True)
 class ZeroSearchDomain:
     """Closed annulus r1 <= ||alpha|| <= r2 with a polar grid of n_r * n_angle
-    points: the Newton seeds of a field without polynomial terms.  For a
-    polynomial field they are only the sample whose median ||F|| sets the
+    points: the Newton seeds of a field that is no ``Polynomial``.  For a
+    ``Polynomial`` they are only the sample whose median ||F|| sets the
     field scale of the Simple/Degenerate verdict."""
 
     r1: float = 0.05
@@ -158,8 +159,9 @@ def _field_rows(
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    # bit for bit what float(np.linalg.norm(row)) gives on each row
-    return np.sqrt(np.vecdot(rows, rows))
+    # bit for bit what float(np.linalg.norm(row)) gives on each row, inf too
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.vecdot(rows, rows))
 
 
 def _stencil(evaluate: Field2D, points: np.ndarray) -> np.ndarray:
@@ -188,15 +190,16 @@ def _newton_rounds(
     tol: float,
     max_iter: int,
     field_scale: Optional[float],
+    table: Optional[Polynomial] = None,
 ) -> List[Union[CertifiedZero, NoConvergenceError]]:
     """Damped Newton from every row of ``seeds`` at once.
 
     Each round moves every live seed by one ``newton2d`` iteration: the
-    Jacobian (exact from the field's ``terms`` where it has them, else the
-    stencil, one field call per stencil point), then the halving
-    line search (one field call per halving, for the seeds still halving).
-    The arithmetic of each seed is that of a solve on its own.  A seed ends
-    when it converges, fails, or its field evaluation raises
+    Jacobian (exact from ``table``, the field's ``with_jacobian``, where
+    given, else the stencil, one field call per stencil point), then the
+    halving line search (one field call per halving, for the seeds still
+    halving).  The arithmetic of each seed is that of a solve on its own.  A
+    seed ends when it converges, fails, or its field evaluation raises
     NoConvergenceError; the others go on.  When the first field call ends
     every seed, the first seed's NoConvergenceError is raised.
     ``field_scale`` None takes ``field_scale_on`` the seeds from the first
@@ -225,8 +228,6 @@ def _newton_rounds(
                 end(ids[rows[i]], exc)
         return values
 
-    terms = getattr(field, "terms", None)
-    table = terms and Polynomial(*terms).with_jacobian()
     live = np.arange(m)
     x = np.array(seeds, dtype=float)
     fx = evaluate(x, live)
@@ -240,9 +241,9 @@ def _newton_rounds(
         live, x, fx, nf = live[keep], x[keep], fx[keep], nf[keep]
         if not live.size:
             break
-        if table:
+        if table is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                jac = table(x)[:, 2:].reshape(-1, 2, 2)
+                jac = table.rows(x)[:, 2:].reshape(-1, 2, 2)
         else:
             jac = _stencil(lambda pts: evaluate(pts, live), x)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
@@ -317,10 +318,12 @@ def newton2d(
     requires both ||field|| < tol and a Newton step below 1e-12.  Raises
     SingularJacobianError when |det J| < 1e-14 mid-iteration and
     NoConvergenceError when the iteration budget runs out.  This is the
-    one-seed case of the batched rounds ``multistart_zeros`` runs.
+    one-seed case of the batched rounds ``multistart_zeros`` runs, on the
+    exact Jacobian of a ``Polynomial``.
     """
     seeds = np.asarray(seed, dtype=float).reshape(1, 2)
-    (result,) = _newton_rounds(field, seeds, tol, max_iter, field_scale)
+    table = field.with_jacobian() if isinstance(field, Polynomial) else None
+    (result,) = _newton_rounds(field, seeds, tol, max_iter, field_scale, table)
     if isinstance(result, NoConvergenceError):
         raise result
     return result
@@ -336,13 +339,17 @@ def field_scale_on(field: Field2D, seeds: np.ndarray) -> float:
 def _median_norm(values: np.ndarray) -> float:
     """Median of the row norms, with np.median's arithmetic: the middle norm,
     or the mean (a + b) / 2 of the middle pair.  1.0 when there are no rows,
-    when a norm is NaN, or when the median is 0."""
-    norms = np.sort(np.linalg.norm(values, axis=1))  # NaNs sort last
+    when a norm is NaN, or when the median is 0; DomainError when it
+    overflows, being inf though every value is finite."""
+    with np.errstate(over="ignore"):
+        norms = np.sort(np.linalg.norm(values, axis=1))  # NaNs sort last
     n = len(norms)
     if not n or math.isnan(norms[-1]):
         return 1.0
     mid = n // 2
     med = float(norms[mid]) if n % 2 else (float(norms[mid - 1]) + float(norms[mid])) / 2
+    if math.isinf(med) and np.isfinite(values).all():
+        raise DomainError(OVERFLOW_MESSAGE)
     return med if med > 0.0 else 1.0
 
 
@@ -455,9 +462,9 @@ def _thirds(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             np.stack([cuts[i + 1, :, 0], cuts[j + 1, :, 1]], axis=-1).reshape(-1, 2))
 
 
-def _subdivide(terms: tuple, domain: ZeroSearchDomain) -> Tuple[np.ndarray, int]:
-    """The points to polish for the zeros of the polynomial ``terms`` in the
-    annulus, and how many boxes stayed undecided.
+def _subdivide(table: Polynomial, domain: ZeroSearchDomain) -> Tuple[np.ndarray, int]:
+    """The points to polish for the zeros in the annulus of the field whose
+    ``with_jacobian`` is ``table``, and how many boxes stayed undecided.
 
     Level by level, every open box is tested at once.  A box that misses the
     annulus, or that ``_krawczyk`` proves zero-free, is dropped.  A box whose
@@ -468,7 +475,6 @@ def _subdivide(terms: tuple, domain: ZeroSearchDomain) -> Tuple[np.ndarray, int]
     as all are past MAX_BOXES.  Undecided boxes are polished
     from their centres, after the proved ones.
     """
-    table = Polynomial(*terms).with_jacobian().terms
     # the first boxes' edges are symmetric bit for bit, so the middle boxes
     # stay centred on the axes, where symmetric fields have zeros
     edges = domain.r2 * np.arange(-FIRST_GRID, FIRST_GRID + 1, 2) / FIRST_GRID
@@ -478,7 +484,7 @@ def _subdivide(terms: tuple, domain: ZeroSearchDomain) -> Tuple[np.ndarray, int]
     found: List[np.ndarray] = []
     undecided: List[np.ndarray] = []
     while len(lo):
-        empty, unique, k_lo, k_hi = _krawczyk(lo, hi, table)
+        empty, unique, k_lo, k_hi = _krawczyk(lo, hi, table.terms)
         c, width = (lo + hi) / 2.0, (hi - lo).max(axis=1)
         live = _in_annulus(lo, hi, domain)[0] & ~empty
         narrows = live & unique & (~proved | ((k_hi - k_lo).max(axis=1) <= width / 2.0))
@@ -513,26 +519,26 @@ def multistart_zeros(
 ) -> ZeroSet:
     """The zeros of ``field`` in the annulus, as a ZeroSet with its verdict.
 
-    A field with ``terms`` is subdivided (``_subdivide``), and Newton
-    polishes the points it leaves, on the exact Jacobian, with the field
-    scale of the polar seeds; any other field gets Newton from every polar
-    seed.  Either way all points iterate together, one batched field call
-    per stencil point or line-search halving.  Zeros within Euclidean
-    distance 1e-6 of an earlier kept one (in point order) are duplicates,
-    dropped in one pass per kept zero; survivors are sorted by polar angle
-    (0 where |y| <= 1e-6) then radius.  Points that fail to converge are
-    skipped, so an empty list is a legitimate outcome; a field that raises
-    NoConvergenceError at every seed raises the first seed's.
+    A ``Polynomial`` is subdivided (``_subdivide``), and Newton polishes the
+    points it leaves, on the exact Jacobian, with the field scale of the
+    polar seeds, both from one ``with_jacobian`` table; any other field gets
+    Newton from every polar seed.  Either way all points iterate together,
+    one batched field call per stencil point or line-search halving.  Zeros
+    within Euclidean distance 1e-6 of an earlier kept one (in point order)
+    are duplicates, dropped in one pass per kept zero; survivors are sorted
+    by polar angle (0 where |y| <= 1e-6) then radius.  Points that fail to
+    converge are skipped, so an empty list is a legitimate outcome; a field
+    that raises NoConvergenceError at every seed raises the first seed's,
+    and one whose median ||F|| over the seeds overflows raises DomainError.
     """
-    terms = getattr(field, "terms", None)
-    if terms is None:
-        seeds, scale = domain.seeds(), None
-        verdict = f"not proved complete: multistart from {len(seeds)} seeds"
-    else:
-        scale = field_scale_on(field, domain.seeds())
-        seeds, undecided = _subdivide(terms, domain)
+    if isinstance(field, Polynomial):
+        table, scale = field.with_jacobian(), field_scale_on(field, domain.seeds())
+        seeds, undecided = _subdivide(table, domain)
         verdict = f"{undecided} box(es) undecided" if undecided else "complete"
-    outcomes = _newton_rounds(field, seeds, tol, NEWTON_MAX_ITER, scale) if len(seeds) else []
+    else:
+        seeds, scale, table = domain.seeds(), None, None
+        verdict = f"not proved complete: multistart from {len(seeds)} seeds"
+    outcomes = _newton_rounds(field, seeds, tol, NEWTON_MAX_ITER, scale, table) if len(seeds) else []
     converged = [zero for zero in outcomes if isinstance(zero, CertifiedZero)]
     locations = np.array([zero.location for zero in converged]).reshape(-1, 2)
     inside = np.flatnonzero(domain.contains(locations))

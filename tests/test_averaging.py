@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dumbbell_averager as da
-from dumbbell_averager import cli, torques
+from dumbbell_averager import averaging, cli, torques
 from dumbbell_averager.averaging import _quadrature_rows
 
 SQRT3 = math.sqrt(3.0)
@@ -290,15 +290,23 @@ class TestMalkinRoute:
             )
 
 
-def pipeline_field(name, degrees=...):
-    """corollary ``name``'s pipeline field as the CLI builds it, or with
-    ``degrees`` in place of the ones read off its torque."""
+def bundled_config(name):
     with cli.resources.as_file(cli.bundled_config_path(name)) as path:
-        config = cli.load_config(path)
-    fld, _ = cli._build_field(config, "pipeline", name)
-    if degrees is not ...:
-        fld = da.AveragedField(fld.spec, fld.lin, degrees=degrees)
-    return fld
+        return cli.load_config(path)
+
+
+def pipeline_field(name):
+    """corollary ``name``'s pipeline field as the CLI builds it."""
+    return cli._build_field(bundled_config(name), "pipeline", name)[0]
+
+
+def quadrature_field(name):
+    """corollary ``name``'s pipeline field by quadrature, as the CLI builds
+    it, and the degrees of its active coefficient in the active rate."""
+    config = bundled_config(name)
+    t1 = config.spec.mode is da.Mode.NUTATION_T1
+    degrees = torques.velocity_degrees(config.torques[not t1], "theta_dot" if t1 else "phi_dot")
+    return da.AveragedField(config.spec, config.linearized, config.quad_tol), degrees
 
 
 #: the closed forms of the bundled pipeline fields, as {(i, j): the
@@ -330,52 +338,63 @@ def raised(call):
 class TestPolynomialRoute:
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
     def test_recovers_the_closed_forms(self, name):
-        fld = pipeline_field(name)
-        fld.evaluate([0.3, 0.2])
-        exponents, coefficients = fld._terms
+        quadrature, degrees = quadrature_field(name)
+        fld = quadrature.polynomial(degrees)
+        exponents, coefficients = fld.terms
         assert set(CLOSED_FORMS[name]) <= set(exponents)
         for exponent, got in zip(exponents, coefficients):
             want = CLOSED_FORMS[name].get(exponent, (0.0, 0.0))
             assert np.abs(got - want).max() <= 1e-13, exponent
         # one recovery batch, all of it at the node count the search used to need
-        assert fld.max_nodes_used == 32
-        lin, spec = fld.lin, fld.spec
+        assert quadrature.max_nodes_used == 32
+        # the CLI's field is this polynomial, bit for bit
+        built = pipeline_field(name)
+        assert isinstance(built, averaging.Polynomial)
+        assert built.terms[0] == exponents and built.terms[1].tobytes() == coefficients.tobytes()
+        g1 = da.linearized_perturbation(quadrature.lin)
         for alpha in ([0.5, 0.3], [-4.0, 2.5]):
-            oracle = da.malkin_average(da.linearized_perturbation(lin), spec, alpha)
-            assert np.allclose(fld.evaluate(alpha), oracle, rtol=1e-12, atol=1e-12)
+            oracle = da.malkin_average(g1, quadrature.spec, alpha)
+            assert np.allclose(fld(alpha), oracle, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
     def test_a_row_is_its_point_alone(self, name):
         fld = pipeline_field(name)
         rng = np.random.default_rng(32)
         pts = np.vstack([rng.uniform(-5.0, 5.0, (37, 2)), [[0.0, 0.0], [1e-300, -2.0]]])
-        batch = fld.evaluate(pts)
+        batch = fld(pts)
         for i, p in enumerate(pts):
-            assert fld.evaluate(p).tobytes() == batch[i].tobytes()
-            assert pipeline_field(name).evaluate(pts[i:]).tobytes() == batch[i:].tobytes()
+            assert fld(p).tobytes() == batch[i].tobytes()
+            assert pipeline_field(name)(pts[i:]).tobytes() == batch[i:].tobytes()
 
     def test_a_rate_under_a_call_stays_on_quadrature(self):
         config = cli.RunConfig(
             f1star="sin(theta)*sin(theta_dot)", f2star="sin(phi)", mode=da.Mode.NUTATION_T1
         )
         fld, _ = cli._build_field(config, "pipeline", None)
-        assert fld.degrees is None
+        assert type(fld) is da.AveragedField
         quadrature = da.AveragedField(config.spec, config.linearized)
         pts = np.array([[0.3, -0.9], [1.1, 0.4], [2.0, 1.0]])
         assert fld.evaluate(pts).tobytes() == quadrature.evaluate(pts).tobytes()
-        assert fld._terms == () and fld.max_nodes_used == quadrature.max_nodes_used
+        assert fld.max_nodes_used == quadrature.max_nodes_used
+        # cos(v) is no polynomial: a fit of its first degrees misses, and
+        # counts no nodes
+        fld = da.AveragedField(T1_SPEC, const_lin(f1=lambda t, v1, v2: np.cos(v1)))
+        assert fld.polynomial(frozenset({0, 2, 4})) is None and fld.max_nodes_used == 0
 
     def test_too_few_degrees_fall_back_to_quadrature(self):
         # degree-1 monomials cannot hold corollary1's quintic field
-        fld = pipeline_field("corollary1", degrees=frozenset({0}))
-        quadrature = pipeline_field("corollary1", degrees=None)
+        fld, _ = quadrature_field("corollary1")
+        assert fld.polynomial(frozenset({0})) is None
+        quadrature, _ = quadrature_field("corollary1")
         pts = np.array([[0.3, -0.9], [1.1, 0.4]])
         assert fld.evaluate(pts).tobytes() == quadrature.evaluate(pts).tobytes()
-        assert fld._terms == () and fld.max_nodes_used == quadrature.max_nodes_used
+        assert fld.max_nodes_used == quadrature.max_nodes_used
         for degrees in (frozenset(), frozenset({-1}), frozenset({-3})):  # no monomial of degree > 0
-            fld = da.AveragedField(T1_SPEC, const_lin(f1=ones), degrees=degrees)
+            fld = da.AveragedField(T1_SPEC, const_lin(f1=ones))
             quadrature = da.AveragedField(T1_SPEC, const_lin(f1=ones))
+            assert fld.polynomial(degrees) is None
             assert fld.evaluate(pts).tobytes() == quadrature.evaluate(pts).tobytes()
+            assert fld.max_nodes_used == quadrature.max_nodes_used
 
     def test_a_recovery_that_raises_leaves_the_parents_error(self, monkeypatch):
         # a coefficient that divides by the inactive rate, which is 0.0, and
@@ -384,46 +403,54 @@ class TestPolynomialRoute:
         expr = da.parse_torque("theta_dot^2/phi_dot")
         lin = const_lin(f1=lambda t, v1, v2: expr.evaluate(t, 0.0, v1, 0.0, v2))
         degrees = torques.velocity_degrees(expr, "theta_dot")
-        fields = [(da.AveragedField(T1_SPEC, lin, degrees=degrees), da.AveragedField(T1_SPEC, lin))]
+        fields = [(da.AveragedField(T1_SPEC, lin), degrees)]
         monkeypatch.setattr(da.averaging, "QUAD_MAX_NODES", 16)
-        fields.append((pipeline_field("corollary2"), pipeline_field("corollary2", degrees=None)))
-        for fld, parent in fields:
+        fields.append(quadrature_field("corollary2"))
+        for fld, fit_degrees in fields:
+            parent = da.AveragedField(fld.spec, fld.lin, fld.quad_tolerance)
             want = raised(lambda: parent.evaluate(point))
             assert want is not None
+            assert fld.polynomial(fit_degrees) is None
             assert raised(lambda: fld.evaluate(point)) == want
-            assert fld._terms == () and fld.max_nodes_used == parent.max_nodes_used
+            assert fld.max_nodes_used == parent.max_nodes_used
         assert degrees == {2}
-        assert raised(lambda: fields[0][1](point)) == (da.DomainError, "division by zero")
-        assert raised(lambda: fields[1][1](point))[0] is da.NoConvergenceError
+        assert raised(lambda: fields[0][0](point)) == (da.DomainError, "division by zero")
+        assert raised(lambda: fields[1][0](point))[0] is da.NoConvergenceError
+        assert type(pipeline_field("corollary2")) is da.AveragedField
 
-    def test_where_the_polynomial_overflows_quadrature_raises(self):
-        fld, quadrature = pipeline_field("corollary1"), pipeline_field("corollary1", degrees=None)
+    def test_where_the_polynomial_overflows_it_raises_as_quadrature_does(self):
+        fld, (quadrature, _) = pipeline_field("corollary1"), quadrature_field("corollary1")
         for pts in ([[0.5, 0.2], [1e70, 0.0]], [math.nan, 1.0]):
             want = raised(lambda: quadrature.evaluate(pts))
-            assert want is not None and raised(lambda: fld.evaluate(pts)) == want
-        assert fld._terms
+            assert want is not None and raised(lambda: fld(pts)) == want
 
-    @pytest.mark.parametrize("degrees", [..., None], ids=["polynomial", "quadrature"])
+    @pytest.mark.parametrize("route", ["polynomial", "quadrature"])
     @pytest.mark.parametrize(
         "point, sampled",
         [([1e70, 0.0], [16]), ([math.inf, 0.0], []), ([0.5, -math.inf], []), ([math.nan, 1.0], [])],
     )
-    def test_a_value_outside_the_floats_is_a_domain_error_at_once(self, degrees, point, sampled):
+    def test_a_value_outside_the_floats_is_a_domain_error_at_once(self, route, point, sampled):
         # at (1e70, 0) x * core overflows at the first 16 nodes, and sums of
         # inf never settle: the rule would double them to 2**20 nodes; a
-        # point that is not finite is refused before any node
-        fld = pipeline_field("corollary1", degrees)
-        fld.evaluate([0.5, 0.2])  # the polynomial, where there is one, is recovered
-        f1, times = fld.lin.f1, []
-        fld.lin = replace(fld.lin, f1=lambda t, v1, v2: times.append(np.size(t)) or f1(t, v1, v2))
-        assert raised(lambda: fld.evaluate(point)) == (
+        # point that is not finite is refused before any node.  The
+        # polynomial samples nothing
+        quadrature, degrees = quadrature_field("corollary1")
+        fld = quadrature.polynomial(degrees) if route == "polynomial" else quadrature
+        f1, times = quadrature.lin.f1, []
+        counted = lambda t, v1, v2: times.append(np.size(t)) or f1(t, v1, v2)
+        quadrature.lin = replace(quadrature.lin, f1=counted)
+        assert raised(lambda: fld(point)) == (
             da.DomainError, "OverflowError: result outside the floats"
         )
-        assert times == sampled
+        assert times == (sampled if route == "quadrature" else [])
 
-    @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (2, 2, 2)])
-    @pytest.mark.parametrize("degrees", [..., None], ids=["polynomial", "quadrature"])
-    def test_both_routes_refuse_points_of_another_shape(self, degrees, shape):
-        fld = pipeline_field("corollary2", degrees)
-        with pytest.raises(ValueError, match="alpha must have 2 components"):
-            fld.evaluate(np.full(shape, 0.5))
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 3), (2, 2, 2), (5, 10, 2)])
+    @pytest.mark.parametrize("route", ["polynomial", "quadrature", "corollary1", "corollary2"])
+    def test_both_routes_refuse_points_of_another_shape(self, route, shape):
+        # the pipeline field either way, and the printed reference fields
+        fld = {
+            "polynomial": lambda: pipeline_field("corollary2"),
+            "quadrature": lambda: quadrature_field("corollary2")[0],
+        }.get(route, lambda: da.BUNDLED_CASES[route].reference_field)()
+        with pytest.raises(ValueError, match=r"alpha must have 2 components, got shape"):
+            fld(np.full(shape, 0.5))

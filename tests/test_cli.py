@@ -267,7 +267,7 @@ class TestMainEntry:
         )
         cfg = write(tmp_path, text)
         config = load_config(cfg)
-        assert cli._build_field(config, "pipeline", None)[0].terms is None
+        assert type(cli._build_field(config, "pipeline", None)[0]) is averaging.AveragedField
 
         def refused(*args):
             raise AssertionError("a field without terms was subdivided")
@@ -614,7 +614,7 @@ def test_failures_leave_in_the_serial_order(tmp_path, monkeypatch, capsys, faili
     search = cli.multistart_zeros
 
     def searched(fld, *args, **kwargs):
-        source = "pipeline" if isinstance(fld, averaging.AveragedField) else "reference"
+        source = "reference" if fld is BUNDLED_CASES["corollary2"].reference_field else "pipeline"
         if source in failing:
             raise cli.DumbbellError(f"{source} search")
         return search(fld, *args, **kwargs)
@@ -731,7 +731,7 @@ def test_a_failed_search_plans_no_ladder(tmp_path, monkeypatch, capsys, failing)
     search, shot = cli.multistart_zeros, []
 
     def searched(fld, *args, **kwargs):
-        if isinstance(fld, averaging.AveragedField) == (failing == "pipeline"):
+        if (fld is BUNDLED_CASES["corollary2"].reference_field) == (failing == "reference"):
             raise cli.DumbbellError(f"{failing} search")
         return search(fld, *args, **kwargs)
 
@@ -931,7 +931,8 @@ print(json.dumps(results))
 
 
 def test_no_warning_escapes_a_run(tmp_path):
-    # the benchmark workloads and two runs whose polynomial overflows, with
+    # the benchmark workloads and four runs whose field or its norm
+    # overflows, on the pipeline's polynomial and the printed one, with
     # every warning an error (``python -W error``) and without: a warning in
     # a forked task becomes that task's error there, so it changes the outcome
     configs = Path(cli.__file__).parent / "configs"
@@ -946,6 +947,10 @@ def test_no_warning_escapes_a_run(tmp_path):
             tmp_path, overflow + "eval_lo = -1e80\neval_hi = 1e80\neval_n = 3\n", "eval.cfg"))],
         "solve-overflow": ["solve", "--config", str(write(
             tmp_path, overflow + "r1 = 1e60\nr2 = 1e80\nn_r = 2\nn_angle = 4\n", "solve.cfg"))],
+        "printed-eval-overflow": ["eval", "--config", str(write(
+            tmp_path, REFERENCE1 + "eval_lo = -1e120\neval_hi = 1e120\neval_n = 3\n", "p-eval.cfg"))],
+        "printed-solve-overflow": ["solve", "--config", str(write(
+            tmp_path, REFERENCE1 + "r1 = 1e60\nr2 = 1e80\nn_r = 2\nn_angle = 4\n", "p-solve.cfg"))],
     }
     argvs = [argv + ["--out", f"o/{name}"] for name, argv in runs.items()]
     script = WARNINGS_SCRIPT.format(src=str(Path(cli.__file__).resolve().parents[1]), runs=argvs)
@@ -957,10 +962,13 @@ def test_no_warning_escapes_a_run(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         results = json.loads(proc.stdout)
-        assert [code for code, _, _ in results] == [0, 0, 0, 2, 2]
+        assert [code for code, _, _ in results] == [0, 0, 0, 2, 2, 2, 2]
         assert [err for _, _, err in results[:3]] == ["", "", ""]
-        for (_, _, err), command in zip(results[3:], ("eval", "solve")):
+        for (_, _, err), command in zip(results[3:], ("eval", "solve", "eval", "solve")):
             assert re.fullmatch(f"numerical failure in stage '{command}': [^\n]*\n", err), err
+        assert [err for _, _, err in results[5:]] == [
+            f"numerical failure in stage '{command}': OverflowError: result outside the floats\n"
+            for command in ("eval", "solve")]
         files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*.*"))}
         seen[bool(flags)] = results, files
     assert len(seen[True][1]) == 17

@@ -15,6 +15,7 @@ from dumbbell_averager.zeros import (
     _field_rows,
     _first_apart,
     _newton_rounds,
+    _norms,
     field_scale_on,
 )
 
@@ -295,6 +296,25 @@ class TestBatchedSearch:
 
         assert abs(peak(50) - peak(5)) < 0.5e6
 
+    def test_a_trial_whose_norm_overflows_is_no_better(self):
+        # beyond x = 0.75 the values are finite and their squares are not:
+        # the line search halves back from there, and no numpy warning escapes
+        def field(p):
+            p = np.asarray(p, dtype=float)
+            return np.where(p[..., :1] > 0.75, 1e300, np.stack([p[..., 0] - 1.0, p[..., 1]], axis=-1))
+
+        with pytest.raises(da.NoConvergenceError, match=r"line search failed .* at \[0\.7499"):
+            da.newton2d(field, (0.0, 0.0))
+
+    def test_a_median_norm_that_overflows_is_a_domain_error(self):
+        rows = np.array([[3.0, 4.0], [1e200, 0.0], [1e-200, 0.0]])
+        # a finite norm keeps np.linalg.norm's bits, one that overflows is inf
+        assert _norms(rows).tolist() == [float(np.linalg.norm(rows[0])), math.inf, 0.0]
+        # REF1 is cubic: every seed's values are finite, their norms are not
+        domain = da.ZeroSearchDomain(r1=1e60, r2=1e80, n_r=2, n_angle=4)
+        with pytest.raises(da.DomainError, match="^OverflowError: result outside the floats$"):
+            da.multistart_zeros(REF1, domain)
+
     def test_failing_evaluations_lose_only_their_seeds(self):
         def field(p):
             p = np.asarray(p, dtype=float)
@@ -476,7 +496,7 @@ class TestSubdivision:
     )
     def test_each_bundled_search_is_complete(self, field, count):
         fld = {"REF1": REF1, "REF2": REF2}.get(field) or cli_field(field)
-        assert fld.terms is not None
+        assert isinstance(fld, averaging.Polynomial)
         found = da.multistart_zeros(fld, da.ZeroSearchDomain())
         assert found.verdict == "complete" and len(found) == count
         assert all(z.classification == "Simple" for z in found)
@@ -491,20 +511,22 @@ class TestSubdivision:
                                  (4 * x * (2 + x - 2 * x**2) - y**2 * (1 + 2 * x)) / 32])
         for field, want in ((REF1, case1), (REF2, case2)):
             assert np.allclose(field(p), want, rtol=1e-13, atol=1e-13)
-            assert field(p[0]).shape == (2,) and field(p.reshape(5, 10, 2)).shape == (5, 10, 2)
+            assert field(p[0]).shape == (2,) and field(p).shape == (50, 2)
+            with pytest.raises(ValueError, match="alpha must have 2 components"):
+                field(p.reshape(5, 10, 2))
 
     def test_the_corollary1_pipeline_search_evaluates_few_field_rows(self, monkeypatch):
         # the multistart evaluated 52,720 rows of this field and found no
         # zero; the subdivision proves that from the polynomial's terms and
         # evaluates the field only on the field-scale sample
         fld, rows = cli_field("corollary1"), []
-        evaluate = averaging.AveragedField.evaluate
+        evaluate = averaging.Polynomial.__call__
 
         def counted(self, alpha):
             rows.append(np.atleast_2d(np.asarray(alpha)).shape[0])
             return evaluate(self, alpha)
 
-        monkeypatch.setattr(averaging.AveragedField, "evaluate", counted)
+        monkeypatch.setattr(averaging.Polynomial, "__call__", counted)
         found = da.multistart_zeros(fld, da.ZeroSearchDomain())
         assert found == [] and found.verdict == "complete"
         assert 0 < sum(rows) < 52_720 // 20
@@ -545,7 +567,7 @@ class TestSubdivision:
         square = (p[:, 0] - 1 + 1j * p[:, 1]) ** 2 * (p[:, 0] ** 2 + p[:, 1] ** 2)
         assert np.allclose(field(p), np.column_stack([square.real, square.imag]))
         domain = da.ZeroSearchDomain(r1=0.5, r2=2.0)
-        points, undecided = zeros._subdivide(field.terms, domain)
+        points, undecided = zeros._subdivide(field.with_jacobian(), domain)
         assert undecided == len(points) > 0
         assert np.abs(points - [1.0, 0.0]).max() < 1e-4
         found = da.multistart_zeros(field, domain)
