@@ -11,7 +11,7 @@ and letting direct shooting arbitrate.  ``reproduce`` takes a bundled case
 name, ``--config``, or both; the others need ``--config``.
 
 ``verify`` and ``reproduce`` run their zero searches, then the ladders
-planned from them, as two batches of one pool over the usable CPUs
+planned from them, as two pool runs over the usable CPUs
 (``_solve_and_shoot``); a ladder whose zero lies within ``newton_tol`` of a
 ladder already planned in the same system reads that one's shots.  Nothing
 they write, print or raise depends on the number of CPUs.  A zero search
@@ -312,55 +312,44 @@ def _solve_and_shoot(config: RunConfig, searches: Dict[str, Tuple[str, Path]],
                      case: Optional[str], systems: Sequence[str]) -> tuple:
     """Search the field of each ``searches`` entry, label: (field source,
     zeros CSV), and shoot its simple orbit classes in each of ``systems``,
-    as the batches of one ``run_tasks`` pool: the searches, each task its
-    label, which builds the field too (a fit then runs beside the other
-    search), then, once every search has succeeded, each ladder task (label,
-    system, class index, zero location) that ``_shared_shots`` maps to
-    itself; the others read the shots it maps them to.  The outcomes are
-    then taken in the serial order, every search (writing its zeros CSV)
-    before any ladder, and the first failure met is raised.  Returns each
-    label's orbit classes and each (label, system)'s ladders, keyed by
-    class index."""
-    failure = None
-    try:  # built before the pool forks; the serial order meets a failure after the zeros CSVs
-        factories = {system: _rhs_factory(config, system) for system in systems}
-    except DumbbellError as exc:
-        factories, failure = {}, exc
+    in two ``run_tasks`` calls.  The first runs the searches, each of which
+    builds its field too (a fit then runs beside the other search); their
+    zeros CSVs are written in order, and the first failure is raised.  The
+    second runs each ladder task (label, system, class index, zero
+    location) that ``_shared_shots`` maps to itself; the others read the
+    shots it maps them to, and the first failure in the serial order is
+    raised.  Returns each label's orbit classes and each (label, system)'s
+    ladders, keyed by class index."""
+    def search(label):
+        return _search(config, *_build_field(config, searches[label][0], case))
 
-    def run(task):
-        if task in searches:
-            return _search(config, *_build_field(config, searches[task][0], case))
+    def ladder(task):
         return epsilon_continuation(
             rhs_for_eps=factories[task[1]], averaged_zero=task[3], spec=config.spec,
             eps_list=config.epsilon_list, **_tolerances(config),
         )
 
-    shots: Dict[tuple, tuple] = {}
-
-    def plan(outcomes) -> list:
-        if shots or any(isinstance(outcomes[label], Exception) for label in searches):
-            return []
-        shots.update(_shared_shots([
-            (label, system, idx, tuple(float(v) for v in group[0].location))
-            for label in searches for system in factories
-            for idx, group in enumerate(outcomes[label][1]) if group[0].is_simple
-        ], config.newton_tol))
-        return [task for task, shot in shots.items() if task == shot]
-
     # a wrapped layer function (``__wrapped__``, as a tracer's spans) sees
     # only the calls made in its own process, so then no task leaves it
-    wrapped = any(hasattr(f, "__wrapped__") for f in (multistart_zeros, epsilon_continuation))
-    outcomes, groups = run_tasks(searches, run, plan, fork=not wrapped), {}
-    for label, (_, path) in searches.items():
-        zeros, groups[label], meta = settled(outcomes[label])
+    fork = not any(hasattr(f, "__wrapped__") for f in (multistart_zeros, epsilon_continuation))
+    groups = {}
+    for (label, (_, path)), found in zip(searches.items(), run_tasks(searches, search, fork)):
+        zeros, groups[label], meta = settled(found)
         _note_verdict(label, zeros)
         reports.write_zeros_csv(path, zeros, groups[label], meta)
-    if failure is not None:
-        raise failure
+    factories = {system: _rhs_factory(config, system) for system in systems}
+    shots = _shared_shots([
+        (label, system, idx, tuple(float(v) for v in group[0].location))
+        for label in searches for system in systems
+        for idx, group in enumerate(groups[label]) if group[0].is_simple
+    ], config.newton_tol)
+    shooting.dopri_loop(4)  # the ladders' step loop, compiled before the fork for every child
+    planned = [task for task, twin in shots.items() if task == twin]
+    outcomes = dict(zip(planned, run_tasks(planned, ladder, fork)))
     ladders = {(label, system): {} for label in searches for system in systems}
-    for task, shot in shots.items():
-        report = settled(outcomes[shot])
-        ladders[task[:2]][task[2]] = report if task == shot else continuation_report(
+    for task, twin in shots.items():
+        report = settled(outcomes[twin])
+        ladders[task[:2]][task[2]] = report if task == twin else continuation_report(
             task[3], config.spec, report.eps_list, report.certificates, report.failure)
     return groups, ladders
 

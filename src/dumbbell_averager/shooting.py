@@ -164,7 +164,7 @@ _MAX_GROW = 5.0
 #: bundled systems about 40)
 MAX_STEPS = 100_000
 
-# the adaptive loop; _dopri_loop writes $step, one step's stages and error
+# the adaptive loop; dopri_loop writes $step, one step's stages and error
 _LOOP = string.Template("""\
 def loop(rhs, t, t1, h, h_floor, tol, $y $k1):
     attempts = 0
@@ -192,10 +192,12 @@ $step
 
 
 @functools.cache
-def _dopri_loop(n: int) -> Callable:
-    """The adaptive loop for n-component states, each stage written out per
-    component (a Python loop over the tableau costs ~1.5x): ``y + h * a * k``
-    for a row with one nonzero weight, else ``y + h * (a1 * k1 + ...)``."""
+def dopri_loop(n: int) -> Callable:
+    """The adaptive loop for n-component states, built once per n, on
+    ``integrate``'s first use or earlier by a caller about to fork, so that
+    its children inherit it.  Each stage is written out per component (a
+    Python loop over the tableau costs ~1.5x): ``y + h * a * k`` for a row
+    with one nonzero weight, else ``y + h * (a1 * k1 + ...)``."""
 
     def vec(name: str) -> str:
         return " ".join(f"{name}{j}," for j in range(n))
@@ -267,7 +269,7 @@ def integrate(
     d1 = max(*map(abs, k), 1e-6)
     h = min(0.01 * d0 / d1, (t1 - t0) * 0.1)
     h_floor = 1e-14 * max(abs(t0), abs(t1), 1.0)
-    return np.array(_dopri_loop(len(y))(rhs, t0, t1, h, h_floor, tol, *y, *k))
+    return np.array(dopri_loop(len(y))(rhs, t0, t1, h, h_floor, tol, *y, *k))
 
 
 #: why a shot ended, as ``OrbitCertificate.reason`` names it

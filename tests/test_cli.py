@@ -538,7 +538,9 @@ def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys
     # reproduce corollary2 runs 2 searches and 6 ladders, the linearized
     # verify of its reference field 1 search and 3 ladders, and reproduce
     # corollary1 2 searches and 2 ladders, whose shots end at the origin;
-    # with P usable CPUs, P - 1 forked children share them with the caller
+    # with P usable CPUs, P - 1 forked children share each pool run with the
+    # caller: reproduce makes two runs, searches then ladders, and verify
+    # one, since a single search forks nothing
     with cli.resources.as_file(cli.bundled_config_path(case)) as p:
         text = p.read_text(encoding="utf-8")
     if command == "verify":
@@ -553,7 +555,7 @@ def test_output_does_not_depend_on_the_usable_cpus(tmp_path, monkeypatch, capsys
         out = tmp_path / f"cpus{cpus}"
         del forks[:]
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(forks) == cpus - 1
+        assert len(forks) == (cpus - 1) * (2 if command == "reproduce" else 1)
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         captured = capsys.readouterr()
         assert captured.err == ""  # every bundled search proves its zero set complete
@@ -642,11 +644,13 @@ def test_a_child_that_dies_in_a_ladder_fails_after_both_zeros_files(
     # the caller's ladders wait until a child has begun one, which kills
     # its own process; the death is that ladder's outcome, raised by the
     # serial order after both searches wrote their zeros, and the caller
-    # runs the other ladders without forking another child
+    # runs the other ladders without forking another child.  Each fork
+    # records whether both zeros files exist, so only the ladders' count
     cfg = write(tmp_path, small_corollary2())
     caller, marker, shoot = os.getpid(), tmp_path / "child-started", cli.epsilon_continuation
-    fork, forks = os.fork, []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    out, fork, forks = tmp_path / "o", os.fork, []
+    zeros = lambda: len(list(out.glob("zeros_*.csv"))) == 2
+    monkeypatch.setattr(os, "fork", lambda: forks.append(zeros()) or fork())
 
     def shot(**job):
         if os.getpid() == caller:
@@ -660,14 +664,27 @@ def test_a_child_that_dies_in_a_ladder_fails_after_both_zeros_files(
     monkeypatch.setattr(cli, "epsilon_continuation", shot)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
-    out = tmp_path / "o"
     assert cli.main(["reproduce", "--config", str(cfg), "--out", str(out)]) == 2
-    assert len(forks) == 1
+    assert forks.count(True) == 1
     assert sorted(p.name for p in out.iterdir()) == ["zeros_pipeline.csv", "zeros_reference.csv"]
     assert re.search(
         rf"'reproduce': task process \d+ was killed by signal {signal.SIGKILL:d} without a result\n$",
         capsys.readouterr().err,
     )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the searches and ladders run forked")
+def test_reproduce_forks_its_ladder_child_after_both_zeros_files(tmp_path, monkeypatch):
+    # with two usable CPUs each pool run forks one child: the searches'
+    # before any file exists, the ladders' once both zeros files are written
+    cfg = write(tmp_path, small_corollary2())
+    out, fork, forks = tmp_path / "o", os.fork, []
+    written = lambda: sorted(p.name for p in out.iterdir()) if out.exists() else []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(written()) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    assert cli.main(["reproduce", "--config", str(cfg), "--out", str(out)]) == 0
+    assert forks == [[], ["zeros_pipeline.csv", "zeros_reference.csv"]]
 
 
 def test_a_torque_that_fails_to_linearize_fails_after_the_zeros_file(tmp_path, monkeypatch, capsys):
@@ -747,9 +764,9 @@ def test_a_failed_search_plans_no_ladder(tmp_path, monkeypatch, capsys, failing)
 @pytest.mark.parametrize(
     "argv, extra, points, quadrature, integrations, builds, ladders",
     [
-        (["reproduce", "corollary1"], "", 52_720, 32, 36, 6, 2),
-        (["reproduce", "corollary2"], "", 23_844, 36, 86, 12, 6),
-        (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 0, 0, 30, 3, 3),
+        (["reproduce", "corollary1"], "", 1_025, 32, 36, 6, 2),
+        (["reproduce", "corollary2"], "", 1_030, 36, 86, 12, 6),
+        (["verify"], "field_source = printed-reference\nverify_system = linearized\n", 516, 0, 30, 3, 3),
     ],
     ids=["reproduce-c1", "reproduce-c2", "verify-lin-c2"],
 )
@@ -757,15 +774,17 @@ def test_the_benchmark_workloads_keep_their_shooting_cost(
     tmp_path, monkeypatch, argv, extra, points, quadrature, integrations, builds, ladders
 ):
     # the benchmark workloads, counted in one process on one CPU: at most
-    # these averaged-field points, points integrated by quadrature,
+    # these field points (rows of a quadrature field or of a polynomial,
+    # pipeline or printed), points integrated by quadrature,
     # integrations and Jacobian builds, and these ladders (reproduce-c2 took
     # 160 integrations, 22 builds and 10 ladders when each field shot its
     # own; verify-lin-c2 took 124 and 23 when every Newton step built one,
     # and 74 and 9 when a shot stopped only once ||P|| grew tenfold;
     # reproduce-c1 189 and 36 when its ladders chased the origin step by
-    # step); a field built or searched twice would show in the
-    # points, and a field integrated at every point (52,720 and 23,844) in
-    # the quadrature, which recovers each pipeline polynomial in one batch
+    # step); a field built or searched twice would show in the points (the
+    # Newton multistart took 52,720 and 23,844 on the pipeline fields), and
+    # a field integrated at every point in the quadrature, which recovers
+    # each pipeline polynomial in one batch
     case = "corollary1" if "corollary1" in argv else "corollary2"
     with cli.resources.as_file(cli.bundled_config_path(case)) as p:
         text = p.read_text(encoding="utf-8")
@@ -785,6 +804,13 @@ def test_the_benchmark_workloads_keep_their_shooting_cost(
         return evaluate(fld, alpha)
 
     monkeypatch.setattr(averaging.AveragedField, "evaluate", evaluate_counted)
+    call = averaging.Polynomial.__call__
+
+    def call_counted(fld, alpha):
+        evaluated.append(np.atleast_2d(np.asarray(alpha)).shape[0])
+        return call(fld, alpha)
+
+    monkeypatch.setattr(averaging.Polynomial, "__call__", call_counted)
     quadrature_rows, integrated = averaging._quadrature_rows, []
 
     def quadrature_counted(f, period, tol, count):

@@ -1,12 +1,13 @@
-"""The task pool: outcomes in any process, batches planned by the caller,
-the order of failures, children that die, an interrupted caller and what a
-run leaves behind."""
+"""The task pool: outcomes in any process and in task order, the order of
+failures, pinning, children that die, an interrupted caller and what a run
+leaves behind."""
 
 import itertools
 import os
 import pickle
 import signal
 import time
+from pathlib import Path
 
 import pytest
 from test_shooting import S17, ZERO_LIN, case_torques
@@ -47,8 +48,8 @@ def raising(exc):
 def ladders(jobs):
     """``epsilon_continuation(**job)`` of each job, run as the pool's tasks:
     the reports in job order, or the lowest-index job's exception raised."""
-    outcomes = pool.run_tasks(range(len(jobs)), lambda i: da.epsilon_continuation(**jobs[i]))
-    return [pool.settled(outcomes[i]) for i in range(len(jobs))]
+    return [pool.settled(outcome) for outcome in pool.run_tasks(
+        range(len(jobs)), lambda i: da.epsilon_continuation(**jobs[i]))]
 
 
 def wait_for(path, seconds=30.0):
@@ -56,12 +57,6 @@ def wait_for(path, seconds=30.0):
     deadline = time.monotonic() + seconds
     while not path.exists() and time.monotonic() < deadline:
         time.sleep(0.001)
-
-
-def then_once(batch):
-    """A ``then`` that plans ``batch`` after the first batch and nothing after that."""
-    batches = [list(batch)]
-    return lambda outcomes: batches.pop() if batches else []
 
 
 def in_a_child(tmp_path, act):
@@ -91,7 +86,7 @@ def starts_by_process(tasks):
         return os.getpid(), start
 
     starts = {}
-    for task, (pid, _) in sorted(pool.run_tasks(tasks, run).items(), key=lambda item: item[1][1]):
+    for task, (pid, _) in sorted(zip(tasks, pool.run_tasks(tasks, run)), key=lambda item: item[1][1]):
         starts.setdefault(pid, []).append(task)
     return starts
 
@@ -120,6 +115,11 @@ class TestRunTasks:
         # every child was reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def wide(self, monkeypatch):
+        """Indices of 512 bytes, so that the 64 KiB pipe holds 128 of them."""
+        monkeypatch.setattr(pool, "INDEX", 512)
 
     def test_reports_come_back_in_job_order(self, cpus, monkeypatch):
         f1, f2 = case_torques("corollary2")
@@ -161,6 +161,7 @@ class TestRunTasks:
             assert self.pins[-2:] == [[0], list(range(n))]
 
     def test_one_cpu_runs_each_batch_in_order(self, cpus):
+        # each call is one batch
         ran = []
 
         def run(task):
@@ -168,97 +169,101 @@ class TestRunTasks:
             return task.upper()
 
         cpus(1)
-        outcomes = pool.run_tasks(["a", "b"], run, then_once(["a1", "b1", "b2"]))
+        outcomes = [pool.run_tasks(batch, run) for batch in (["a", "b"], ["a1", "b1", "b2"])]
         assert ran == ["a", "b", "a1", "b1", "b2"]
-        assert outcomes == {task: task.upper() for task in ran}
+        assert outcomes == [["A", "B"], ["A1", "B1", "B2"]]
 
     def test_nothing_forks_while_no_task_waits_for_another_process(self, cpus, monkeypatch):
         # the caller forks once, holding a task, it sees another queued; each
-        # batch here is one task, so no two ever wait at once
+        # run here is one task, so no two ever wait at once
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
         cpus(2)
-        then = lambda outcomes: [len(outcomes)] if len(outcomes) < 4 else []
-        assert pool.run_tasks([0], lambda task: task, then) == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert [pool.run_tasks([k], lambda task: task) for k in range(4)] == [[0], [1], [2], [3]]
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_every_task_of_every_batch_comes_back_once(self, cpus, n):
-        def run(task):
-            return os.getpid() if task[0] == "first" else task[1] * 3 + task[2]
-
+    def test_every_task_comes_back_once(self, cpus, n):
         cpus(n)
-        planned = [("next", i, k) for i in range(20) for k in range(3)]
-        outcomes = pool.run_tasks([("first", i) for i in range(20)], run, then_once(planned))
-        assert {t: v for t, v in outcomes.items() if t[0] == "next"} == {
-            ("next", i, k): 3 * i + k for i in range(20) for k in range(3)
-        }
-        assert len(outcomes) == 80
+        tasks = [(i, k) for i in range(20) for k in range(4)]
+        assert pool.run_tasks(tasks, lambda task: task[0] * 4 + task[1]) == list(range(80))
 
-    def test_then_runs_in_the_caller_once_per_batch(self, cpus, tmp_path):
-        # each call of then is written to a file, so a call in a child would show
-        calls, log = [], tmp_path / "then"
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equal_and_unhashable_tasks_come_back_in_task_order(self, cpus, n):
+        cpus(n)
+        tasks = [[1], [1], [2, 3], [1]]
+        assert pool.run_tasks(tasks, lambda task: [*task, len(task)]) == [
+            [1, 1], [1, 1], [2, 3, 2], [1, 1]
+        ]
 
-        def then(outcomes):
-            with log.open("a") as f:
-                f.write(f"{os.getpid()}\n")
-            calls.append(sorted(outcomes))
-            return [len(outcomes) + k for k in range(3)] if len(outcomes) < 9 else []
+    @pytest.mark.parametrize(
+        "task", [lambda: "from a lambda", "x" * 512], ids=["unpicklable", "long"]
+    )
+    def test_a_task_that_does_not_pickle_runs_in_a_child(self, cpus, tmp_path, task):
+        # the child reads its task from its own copy of the list, so no task
+        # is pickled; A, the caller's, waits until the child has begun B
+        caller, marker = os.getpid(), tmp_path / "B-started"
+
+        def run(task):
+            if task == "A":
+                wait_for(marker)
+                return "A"
+            marker.touch()
+            return os.getpid() != caller, task() if callable(task) else len(task)
 
         cpus(2)
-        outcomes = pool.run_tasks(range(3), lambda task: -task, then)
-        assert outcomes == {task: -task for task in range(9)}
-        assert calls == [[0, 1, 2], list(range(6)), list(range(9))]
-        assert log.read_text().split() == [str(os.getpid())] * 3
+        expected = "from a lambda" if callable(task) else 512
+        assert pool.run_tasks(["A", task], run) == ["A", (True, expected)]
 
-    def test_one_fork_serves_every_batch(self, cpus, tmp_path, monkeypatch):
-        # each task of a batch holds its process until two processes have
-        # begun one, so the child forked for the first batch runs one task
-        # of each batch
-        fork, forks, batch = os.fork, [], [0]
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_child_is_pinned_from_the_caller_before_the_caller(self, cpus, monkeypatch, n):
+        # the caller forks every child, pins each to its own CPU, then pins
+        # itself to the first, and takes every CPU back at the end
+        fork, children, pinned = os.fork, [], []
+
+        def forked():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", forked)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(
+            (pid, sorted(cpus))) or self.pins.append(sorted(cpus)))
+        cpus(n)
+        assert pool.run_tasks(range(6), lambda task: -task) == [0, -1, -2, -3, -4, -5]
+        assert len(children) == n - 1
+        assert pinned == [(pid, [cpu]) for cpu, pid in enumerate(children, start=1)] + [
+            (0, [0]), (0, list(range(n)))
+        ]
+        assert self.pins[-2:] == [[0], list(range(n))]
+
+    def test_a_child_gone_before_its_pin_still_reports(self, cpus, monkeypatch):
+        # pinning a child that has already ended raises ProcessLookupError;
+        # its end is read from its pipe, as for any child that dies
+        def gone(pid, cpus):
+            if pid:
+                raise ProcessLookupError(pid)
+
+        monkeypatch.setattr(os, "sched_setaffinity", gone)
+        cpus(2)
+        assert pool.run_tasks(range(4), lambda task: task * 2) == [0, 2, 4, 6]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_run_forks_and_reaps_its_own_children(self, cpus, monkeypatch, n):
+        # two tasks wait at the caller's first take, so each run forks
+        fork, forks = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-
-        def run(task):
-            (tmp_path / f"{task[0]}-{os.getpid()}").touch()
-            deadline = time.monotonic() + 30
-            while len(list(tmp_path.glob(f"{task[0]}-*"))) < 2 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return os.getpid()
-
-        def then(outcomes):
-            batch[0] += 1
-            return [(batch[0], k) for k in range(2)] if batch[0] < 2 else []
-
-        cpus(2)
-        outcomes = pool.run_tasks([(0, k) for k in range(2)], run, then)
-        assert len(forks) == 1
-        pids = [{outcomes[b, k] for k in range(2)} for b in range(2)]
-        assert pids[0] == pids[1] and os.getpid() in pids[0] and len(pids[0]) == 2
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_a_task_longer_than_a_record_is_refused(self, cpus, n):
-        def run(task):
-            raise AssertionError("ran")
-
         cpus(n)
-        with pytest.raises(ValueError, match="pickles to more than 512 bytes"):
-            pool.run_tasks(["first", "x" * pool.RECORD], run)
-
-    @pytest.mark.parametrize("bad", [lambda: None, "x" * pool.RECORD], ids=["unpicklable", "long"])
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_a_planned_task_that_cannot_be_queued_is_refused(self, cpus, bad, n):
-        # nothing of the refused batch runs, and no child outlives the run
-        ran = []
-
-        def run(task):
-            ran.append(task)
-            return task
-
-        cpus(n)
-        with pytest.raises(ValueError, match="pickle"):
-            pool.run_tasks(["A", "B"], run, then_once(["queued", bad]))
-        assert "queued" not in ran
+        before = sorted(os.listdir("/proc/self/fd"))
+        for run in range(2):
+            assert pool.run_tasks(["a", "b"], str.upper) == ["A", "B"]
+            assert len(forks) == (run + 1) * (n - 1)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert sorted(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize(
         "failing, expected",
@@ -330,7 +335,7 @@ class TestRunTasks:
         self, cpus, tmp_path, outcome, text
     ):
         # B runs in the child (A waits for its marker) and dies before its
-        # outcome is sent; the batch ends, and the caller runs the next
+        # outcome is sent; the caller runs the tasks after it, and the run ends
         marker = tmp_path / "B-started"
 
         def run(task):
@@ -350,24 +355,45 @@ class TestRunTasks:
         previous, started = signal.signal(signal.SIGALRM, hang), time.monotonic()
         signal.alarm(30)
         try:
-            outcomes = pool.run_tasks(["A", "B"], run, then_once(["E1", "E2"]))
+            outcomes = pool.run_tasks(["A", "B", "E1", "E2"], run)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 10
-        assert isinstance(outcomes["B"], da.DumbbellError)
-        assert text in str(outcomes["B"])
-        assert {task: outcomes[task] for task in ("A", "E1", "E2")} == {
-            "A": "A", "E1": "E1", "E2": "E2"
-        }
+        assert isinstance(outcomes[1], da.DumbbellError)
+        assert text in str(outcomes[1])
+        assert [outcomes[k] for k in (0, 2, 3)] == ["A", "E1", "E2"]
 
-    def test_one_cpu_starts_a_batch_past_what_the_pipe_holds_in_order(self, cpus):
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat")
+    def test_a_child_with_no_task_left_leaves_while_the_caller_runs(self, cpus, tmp_path):
+        # B, the child's only task, ends at once; no task is left in the
+        # pipe, so the child ends (a zombie, until it is reaped) while A,
+        # the caller's task, still runs
+        marker = tmp_path / "B-pid"
+
+        def run(task):
+            if task == "B":
+                (tmp_path / "tmp").write_text(str(os.getpid()))
+                os.replace(tmp_path / "tmp", marker)
+                return task
+            wait_for(marker)
+            stat, deadline = Path(f"/proc/{marker.read_text()}/stat"), time.monotonic() + 10
+            while stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":
+                if time.monotonic() > deadline:
+                    return "the child still runs"
+                time.sleep(0.001)
+            return "the child has ended"
+
+        cpus(2)
+        assert pool.run_tasks(["A", "B"], run) == ["the child has ended", "B"]
+
+    def test_one_cpu_starts_a_batch_past_what_the_pipe_holds_in_order(self, cpus, wide):
         cpus(1)
         assert starts_by_process(range(200)) == {os.getpid(): list(range(200))}
 
-    def test_two_cpus_share_a_batch_past_what_the_pipe_holds_in_order(self, cpus):
+    def test_two_cpus_share_a_batch_past_what_the_pipe_holds_in_order(self, cpus, wide):
         # each process takes the tasks in the pipe's order, and the child
-        # takes tasks the first 128 records left in the caller's backlog
+        # takes tasks the first 128 indices left in the caller's backlog
         cpus(2)
         starts = starts_by_process(range(200))
         assert len(starts) == 2 and sorted(sum(starts.values(), [])) == list(range(200))
@@ -386,54 +412,47 @@ class TestRunTasks:
 
         monkeypatch.setattr(os, "waitpid", reap)
         cpus(2)
-        assert pool.run_tasks(range(20), lambda task: time.sleep(0.002) or -task) == {
-            task: -task for task in range(20)
-        }
+        assert pool.run_tasks(range(20), lambda task: time.sleep(0.002) or -task) == [
+            -task for task in range(20)
+        ]
         assert codes == [0]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
-    def test_initial_tasks_past_what_the_pipe_holds_all_run(self, cpus):
-        # the pipe holds 128 records; the rest wait in the caller's backlog
+    def test_initial_tasks_past_what_the_pipe_holds_all_run(self, cpus, wide):
+        # the pipe holds 128 indices; the rest wait in the caller's backlog
         cpus(2)
         before = sorted(os.listdir("/proc/self/fd"))
-        assert pool.run_tasks(range(200), lambda task: task * task) == {
-            task: task * task for task in range(200)
-        }
+        assert pool.run_tasks(range(200), lambda task: task * task) == [
+            task * task for task in range(200)
+        ]
         assert sorted(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
-    def test_planned_tasks_past_what_the_pipe_holds_all_run(self, cpus):
-        # 200 planned tasks overflow the pipe's 128 records; the rest wait in the backlog
-        cpus(2)
-        before = sorted(os.listdir("/proc/self/fd"))
-        planned = [("next", k) for k in range(200)]
-        outcomes = pool.run_tasks(["A", "B"], lambda task: task, then_once(planned))
-        assert sorted(os.listdir("/proc/self/fd")) == before
-        assert outcomes == {task: task for task in ["A", "B", *planned]}
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
-    @pytest.mark.parametrize("end", ["done", "killed", "refused"])
+    @pytest.mark.parametrize("end", ["done", "killed", "interrupted"])
     def test_a_run_leaves_no_descriptor_or_child_behind(self, cpus, tmp_path, end):
         marker = tmp_path / "B-started"
 
         def run(task):
             if task == "A":  # the caller's task; B runs in the child
                 wait_for(marker)
+                if end == "interrupted":
+                    raise KeyboardInterrupt
             else:
                 marker.touch()
                 if end == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
+                if end == "interrupted":
+                    time.sleep(60)
             return task
 
-        tasks = ["A", "B"] + (["x" * pool.RECORD] if end == "refused" else [])
         cpus(2)
         before = sorted(os.listdir("/proc/self/fd"))
-        if end == "refused":
-            with pytest.raises(ValueError, match="pickles to more than 512 bytes"):
-                pool.run_tasks(tasks, run)
+        if end == "interrupted":
+            with pytest.raises(KeyboardInterrupt):
+                pool.run_tasks(["A", "B"], run)
         else:
-            outcomes = pool.run_tasks(tasks, run)
-            assert isinstance(outcomes["B"], da.DumbbellError) == (end == "killed")
+            outcomes = pool.run_tasks(["A", "B"], run)
+            assert isinstance(outcomes[1], da.DumbbellError) == (end == "killed")
         assert sorted(os.listdir("/proc/self/fd")) == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
